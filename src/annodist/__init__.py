@@ -8,7 +8,6 @@ subject-independent cross-validation.
 
 __version__ = "0.1.0"
 
-from ._accel import NUMBA_ENABLED
 from .consensus import (
     BetaParams,
     DescriptorSet,
@@ -30,7 +29,6 @@ from .special import digamma, inv_reg_inc_beta, log_gamma, reg_inc_beta
 from .synthetic import SyntheticConfig
 
 __all__ = [
-    "NUMBA_ENABLED",
     "BetaParams",
     "DescriptorSet",
     "MomentPair",

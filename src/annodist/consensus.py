@@ -283,18 +283,17 @@ def descriptors_arrays(alpha, beta, strict: bool = True) -> dict[str, np.ndarray
     alpha = np.asarray(alpha, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     mean, std = beta_mean_std_arrays(alpha, beta)
-
-    def quantile(prob):
-        return special.inv_reg_inc_beta(
-            np.full_like(alpha, prob), alpha, beta, strict=strict
-        )
+    # One inversion call for all three quantiles of every element.
+    ndim = np.broadcast(alpha, beta).ndim
+    probs = np.array([0.25, 0.5, 0.75]).reshape((3,) + (1,) * ndim)
+    q25, median, q75 = special.inv_reg_inc_beta(probs, alpha, beta, strict=strict)
 
     return {
         "mean": mean,
         "std": std,
-        "median": quantile(0.5),
-        "q25": quantile(0.25),
-        "q75": quantile(0.75),
+        "median": median,
+        "q25": q25,
+        "q75": q75,
         "skew": beta_skewness_arrays(alpha, beta),
         "kurt": beta_excess_kurtosis_arrays(alpha, beta),
     }

@@ -149,6 +149,30 @@ class TestFit:
         rows = list(csv.DictReader(open(out / "beta_fits.csv")))
         assert all(abs(float(row["skew"])) < 1e-9 for row in rows)
 
+    def test_exact_zero_one_split_fits(self, tmp_path):
+        # Raters at 0 and 100 clamp to alpha = beta ~ 5e-5, whose outer
+        # quartiles underflow to 0 and round to 1.
+        from scipy import stats
+
+        path = tmp_path / "annotations.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["subject_id", "annotator_id", "timestamp", "value"])
+            for t in range(40):
+                writer.writerow(["s1", "a1", t * 0.25, 0])
+                writer.writerow(["s1", "a2", t * 0.25, 100])
+        out = tmp_path / "fit"
+        assert run_cli("fit", "--annotations", path, "--label-range", 0, 100,
+                       "--out", out) == 0
+        rows = list(csv.DictReader(open(out / "beta_fits.csv")))
+        assert rows
+        for row in rows:
+            a, b = float(row["alpha"]), float(row["beta"])
+            assert a == pytest.approx(5e-5, rel=1e-3) and a == b
+            for name, prob in (("q25", 0.25), ("median", 0.5), ("q75", 0.75)):
+                ref = stats.beta.ppf(prob, a, b)
+                assert abs(float(row[name]) - ref) <= 1e-12 + 1e-6 * abs(ref)
+
 
 class TestRun:
     RUN_ARGS = [

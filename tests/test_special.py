@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as scipy_special
 from scipy.integrate import quad
 
@@ -158,3 +160,102 @@ class TestInvRegIncBeta:
             inv_reg_inc_beta(-0.01, 2.0, 2.0)
         with pytest.raises(DomainError):
             inv_reg_inc_beta(0.5, -2.0, 2.0)
+
+
+def scalar_digamma(x):
+    """Per-element loop form of the digamma kernel, kept as the reference."""
+    acc = 0.0
+    while x < 10.0:
+        acc -= 1.0 / x
+        x += 1.0
+    t = 1.0 / (x * x)
+    series = t * (
+        1.0 / 12.0
+        - t * (1.0 / 120.0 - t * (1.0 / 252.0 - t * (1.0 / 240.0 - t / 132.0)))
+    )
+    return acc + math.log(x) - 0.5 / x - series
+
+
+def scalar_reg_inc_beta(x, a, b):
+    """Per-element loop form of the Lentz continued fraction (reference)."""
+
+    def cf(a, b, x):
+        def floor(v):
+            return 1e-300 if abs(v) < 1e-300 else v
+
+        c, d = 1.0, 1.0 / floor(1.0 - (a + b) * x / (a + 1.0))
+        h = d
+        for m in range(1, 301):
+            aa = m * (b - m) * x / ((a - 1.0 + 2 * m) * (a + 2 * m))
+            d = 1.0 / floor(1.0 + aa * d)
+            c = floor(1.0 + aa / c)
+            h *= d * c
+            aa = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 1.0 + 2 * m))
+            d = 1.0 / floor(1.0 + aa * d)
+            c = floor(1.0 + aa / c)
+            h *= d * c
+            if abs(d * c - 1.0) < 1e-14:
+                break
+        return h
+
+    if x <= 0.0 or x >= 1.0:
+        return float(x >= 1.0)
+    ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - ln_beta)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * cf(a, b, x) / a
+    return 1.0 - front * cf(b, a, 1.0 - x) / b
+
+
+class TestArrayKernelsMatchLoops:
+    # Same arithmetic in the same order; only NumPy's exp/log may differ from
+    # libm's in the last bit, so a few ulps of the result are allowed.
+    def test_digamma(self):
+        x = np.exp(np.random.default_rng(8).uniform(-10.0, 14.0, 3000))
+        ref = np.array([scalar_digamma(v) for v in x])
+        np.testing.assert_allclose(digamma(x), ref, rtol=1e-14, atol=1e-14)
+
+    def test_reg_inc_beta(self):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(0.0, 1.0, 3000)
+        a = np.exp(rng.uniform(math.log(5e-5), math.log(100.0), 3000))
+        b = np.exp(rng.uniform(math.log(5e-5), math.log(100.0), 3000))
+        ref = np.array([scalar_reg_inc_beta(*v) for v in zip(x, a, b)])
+        np.testing.assert_allclose(reg_inc_beta(x, a, b), ref, rtol=0, atol=1e-14)
+
+
+# Every shape the epsilon = 1e-4 clamp can produce: alpha, beta in about
+# [5e-5, 1e4], drawn log-uniformly.
+shapes = st.floats(math.log(5e-5), math.log(1e4)).map(math.exp)
+probabilities = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+class TestProperties:
+    # scipy's betainc loses accuracy at subnormal x, so x stays normal here.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 1.0, allow_subnormal=False), shapes, shapes)
+    def test_reg_inc_beta_matches_scipy(self, x, a, b):
+        assert reg_inc_beta(x, a, b) == pytest.approx(
+            scipy_special.betainc(a, b, x), abs=1e-10
+        )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(probabilities, shapes, shapes)
+    def test_quantile_is_total_and_optimal(self, p, a, b):
+        # strict=True must not raise; the result either meets the residual
+        # contract or no neighbouring double brackets the root more tightly.
+        x = inv_reg_inc_beta(p, a, b, strict=True)
+        assert 0.0 <= x <= 1.0
+        if abs(reg_inc_beta(x, a, b) - p) > 1e-9:
+            assert reg_inc_beta(np.nextafter(x, 0.0), a, b) <= p
+            assert reg_inc_beta(np.nextafter(x, 1.0), a, b) >= p
+
+    def test_exact_split_quartiles_round_to_the_ends(self):
+        # Annotators split evenly between 0 and 1 give alpha = beta = 5e-5;
+        # the outer quartiles are about 10^-6020 from the ends.
+        x = inv_reg_inc_beta([0.25, 0.5, 0.75], 5e-5, 5e-5)
+        np.testing.assert_allclose(
+            x, scipy_special.betaincinv(5e-5, 5e-5, [0.25, 0.5, 0.75]),
+            rtol=1e-6, atol=1e-12,
+        )
+        assert x[0] == 0.0 and x[2] == 1.0
