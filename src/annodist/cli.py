@@ -257,7 +257,7 @@ _RUN_DEFAULTS = {
     "kl_direction": "truth_first",
     "ccc_pooling": "pooled",
     "include_oracle": False,
-    "jobs": 0,  # 0 = one worker per available core
+    "jobs": 0,  # 0 = one worker per available core (at most one per stack)
     "density_windows": 8,
     "significance_level": 0.05,
 }
@@ -269,11 +269,6 @@ def _cmd_run(args) -> int:
     _write_manifest(outdir, "run", args, params)
     samples, _ = pipeline.read_dataset(args.dataset)
     jobs = params["jobs"] if params["jobs"] > 0 else (os.cpu_count() or 1)
-    n_cells = (
-        (len(params["variants"]) + len(params["baselines"])
-         + bool(params["include_oracle"]))
-        * params["k_folds"] * params["n_seeds"]
-    )
     cfg = experiments.ExperimentConfig(
         k_folds=params["k_folds"],
         n_seeds=params["n_seeds"],
@@ -288,37 +283,21 @@ def _cmd_run(args) -> int:
         kl_direction=params["kl_direction"],
         ccc_pooling=params["ccc_pooling"],
         include_oracle=params["include_oracle"],
-        jobs=max(1, min(jobs, n_cells)),
+        jobs=jobs,
     )
     report = experiments.run_grid(samples, cfg)
     paths = experiments.write_report(report, outdir, params["significance_level"])
 
-    if params["density_windows"] > 0 and cfg.variants:
-        data = experiments.DatasetArrays.from_samples(samples, cfg.epsilon)
-        train_idx, val_idx, test_idx = experiments._fold_indices(
-            data, report.fold_plan, 0
-        )
-        mean = np.array(report.fold_norms[0]["mean"])
-        std = np.array(report.fold_norms[0]["std"])
-        net = nn.build(
-            nn.NetworkVariant(cfg.variants[0], data.x.shape[1]), cfg.master_seed
-        )
-        nn.train(
-            net,
-            (data.x[train_idx] - mean) / std,
-            np.column_stack([data.mu[train_idx], data.sigma[train_idx]]),
-            (data.x[val_idx] - mean) / std,
-            np.column_stack([data.mu[val_idx], data.sigma[val_idx]]),
-            cfg.train_config(cfg.master_seed),
-        )
+    pred = report.reference_predictions
+    if params["density_windows"] > 0 and pred is not None:
+        # The grid's own variants[0] / fold-0 / master-seed member.
+        _, _, test_idx = experiments._fold_indices(report.data, report.fold_plan, 0)
         pick = np.linspace(
             0, test_idx.size - 1, min(params["density_windows"], test_idx.size)
         ).astype(int)
-        sel = test_idx[pick]
-        mu_hat, sigma_hat = nn.predict_moments(net, (data.x[sel] - mean) / std)
         paths["density"] = experiments.emit_density_data(
-            data, mu_hat, sigma_hat, sel, outdir / "density_data.csv",
-            epsilon=cfg.epsilon,
+            report.data, pred[pick, 0], pred[pick, 1], test_idx[pick],
+            outdir / "density_data.csv", epsilon=cfg.epsilon,
         )
 
     for name, path in sorted(paths.items()):

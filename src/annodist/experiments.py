@@ -1,8 +1,8 @@
 """Subject-independent cross-validation grid over variants and seeds.
 
 Folds partition subjects: fold i is the test set, fold (i+1) mod k the
-validation set, the rest trains.  Every (model, fold, seed) cell trains one
-network and evaluates on the held-out windows:
+validation set, the rest trains.  A (model, fold, seed) cell is one trained
+network, evaluated on the held-out windows:
 
 * concordance of predicted vs empirical window moments (mu, sigma);
 * concordance of Beta-derived descriptors against the descriptors of the
@@ -12,9 +12,17 @@ network and evaluates on the held-out windows:
   Beta and against the uniform Beta(1,1) reference (both KL directions are
   recorded; the configured one is reported first).
 
+The unit of work is a (network kind, fold) stack, trained in one
+:func:`nn.train` call: each moment variant stacks its ``n_seeds`` seeds, and
+``point`` stacks every baseline target x seed (they share architecture, init
+and shuffle and differ only in the target column).  Seeds are
+master_seed + {0..n_seeds-1}; a member's init and shuffle come from its seed
+alone, and each member early-stops on its own.  A member whose training
+turns non-finite fails only its own cell.  ``jobs`` runs stacks in parallel
+worker processes; the grid is deterministic and does not depend on ``jobs``.
+
 Features are z-normalised with training-fold statistics, which are stored in
-the report for reproducibility.  Seeds are master_seed + {0..n_seeds-1}; the
-whole grid is deterministic, also when cells run in parallel.
+the report for reproducibility.
 """
 
 from __future__ import annotations
@@ -121,13 +129,12 @@ class ExperimentConfig:
         if self.n_seeds < 1 or self.k_folds < 2 or self.jobs < 1:
             raise DomainError("ExperimentConfig: bad grid dimensions")
 
-    def train_config(self, seed: int) -> nn.TrainConfig:
+    def train_config(self) -> nn.TrainConfig:
         return nn.TrainConfig(
             learning_rate=self.learning_rate,
             batch_size=self.batch_size,
             max_epochs=self.max_epochs,
             patience=self.patience,
-            seed=seed,
         )
 
     def model_names(self) -> list[str]:
@@ -183,10 +190,17 @@ class CellResult:
 
 @dataclass
 class ExperimentReport:
+    """Grid results.  ``data`` is the dataset the grid ran on, and
+    ``reference_predictions`` the ``(n_test, 2)`` moment predictions of the
+    ``variants[0]`` / fold-0 / master-seed member on fold 0's test windows
+    (None without variants, or when that cell failed)."""
+
     config: ExperimentConfig
     fold_plan: FoldPlan
     cells: list[CellResult]
     fold_norms: list[dict[str, list[float]]]
+    data: DatasetArrays | None = None
+    reference_predictions: np.ndarray | None = None
 
     def score_vectors(self, metric: str) -> dict[str, np.ndarray]:
         """Per-model score arrays aligned by (fold, seed); NaN for failures."""
@@ -278,68 +292,94 @@ def _fold_indices(
     return np.where(train)[0], np.where(val)[0], np.where(test)[0]
 
 
-def _run_cell(
+def _work_units(cfg: ExperimentConfig) -> list[tuple[str, int]]:
+    """The grid's (network kind, fold) stacks; the oracle is one more kind."""
+    kinds = list(cfg.variants) + ["point"] * bool(cfg.baselines)
+    if cfg.include_oracle:
+        kinds.append(ORACLE_MODEL)
+    return [(kind, fold) for kind in kinds for fold in range(cfg.k_folds)]
+
+
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_stack(
     data: DatasetArrays,
     cfg: ExperimentConfig,
     plan: FoldPlan,
-    model: str,
+    kind: str,
     fold: int,
-    seed_offset: int,
-) -> CellResult:
-    seed = cfg.master_seed + seed_offset
-    cell = CellResult(model=model, fold=fold, seed=seed)
+) -> tuple[list[CellResult], np.ndarray | None]:
+    """Train and score one (kind, fold) stack.
+
+    Returns its cells, in member order, and for a moment variant the test
+    predictions of its master-seed member (None if that member failed).
+    """
+    seeds = [cfg.master_seed + s for s in range(cfg.n_seeds)]
+    if kind == "point":
+        members = [(f"point[{b}]", b, seed) for b in cfg.baselines for seed in seeds]
+    else:
+        members = [(kind, None, seed) for seed in seeds]
+    cells = [CellResult(model=model, fold=fold, seed=seed)
+             for model, _, seed in members]
     try:
         train_idx, val_idx, test_idx = _fold_indices(data, plan, fold)
-        mean, std = _zscore_stats(data.x[train_idx])
-        xt = (data.x[train_idx] - mean) / std
-        xv = (data.x[val_idx] - mean) / std
-        xe = (data.x[test_idx] - mean) / std
-
-        if model == ORACLE_MODEL:
-            cell.scores = _evaluate_moment_model(
+        subjects = data.subjects[test_idx]
+        if kind == ORACLE_MODEL:
+            scores = _evaluate_moment_model(
                 data, data.mu[test_idx], data.sigma[test_idx], test_idx,
                 cfg.epsilon, cfg.ccc_pooling,
             )
-            return cell
-
-        if model.startswith("point["):
-            target_name = model[len("point[") : -1]
-            target = data.truth_desc[target_name]
-            net = nn.build(nn.NetworkVariant("point", data.x.shape[1]), seed)
-            nn.train(net, xt, target[train_idx], xv, target[val_idx],
-                     cfg.train_config(seed))
-            pred = nn.forward(net, xe)
-            cell.scores = {
-                f"ccc_{target_name}": _score_ccc(
-                    pred, target[test_idx], data.subjects[test_idx],
-                    cfg.ccc_pooling,
-                )
-            }
-            return cell
-
-        net = nn.build(nn.NetworkVariant(model, data.x.shape[1]), seed)
-        train_y = np.column_stack([data.mu[train_idx], data.sigma[train_idx]])
-        val_y = np.column_stack([data.mu[val_idx], data.sigma[val_idx]])
-        nn.train(net, xt, train_y, xv, val_y, cfg.train_config(seed))
-        mu_hat, sigma_hat = nn.predict_moments(net, xe)
-        cell.scores = _evaluate_moment_model(
-            data, mu_hat, sigma_hat, test_idx, cfg.epsilon, cfg.ccc_pooling
-        )
-        return cell
+            for cell in cells:
+                cell.scores = dict(scores)
+            return cells, None
+        mean, std = _zscore_stats(data.x[train_idx])
+        x = (data.x - mean) / std
+        if kind == "point":
+            y = np.stack([data.truth_desc[b] for _, b, _ in members])
+            y_train, y_val = y[:, train_idx], y[:, val_idx]
+        else:
+            y = np.column_stack([data.mu, data.sigma])
+            y_train, y_val = y[train_idx], y[val_idx]
+        net = nn.build(nn.NetworkVariant(kind, data.x.shape[1]),
+                       [seed for _, _, seed in members])
+        history = nn.train(net, x[train_idx], y_train, x[val_idx], y_val,
+                           cfg.train_config())
+        pred = nn.predict(net, x[test_idx])
     except (AnnodistError, FloatingPointError) as exc:
-        cell.failed = f"{type(exc).__name__}: {exc}"
-        return cell
+        for cell in cells:
+            cell.failed = _failure(exc)
+        return cells, None
+
+    for m, (cell, (_, target_name, _)) in enumerate(zip(cells, members)):
+        if history.members[m].error is not None:
+            cell.failed = _failure(history.members[m].error)
+            continue
+        try:
+            if kind == "point":
+                cell.scores = {
+                    f"ccc_{target_name}": _score_ccc(
+                        pred[m], data.truth_desc[target_name][test_idx],
+                        subjects, cfg.ccc_pooling,
+                    )
+                }
+            else:
+                cell.scores = _evaluate_moment_model(
+                    data, pred[m, :, 0], pred[m, :, 1], test_idx,
+                    cfg.epsilon, cfg.ccc_pooling,
+                )
+        except (AnnodistError, FloatingPointError) as exc:
+            cell.failed = _failure(exc)
+    reference = None
+    if kind != "point" and cells[0].failed is None:
+        reference = pred[0]
+    return cells, reference
 
 
-def _run_cell_task(task: tuple[str, int, int]) -> CellResult:
-    model, fold, seed_offset = task
-    return _run_cell(
-        _GRID_PAYLOAD["data"],
-        _GRID_PAYLOAD["cfg"],
-        _GRID_PAYLOAD["plan"],
-        model,
-        fold,
-        seed_offset,
+def _run_stack_task(unit: tuple[str, int]):
+    return _run_stack(
+        _GRID_PAYLOAD["data"], _GRID_PAYLOAD["cfg"], _GRID_PAYLOAD["plan"], *unit
     )
 
 
@@ -349,34 +389,41 @@ def run_grid(
 ) -> ExperimentReport:
     """Train and evaluate every (model, fold, seed) cell of the grid.
 
-    Cell failures are recorded in the report and do not stop the grid.
+    Work runs as (network kind, fold) stacks, on at most ``cfg.jobs``
+    worker processes and never more than there are stacks.  Cell failures
+    are recorded in the report and do not stop the grid.
     """
     data = DatasetArrays.from_samples(samples, cfg.epsilon)
     plan = make_folds(sorted(set(data.subjects.tolist())), cfg.k_folds,
                       cfg.master_seed)
-    tasks = [
-        (model, fold, s)
-        for model in cfg.model_names()
-        for fold in range(cfg.k_folds)
-        for s in range(cfg.n_seeds)
-    ]
-    if cfg.jobs > 1:
+    units = _work_units(cfg)
+    workers = min(cfg.jobs, len(units))
+    if workers > 1:
         payload = {"data": data, "cfg": cfg, "plan": plan}
         with ProcessPoolExecutor(
-            max_workers=cfg.jobs,
+            max_workers=workers,
             mp_context=get_context("fork"),
             initializer=_init_grid_worker,
             initargs=(payload,),
         ) as pool:
-            cells = list(pool.map(_run_cell_task, tasks))
+            results = list(pool.map(_run_stack_task, units))
     else:
-        cells = [_run_cell(data, cfg, plan, *task) for task in tasks]
+        results = [_run_stack(data, cfg, plan, *unit) for unit in units]
+    by_key = {(c.model, c.fold, c.seed): c for cells, _ in results for c in cells}
+    cells = [
+        by_key[(model, fold, cfg.master_seed + s)]
+        for model in cfg.model_names()
+        for fold in range(cfg.k_folds)
+        for s in range(cfg.n_seeds)
+    ]
+    # With variants, units[0] is (variants[0], fold 0): the reference stack.
+    reference = results[0][1] if cfg.variants else None
     fold_norms = []
     for fold in range(cfg.k_folds):
         train_idx, _, _ = _fold_indices(data, plan, fold)
         mean, std = _zscore_stats(data.x[train_idx])
         fold_norms.append({"mean": mean.tolist(), "std": std.tolist()})
-    return ExperimentReport(cfg, plan, cells, fold_norms)
+    return ExperimentReport(cfg, plan, cells, fold_norms, data, reference)
 
 
 def significance(

@@ -21,22 +21,29 @@ def min_relu_margin(net, x) -> float:
     return margin
 
 
-def kink_safe_problem(rng, kind, input_dim, n=12, h=1e-5, margin_factor=50.0):
-    """Draw (net, x, targets) whose ReLU margins clear the difference step."""
+def kink_safe_problem(rng, kind, input_dim, n=12, h=1e-5, margin_factor=50.0,
+                      members=1):
+    """Draw (net, x, targets) whose ReLU margins clear the difference step.
+
+    With ``members`` > 1 the net is a stack of that many members with their
+    own seeds and their own targets, ``(members, n)`` or ``(members, n, 2)``.
+    """
     for attempt in range(200):
         net = nn.build(nn.NetworkVariant(kind, input_dim),
-                       seed=int(rng.integers(0, 2**31)))
+                       [int(rng.integers(0, 2**31)) for _ in range(members)])
         # Zero-initialised biases can park pre-activations exactly on the
         # ReLU kink (dead previous layer); check a generic parameter point.
         for name, value in net.params.items():
             if name.endswith(".b"):
                 net.params[name] = value + rng.uniform(-0.3, 0.3, value.shape)
         x = rng.normal(size=(n, input_dim))
+        lead = (members,) if members > 1 else ()
         if kind == "point":
-            y = rng.normal(size=n)
+            y = rng.normal(size=lead + (n,))
         else:
-            y = np.column_stack(
-                [rng.uniform(0.1, 0.9, n), rng.uniform(0.02, 0.3, n)]
+            y = np.stack(
+                [rng.uniform(0.1, 0.9, lead + (n,)), rng.uniform(0.02, 0.3, lead + (n,))],
+                axis=-1,
             )
         if min_relu_margin(net, x) > margin_factor * h:
             return net, x, y

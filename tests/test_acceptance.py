@@ -223,16 +223,20 @@ def test_05_gradient_fidelity():
         dim = int(rng.integers(3, 9))
         net, x, y = kink_safe_problem(rng, kind, dim)
         worst = max(worst, relative_gradient_error(net, x, y, h=1e-5))
+    # The path that trains: a point stack whose members have distinct targets.
+    net, x, y = kink_safe_problem(rng, "point", int(rng.integers(3, 9)), members=3)
+    worst = max(worst, relative_gradient_error(net, x, y, h=1e-5))
     assert worst <= 1e-4
     report_pass(5, "gradient fidelity",
-                f"100 instances over three variants, worst rel err {worst:.2e}")
+                f"100 instances over three variants and a 3-member point "
+                f"stack, worst rel err {worst:.2e}")
 
 
 def test_06_parameter_count_band():
     dims = {"audio": 40, "visual": 130, "physio": 116, "fusion": 286}
     for kind in nn.KINDS:
         for dim in dims.values():
-            net = nn.build(nn.NetworkVariant(kind, dim), seed=0)
+            net = nn.build(nn.NetworkVariant(kind, dim), 0)
             assert sum(v.size for v in net.params.values()) == nn.count_params(kind, dim)
 
     counts = {

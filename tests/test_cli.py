@@ -213,6 +213,17 @@ class TestRun:
                      "density_data.csv"):
             assert sha(outs[0] / name) == sha(outs[1] / name)
 
+    def test_jobs_do_not_change_report_bytes(self, built_dir, tmp_path):
+        outs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert run_cli("run", "--dataset", built_dir, "--out", out,
+                           *self.RUN_ARGS, "--jobs", jobs) == 0
+            outs.append(out)
+        for name in ("moments_ccc.csv", "descriptors_ccc.csv", "kl.csv",
+                     "summary.json", "density_data.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_density_file_window_count(self, built_dir, tmp_path):
         out = tmp_path / "run"
         assert run_cli("run", "--dataset", built_dir, "--out", out,

@@ -102,6 +102,29 @@ class TestRunGrid:
             assert (a.model, a.fold, a.seed) == (b.model, b.fold, b.seed)
             assert a.scores == b.scores
 
+    def test_point_cells_do_not_depend_on_other_baselines(self, tiny_samples):
+        # All baselines train as one stack; a cell must not see its siblings.
+        base = dict(k_folds=3, n_seeds=2, master_seed=1, variants=(), max_epochs=15)
+        alone = run_grid(tiny_samples, ExperimentConfig(**base, baselines=("median",)))
+        every = run_grid(tiny_samples, ExperimentConfig(**base))
+        assert len(every.cells) == 5 * len(alone.cells)
+
+        def median_scores(report):
+            return {(c.fold, c.seed): c.scores
+                    for c in report.cells if c.model == "point[median]"}
+
+        assert median_scores(alone) == median_scores(every)
+
+    def test_master_seed_cells_do_not_depend_on_n_seeds(self, tiny_samples,
+                                                        tiny_report):
+        single = run_grid(tiny_samples, ExperimentConfig(**{
+            **TINY_GRID.__dict__, "n_seeds": 1,
+        }))
+        assert {(c.model, c.fold): c.scores for c in single.cells} == {
+            (c.model, c.fold): c.scores for c in tiny_report.cells
+            if c.seed == TINY_GRID.master_seed
+        }
+
     def test_cell_failures_recorded_and_grid_continues(self, tiny_samples):
         # An absurd learning rate overflows the parameters and trips the
         # non-finite gradient guard; those cells must be marked failed while

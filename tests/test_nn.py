@@ -30,7 +30,7 @@ class TestGeometry:
     @pytest.mark.parametrize("kind", nn.KINDS)
     @pytest.mark.parametrize("dim", [8, 40, 116, 130, 170, 286])
     def test_count_matches_built_parameters(self, kind, dim):
-        net = nn.build(nn.NetworkVariant(kind, dim), seed=0)
+        net = nn.build(nn.NetworkVariant(kind, dim), 0)
         total = sum(v.size for v in net.params.values())
         assert total == nn.count_params(kind, dim)
 
@@ -39,8 +39,8 @@ class TestGeometry:
         assert nn.count_params("fully_shared", 40) == 1892
 
     def test_same_seed_identical_init(self):
-        a = nn.build(nn.NetworkVariant("shared_first", 12), seed=5)
-        b = nn.build(nn.NetworkVariant("shared_first", 12), seed=5)
+        a = nn.build(nn.NetworkVariant("shared_first", 12), 5)
+        b = nn.build(nn.NetworkVariant("shared_first", 12), 5)
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
 
@@ -51,7 +51,7 @@ class TestGeometry:
 
 class TestForward:
     def test_zero_parameters_give_neutral_outputs(self):
-        net = nn.build(nn.NetworkVariant("fully_shared", 6), seed=0)
+        net = nn.build(nn.NetworkVariant("fully_shared", 6), 0)
         for k in net.params:
             net.params[k] = np.zeros_like(net.params[k])
         mu, sigma = nn.predict_moments(net, np.random.default_rng(0).normal(size=(4, 6)))
@@ -59,7 +59,7 @@ class TestForward:
         np.testing.assert_allclose(sigma, math.log(2.0))
 
     def test_zero_input_weights_ignore_features(self):
-        net = nn.build(nn.NetworkVariant("fully_shared", 6), seed=0)
+        net = nn.build(nn.NetworkVariant("fully_shared", 6), 0)
         first = [k for k in net.params if k.startswith("l1.w")]
         net.params[first[0]] = np.zeros_like(net.params[first[0]])
         net.params["l1.b"] = np.full_like(net.params["l1.b"], 0.3)
@@ -69,20 +69,20 @@ class TestForward:
         np.testing.assert_allclose(out1, out2)
 
     def test_duplicate_rows_identical_predictions(self):
-        net = nn.build(nn.NetworkVariant("independent", 7), seed=2)
+        net = nn.build(nn.NetworkVariant("independent", 7), 2)
         row = np.random.default_rng(3).normal(size=7)
         out = nn.forward(net, np.stack([row, row]))
-        np.testing.assert_array_equal(out[0], out[1])
+        np.testing.assert_array_equal(out[0, 0], out[0, 1])
 
     def test_dim_mismatch(self):
-        net = nn.build(nn.NetworkVariant("point", 5), seed=0)
+        net = nn.build(nn.NetworkVariant("point", 5), 0)
         with pytest.raises(DomainError):
             nn.forward(net, np.zeros((3, 4)))
 
     def test_output_ranges(self):
         rng = np.random.default_rng(4)
         for kind in nn.MOMENT_KINDS:
-            net = nn.build(nn.NetworkVariant(kind, 9), seed=11)
+            net = nn.build(nn.NetworkVariant(kind, 9), 11)
             mu, sigma = nn.predict_moments(net, rng.normal(scale=5.0, size=(50, 9)))
             assert np.all(mu > 0.0) and np.all(mu < 1.0)
             assert np.all(sigma > 0.0)
@@ -90,19 +90,19 @@ class TestForward:
 
 class TestLoss:
     def test_perfect_predictions(self):
-        net = nn.build(nn.NetworkVariant("fully_shared", 4), seed=0)
+        net = nn.build(nn.NetworkVariant("fully_shared", 4), 0)
         x = np.random.default_rng(5).normal(size=(6, 4))
         out = nn.forward(net, x)
         assert nn.loss_value(net, out, out.copy()) == 0.0
 
     def test_known_error_magnitude(self):
-        net = nn.build(nn.NetworkVariant("fully_shared", 4), seed=0)
+        net = nn.build(nn.NetworkVariant("fully_shared", 4), 0)
         out = np.column_stack([np.full(5, 0.5), np.full(5, 0.2)])
         targets = np.column_stack([np.full(5, 0.4), np.full(5, 0.2)])
         assert nn.loss_value(net, out, targets) == pytest.approx(0.01)
 
     def test_equal_weighting_of_heads(self):
-        net = nn.build(nn.NetworkVariant("fully_shared", 4), seed=0)
+        net = nn.build(nn.NetworkVariant("fully_shared", 4), 0)
         out = np.column_stack([np.full(5, 0.5), np.full(5, 0.2)])
         mu_err = np.column_stack([out[:, 0] + 0.1, out[:, 1]])
         sigma_err = np.column_stack([out[:, 0], out[:, 1] + 0.1])
@@ -122,7 +122,7 @@ class TestGradients:
     def test_single_parameter_quadratic(self):
         # With everything zeroed except the scalar head bias b, the loss is
         # mean((b - y)^2) and the analytic gradient is 2*mean(b - y).
-        net = nn.build(nn.NetworkVariant("point", 3), seed=0)
+        net = nn.build(nn.NetworkVariant("point", 3), 0)
         for k in net.params:
             net.params[k] = np.zeros_like(net.params[k])
         net.params["head.b"] = np.array([0.7])
@@ -132,24 +132,34 @@ class TestGradients:
         assert grads["head.b"][0] == pytest.approx(2.0 * np.mean(0.7 - y), abs=1e-12)
 
     def test_zero_loss_leaves_parameters_fixed(self):
-        net = nn.build(nn.NetworkVariant("fully_shared", 4), seed=1)
+        net = nn.build(nn.NetworkVariant("fully_shared", 4), 1)
         x = np.random.default_rng(9).normal(size=(6, 4))
         targets = nn.forward(net, x)
-        before = net.copy_params()
+        before = net.flat.copy()
         state = nn.AdamState()
-        value = nn.backward_and_step(net, x, targets, state, nn.TrainConfig(seed=0))
-        assert value == 0.0
-        for k in before:
-            np.testing.assert_allclose(net.params[k], before[k], atol=1e-12)
+        value, finite = nn.backward_and_step(net, x, targets, state, nn.TrainConfig())
+        assert value[0] == 0.0 and finite[0]
+        np.testing.assert_allclose(net.flat, before, atol=1e-12)
+
+    def test_inactive_members_are_not_updated(self):
+        net = nn.build(nn.NetworkVariant("point", 4), [1, 2])
+        before = net.flat.copy()
+        grads = np.random.default_rng(17).normal(size=net.flat.shape)
+        nn.adam_step(net.flat, grads, nn.AdamState(), 1e-3, np.array([True, False]))
+        assert np.all(net.flat[0] != before[0])
+        np.testing.assert_array_equal(net.flat[1], before[1])
 
     def test_non_finite_gradient_aborts(self):
-        net = nn.build(nn.NetworkVariant("point", 3), seed=0)
+        # The step is refused for that member: it is flagged and not updated.
+        net = nn.build(nn.NetworkVariant("point", 3), 0)
         net.params["head.w"][:] = np.inf
+        before = net.flat.copy()
         x = np.ones((4, 3))
         with np.errstate(invalid="ignore"):
-            with pytest.raises(TrainingError):
-                nn.backward_and_step(net, x, np.ones(4), nn.AdamState(),
-                                     nn.TrainConfig(seed=0))
+            _, finite = nn.backward_and_step(net, x, np.ones(4), nn.AdamState(),
+                                             nn.TrainConfig())
+        assert not finite[0]
+        np.testing.assert_array_equal(net.flat, before)
 
 
 class TestTraining:
@@ -157,10 +167,10 @@ class TestTraining:
         # lr=0 freezes the network: after the first epoch no strict
         # improvement is possible, so training stops at epoch 1 + patience.
         rng = np.random.default_rng(10)
-        net = nn.build(nn.NetworkVariant("fully_shared", 5), seed=0)
+        net = nn.build(nn.NetworkVariant("fully_shared", 5), 0)
         x, y = random_problem(rng, "fully_shared", 5, n=64)
-        cfg = nn.TrainConfig(learning_rate=1e-30, patience=5, max_epochs=50, seed=0)
-        history = nn.train(net, x, y, x, y, cfg)
+        cfg = nn.TrainConfig(learning_rate=1e-30, patience=5, max_epochs=50)
+        history = nn.train(net, x, y, x, y, cfg).members[0]
         assert history.n_epochs == 6
         assert history.best_epoch == 1
 
@@ -169,13 +179,11 @@ class TestTraining:
         x = rng.normal(size=(256, 6))
         w = rng.normal(size=6)
         y = x @ w * 0.05 + 0.5
-        first, later = [], []
-        for seed in range(10):
-            net = nn.build(nn.NetworkVariant("point", 6), seed=seed)
-            history = nn.train(net, x, y, x, y,
-                               nn.TrainConfig(seed=seed, max_epochs=10, patience=10))
-            first.append(history.train_loss[0])
-            later.append(history.train_loss[-1])
+        net = nn.build(nn.NetworkVariant("point", 6), range(10))
+        history = nn.train(net, x, y, x, y,
+                           nn.TrainConfig(max_epochs=10, patience=10))
+        first = [h.train_loss[0] for h in history.members]
+        later = [h.train_loss[-1] for h in history.members]
         assert np.mean(later) < np.mean(first)
 
     def test_deterministic_history(self):
@@ -183,34 +191,85 @@ class TestTraining:
         x, y = random_problem(rng, "shared_first", 6, n=128)
         runs = []
         for _ in range(2):
-            net = nn.build(nn.NetworkVariant("shared_first", 6), seed=9)
+            net = nn.build(nn.NetworkVariant("shared_first", 6), 9)
             history = nn.train(net, x, y, x, y,
-                               nn.TrainConfig(seed=9, max_epochs=8, patience=8))
-            runs.append((history.train_loss, history.val_loss, net.copy_params()))
+                               nn.TrainConfig(max_epochs=8, patience=8)).members[0]
+            runs.append((history.train_loss, history.val_loss, net.flat.copy()))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
-        for k in runs[0][2]:
-            np.testing.assert_array_equal(runs[0][2][k], runs[1][2][k])
+        np.testing.assert_array_equal(runs[0][2], runs[1][2])
 
     def test_empty_split_rejected(self):
-        net = nn.build(nn.NetworkVariant("point", 4), seed=0)
+        net = nn.build(nn.NetworkVariant("point", 4), 0)
         with pytest.raises(TrainingError):
             nn.train(net, np.empty((0, 4)), np.empty(0), np.ones((2, 4)),
-                     np.ones(2), nn.TrainConfig(seed=0))
+                     np.ones(2), nn.TrainConfig())
 
     def test_best_epoch_parameters_restored(self):
         rng = np.random.default_rng(13)
         x, y = random_problem(rng, "point", 5, n=64)
-        net = nn.build(nn.NetworkVariant("point", 5), seed=3)
+        net = nn.build(nn.NetworkVariant("point", 5), 3)
         history = nn.train(net, x, y, x, y,
-                           nn.TrainConfig(seed=3, max_epochs=15, patience=15))
+                           nn.TrainConfig(max_epochs=15, patience=15)).members[0]
         best_val = min(history.val_loss)
-        assert nn.loss(net, x, y) == pytest.approx(best_val, rel=1e-9)
+        assert nn.loss(net, x, y)[0] == pytest.approx(best_val, rel=1e-9)
+
+    def test_stack_members_match_single_networks(self):
+        # Distinct seeds and targets, and patience short enough that members
+        # stop at different epochs: each member must train exactly as alone.
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(300, 5))
+        y = np.stack([x @ rng.normal(size=5) * s for s in (0.05, 0.5, 2.0)])
+        cfg = nn.TrainConfig(learning_rate=1e-2, max_epochs=40, patience=2)
+        seeds = [4, 5, 6]
+        stack = nn.build(nn.NetworkVariant("point", 5), seeds)
+        history = nn.train(stack, x[:200], y[:, :200], x[200:], y[:, 200:], cfg)
+        assert len({h.n_epochs for h in history.members}) > 1
+        for m, seed in enumerate(seeds):
+            alone = nn.build(nn.NetworkVariant("point", 5), seed)
+            solo = nn.train(alone, x[:200], y[m, :200], x[200:], y[m, 200:],
+                            cfg).members[0]
+            assert history.members[m].train_loss == solo.train_loss
+            assert history.members[m].val_loss == solo.val_loss
+            assert history.members[m].best_epoch == solo.best_epoch
+            np.testing.assert_array_equal(stack.flat[m], alone.flat[0])
+
+    def test_non_finite_target_fails_only_its_member(self):
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(40, 4))
+        y = np.stack([rng.normal(size=40), rng.normal(size=40)])
+        y[0, 5] = np.nan
+        net = nn.build(nn.NetworkVariant("point", 4), [1, 1])
+        history = nn.train(net, x, y, x, y, nn.TrainConfig(max_epochs=3))
+        assert isinstance(history.members[0].error, TrainingError)
+        assert history.members[1].error is None
+        assert history.members[1].n_epochs == 3
+
+    def test_poisoned_member_fails_alone(self):
+        rng = np.random.default_rng(15)
+        x, y = random_problem(rng, "fully_shared", 5, n=200)
+        cfg = nn.TrainConfig(max_epochs=12, patience=3, batch_size=64)
+        alone = nn.build(nn.NetworkVariant("fully_shared", 5), 3)
+        solo = nn.train(alone, x, y, x, y, cfg).members[0]
+        pair = nn.build(nn.NetworkVariant("fully_shared", 5), [7, 3])
+        pair.params["head.w"][0] = 1e300
+        # The caller's error state must not turn one member's overflow into
+        # an exception that stops the whole stack.
+        with np.errstate(all="raise"):
+            history = nn.train(pair, x, y, x, y, cfg)
+        assert isinstance(history.members[0].error, TrainingError)
+        assert np.all(pair.flat[0] == 0.0)
+        healthy = history.members[1]
+        assert healthy.error is None and solo.error is None
+        assert healthy.train_loss == solo.train_loss
+        assert healthy.val_loss == solo.val_loss
+        assert healthy.best_epoch == solo.best_epoch
+        assert np.all(pair.flat[1] == alone.flat[0])
 
 
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
-        net = nn.build(nn.NetworkVariant("shared_first", 10), seed=4)
+        net = nn.build(nn.NetworkVariant("shared_first", 10), 4)
         manifest = {"seed": 4, "normalization": {"mean": [0.0], "std": [1.0]}}
         nn.save_checkpoint(net, tmp_path / "model", manifest)
         loaded, meta = nn.load_checkpoint(tmp_path / "model")
