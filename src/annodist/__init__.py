@@ -24,7 +24,7 @@ from .consensus import (
     moment_match,
 )
 from .metrics import PairedSeries, ccc, kl_beta, mse, wilcoxon_signed_rank
-from .pipeline import AnnotationTrace, FrameSeries, WindowConfig, WindowedSample
+from .pipeline import AnnotationTrace, FrameSeries, WindowConfig, WindowTable
 from .special import digamma, inv_reg_inc_beta, log_gamma, reg_inc_beta
 from .synthetic import SyntheticConfig
 
@@ -36,7 +36,7 @@ __all__ = [
     "AnnotationTrace",
     "FrameSeries",
     "WindowConfig",
-    "WindowedSample",
+    "WindowTable",
     "SyntheticConfig",
     "beta_excess_kurtosis",
     "beta_mean_std",

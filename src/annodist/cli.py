@@ -21,11 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, experiments, nn, pipeline, synthetic
-from .consensus import (
-    DESCRIPTOR_NAMES,
-    descriptors_arrays,
-    moment_match_arrays,
-)
+from .consensus import DESCRIPTOR_NAMES, fit_beta_arrays
 from .errors import DataError, InsufficientDataError, NumericError, TrainingError
 
 OUT_ROOT_ENV = "ANNODIST_OUT_ROOT"
@@ -165,11 +161,11 @@ def _cmd_build(args) -> int:
             f"build: need annotation traces from >= 2 annotators, "
             f"got {len(traces)} in {args.annotations}"
         )
-    samples, report = pipeline.build_dataset(
+    table, report = pipeline.build_dataset(
         features, traces, cfg, params["modalities"], params["epsilon"]
     )
-    table = pipeline.write_dataset(outdir, samples, report, cfg)
-    print(f"dataset: {table}")
+    path = pipeline.write_dataset(outdir, table, report, cfg)
+    print(f"dataset: {path}")
     print(
         f"samples: {report.n_samples} "
         f"(skipped empty: {report.windows_skipped_empty}, "
@@ -201,21 +197,11 @@ def _cmd_fit(args) -> int:
         pipeline.rescale_annotations(tr, cfg.label_range)
         for tr in pipeline.read_annotation_csv(args.annotations)
     ]
-    by_subject: dict[str, list] = {}
-    for tr in traces:
-        by_subject.setdefault(tr.subject_id, []).append(tr)
-
-    rows = []
-    for subject in sorted(by_subject):
-        windows, _ = pipeline.window_consensus(by_subject[subject], cfg, eps)
-        for start, target, n_annot in windows:
-            rows.append((subject, start, n_annot, target))
-    if not rows:
+    table, _ = pipeline.window_consensus(traces, cfg, eps)
+    if not len(table):
         raise DataError("fit: no valid windows found")
-    mu = np.array([r[3].mu for r in rows])
-    sigma = np.array([r[3].sigma for r in rows])
-    alpha, beta = moment_match_arrays(mu, sigma)
-    desc = descriptors_arrays(alpha, beta)
+    mu, sigma = table.mu, table.sigma
+    alpha, beta, desc = fit_beta_arrays(mu, sigma, eps)
     degenerate = sigma**2 <= eps * mu * (1.0 - mu) * (1.0 + 1e-9)
 
     out_path = outdir / "beta_fits.csv"
@@ -226,16 +212,15 @@ def _cmd_fit(args) -> int:
              "alpha", "beta", "mean", "std", "median", "q25", "q75",
              "skew", "kurt", "degenerate"]
         )
-        for i, (subject, start, n_annot, target) in enumerate(rows):
+        for i, subject in enumerate(table.subjects.tolist()):
             writer.writerow(
-                [subject, pipeline.fmt_float(start), n_annot,
-                 pipeline.fmt_float(target.mu), pipeline.fmt_float(target.sigma),
-                 pipeline.fmt_float(alpha[i]), pipeline.fmt_float(beta[i])]
+                [subject, pipeline.fmt_float(table.starts[i]), table.n_annotators[i]]
+                + [pipeline.fmt_float(v[i]) for v in (mu, sigma, alpha, beta)]
                 + [pipeline.fmt_float(desc[k][i])
                    for k in ("mean", "std", "median", "q25", "q75", "skew", "kurt")]
                 + [int(degenerate[i])]
             )
-    print(f"beta fits: {out_path} ({len(rows)} windows)")
+    print(f"beta fits: {out_path} ({len(table)} windows)")
     return 0
 
 
@@ -267,7 +252,7 @@ def _cmd_run(args) -> int:
     params = _resolve(args, _RUN_DEFAULTS)
     outdir = _out_dir(args.out)
     _write_manifest(outdir, "run", args, params)
-    samples, _ = pipeline.read_dataset(args.dataset)
+    table, _ = pipeline.read_dataset(args.dataset)
     jobs = params["jobs"] if params["jobs"] > 0 else (os.cpu_count() or 1)
     cfg = experiments.ExperimentConfig(
         k_folds=params["k_folds"],
@@ -285,7 +270,7 @@ def _cmd_run(args) -> int:
         include_oracle=params["include_oracle"],
         jobs=jobs,
     )
-    report = experiments.run_grid(samples, cfg)
+    report = experiments.run_grid(table, cfg)
     paths = experiments.write_report(report, outdir, params["significance_level"])
 
     pred = report.reference_predictions

@@ -118,8 +118,6 @@ def clamp_moments(raw: MomentPair, epsilon: float = DEFAULT_EPSILON) -> MomentPa
     [epsilon * mu(1-mu), (1-epsilon) * mu(1-mu)].  Total on its domain: the
     output always satisfies the validity conditions strictly.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise DomainError("clamp_moments: epsilon must lie in (0, 0.5)")
     mu, sigma = clamp_moments_arrays(
         np.asarray(raw.mu), np.asarray(raw.sigma), epsilon
     )
@@ -128,6 +126,8 @@ def clamp_moments(raw: MomentPair, epsilon: float = DEFAULT_EPSILON) -> MomentPa
 
 def clamp_moments_arrays(mu, sigma, epsilon: float = DEFAULT_EPSILON):
     """Vectorised :func:`clamp_moments` on arrays of raw moments."""
+    if not 0.0 < epsilon < 0.5:
+        raise DomainError("clamp_moments: epsilon must lie in (0, 0.5)")
     mu = np.clip(np.asarray(mu, dtype=np.float64), epsilon, 1.0 - epsilon)
     cap = mu * (1.0 - mu)
     var = np.clip(np.square(np.asarray(sigma, dtype=np.float64)),
@@ -271,6 +271,16 @@ def descriptors(p: BetaParams) -> DescriptorSet:
         q25=beta_quantile(p, 0.25),
         q75=beta_quantile(p, 0.75),
     )
+
+
+def fit_beta_arrays(mu, sigma, epsilon: float = DEFAULT_EPSILON, strict: bool = True):
+    """Clamp raw moments, moment-match them and derive their descriptors.
+
+    Returns ``(alpha, beta, descriptors)``; ``strict`` as in
+    :func:`descriptors_arrays`.
+    """
+    alpha, beta = moment_match_arrays(*clamp_moments_arrays(mu, sigma, epsilon))
+    return alpha, beta, descriptors_arrays(alpha, beta, strict=strict)
 
 
 def descriptors_arrays(alpha, beta, strict: bool = True) -> dict[str, np.ndarray]:

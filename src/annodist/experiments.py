@@ -41,7 +41,7 @@ from .consensus import (
     DESCRIPTOR_NAMES,
     beta_pdf_arrays,
     clamp_moments_arrays,
-    descriptors_arrays,
+    fit_beta_arrays,
     moment_match_arrays,
 )
 from .errors import (
@@ -51,7 +51,7 @@ from .errors import (
     TrainingError,
 )
 from .metrics import PairedSeries, ccc, kl_beta_arrays, wilcoxon_signed_rank
-from .pipeline import WindowedSample, fmt_float
+from .pipeline import WindowTable, fmt_float
 
 ORACLE_MODEL = "oracle"
 KL_DIRECTIONS = ("truth_first", "pred_first")
@@ -144,39 +144,23 @@ class ExperimentConfig:
         return names
 
 
-@dataclass
-class DatasetArrays:
-    """Column view of a windowed dataset plus its ground-truth Beta fits."""
+@dataclass(frozen=True)
+class DatasetArrays(WindowTable):
+    """A window table plus the ground-truth Beta fits of its windows."""
 
-    x: np.ndarray
-    mu: np.ndarray
-    sigma: np.ndarray
-    subjects: np.ndarray
-    starts: np.ndarray
     truth_alpha: np.ndarray
     truth_beta: np.ndarray
     truth_desc: dict[str, np.ndarray]
 
     @staticmethod
-    def from_samples(samples: list[WindowedSample], epsilon: float = 1e-4
-                     ) -> "DatasetArrays":
-        if not samples:
-            raise InsufficientDataError("DatasetArrays: empty sample list")
-        x = np.stack([s.feature_vector for s in samples])
-        mu = np.array([s.target.mu for s in samples])
-        sigma = np.array([s.target.sigma for s in samples])
-        cmu, csigma = clamp_moments_arrays(mu, sigma, epsilon)
-        alpha, beta = moment_match_arrays(cmu, csigma)
-        return DatasetArrays(
-            x=x,
-            mu=mu,
-            sigma=sigma,
-            subjects=np.array([s.subject_id for s in samples]),
-            starts=np.array([s.window_start for s in samples]),
-            truth_alpha=alpha,
-            truth_beta=beta,
-            truth_desc=descriptors_arrays(alpha, beta),
-        )
+    def from_samples(table: WindowTable, epsilon: float = 1e-4) -> "DatasetArrays":
+        """Take a :class:`WindowTable` and add the Beta fits of its
+        (re-clamped) moments; the name is kept for existing callers."""
+        if not len(table):
+            raise InsufficientDataError("DatasetArrays: empty window table")
+        alpha, beta, desc = fit_beta_arrays(table.mu, table.sigma, epsilon)
+        return DatasetArrays(**vars(table), truth_alpha=alpha, truth_beta=beta,
+                             truth_desc=desc)
 
 
 @dataclass
@@ -247,13 +231,13 @@ def _evaluate_moment_model(
         "ccc_mu": _score_ccc(mu_hat, data.mu[test_idx], subjects, pooling),
         "ccc_sigma": _score_ccc(sigma_hat, data.sigma[test_idx], subjects, pooling),
     }
-    pmu, psigma = clamp_moments_arrays(mu_hat, sigma_hat, epsilon)
-    pred_alpha, pred_beta = moment_match_arrays(pmu, psigma)
     # Non-strict quantiles: badly clamped predictions (sigma_hat above the
     # validity cap) yield near-degenerate Betas whose quartiles collapse to
     # the interval ends; scoring them beats losing the whole grid cell, and
     # keeps both descriptor paths evaluated on identical windows.
-    pred_desc = descriptors_arrays(pred_alpha, pred_beta, strict=False)
+    pred_alpha, pred_beta, pred_desc = fit_beta_arrays(
+        mu_hat, sigma_hat, epsilon, strict=False
+    )
     for name in DESCRIPTOR_NAMES:
         scores[f"ccc_{name}"] = _score_ccc(
             pred_desc[name], data.truth_desc[name][test_idx], subjects, pooling
@@ -384,7 +368,7 @@ def _run_stack_task(unit: tuple[str, int]):
 
 
 def run_grid(
-    samples: list[WindowedSample],
+    table: WindowTable,
     cfg: ExperimentConfig,
 ) -> ExperimentReport:
     """Train and evaluate every (model, fold, seed) cell of the grid.
@@ -393,7 +377,7 @@ def run_grid(
     worker processes and never more than there are stacks.  Cell failures
     are recorded in the report and do not stop the grid.
     """
-    data = DatasetArrays.from_samples(samples, cfg.epsilon)
+    data = DatasetArrays.from_samples(table, cfg.epsilon)
     plan = make_folds(sorted(set(data.subjects.tolist())), cfg.k_folds,
                       cfg.master_seed)
     units = _work_units(cfg)

@@ -2,10 +2,12 @@
 
 Frame-level features and annotation traces are cut into half-open windows
 ``[start, start + window_len)`` on a shared stride grid (start = k * stride,
-requiring full coverage: start + window_len <= duration).  Features are
-averaged per window and concatenated across modalities; annotations are
-averaged per annotator within the window and reduced to a clamped
-:class:`~annodist.consensus.MomentPair` across annotators.
+requiring full coverage: start + window_len <= duration), all windows of a
+stream at once.  Features are averaged per window and concatenated across
+modalities; annotations are averaged per annotator within the window and
+reduced to clamped consensus moments across annotators.  The windows travel
+as one columnar :class:`WindowTable`, from :func:`build_dataset` through
+:func:`write_dataset`/:func:`read_dataset` to the experiment grid.
 
 CSV interfaces
 --------------
@@ -13,8 +15,11 @@ CSV interfaces
 * annotations:  header ``subject_id,annotator_id,timestamp,value``
 * built dataset: ``subject_id,window_start,n_annotators,mu,sigma,f0,...`` plus
   a JSON manifest (label range, modality dims, window config, subjects).
+  Rows must be as wide as the header, with an integer ``n_annotators``,
+  finite numbers and ``sigma >= 0``.
 
-Timestamps are seconds as decimals; files are UTF-8.
+Timestamps are seconds as decimals; files are UTF-8.  A malformed row raises
+a :class:`~annodist.errors.SchemaError` naming its file and line.
 """
 
 from __future__ import annotations
@@ -22,12 +27,13 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .consensus import DEFAULT_EPSILON, MomentPair, clamp_moments, consensus_moments
+from .consensus import DEFAULT_EPSILON, clamp_moments_arrays
 from .errors import (
     DomainError,
     EmptyDatasetError,
@@ -38,6 +44,8 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 _TIME_TOL = 1e-9
+
+_DATASET_COLUMNS = ["subject_id", "window_start", "n_annotators", "mu", "sigma"]
 
 
 def fmt_float(x) -> str:
@@ -117,14 +125,19 @@ class AnnotationTrace:
 
 
 @dataclass(frozen=True)
-class WindowedSample:
-    """Aligned feature vector plus consensus target for one window."""
+class WindowTable:
+    """Columnar windowed dataset, one row per (subject, window): clamped
+    consensus moments and ``(n, dim)`` feature means (``dim`` 0 if none)."""
 
-    subject_id: str
-    window_start: float
-    feature_vector: np.ndarray
-    target: MomentPair
-    n_annotators: int
+    subjects: np.ndarray
+    starts: np.ndarray
+    n_annotators: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+    x: np.ndarray
+
+    def __len__(self) -> int:
+        return self.starts.size
 
 
 @dataclass
@@ -147,37 +160,51 @@ def window_starts(duration: float, cfg: WindowConfig) -> np.ndarray:
     return np.arange(count, dtype=np.float64) * cfg.stride
 
 
+def _window_means(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``values[lo[i]:hi[i]].mean(axis=0)`` for every window i; NaN if empty.
+
+    Equal-count windows are averaged as gathered ``(windows, count[, dim])``
+    blocks of at most 32 windows (bounding the temporary) along axis 1, which
+    sums in the slice's own order: the bits match (``np.add.reduceat``'s not).
+    """
+    counts = hi - lo
+    out = np.full(lo.shape + values.shape[1:], np.nan)
+    for count in set(counts.tolist()) - {0}:
+        same = np.flatnonzero(counts == count)
+        for at in range(0, same.size, 32):
+            rows = same[at:at + 32]
+            out[rows] = values[lo[rows, None] + np.arange(count)].mean(axis=1)
+    return out
+
+
 def window_features(
     series: FrameSeries, cfg: WindowConfig
-) -> tuple[list[tuple[float, np.ndarray]], list[float]]:
-    """Per-window mean feature vectors; returns (windows, skipped_starts).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-window mean feature vectors; returns (starts, means, skipped_starts).
 
-    Frames containing NaN are dropped before averaging; a window with no
-    remaining frames is skipped and reported.
+    ``means`` is ``(len(starts), dim)``.  Frames containing NaN are dropped
+    before averaging; a window with no remaining frames is skipped and
+    reported.
     """
     if series.timestamps.size == 0:
         log.warning(
             "window_features: empty series %s/%s", series.subject_id, series.modality
         )
-        return [], []
+        return np.empty(0), np.empty((0, series.dim)), np.empty(0)
     keep = ~np.any(np.isnan(series.features), axis=1)
     ts = series.timestamps[keep]
-    feats = series.features[keep]
-    out: list[tuple[float, np.ndarray]] = []
-    skipped: list[float] = []
-    for start in window_starts(float(series.timestamps[-1]), cfg):
-        lo = np.searchsorted(ts, start, side="left")
-        hi = np.searchsorted(ts, start + cfg.window_len, side="left")
-        if hi <= lo:
-            skipped.append(float(start))
-            continue
-        out.append((float(start), feats[lo:hi].mean(axis=0)))
-    if skipped:
+    starts = window_starts(float(series.timestamps[-1]), cfg)
+    lo = np.searchsorted(ts, starts, side="left")
+    hi = np.searchsorted(ts, starts + cfg.window_len, side="left")
+    full = hi > lo
+    skipped = starts[~full]
+    if skipped.size:
         log.warning(
             "window_features: %s/%s skipped %d empty windows",
-            series.subject_id, series.modality, len(skipped),
+            series.subject_id, series.modality, skipped.size,
         )
-    return out, skipped
+    means = _window_means(series.features[keep], lo[full], hi[full])
+    return starts[full], means, skipped
 
 
 def rescale_annotations(
@@ -207,44 +234,68 @@ def window_consensus(
     traces: list[AnnotationTrace],
     cfg: WindowConfig,
     epsilon: float = DEFAULT_EPSILON,
-) -> tuple[list[tuple[float, MomentPair, int]], list[float]]:
-    """Clamped consensus moments per window for one subject.
+) -> tuple[WindowTable, dict[str, np.ndarray]]:
+    """Clamped consensus moments per window, for every subject in ``traces``.
 
-    Each annotator's in-window values are averaged to one scalar first, so
-    sigma measures pure inter-annotator disagreement.  Annotators without a
-    sample in a window are excluded; windows with fewer than two contributing
-    annotators are dropped and returned in the second element.
+    Returns a consensus-only :class:`WindowTable` ordered by subject and start,
+    and each subject's dropped window starts.  Each annotator's in-window
+    values are averaged to one scalar first, so sigma measures pure
+    inter-annotator disagreement.  Annotators without a sample in a window
+    are excluded; windows with fewer than two of them are dropped.
     """
-    if len(traces) < 2:
-        raise InsufficientDataError(
-            f"window_consensus: need >= 2 annotation traces, got {len(traces)}"
-        )
-    subject = traces[0].subject_id
+    by_subject: dict[str, list[AnnotationTrace]] = {}
     for tr in traces:
-        if tr.subject_id != subject:
-            raise DomainError("window_consensus: traces must share one subject")
         if np.any(tr.values < 0.0) or np.any(tr.values > 1.0):
             raise DomainError(
                 f"window_consensus: annotator {tr.annotator_id!r} has values "
                 "outside [0, 1]; rescale first"
             )
-    duration = max(float(tr.timestamps[-1]) for tr in traces if tr.timestamps.size)
-    out: list[tuple[float, MomentPair, int]] = []
-    dropped: list[float] = []
-    for start in window_starts(duration, cfg):
-        end = start + cfg.window_len
-        per_annotator = []
-        for tr in traces:
-            lo = np.searchsorted(tr.timestamps, start, side="left")
-            hi = np.searchsorted(tr.timestamps, end, side="left")
-            if hi > lo:
-                per_annotator.append(float(tr.values[lo:hi].mean()))
-        if len(per_annotator) < 2:
-            dropped.append(float(start))
-            continue
-        raw = consensus_moments(per_annotator)
-        out.append((float(start), clamp_moments(raw, epsilon), len(per_annotator)))
-    return out, dropped
+        group = by_subject.setdefault(tr.subject_id, [])
+        if any(t.annotator_id == tr.annotator_id for t in group):
+            raise DomainError(
+                f"window_consensus: duplicate trace for subject "
+                f"{tr.subject_id!r} annotator {tr.annotator_id!r}"
+            )
+        group.append(tr)
+    groups = sorted(by_subject.items())
+    grids = [
+        window_starts(
+            max(float(tr.timestamps[-1]) for tr in group if tr.timestamps.size), cfg
+        )
+        for _, group in groups
+    ]
+    sizes = [grid.size for grid in grids]
+    # Per-annotator window means of every subject, NaN where an annotator has
+    # no sample (or the subject has fewer annotators than the widest one).
+    means = np.full((sum(sizes), max(map(len, by_subject.values()), default=0)),
+                     np.nan)
+    at = 0
+    for (subject, group), grid in zip(groups, grids):
+        if len(group) < 2:
+            raise InsufficientDataError(
+                f"window_consensus: subject {subject!r} needs >= 2 annotation "
+                f"traces, got {len(group)}"
+            )
+        for j, tr in enumerate(group):
+            lo = np.searchsorted(tr.timestamps, grid, side="left")
+            hi = np.searchsorted(tr.timestamps, grid + cfg.window_len, side="left")
+            means[at:at + grid.size, j] = _window_means(tr.values, lo, hi)
+        at += grid.size
+    present = ~np.isnan(means)
+    count = present.sum(axis=1)
+    mu, sigma = np.empty(count.size), np.empty(count.size)
+    for k in set(count.tolist()) - {0, 1}:
+        rows = np.flatnonzero(count == k)
+        # Each window's contributing annotators, in trace order.
+        block = means[rows][present[rows]].reshape(rows.size, k)
+        mu[rows], sigma[rows] = block.mean(axis=1), block.std(axis=1)
+    subjects = np.repeat(np.array([s for s, _ in groups], dtype=str), sizes)
+    starts = np.concatenate([np.empty(0)] + grids)  # valid without traces too
+    kept = count >= 2
+    mu, sigma = clamp_moments_arrays(mu[kept], sigma[kept], epsilon)
+    table = WindowTable(subjects[kept], starts[kept], count[kept], mu, sigma,
+                        np.empty((mu.size, 0)))
+    return table, {s: starts[~kept & (subjects == s)] for s, _ in groups}
 
 
 def build_dataset(
@@ -253,7 +304,7 @@ def build_dataset(
     cfg: WindowConfig,
     modalities: list[str] | None = None,
     epsilon: float = DEFAULT_EPSILON,
-) -> tuple[list[WindowedSample], BuildReport]:
+) -> tuple[WindowTable, BuildReport]:
     """Join windowed features with consensus targets on (subject, window).
 
     Feature vectors are concatenated across the selected modalities in the
@@ -274,32 +325,27 @@ def build_dataset(
         if missing:
             raise DomainError(f"build_dataset: unknown modalities {missing}")
 
-    traces_by_subject: dict[str, list[AnnotationTrace]] = {}
-    for tr in annotations:
-        bucket = traces_by_subject.setdefault(tr.subject_id, [])
-        if any(t.annotator_id == tr.annotator_id for t in bucket):
-            raise DomainError(
-                f"build_dataset: duplicate trace for subject {tr.subject_id!r} "
-                f"annotator {tr.annotator_id!r}"
-            )
-        bucket.append(tr)
-
     feat_subjects = {
         s for s in {fs.subject_id for fs in features}
         if all((s, m) in by_key for m in modalities)
     }
-    subjects = sorted(feat_subjects & set(traces_by_subject))
+    subjects = sorted(feat_subjects & {tr.subject_id for tr in annotations})
     if not subjects:
         raise EmptyDatasetError(
             "build_dataset: no subjects with both features and annotations"
         )
 
-    report = BuildReport(subjects=subjects)
-    for m in modalities:
-        report.modality_dims[m] = by_key[(subjects[0], m)].dim
-    samples: list[WindowedSample] = []
+    report = BuildReport(subjects=subjects, modality_dims={
+        m: by_key[(subjects[0], m)].dim for m in modalities
+    })
+    targets, dropped = window_consensus(
+        [tr for tr in annotations if tr.subject_id in subjects], cfg, epsilon
+    )
+    report.windows_dropped_few_annotators = sum(d.size for d in dropped.values())
+    target_ks = np.rint(targets.starts / cfg.stride).astype(np.int64)
+    rows, xs = [], []
     for subject in subjects:
-        per_modality: list[dict[int, np.ndarray]] = []
+        ks, means = [], []
         for m in modalities:
             fs = by_key[(subject, m)]
             if fs.dim != report.modality_dims[m]:
@@ -307,32 +353,23 @@ def build_dataset(
                     f"build_dataset: modality {m!r} dim mismatch for "
                     f"subject {subject!r}"
                 )
-            wins, skipped = window_features(fs, cfg)
-            report.windows_skipped_empty += len(skipped)
-            per_modality.append(
-                {int(round(start / cfg.stride)): vec for start, vec in wins}
-            )
-        consensus, dropped = window_consensus(
-            traces_by_subject[subject], cfg, epsilon
-        )
-        report.windows_dropped_few_annotators += len(dropped)
-        target_by_k = {
-            int(round(start / cfg.stride)): (start, m, n)
-            for start, m, n in consensus
-        }
-        feat_ks = set(per_modality[0])
-        for d in per_modality[1:]:
-            feat_ks &= set(d)
-        common = sorted(feat_ks & set(target_by_k))
-        report.windows_unmatched += (
-            len(feat_ks | set(target_by_k)) - len(common)
-        )
-        for k in common:
-            start, target, n_annot = target_by_k[k]
-            vec = np.concatenate([d[k] for d in per_modality])
-            samples.append(WindowedSample(subject, start, vec, target, n_annot))
-    report.n_samples = len(samples)
-    return samples, report
+            starts, mean, skipped = window_features(fs, cfg)
+            report.windows_skipped_empty += skipped.size
+            ks.append(np.rint(starts / cfg.stride).astype(np.int64))
+            means.append(mean)
+        feat_ks = set.intersection(*(set(k.tolist()) for k in ks))
+        mine = np.flatnonzero(targets.subjects == subject)
+        target_set = set(target_ks[mine].tolist())
+        common = np.array(sorted(feat_ks & target_set), dtype=np.int64)
+        report.windows_unmatched += len(feat_ks | target_set) - common.size
+        rows.append(mine[np.searchsorted(target_ks[mine], common)])
+        xs.append(np.hstack([f[np.searchsorted(k, common)] for k, f in zip(ks, means)]))
+    rows = np.concatenate(rows)
+    table = WindowTable(targets.subjects[rows], targets.starts[rows],
+                        targets.n_annotators[rows], targets.mu[rows],
+                        targets.sigma[rows], np.concatenate(xs))
+    report.n_samples = len(table)
+    return table, report
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +390,24 @@ def _parse_float(text: str, path, line_no: int, column: str) -> float:
         ) from None
 
 
+def _sorted_timestamps(path, rows, what: str) -> np.ndarray:
+    """Sort ``(t, line, ...)`` rows by time; raise on a repeated timestamp."""
+    rows.sort(key=lambda r: r[0])
+    ts = np.array([r[0] for r in rows])
+    dup = np.flatnonzero(np.diff(ts) <= 0)
+    if dup.size:
+        first, again = rows[dup[0]], rows[dup[0] + 1]
+        raise SchemaError(
+            f"{path}:{again[1]}: duplicate timestamp {again[0]!r} in {what} "
+            f"(first on line {first[1]})"
+        )
+    return ts
+
+
 def read_feature_csv(path) -> list[FrameSeries]:
     """Read a feature CSV into one FrameSeries per (subject, modality)."""
     path = Path(path)
-    groups: dict[tuple[str, str], list[tuple[float, list[float]]]] = {}
+    groups: dict[tuple[str, str], list[tuple[float, int, list[float]]]] = {}
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -377,31 +428,25 @@ def read_feature_csv(path) -> list[FrameSeries]:
                 for i, v in enumerate(row[3:])
                 if v != ""
             ]
-            groups.setdefault((row[0], row[1]), []).append((t, feats))
+            groups.setdefault((row[0], row[1]), []).append((t, line_no, feats))
     out = []
     for (subject, modality), rows in sorted(groups.items()):
-        rows.sort(key=lambda r: r[0])
-        dims = {len(f) for _, f in rows}
-        if len(dims) != 1:
+        dim = len(rows[0][2])
+        odd = [line for _, line, f in rows if len(f) != dim]
+        if odd:
             raise SchemaError(
-                f"{path}: inconsistent feature dimension for "
-                f"{subject}/{modality}: {sorted(dims)}"
+                f"{path}:{odd[0]}: feature dimension differs from line "
+                f"{rows[0][1]} ({dim}) in series {subject}/{modality}"
             )
-        ts = np.array([t for t, _ in rows])
-        if np.any(np.diff(ts) <= 0):
-            raise SchemaError(
-                f"{path}: duplicate timestamp in series {subject}/{modality}"
-            )
-        out.append(
-            FrameSeries(subject, ts, np.array([f for _, f in rows]), modality)
-        )
+        ts = _sorted_timestamps(path, rows, f"series {subject}/{modality}")
+        out.append(FrameSeries(subject, ts, np.array([r[2] for r in rows]), modality))
     return out
 
 
 def read_annotation_csv(path) -> list[AnnotationTrace]:
     """Read an annotation CSV into one AnnotationTrace per (subject, annotator)."""
     path = Path(path)
-    groups: dict[tuple[str, str], list[tuple[float, float]]] = {}
+    groups: dict[tuple[str, str], list[tuple[float, int, float]]] = {}
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -418,18 +463,12 @@ def read_annotation_csv(path) -> list[AnnotationTrace]:
                 raise SchemaError(f"{path}:{line_no}: expected 4 columns")
             t = _parse_float(row[2], path, line_no, "timestamp")
             v = _parse_float(row[3], path, line_no, "value")
-            groups.setdefault((row[0], row[1]), []).append((t, v))
+            groups.setdefault((row[0], row[1]), []).append((t, line_no, v))
     out = []
     for (subject, annotator), rows in sorted(groups.items()):
-        rows.sort(key=lambda r: r[0])
-        ts = np.array([t for t, _ in rows])
-        if np.any(np.diff(ts) <= 0):
-            raise SchemaError(
-                f"{path}: duplicate timestamp in trace {subject}/{annotator}"
-            )
-        out.append(
-            AnnotationTrace(subject, annotator, ts, np.array([v for _, v in rows]))
-        )
+        ts = _sorted_timestamps(path, rows, f"trace {subject}/{annotator}")
+        out.append(AnnotationTrace(subject, annotator, ts,
+                                   np.array([r[2] for r in rows])))
     return out
 
 
@@ -462,29 +501,24 @@ def write_annotation_csv(path, traces: list[AnnotationTrace]) -> None:
 
 
 def write_dataset(
-    outdir, samples: list[WindowedSample], report: BuildReport, cfg: WindowConfig
+    outdir, table: WindowTable, report: BuildReport, cfg: WindowConfig
 ) -> Path:
-    """Write the windowed-sample table plus its provenance manifest."""
+    """Write the window table plus its provenance manifest."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    dim = samples[0].feature_vector.size if samples else 0
-    table = outdir / "dataset.csv"
-    with open(table, "w", encoding="utf-8", newline="") as fh:
+    dim = table.x.shape[1] if len(table) else 0
+    path = outdir / "dataset.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["subject_id", "window_start", "n_annotators", "mu", "sigma"]
-            + [f"f{i}" for i in range(dim)]
-        )
-        for s in samples:
+        writer.writerow(_DATASET_COLUMNS + [f"f{i}" for i in range(dim)])
+        for subject, start, n_annot, mu, sigma, vec in zip(
+            table.subjects.tolist(), table.starts.tolist(),
+            table.n_annotators.tolist(), table.mu.tolist(), table.sigma.tolist(),
+            table.x.tolist(),
+        ):
             writer.writerow(
-                [
-                    s.subject_id,
-                    fmt_float(s.window_start),
-                    s.n_annotators,
-                    fmt_float(s.target.mu),
-                    fmt_float(s.target.sigma),
-                ]
-                + [fmt_float(v) for v in s.feature_vector]
+                [subject, fmt_float(start), n_annot, fmt_float(mu), fmt_float(sigma)]
+                + [fmt_float(v) for v in vec]
             )
     manifest = {
         "label_range": list(cfg.label_range),
@@ -501,45 +535,62 @@ def write_dataset(
     with open(outdir / "dataset_manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return table
+    return path
 
 
-def read_dataset(path) -> tuple[list[WindowedSample], dict]:
-    """Read a built dataset table (and its manifest when present)."""
+def read_dataset(path) -> tuple[WindowTable, dict]:
+    """Read a built dataset table (and its manifest when present).
+
+    Each row is checked as it loads, and the first bad one raises a
+    :class:`SchemaError` naming its file and line: the row must be as wide
+    as the header, ``n_annotators`` an integer, ``window_start``, ``mu``,
+    ``sigma`` and every feature finite, and ``sigma`` non-negative.
+    """
     path = Path(path)
     if path.is_dir():
         path = path / "dataset.csv"
-    samples = []
+    subjects, n_annot, numbers = [], [], []
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        prefix = ["subject_id", "window_start", "n_annotators", "mu", "sigma"]
-        if header is None or header[:5] != prefix:
-            raise SchemaError(f"{path}:1: expected dataset header {prefix}")
+        if header is None or header[:5] != _DATASET_COLUMNS:
+            raise SchemaError(f"{path}:1: expected dataset header {_DATASET_COLUMNS}")
+        numeric = [1] + list(range(3, len(header)))  # window_start, mu, sigma, f*
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) < 5:
-                raise SchemaError(f"{path}:{line_no}: short row")
-            samples.append(
-                WindowedSample(
-                    subject_id=row[0],
-                    window_start=_parse_float(row[1], path, line_no, "window_start"),
-                    n_annotators=int(row[2]),
-                    target=MomentPair(
-                        _parse_float(row[3], path, line_no, "mu"),
-                        _parse_float(row[4], path, line_no, "sigma"),
-                    ),
-                    feature_vector=np.array(
-                        [
-                            _parse_float(v, path, line_no, f"f{i}")
-                            for i, v in enumerate(row[5:])
-                        ]
-                    ),
+            if len(row) != len(header):
+                raise SchemaError(
+                    f"{path}:{line_no}: expected {len(header)} columns, "
+                    f"got {len(row)}"
                 )
-            )
+            try:
+                n_annot.append(int(row[2]))
+            except ValueError:
+                raise SchemaError(
+                    f"{path}:{line_no}: column 'n_annotators' is not an "
+                    f"integer: {row[2]!r}"
+                ) from None
+            values = [_parse_float(row[i], path, line_no, header[i]) for i in numeric]
+            if not all(map(math.isfinite, values)):
+                i = next(i for i, v in zip(numeric, values) if not math.isfinite(v))
+                raise SchemaError(
+                    f"{path}:{line_no}: column {header[i]!r} is not finite: "
+                    f"{row[i]!r}"
+                )
+            if values[2] < 0.0:
+                raise SchemaError(
+                    f"{path}:{line_no}: column 'sigma' is negative: {row[4]!r}"
+                )
+            subjects.append(row[0])
+            numbers.append(values)
+    numbers = np.array(numbers, dtype=np.float64).reshape(-1, len(numeric))
+    starts, mu, sigma = numbers[:, :3].T.copy()
+    table = WindowTable(np.array(subjects, dtype=str), starts,
+                        np.array(n_annot, dtype=np.int64), mu, sigma,
+                        numbers[:, 3:].copy())
     manifest_path = path.parent / "dataset_manifest.json"
     manifest = {}
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    return samples, manifest
+    return table, manifest

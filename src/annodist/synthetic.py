@@ -32,6 +32,7 @@ from .pipeline import (
     AnnotationTrace,
     FrameSeries,
     WindowConfig,
+    _window_means,
     fmt_float,
     window_starts,
     write_annotation_csv,
@@ -134,6 +135,9 @@ def generate(
         raise DomainError("generate: duration too short for the given rates")
     t_frames = np.arange(n_frames) / cfg.frame_rate
     t_marks = np.arange(n_marks) / cfg.annotation_rate
+    starts = window_starts(float(t_marks[-1]), window_cfg)
+    lo = np.searchsorted(t_marks, starts, side="left")
+    hi = np.searchsorted(t_marks, starts + window_cfg.window_len, side="left")
 
     map_rng = _rng(cfg.seed, 1)
     n_latent = 2 + cfg.latent_dim
@@ -192,17 +196,11 @@ def generate(
                 AnnotationTrace(subject, f"a{i:02d}", t_marks, values)
             )
 
-        for start in window_starts(float(t_marks[-1]), window_cfg):
-            lo = np.searchsorted(t_marks, start, side="left")
-            hi = np.searchsorted(t_marks, start + window_cfg.window_len, side="left")
-            truth_rows.append(
-                (
-                    subject,
-                    float(start),
-                    float(mu_a[lo:hi].mean()),
-                    float(sigma_a[lo:hi].mean()),
-                )
-            )
+        truth_rows += zip(
+            [subject] * starts.size, starts.tolist(),
+            _window_means(mu_a, lo, hi).tolist(),
+            _window_means(sigma_a, lo, hi).tolist(),
+        )
     return features, annotations, GroundTruth.from_rows(truth_rows)
 
 

@@ -35,20 +35,20 @@ def report_pass(number: int, name: str, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def default_synthetic_samples():
+def default_synthetic_table():
     """The default synthetic dataset: 20 subjects, 6 annotators, small noise."""
     cfg = SyntheticConfig()
     wcfg = WindowConfig()
     feats, annots, truth = generate(cfg, wcfg)
-    samples, report = build_dataset(feats, annots, wcfg)
-    return samples, report, truth
+    table, report = build_dataset(feats, annots, wcfg)
+    return table, report, truth
 
 
 @pytest.fixture(scope="module")
-def trained_grid(default_synthetic_samples):
+def trained_grid(default_synthetic_table):
     """Full 5-fold x 10-seed grid for the fully shared moment net plus the
     point-regressor median baseline, under the pinned training protocol."""
-    samples, _, _ = default_synthetic_samples
+    table, _, _ = default_synthetic_table
     cfg = experiments.ExperimentConfig(
         k_folds=5,
         n_seeds=10,
@@ -57,7 +57,7 @@ def trained_grid(default_synthetic_samples):
         baselines=("median",),
     )
     start = time.perf_counter()
-    report = experiments.run_grid(samples, cfg)
+    report = experiments.run_grid(table, cfg)
     elapsed = time.perf_counter() - start
     return report, elapsed
 
@@ -345,7 +345,7 @@ def test_09_wilcoxon_calibration():
                 f"null rejection rate {rate:.3f}")
 
 
-def test_10_window_counts_and_target_validity(default_synthetic_samples):
+def test_10_window_counts_and_target_validity(default_synthetic_table):
     rng = np.random.default_rng(110)
     for _ in range(100):
         window_len = rng.uniform(0.5, 5.0)
@@ -357,12 +357,11 @@ def test_10_window_counts_and_target_validity(default_synthetic_samples):
             expected += 1
         assert got == expected
 
-    samples, report, _ = default_synthetic_samples
-    assert report.n_samples == len(samples)
-    for s in samples:
-        cap = s.target.mu * (1.0 - s.target.mu)
-        assert 0.0 < s.target.mu < 1.0
-        assert 0.0 < s.target.variance < cap
+    table, report, _ = default_synthetic_table
+    assert report.n_samples == len(table)
+    cap = table.mu * (1.0 - table.mu)
+    assert np.all((0.0 < table.mu) & (table.mu < 1.0))
+    assert np.all((0.0 < table.sigma**2) & (table.sigma**2 < cap))
     report_pass(10, "window counts and target validity",
-                f"100 configs match enumeration; {len(samples)} targets "
+                f"100 configs match enumeration; {len(table)} targets "
                 "strictly inside the validity region")

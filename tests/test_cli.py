@@ -248,6 +248,71 @@ class TestReport:
         assert run_cli("report", "--run", tmp_path / "nope") == 2
 
 
+def _set_cell(i, value):
+    def edit(row):
+        cells = row.rstrip("\n").split(",")
+        cells[i] = value
+        return ",".join(cells) + "\n"
+    return edit
+
+
+def _drop_last_cell(row):
+    return row.rstrip("\n").rsplit(",", 1)[0] + "\n"
+
+
+def _add_cell(row):
+    return row.rstrip("\n") + ",0.5\n"
+
+
+def _repeat(row):
+    return row + row
+
+
+# (subcommand, input file, line edited, edit, line the error must name)
+MALFORMED = {
+    "run-n_annotators-not-integer": ("run", "dataset.csv", 3, _set_cell(2, "2.5"), 3),
+    "run-short-row": ("run", "dataset.csv", 4, _drop_last_cell, 4),
+    "run-long-row": ("run", "dataset.csv", 4, _add_cell, 4),
+    "run-nan-feature": ("run", "dataset.csv", 5, _set_cell(6, "nan"), 5),
+    "run-nan-mu": ("run", "dataset.csv", 6, _set_cell(3, "nan"), 6),
+    "run-inf-sigma": ("run", "dataset.csv", 7, _set_cell(4, "inf"), 7),
+    "run-negative-sigma": ("run", "dataset.csv", 7, _set_cell(4, "-0.1"), 7),
+    "build-feature-dimension": ("build", "features.csv", 5, _drop_last_cell, 5),
+    "build-feature-duplicate-timestamp": ("build", "features.csv", 5, _repeat, 6),
+    "build-annotation-duplicate-timestamp":
+        ("build", "annotations.csv", 5, _repeat, 6),
+    "fit-annotation-duplicate-timestamp": ("fit", "annotations.csv", 5, _repeat, 6),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exit_2_with_file_and_line(self, case, synth_dir, built_dir, tmp_path,
+                                       capsys):
+        sub, name, line, edit, bad_line = MALFORMED[case]
+        inputs = {"features.csv": synth_dir / "features.csv",
+                  "annotations.csv": synth_dir / "annotations.csv",
+                  "dataset.csv": built_dir / "dataset.csv"}
+        lines = inputs[name].read_text().splitlines(keepends=True)
+        lines[line - 1] = edit(lines[line - 1])
+        bad = tmp_path / name
+        bad.write_text("".join(lines))
+        inputs[name] = bad
+        args = {
+            "build": ["--features", inputs["features.csv"],
+                      "--annotations", inputs["annotations.csv"]],
+            "fit": ["--annotations", inputs["annotations.csv"]],
+            "run": ["--dataset", bad, "--k-folds", 3, "--n-seeds", 1,
+                    "--max-epochs", 1, "--variants", "fully_shared",
+                    "--baselines", "--density-windows", 0],
+        }[sub]
+        code = run_cli(sub, *args, "--out", tmp_path / "out")
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"{bad}:{bad_line}:" in err
+        assert "Traceback" not in err
+
+
 class TestUsageAndEnvironment:
     def test_unknown_flag_exit_1(self, synth_dir, capsys):
         assert run_cli("synth", "--out", "x", "--bogus-flag", "1") == 1

@@ -31,15 +31,15 @@ TINY_GRID = ExperimentConfig(
 
 
 @pytest.fixture(scope="module")
-def tiny_samples():
+def tiny_table():
     feats, annots, _ = generate(TINY_SYNTH, WindowConfig())
-    samples, _ = build_dataset(feats, annots, WindowConfig())
-    return samples
+    table, _ = build_dataset(feats, annots, WindowConfig())
+    return table
 
 
 @pytest.fixture(scope="module")
-def tiny_report(tiny_samples):
-    return run_grid(tiny_samples, TINY_GRID)
+def tiny_report(tiny_table):
+    return run_grid(tiny_table, TINY_GRID)
 
 
 class TestFolds:
@@ -87,26 +87,26 @@ class TestRunGrid:
             if c.model == "point[median]":
                 assert set(c.scores) == {"ccc_median"}
 
-    def test_determinism(self, tiny_samples, tiny_report):
-        again = run_grid(tiny_samples, TINY_GRID)
+    def test_determinism(self, tiny_table, tiny_report):
+        again = run_grid(tiny_table, TINY_GRID)
         for a, b in zip(tiny_report.cells, again.cells):
             assert (a.model, a.fold, a.seed) == (b.model, b.fold, b.seed)
             assert a.scores == b.scores
 
-    def test_parallel_jobs_match_sequential(self, tiny_samples, tiny_report):
+    def test_parallel_jobs_match_sequential(self, tiny_table, tiny_report):
         parallel_cfg = ExperimentConfig(**{
             **TINY_GRID.__dict__, "jobs": 2,
         })
-        parallel = run_grid(tiny_samples, parallel_cfg)
+        parallel = run_grid(tiny_table, parallel_cfg)
         for a, b in zip(tiny_report.cells, parallel.cells):
             assert (a.model, a.fold, a.seed) == (b.model, b.fold, b.seed)
             assert a.scores == b.scores
 
-    def test_point_cells_do_not_depend_on_other_baselines(self, tiny_samples):
+    def test_point_cells_do_not_depend_on_other_baselines(self, tiny_table):
         # All baselines train as one stack; a cell must not see its siblings.
         base = dict(k_folds=3, n_seeds=2, master_seed=1, variants=(), max_epochs=15)
-        alone = run_grid(tiny_samples, ExperimentConfig(**base, baselines=("median",)))
-        every = run_grid(tiny_samples, ExperimentConfig(**base))
+        alone = run_grid(tiny_table, ExperimentConfig(**base, baselines=("median",)))
+        every = run_grid(tiny_table, ExperimentConfig(**base))
         assert len(every.cells) == 5 * len(alone.cells)
 
         def median_scores(report):
@@ -115,9 +115,9 @@ class TestRunGrid:
 
         assert median_scores(alone) == median_scores(every)
 
-    def test_master_seed_cells_do_not_depend_on_n_seeds(self, tiny_samples,
+    def test_master_seed_cells_do_not_depend_on_n_seeds(self, tiny_table,
                                                         tiny_report):
-        single = run_grid(tiny_samples, ExperimentConfig(**{
+        single = run_grid(tiny_table, ExperimentConfig(**{
             **TINY_GRID.__dict__, "n_seeds": 1,
         }))
         assert {(c.model, c.fold): c.scores for c in single.cells} == {
@@ -125,7 +125,7 @@ class TestRunGrid:
             if c.seed == TINY_GRID.master_seed
         }
 
-    def test_cell_failures_recorded_and_grid_continues(self, tiny_samples):
+    def test_cell_failures_recorded_and_grid_continues(self, tiny_table):
         # An absurd learning rate overflows the parameters and trips the
         # non-finite gradient guard; those cells must be marked failed while
         # the rest of the grid keeps running.
@@ -134,18 +134,18 @@ class TestRunGrid:
             baselines=("median",), max_epochs=3, learning_rate=1e200,
         )
         with np.errstate(over="ignore", invalid="ignore"):
-            report = run_grid(tiny_samples, cfg)
+            report = run_grid(tiny_table, cfg)
         assert len(report.cells) == 2 * 3
         failed = {c.model for c in report.failures()}
         assert failed == {"fully_shared", "point[median]"}
         for c in report.failures():
             assert "TrainingError" in c.failed
 
-    def test_per_subject_ccc_pooling(self, tiny_samples, tiny_report):
+    def test_per_subject_ccc_pooling(self, tiny_table, tiny_report):
         cfg = ExperimentConfig(**{
             **TINY_GRID.__dict__, "ccc_pooling": "per_subject",
         })
-        per_subject = run_grid(tiny_samples, cfg)
+        per_subject = run_grid(tiny_table, cfg)
         pooled_mu = tiny_report.score_vectors("ccc_mu")["fully_shared"]
         split_mu = per_subject.score_vectors("ccc_mu")["fully_shared"]
         assert split_mu.shape == pooled_mu.shape
@@ -153,7 +153,7 @@ class TestRunGrid:
         # The oracle predicts the targets exactly, so both poolings give 1.
         assert np.allclose(per_subject.score_vectors("ccc_mu")["oracle"], 1.0)
 
-    def test_degenerate_predictions_scored_not_failed(self, tiny_samples):
+    def test_degenerate_predictions_scored_not_failed(self, tiny_table):
         # A frozen network keeps sigma_hat near softplus(0) ~ 0.69, above the
         # validity cap; the clamp collapses it to a near-two-point Beta whose
         # quartiles sit at the interval ends.  The cell still gets scores.
@@ -161,7 +161,7 @@ class TestRunGrid:
             k_folds=3, n_seeds=1, master_seed=0, variants=("fully_shared",),
             baselines=(), max_epochs=1, learning_rate=1e-30,
         )
-        report = run_grid(tiny_samples, cfg)
+        report = run_grid(tiny_table, cfg)
         assert not report.failures()
         for c in report.cells:
             assert np.isfinite(c.scores["ccc_median"])
@@ -215,7 +215,7 @@ class TestDensityData:
         return DatasetArrays(
             x=rng.normal(size=(n, 3)), mu=mu, sigma=sigma,
             subjects=np.array([f"s{i}" for i in range(n)]),
-            starts=np.arange(n) * 0.4,
+            starts=np.arange(n) * 0.4, n_annotators=np.full(n, 2),
             truth_alpha=alpha, truth_beta=beta,
             truth_desc=descriptors_arrays(alpha, beta),
         )

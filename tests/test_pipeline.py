@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from annodist.consensus import MomentPair
+from annodist.consensus import clamp_moments, consensus_moments
 from annodist.errors import (
     DomainError,
     EmptyDatasetError,
@@ -85,15 +85,15 @@ class TestWindowStarts:
 
 class TestWindowFeatures:
     def test_constant_stream(self):
-        wins, skipped = window_features(make_series(fill=0.7), WindowConfig())
-        assert len(wins) == 18 and not skipped
-        for _, vec in wins:
+        starts, means, skipped = window_features(make_series(fill=0.7), WindowConfig())
+        assert len(starts) == 18 and not skipped.size
+        for vec in means:
             np.testing.assert_allclose(vec, 0.7)
 
     def test_linear_ramp_mean(self):
         series = make_series(duration=10.0, fps=25.0, dim=1)
-        wins, _ = window_features(series, WindowConfig())
-        for start, vec in wins:
+        starts, means, _ = window_features(series, WindowConfig())
+        for start, vec in zip(starts, means):
             # Exact: the mean of a linear ramp equals the ramp at the mean
             # frame time; close to the window midpoint under uniform sampling.
             in_window = series.timestamps[
@@ -107,24 +107,25 @@ class TestWindowFeatures:
         feats = series.features.copy()
         feats[10, 0] = np.nan
         series = FrameSeries(series.subject_id, series.timestamps, feats, "m")
-        wins, skipped = window_features(series, WindowConfig())
-        assert not skipped
-        for _, vec in wins:
+        _, means, skipped = window_features(series, WindowConfig())
+        assert not skipped.size
+        for vec in means:
             np.testing.assert_allclose(vec, 1.0)
 
     def test_empty_windows_reported(self):
         # A 1.2 s hole in a sparse 0.2 Hz-ish stream leaves some windows empty.
         t = np.array([0.0, 0.1, 0.2, 5.0, 5.1, 9.9])
         series = FrameSeries("s1", t, np.ones((6, 2)), "m")
-        wins, skipped = window_features(series, WindowConfig(1.0, 1.0))
-        assert skipped
-        starts = [s for s, _ in wins]
+        starts, _, skipped = window_features(series, WindowConfig(1.0, 1.0))
+        assert skipped.size
         assert set(skipped).isdisjoint(starts)
-        assert len(wins) + len(skipped) == len(window_starts(9.9, WindowConfig(1.0, 1.0)))
+        assert len(starts) + len(skipped) == len(window_starts(9.9, WindowConfig(1.0, 1.0)))
 
     def test_empty_series(self):
         series = FrameSeries("s1", np.empty(0), np.empty((0, 2)), "m")
-        assert window_features(series, WindowConfig()) == ([], [])
+        starts, means, skipped = window_features(series, WindowConfig())
+        assert starts.size == skipped.size == 0
+        assert means.shape == (0, 2)
 
     def test_aggregation_permutation_invariant(self):
         # The window mean depends only on the multiset of in-window frames,
@@ -139,10 +140,10 @@ class TestWindowFeatures:
             mask = (t >= start) & (t < start + 2.0)
             idx = np.where(mask)[0]
             shuffled[idx] = shuffled[rng.permutation(idx)]
-        wins_a, _ = window_features(base, cfg)
-        wins_b, _ = window_features(FrameSeries("s1", t, shuffled, "m"), cfg)
-        for (sa, va), (sb, vb) in zip(wins_a, wins_b):
-            assert sa == sb
+        starts_a, means_a, _ = window_features(base, cfg)
+        starts_b, means_b, _ = window_features(FrameSeries("s1", t, shuffled, "m"), cfg)
+        np.testing.assert_array_equal(starts_a, starts_b)
+        for va, vb in zip(means_a, means_b):
             np.testing.assert_allclose(va, vb, atol=1e-12)
 
     def test_aggregation_linear_in_features(self):
@@ -152,10 +153,10 @@ class TestWindowFeatures:
         fy = rng.normal(size=(40, 2))
         cfg = WindowConfig(3.0, 1.0)
         a, b = 2.5, -0.75
-        combo, _ = window_features(FrameSeries("s", t, a * fx + b * fy, "m"), cfg)
-        wx, _ = window_features(FrameSeries("s", t, fx, "m"), cfg)
-        wy, _ = window_features(FrameSeries("s", t, fy, "m"), cfg)
-        for (sc, vc), (_, vx), (_, vy) in zip(combo, wx, wy):
+        _, combo, _ = window_features(FrameSeries("s", t, a * fx + b * fy, "m"), cfg)
+        _, wx, _ = window_features(FrameSeries("s", t, fx, "m"), cfg)
+        _, wy, _ = window_features(FrameSeries("s", t, fy, "m"), cfg)
+        for vc, vx, vy in zip(combo, wx, wy):
             np.testing.assert_allclose(vc, a * vx + b * vy, atol=1e-12)
 
 
@@ -190,27 +191,28 @@ class TestWindowConsensus:
     def test_two_constant_annotators(self):
         traces = [constant_trace(0.4, annotator="a1"),
                   constant_trace(0.6, annotator="a2")]
-        windows, dropped = window_consensus(traces, WindowConfig())
-        assert windows and not dropped
-        for _, target, n in windows:
+        table, dropped = window_consensus(traces, WindowConfig())
+        assert len(table) and not dropped["s1"].size
+        for mu, sigma, n in zip(table.mu, table.sigma, table.n_annotators):
             assert n == 2
-            assert target.mu == pytest.approx(0.5)
-            assert target.sigma == pytest.approx(0.1)
+            assert mu == pytest.approx(0.5)
+            assert sigma == pytest.approx(0.1)
 
     def test_unanimous_sigma_clamped_up(self):
         traces = [constant_trace(0.2, annotator=f"a{i}") for i in range(3)]
-        windows, _ = window_consensus(traces, WindowConfig(), epsilon=1e-4)
-        for _, target, _ in windows:
-            assert target.mu == pytest.approx(0.2)
-            assert target.variance == pytest.approx(1e-4 * 0.2 * 0.8)
+        table, _ = window_consensus(traces, WindowConfig(), epsilon=1e-4)
+        for mu, sigma in zip(table.mu, table.sigma):
+            assert mu == pytest.approx(0.2)
+            assert sigma**2 == pytest.approx(1e-4 * 0.2 * 0.8)
 
     def test_window_without_second_annotator_dropped(self):
         full = constant_trace(0.4, annotator="a1", duration=10.0)
         # Second annotator stops at t=4.8; windows past that have one rater.
         partial = constant_trace(0.6, annotator="a2", duration=5.0)
-        windows, dropped = window_consensus([full, partial], WindowConfig())
-        assert dropped
-        starts = [s for s, _, _ in windows]
+        table, dropped = window_consensus([full, partial], WindowConfig())
+        dropped = dropped["s1"]
+        assert dropped.size
+        starts = table.starts
         last_partial_sample = partial.timestamps[-1]
         assert max(starts) <= last_partial_sample + 1e-9
         assert min(dropped) > last_partial_sample - 1e-9
@@ -232,25 +234,25 @@ class TestBuildDataset:
                 constant_trace(0.6, subject, "a2", duration)]
 
     def test_single_modality_dim(self):
-        samples, report = build_dataset(
+        table, report = build_dataset(
             [make_series(dim=5)], self._annotations(), WindowConfig()
         )
-        assert samples and all(s.feature_vector.size == 5 for s in samples)
-        assert report.n_samples == len(samples)
+        assert len(table) and table.x.shape == (len(table), 5)
+        assert report.n_samples == len(table)
 
     def test_fusion_concatenates_dims(self):
         feats = [make_series(dim=40, modality="audio"),
                  make_series(dim=130, modality="visual")]
-        samples, report = build_dataset(feats, self._annotations(), WindowConfig())
-        assert all(s.feature_vector.size == 170 for s in samples)
+        table, report = build_dataset(feats, self._annotations(), WindowConfig())
+        assert table.x.shape == (len(table), 170)
         assert report.modality_dims == {"audio": 40, "visual": 130}
 
     def test_modality_selection_order(self):
         feats = [make_series(dim=2, modality="b", fill=2.0),
                  make_series(dim=1, modality="a", fill=1.0)]
-        samples, _ = build_dataset(feats, self._annotations(), WindowConfig(),
-                                   modalities=["b", "a"])
-        np.testing.assert_allclose(samples[0].feature_vector, [2.0, 2.0, 1.0])
+        table, _ = build_dataset(feats, self._annotations(), WindowConfig(),
+                                 modalities=["b", "a"])
+        np.testing.assert_allclose(table.x[0], [2.0, 2.0, 1.0])
 
     def test_disjoint_subjects_rejected(self):
         with pytest.raises(EmptyDatasetError):
@@ -264,20 +266,20 @@ class TestBuildDataset:
             n = 50
             t = np.arange(n) / 5.0
             traces.append(AnnotationTrace("s1", f"a{i}", t, rng.uniform(0, 1, n)))
-        samples, _ = build_dataset([make_series()], traces, WindowConfig())
-        for s in samples:
-            cap = s.target.mu * (1 - s.target.mu)
-            assert 0 < s.target.mu < 1
-            assert 0 < s.target.variance < cap
+        table, _ = build_dataset([make_series()], traces, WindowConfig())
+        assert len(table)
+        cap = table.mu * (1 - table.mu)
+        assert np.all((0 < table.mu) & (table.mu < 1))
+        assert np.all((0 < table.sigma**2) & (table.sigma**2 < cap))
 
     def test_unmatched_windows_counted(self):
         # Features stop at 6 s, annotations run 10 s.
-        samples, report = build_dataset(
+        table, report = build_dataset(
             [make_series(duration=6.0)], self._annotations(duration=10.0),
             WindowConfig(),
         )
         assert report.windows_unmatched > 0
-        assert report.n_samples == len(samples)
+        assert report.n_samples == len(table)
 
 
 class TestCsvRoundTrips:
@@ -327,24 +329,171 @@ class TestCsvRoundTrips:
             "subject_id,annotator_id,timestamp,value\n"
             "s,a,1.0,0.5\ns,a,1.0,0.6\n"
         )
-        with pytest.raises(SchemaError, match="duplicate"):
+        with pytest.raises(SchemaError, match=r"bad.csv:3: duplicate"):
             read_annotation_csv(path)
 
     def test_dataset_round_trip(self, tmp_path):
-        samples, report = build_dataset(
+        table, report = build_dataset(
             [make_series(dim=4)],
             [constant_trace(0.4, annotator="a1"),
              constant_trace(0.6, annotator="a2")],
             WindowConfig(),
         )
-        write_dataset(tmp_path, samples, report, WindowConfig())
-        back, manifest = read_dataset(tmp_path)
-        assert len(back) == len(samples)
+        first = write_dataset(tmp_path / "one", table, report, WindowConfig())
+        back, manifest = read_dataset(tmp_path / "one")
+        assert len(back) == len(table)
         assert manifest["window"] == {"window_len": 3.0, "stride": 0.4}
         assert manifest["subjects"] == ["s1"]
-        for orig, got in zip(samples, back):
-            assert got.subject_id == orig.subject_id
-            assert got.window_start == orig.window_start
-            assert got.n_annotators == orig.n_annotators
-            assert got.target == MomentPair(orig.target.mu, orig.target.sigma)
-            np.testing.assert_array_equal(got.feature_vector, orig.feature_vector)
+        for name in ("subjects", "starts", "n_annotators", "mu", "sigma", "x"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(table, name))
+        second = write_dataset(tmp_path / "two", back, report, WindowConfig())
+        assert second.read_bytes() == first.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Loop-form reference: the per-window loops the columnar windowing replaced.
+# The array code must reproduce them exactly (same summation order).
+# ---------------------------------------------------------------------------
+
+
+def loop_window_features(series, cfg):
+    keep = ~np.any(np.isnan(series.features), axis=1)
+    ts, feats = series.timestamps[keep], series.features[keep]
+    out, skipped = [], []
+    if series.timestamps.size == 0:
+        return out, skipped
+    for start in window_starts(float(series.timestamps[-1]), cfg):
+        lo = np.searchsorted(ts, start, side="left")
+        hi = np.searchsorted(ts, start + cfg.window_len, side="left")
+        if hi <= lo:
+            skipped.append(float(start))
+            continue
+        out.append((float(start), feats[lo:hi].mean(axis=0)))
+    return out, skipped
+
+
+def loop_window_consensus(traces, cfg, epsilon):
+    """One subject's windows as (start, MomentPair, n_annotators), plus drops."""
+    duration = max(float(tr.timestamps[-1]) for tr in traces if tr.timestamps.size)
+    out, dropped = [], []
+    for start in window_starts(duration, cfg):
+        per_annotator = []
+        for tr in traces:
+            lo = np.searchsorted(tr.timestamps, start, side="left")
+            hi = np.searchsorted(tr.timestamps, start + cfg.window_len, side="left")
+            if hi > lo:
+                per_annotator.append(float(tr.values[lo:hi].mean()))
+        if len(per_annotator) < 2:
+            dropped.append(float(start))
+            continue
+        target = clamp_moments(consensus_moments(per_annotator), epsilon)
+        out.append((float(start), target, len(per_annotator)))
+    return out, dropped
+
+
+def loop_build_dataset(features, annotations, cfg, epsilon):
+    """Rows (subject, start, vector, MomentPair, n) and report counts."""
+    modalities = sorted({fs.modality for fs in features})
+    subjects = sorted({fs.subject_id for fs in features}
+                      & {tr.subject_id for tr in annotations})
+    rows, counts = [], {"skipped": 0, "dropped": 0, "unmatched": 0}
+    for subject in subjects:
+        per_modality = []
+        for m in modalities:
+            fs = next(f for f in features
+                      if f.subject_id == subject and f.modality == m)
+            wins, skipped = loop_window_features(fs, cfg)
+            counts["skipped"] += len(skipped)
+            per_modality.append({int(round(s / cfg.stride)): v for s, v in wins})
+        consensus, dropped = loop_window_consensus(
+            [tr for tr in annotations if tr.subject_id == subject], cfg, epsilon
+        )
+        counts["dropped"] += len(dropped)
+        targets = {int(round(s / cfg.stride)): (s, t, n) for s, t, n in consensus}
+        feat_ks = set.intersection(*(set(d) for d in per_modality))
+        common = sorted(feat_ks & set(targets))
+        counts["unmatched"] += len(feat_ks | set(targets)) - len(common)
+        for k in common:
+            start, target, n = targets[k]
+            vec = np.concatenate([d[k] for d in per_modality])
+            rows.append((subject, start, vec, target, n))
+    return rows, counts
+
+
+def ragged_inputs(seed):
+    """Odd frame and mark rates with dropped frames and marks, NaN frames,
+    a feature gap (empty windows), and annotators who stop early."""
+    rng = np.random.default_rng(seed)
+    features, traces = [], []
+    for s, subject in enumerate(("s0", "s1", "s2")):
+        for modality, dim, fps in (("audio", 3, 29.97), ("video", 1, 7.3)):
+            t = np.arange(int(30 * fps)) / fps
+            keep = rng.random(t.size) > 0.15
+            if subject == "s1" and modality == "audio":
+                keep &= (t < 9.0) | (t > 14.5)
+            feats = rng.normal(size=(int(keep.sum()), dim))
+            feats[rng.random(feats.shape) < 0.03] = np.nan
+            features.append(FrameSeries(subject, t[keep], feats, modality))
+        for a in range(4):
+            t = np.arange(int(31 * 7.3)) / 7.3
+            keep = rng.random(t.size) > 0.25
+            if a >= 1:
+                keep &= t < 12.0 + 4.0 * s + 2.0 * a
+            traces.append(AnnotationTrace(subject, f"r{a}", t[keep],
+                                          rng.uniform(0.0, 1.0, int(keep.sum()))))
+    return features, traces
+
+
+class TestLoopReference:
+    CFG = WindowConfig(3.0, 0.4)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_window_features_match_loop(self, seed):
+        features, _ = ragged_inputs(seed)
+        # A regular 60 s stream puts > 32 windows on one frame count.
+        features.append(make_series(duration=60.0, fps=25.0, dim=2))
+        for fs in features:
+            starts, means, skipped = window_features(fs, self.CFG)
+            wins, ref_skipped = loop_window_features(fs, self.CFG)
+            assert starts.tolist() == [s for s, _ in wins]
+            assert means.shape == (len(wins), fs.dim)
+            for got, (_, ref) in zip(means, wins):
+                np.testing.assert_array_equal(got, ref)
+            assert skipped.tolist() == ref_skipped
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_window_consensus_matches_loop(self, seed):
+        _, traces = ragged_inputs(seed)
+        table, dropped = window_consensus(traces, self.CFG, 1e-4)
+        at = 0
+        for subject in ("s0", "s1", "s2"):
+            ref, ref_dropped = loop_window_consensus(
+                [tr for tr in traces if tr.subject_id == subject], self.CFG, 1e-4
+            )
+            rows = slice(at, at + len(ref))
+            at += len(ref)
+            assert table.subjects[rows].tolist() == [subject] * len(ref)
+            assert table.starts[rows].tolist() == [s for s, _, _ in ref]
+            assert table.n_annotators[rows].tolist() == [n for _, _, n in ref]
+            assert table.mu[rows].tolist() == [t.mu for _, t, _ in ref]
+            assert table.sigma[rows].tolist() == [t.sigma for _, t, _ in ref]
+            assert dropped[subject].tolist() == ref_dropped
+        assert at == len(table)
+        assert sum(d.size for d in dropped.values()) > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_build_dataset_matches_loop(self, seed):
+        features, traces = ragged_inputs(seed)
+        table, report = build_dataset(features, traces, self.CFG)
+        rows, counts = loop_build_dataset(features, traces, self.CFG, 1e-4)
+        assert len(table) == report.n_samples == len(rows)
+        assert table.subjects.tolist() == [r[0] for r in rows]
+        assert table.starts.tolist() == [r[1] for r in rows]
+        assert table.n_annotators.tolist() == [r[4] for r in rows]
+        assert table.mu.tolist() == [r[3].mu for r in rows]
+        assert table.sigma.tolist() == [r[3].sigma for r in rows]
+        np.testing.assert_array_equal(table.x, np.stack([r[2] for r in rows]))
+        assert (report.windows_skipped_empty, report.windows_dropped_few_annotators,
+                report.windows_unmatched) == (
+            counts["skipped"], counts["dropped"], counts["unmatched"])
+        assert counts["skipped"] and counts["dropped"] and counts["unmatched"]

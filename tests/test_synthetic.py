@@ -7,9 +7,10 @@ import pytest
 
 from annodist.errors import DomainError
 from annodist.metrics import PairedSeries, ccc
-from annodist.pipeline import WindowConfig, build_dataset, window_consensus
+from annodist.pipeline import WindowConfig, build_dataset, window_consensus, window_starts
 from annodist.synthetic import (
     SyntheticConfig,
+    _subject_latents,
     generate,
     read_ground_truth_csv,
     write_dataset_csvs,
@@ -82,15 +83,14 @@ class TestConvergence:
                               feature_dim=6, latent_dim=2, seed=7)
         wcfg = WindowConfig()
         _, annots, truth = generate(cfg, wcfg)
-        by_subject = {}
-        for tr in annots:
-            by_subject.setdefault(tr.subject_id, []).append(tr)
-        for subject, traces in by_subject.items():
-            windows, _ = window_consensus(traces, wcfg)
-            for start, target, _ in windows:
-                ref = truth.lookup[(subject, start)]
-                assert abs(target.mu - ref.mu) < 0.02
-                assert abs(target.sigma - ref.sigma) < 0.02
+        table, _ = window_consensus(annots, wcfg)
+        assert len(table)
+        for subject, start, mu, sigma in zip(table.subjects.tolist(),
+                                             table.starts.tolist(),
+                                             table.mu, table.sigma):
+            ref = truth.lookup[(subject, start)]
+            assert abs(mu - ref.mu) < 0.02
+            assert abs(sigma - ref.sigma) < 0.02
 
 
 class TestRevelation:
@@ -102,16 +102,38 @@ class TestRevelation:
         )
         wcfg = WindowConfig()
         feats, annots, truth = generate(cfg, wcfg)
-        samples, _ = build_dataset(feats, annots, wcfg)
-        x = np.stack([s.feature_vector for s in samples])
+        table, _ = build_dataset(feats, annots, wcfg)
+        x = table.x
         truth_mu = np.array(
-            [truth.lookup[(s.subject_id, s.window_start)].mu for s in samples]
+            [truth.lookup[key].mu for key in zip(table.subjects.tolist(),
+                                                 table.starts.tolist())]
         )
         # Column 0 of the identity map is the latent mean trajectory itself.
         assert ccc(PairedSeries(x[:, 0], truth_mu)) > 0.99
         design = np.column_stack([x, np.ones(len(x))])
         coef, *_ = np.linalg.lstsq(design, truth_mu, rcond=None)
         assert ccc(PairedSeries(design @ coef, truth_mu)) > 0.99
+
+
+class TestGroundTruthWindows:
+    def test_truth_rows_match_loop(self):
+        # Loop-form reference: each window's latent means, one slice at a time.
+        cfg = SyntheticConfig(n_subjects=2, duration=40.0, frame_rate=29.97,
+                              annotation_rate=7.3, n_annotators=3, feature_dim=4,
+                              latent_dim=1, seed=9)
+        wcfg = WindowConfig(3.0, 0.4)
+        _, _, truth = generate(cfg, wcfg)
+        n_marks = int(round(cfg.duration * cfg.annotation_rate))
+        t_marks = np.arange(n_marks) / cfg.annotation_rate
+        expected = []
+        for s in range(cfg.n_subjects):
+            mu, sigma, _ = _subject_latents(cfg, s, t_marks)
+            for start in window_starts(float(t_marks[-1]), wcfg):
+                lo = np.searchsorted(t_marks, start, side="left")
+                hi = np.searchsorted(t_marks, start + wcfg.window_len, side="left")
+                expected.append((f"s{s:03d}", float(start),
+                                 float(mu[lo:hi].mean()), float(sigma[lo:hi].mean())))
+        assert list(truth.rows) == expected
 
 
 class TestGroundTruthCsv:
