@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage, 2 data error, 3 numeric/training error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -57,13 +56,40 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+_KINDS = {bool: "boolean", int: "integer", float: "number", str: "string"}
+
+
+def _check_type(path: str, key: str, value, default) -> None:
+    """Reject a config-file value whose JSON type is not its default's.
+
+    A bool is not a number, an int also passes for a float, a list takes
+    items of its default's item type, and the ``None`` default of
+    ``modalities`` takes null or a list of strings.
+    """
+    def fits(v, kind):
+        return type(v) is kind or (kind is float and type(v) is int)
+
+    if default is None or isinstance(default, list):
+        kind = type(default[0]) if default else str
+        ok = (value is None and default is None) or (
+            isinstance(value, list) and all(fits(v, kind) for v in value))
+        what = "null or " * (default is None) + f"a list of {_KINDS[kind]}s"
+    else:
+        ok, what = fits(value, type(default)), f"of type {_KINDS[type(default)]}"
+    if not ok:
+        raise DataError(f"{path}: key {key!r} must be {what}, got {json.dumps(value)}")
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge defaults <- config file <- explicit CLI flags."""
     resolved = dict(defaults)
-    file_cfg = _load_config(getattr(args, "config", None))
+    path = getattr(args, "config", None)
+    file_cfg = _load_config(path)
     unknown = set(file_cfg) - set(defaults)
     if unknown:
         raise DataError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in file_cfg.items():
+        _check_type(path, key, value, defaults[key])
     resolved.update(file_cfg)
     for key in defaults:
         flag = getattr(args, key, None)
@@ -204,22 +230,14 @@ def _cmd_fit(args) -> int:
     alpha, beta, desc = fit_beta_arrays(mu, sigma, eps)
     degenerate = sigma**2 <= eps * mu * (1.0 - mu) * (1.0 + 1e-9)
 
-    out_path = outdir / "beta_fits.csv"
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["subject_id", "window_start", "n_annotators", "mu", "sigma",
-             "alpha", "beta", "mean", "std", "median", "q25", "q75",
-             "skew", "kurt", "degenerate"]
-        )
-        for i, subject in enumerate(table.subjects.tolist()):
-            writer.writerow(
-                [subject, pipeline.fmt_float(table.starts[i]), table.n_annotators[i]]
-                + [pipeline.fmt_float(v[i]) for v in (mu, sigma, alpha, beta)]
-                + [pipeline.fmt_float(desc[k][i])
-                   for k in ("mean", "std", "median", "q25", "q75", "skew", "kurt")]
-                + [int(degenerate[i])]
-            )
+    described = ("mean", "std", "median", "q25", "q75", "skew", "kurt")
+    numbers = [map(pipeline.fmt_float, col)
+               for col in (mu, sigma, alpha, beta, *(desc[k] for k in described))]
+    out_path = pipeline.write_csv(outdir / "beta_fits.csv", [
+        "subject_id", "window_start", "n_annotators", "mu", "sigma", "alpha",
+        "beta", *described, "degenerate",
+    ], zip(table.subjects.tolist(), map(pipeline.fmt_float, table.starts),
+           table.n_annotators.tolist(), *numbers, degenerate.astype(int).tolist()))
     print(f"beta fits: {out_path} ({len(table)} windows)")
     return 0
 
@@ -276,7 +294,7 @@ def _cmd_run(args) -> int:
     pred = report.reference_predictions
     if params["density_windows"] > 0 and pred is not None:
         # The grid's own variants[0] / fold-0 / master-seed member.
-        _, _, test_idx = experiments._fold_indices(report.data, report.fold_plan, 0)
+        test_idx = report.folds[0].test
         pick = np.linspace(
             0, test_idx.size - 1, min(params["density_windows"], test_idx.size)
         ).astype(int)

@@ -21,13 +21,13 @@ alone, and each member early-stops on its own.  A member whose training
 turns non-finite fails only its own cell.  ``jobs`` runs stacks in parallel
 worker processes; the grid is deterministic and does not depend on ``jobs``.
 
-Features are z-normalised with training-fold statistics, which are stored in
-the report for reproducibility.
+Each fold's window split and training-fold z-score statistics are computed
+once, before any stack trains (:class:`Fold`), and the report keeps them for
+reproducibility.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -51,7 +51,7 @@ from .errors import (
     TrainingError,
 )
 from .metrics import PairedSeries, ccc, kl_beta_arrays, wilcoxon_signed_rank
-from .pipeline import WindowTable, fmt_float
+from .pipeline import WindowTable, fmt_float, write_csv
 
 ORACLE_MODEL = "oracle"
 KL_DIRECTIONS = ("truth_first", "pred_first")
@@ -163,6 +163,18 @@ class DatasetArrays(WindowTable):
                              truth_desc=desc)
 
 
+@dataclass(frozen=True)
+class Fold:
+    """One fold's subject-disjoint train/val/test window indices and the
+    z-score statistics of its training features."""
+
+    train: np.ndarray
+    val: np.ndarray
+    test: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
+
+
 @dataclass
 class CellResult:
     model: str
@@ -174,15 +186,15 @@ class CellResult:
 
 @dataclass
 class ExperimentReport:
-    """Grid results.  ``data`` is the dataset the grid ran on, and
-    ``reference_predictions`` the ``(n_test, 2)`` moment predictions of the
-    ``variants[0]`` / fold-0 / master-seed member on fold 0's test windows
-    (None without variants, or when that cell failed)."""
+    """Grid results.  ``folds`` are the folds the grid ran on, ``data`` its
+    dataset, and ``reference_predictions`` the ``(n_test, 2)`` moment
+    predictions of the ``variants[0]`` / fold-0 / master-seed member on fold
+    0's test windows (None without variants, or when that cell failed)."""
 
     config: ExperimentConfig
     fold_plan: FoldPlan
     cells: list[CellResult]
-    fold_norms: list[dict[str, list[float]]]
+    folds: list[Fold]
     data: DatasetArrays | None = None
     reference_predictions: np.ndarray | None = None
 
@@ -201,13 +213,6 @@ class ExperimentReport:
 
     def failures(self) -> list[CellResult]:
         return [c for c in self.cells if c.failed is not None]
-
-
-def _zscore_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    return mean, std
 
 
 def _score_ccc(pred, target, subjects, pooling: str) -> float:
@@ -263,9 +268,7 @@ def _init_grid_worker(payload: dict) -> None:
     _GRID_PAYLOAD.update(payload)
 
 
-def _fold_indices(
-    data: DatasetArrays, plan: FoldPlan, fold: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fold(data: DatasetArrays, plan: FoldPlan, fold: int) -> Fold:
     train = np.isin(data.subjects, plan.train_subjects(fold))
     val = np.isin(data.subjects, plan.val_subjects(fold))
     test = np.isin(data.subjects, plan.test_subjects(fold))
@@ -273,7 +276,11 @@ def _fold_indices(
         raise InsufficientDataError(f"fold {fold}: a split has no windows")
     # Subject-disjointness is a hard protocol invariant; assert, not assume.
     assert not ((train & val).any() or (train & test).any() or (val & test).any())
-    return np.where(train)[0], np.where(val)[0], np.where(test)[0]
+    train = np.where(train)[0]
+    x = data.x[train]
+    std = x.std(axis=0)
+    return Fold(train, np.where(val)[0], np.where(test)[0], x.mean(axis=0),
+                np.where(std > 0, std, 1.0))
 
 
 def _work_units(cfg: ExperimentConfig) -> list[tuple[str, int]]:
@@ -291,11 +298,11 @@ def _failure(exc: Exception) -> str:
 def _run_stack(
     data: DatasetArrays,
     cfg: ExperimentConfig,
-    plan: FoldPlan,
     kind: str,
     fold: int,
+    split: Fold,
 ) -> tuple[list[CellResult], np.ndarray | None]:
-    """Train and score one (kind, fold) stack.
+    """Train and score one (kind, fold) stack on that fold's ``split``.
 
     Returns its cells, in member order, and for a moment variant the test
     predictions of its master-seed member (None if that member failed).
@@ -307,9 +314,9 @@ def _run_stack(
         members = [(kind, None, seed) for seed in seeds]
     cells = [CellResult(model=model, fold=fold, seed=seed)
              for model, _, seed in members]
+    train_idx, val_idx, test_idx = split.train, split.val, split.test
+    subjects = data.subjects[test_idx]
     try:
-        train_idx, val_idx, test_idx = _fold_indices(data, plan, fold)
-        subjects = data.subjects[test_idx]
         if kind == ORACLE_MODEL:
             scores = _evaluate_moment_model(
                 data, data.mu[test_idx], data.sigma[test_idx], test_idx,
@@ -318,8 +325,7 @@ def _run_stack(
             for cell in cells:
                 cell.scores = dict(scores)
             return cells, None
-        mean, std = _zscore_stats(data.x[train_idx])
-        x = (data.x - mean) / std
+        x = (data.x - split.mean) / split.std
         if kind == "point":
             y = np.stack([data.truth_desc[b] for _, b, _ in members])
             y_train, y_val = y[:, train_idx], y[:, val_idx]
@@ -362,9 +368,9 @@ def _run_stack(
 
 
 def _run_stack_task(unit: tuple[str, int]):
-    return _run_stack(
-        _GRID_PAYLOAD["data"], _GRID_PAYLOAD["cfg"], _GRID_PAYLOAD["plan"], *unit
-    )
+    kind, fold = unit
+    return _run_stack(_GRID_PAYLOAD["data"], _GRID_PAYLOAD["cfg"], kind, fold,
+                      _GRID_PAYLOAD["folds"][fold])
 
 
 def run_grid(
@@ -373,17 +379,20 @@ def run_grid(
 ) -> ExperimentReport:
     """Train and evaluate every (model, fold, seed) cell of the grid.
 
-    Work runs as (network kind, fold) stacks, on at most ``cfg.jobs``
-    worker processes and never more than there are stacks.  Cell failures
-    are recorded in the report and do not stop the grid.
+    Each fold's split and normalisation are computed once, up front, so a
+    fold with an empty split raises before anything trains.  Work runs as
+    (network kind, fold) stacks, on at most ``cfg.jobs`` worker processes and
+    never more than there are stacks.  Cell failures are recorded in the
+    report and do not stop the grid.
     """
     data = DatasetArrays.from_samples(table, cfg.epsilon)
     plan = make_folds(sorted(set(data.subjects.tolist())), cfg.k_folds,
                       cfg.master_seed)
+    folds = [_fold(data, plan, i) for i in range(cfg.k_folds)]
     units = _work_units(cfg)
     workers = min(cfg.jobs, len(units))
     if workers > 1:
-        payload = {"data": data, "cfg": cfg, "plan": plan}
+        payload = {"data": data, "cfg": cfg, "folds": folds}
         with ProcessPoolExecutor(
             max_workers=workers,
             mp_context=get_context("fork"),
@@ -392,7 +401,8 @@ def run_grid(
         ) as pool:
             results = list(pool.map(_run_stack_task, units))
     else:
-        results = [_run_stack(data, cfg, plan, *unit) for unit in units]
+        results = [_run_stack(data, cfg, kind, fold, folds[fold])
+                   for kind, fold in units]
     by_key = {(c.model, c.fold, c.seed): c for cells, _ in results for c in cells}
     cells = [
         by_key[(model, fold, cfg.master_seed + s)]
@@ -402,12 +412,7 @@ def run_grid(
     ]
     # With variants, units[0] is (variants[0], fold 0): the reference stack.
     reference = results[0][1] if cfg.variants else None
-    fold_norms = []
-    for fold in range(cfg.k_folds):
-        train_idx, _, _ = _fold_indices(data, plan, fold)
-        mean, std = _zscore_stats(data.x[train_idx])
-        fold_norms.append({"mean": mean.tolist(), "std": std.tolist()})
-    return ExperimentReport(cfg, plan, cells, fold_norms, data, reference)
+    return ExperimentReport(cfg, plan, cells, folds, data, reference)
 
 
 def significance(
@@ -473,25 +478,30 @@ def emit_density_data(
     grid = (np.arange(n_points) + 0.5) / n_points
     pmu, psigma = clamp_moments_arrays(mu_hat, sigma_hat, epsilon)
     pred_alpha, pred_beta = moment_match_arrays(pmu, psigma)
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["subject_id", "window_start", "alpha_true", "beta_true",
-             "alpha_pred", "beta_pred", "x", "pdf_true", "pdf_pred"]
-        )
+
+    def rows():
         for j, idx in enumerate(indices):
             at, bt = data.truth_alpha[idx], data.truth_beta[idx]
             ap, bp = pred_alpha[j], pred_beta[j]
-            pdf_t = beta_pdf_arrays(grid, at, bt)
-            pdf_p = beta_pdf_arrays(grid, ap, bp)
             head = [
                 data.subjects[idx], fmt_float(data.starts[idx]),
                 fmt_float(at), fmt_float(bt), fmt_float(ap), fmt_float(bp),
             ]
-            for x, pt, pp in zip(grid, pdf_t, pdf_p):
-                writer.writerow(head + [fmt_float(x), fmt_float(pt), fmt_float(pp)])
-    return path
+            for x, pt, pp in zip(grid, beta_pdf_arrays(grid, at, bt),
+                                 beta_pdf_arrays(grid, ap, bp)):
+                yield head + [fmt_float(x), fmt_float(pt), fmt_float(pp)]
+
+    return write_csv(path, ["subject_id", "window_start", "alpha_true", "beta_true",
+                            "alpha_pred", "beta_pred", "x", "pdf_true", "pdf_pred"],
+                     rows())
+
+
+# Wide per-cell score tables: key in the returned paths -> (file, score keys).
+_SCORE_TABLES = {
+    "moments": ("moments_ccc.csv", ["ccc_mu", "ccc_sigma"]),
+    "kl": ("kl.csv", ["kl_truth_pred", "kl_pred_truth", "kl_truth_uniform",
+                      "kl_frac_better"]),
+}
 
 
 def write_report(
@@ -503,62 +513,33 @@ def write_report(
     cells = sorted(report.cells, key=lambda c: (c.model, c.fold, c.seed))
 
     paths = {
-        "moments": outdir / "moments_ccc.csv",
-        "descriptors": outdir / "descriptors_ccc.csv",
-        "kl": outdir / "kl.csv",
-        "summary": outdir / "summary.json",
+        name: write_csv(outdir / file, ["model", "fold", "seed"] + keys, (
+            [c.model, c.fold, c.seed] + [fmt_float(c.scores[k]) for k in keys]
+            for c in cells if keys[0] in c.scores
+        ))
+        for name, (file, keys) in _SCORE_TABLES.items()
     }
-    with open(paths["moments"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "fold", "seed", "ccc_mu", "ccc_sigma"])
-        for c in cells:
-            if "ccc_mu" in c.scores:
-                writer.writerow(
-                    [c.model, c.fold, c.seed,
-                     fmt_float(c.scores["ccc_mu"]),
-                     fmt_float(c.scores["ccc_sigma"])]
-                )
-    with open(paths["descriptors"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "fold", "seed", "descriptor", "ccc"])
-        for c in cells:
-            for name in DESCRIPTOR_NAMES:
-                key = f"ccc_{name}"
-                if key in c.scores:
-                    writer.writerow(
-                        [c.model, c.fold, c.seed, name, fmt_float(c.scores[key])]
-                    )
-    with open(paths["kl"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["model", "fold", "seed", "kl_truth_pred", "kl_pred_truth",
-             "kl_truth_uniform", "kl_frac_better"]
-        )
-        for c in cells:
-            if "kl_truth_pred" in c.scores:
-                writer.writerow(
-                    [c.model, c.fold, c.seed,
-                     fmt_float(c.scores["kl_truth_pred"]),
-                     fmt_float(c.scores["kl_pred_truth"]),
-                     fmt_float(c.scores["kl_truth_uniform"]),
-                     fmt_float(c.scores["kl_frac_better"])]
-                )
+    paths["descriptors"] = write_csv(
+        outdir / "descriptors_ccc.csv", ["model", "fold", "seed", "descriptor", "ccc"],
+        ([c.model, c.fold, c.seed, name, fmt_float(c.scores[f"ccc_{name}"])]
+         for c in cells for name in DESCRIPTOR_NAMES if f"ccc_{name}" in c.scores),
+    )
+    paths["summary"] = outdir / "summary.json"
 
     # The reported KL column follows the configured direction; the raw CSV
     # always carries both directions plus the uniform reference.
     kl_key = ("kl_truth_pred" if report.config.kl_direction == "truth_first"
               else "kl_pred_truth")
-    kl_means = {}
-    for model, vec in report.score_vectors(kl_key).items():
-        kl_means[model] = {
+    vs_uniform = report.score_vectors("kl_truth_uniform")
+    better = report.score_vectors("kl_frac_better")
+    kl_means = {
+        model: {
             "vs_truth_beta": float(np.nanmean(vec)),
-            "vs_uniform": float(
-                np.nanmean(report.score_vectors("kl_truth_uniform")[model])
-            ),
-            "windows_better_than_uniform": float(
-                np.nanmean(report.score_vectors("kl_frac_better")[model])
-            ),
+            "vs_uniform": float(np.nanmean(vs_uniform[model])),
+            "windows_better_than_uniform": float(np.nanmean(better[model])),
         }
+        for model, vec in report.score_vectors(kl_key).items()
+    }
     summary = {
         "grid": {
             "models": report.config.model_names(),
@@ -575,7 +556,9 @@ def write_report(
         "kl_means": kl_means,
         "ccc_pooling": report.config.ccc_pooling,
         "fold_assignments": report.fold_plan.assignments,
-        "fold_normalization": report.fold_norms,
+        "fold_normalization": [
+            {"mean": f.mean.tolist(), "std": f.std.tolist()} for f in report.folds
+        ],
         "significance_level": level,
         "significance": significance(report, level),
     }

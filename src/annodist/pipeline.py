@@ -11,15 +11,21 @@ as one columnar :class:`WindowTable`, from :func:`build_dataset` through
 
 CSV interfaces
 --------------
-* features:     header ``subject_id,modality,timestamp,f0,...,fK``
-* annotations:  header ``subject_id,annotator_id,timestamp,value``
+* features:     header ``subject_id,modality,timestamp,f0,...,fK``; rows
+  have at least one feature cell, empty cells are ignored, and NaN features
+  are allowed (NaN frames are dropped at windowing).
+* annotations:  header ``subject_id,annotator_id,timestamp,value``, exactly
+  4 columns, finite values.
 * built dataset: ``subject_id,window_start,n_annotators,mu,sigma,f0,...`` plus
   a JSON manifest (label range, modality dims, window config, subjects).
   Rows must be as wide as the header, with an integer ``n_annotators``,
   finite numbers and ``sigma >= 0``.
 
-Timestamps are seconds as decimals; files are UTF-8.  A malformed row raises
-a :class:`~annodist.errors.SchemaError` naming its file and line.
+Timestamps are finite seconds as decimals; files are UTF-8.  Every CSV is
+read through :func:`_csv_rows` (header check, blank rows skipped),
+:func:`_check_width` and :func:`_parse_numbers`, and written through
+:func:`write_csv`.  A malformed row raises a
+:class:`~annodist.errors.SchemaError` naming its file and line.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ log = logging.getLogger(__name__)
 
 _TIME_TOL = 1e-9
 
+_FEATURE_COLUMNS = ["subject_id", "modality", "timestamp"]
+_ANNOTATION_COLUMNS = ["subject_id", "annotator_id", "timestamp", "value"]
 _DATASET_COLUMNS = ["subject_id", "window_start", "n_annotators", "mu", "sigma"]
 
 
@@ -64,9 +72,8 @@ class WindowConfig:
     def __post_init__(self):
         if not (0.0 < self.stride <= self.window_len):
             raise DomainError("WindowConfig: need 0 < stride <= window_len")
-        lo, hi = self.label_range
-        if not hi > lo:
-            raise DomainError("WindowConfig: label_range must satisfy hi > lo")
+        if len(self.label_range) != 2 or not self.label_range[1] > self.label_range[0]:
+            raise DomainError("WindowConfig: label_range must be (lo, hi) with hi > lo")
 
 
 @dataclass(frozen=True)
@@ -377,127 +384,138 @@ def build_dataset(
 # ---------------------------------------------------------------------------
 
 
-def _open_reader(path):
-    return open(path, "r", encoding="utf-8", newline="")
+def _csv_rows(path, prefix: list[str]):
+    """Yield ``(line_no, row)`` for the header (line 1) and then every
+    non-blank row of a UTF-8 CSV whose header must start with ``prefix``."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or header[:len(prefix)] != prefix:
+            raise SchemaError(
+                f"{path}:1: expected header starting with {','.join(prefix)!r}, "
+                f"got {','.join(header) if header else '<empty>'!r}"
+            )
+        yield 1, header
+        for line_no, row in enumerate(reader, start=2):
+            if row:
+                yield line_no, row
 
 
-def _parse_float(text: str, path, line_no: int, column: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
+def _check_width(path, line_no: int, row: list[str], width: int,
+                 at_least: bool = False) -> None:
+    if len(row) != width and not (at_least and len(row) > width):
         raise SchemaError(
-            f"{path}:{line_no}: column {column!r} is not a number: {text!r}"
-        ) from None
-
-
-def _sorted_timestamps(path, rows, what: str) -> np.ndarray:
-    """Sort ``(t, line, ...)`` rows by time; raise on a repeated timestamp."""
-    rows.sort(key=lambda r: r[0])
-    ts = np.array([r[0] for r in rows])
-    dup = np.flatnonzero(np.diff(ts) <= 0)
-    if dup.size:
-        first, again = rows[dup[0]], rows[dup[0] + 1]
-        raise SchemaError(
-            f"{path}:{again[1]}: duplicate timestamp {again[0]!r} in {what} "
-            f"(first on line {first[1]})"
+            f"{path}:{line_no}: expected {'at least ' * at_least}{width} "
+            f"columns, got {len(row)}"
         )
-    return ts
+
+
+def _parse_numbers(path, line_no: int, cells: list[str], n_finite: int,
+                   names) -> list[float]:
+    """``cells`` as floats, the first ``n_finite`` of them finite.
+
+    The row is parsed with one ``map``; only when that fails are the cells
+    walked, to name the bad one from ``names()``, their column names.
+    """
+    try:
+        values = list(map(float, cells))
+        if all(map(math.isfinite, values[:n_finite])):
+            return values
+    except ValueError:
+        pass
+    for i, (name, text) in enumerate(zip(names(), cells)):
+        try:
+            value = float(text)
+        except ValueError:
+            value = None
+        if value is None or (i < n_finite and not math.isfinite(value)):
+            raise SchemaError(
+                f"{path}:{line_no}: column {name!r} is not "
+                f"{'a number' if value is None else 'finite'}: {text!r}"
+            )
+
+
+def write_csv(path, header: list[str], rows) -> Path:
+    """Write ``header`` and then ``rows`` (cells already formatted) as UTF-8."""
+    path = Path(path)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _sorted_series(path, groups: dict, noun: str):
+    """Yield ``(ids, timestamps, values)`` for each ``ids -> [(t, line,
+    values)]`` group of a series CSV, sorted by ids and then by time; raise
+    on a repeated timestamp."""
+    for ids, rows in sorted(groups.items()):
+        rows.sort(key=lambda r: r[0])
+        ts = np.array([r[0] for r in rows])
+        dup = np.flatnonzero(np.diff(ts) <= 0)
+        if dup.size:
+            first, again = rows[dup[0]], rows[dup[0] + 1]
+            raise SchemaError(
+                f"{path}:{again[1]}: duplicate timestamp {again[0]!r} in {noun} "
+                f"{ids[0]}/{ids[1]} (first on line {first[1]})"
+            )
+        yield ids, ts, np.array([r[2] for r in rows])
 
 
 def read_feature_csv(path) -> list[FrameSeries]:
     """Read a feature CSV into one FrameSeries per (subject, modality)."""
     path = Path(path)
     groups: dict[tuple[str, str], list[tuple[float, int, list[float]]]] = {}
-    with _open_reader(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != ["subject_id", "modality", "timestamp"]:
+    rows = _csv_rows(path, _FEATURE_COLUMNS)
+    next(rows)
+    for line_no, row in rows:
+        _check_width(path, line_no, row, 4, at_least=True)
+        cells = row[2:]
+        if "" in cells:  # empty feature cells are ignored
+            cells = [v for i, v in enumerate(cells) if v or not i]
+        values = _parse_numbers(path, line_no, cells, 1, lambda: ["timestamp"] + [
+            f"f{i}" for i, v in enumerate(row[3:]) if v])
+        group = groups.setdefault((row[0], row[1]), [])
+        if group and len(values) != len(group[0][2]) + 1:
             raise SchemaError(
-                f"{path}:1: expected header starting with "
-                "'subject_id,modality,timestamp', got "
-                f"{','.join(header) if header else '<empty>'}"
+                f"{path}:{line_no}: feature dimension differs from line "
+                f"{group[0][1]} ({len(group[0][2])}) in series {row[0]}/{row[1]}"
             )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 4:
-                raise SchemaError(f"{path}:{line_no}: missing feature columns")
-            t = _parse_float(row[2], path, line_no, "timestamp")
-            feats = [
-                _parse_float(v, path, line_no, f"f{i}")
-                for i, v in enumerate(row[3:])
-                if v != ""
-            ]
-            groups.setdefault((row[0], row[1]), []).append((t, line_no, feats))
-    out = []
-    for (subject, modality), rows in sorted(groups.items()):
-        dim = len(rows[0][2])
-        odd = [line for _, line, f in rows if len(f) != dim]
-        if odd:
-            raise SchemaError(
-                f"{path}:{odd[0]}: feature dimension differs from line "
-                f"{rows[0][1]} ({dim}) in series {subject}/{modality}"
-            )
-        ts = _sorted_timestamps(path, rows, f"series {subject}/{modality}")
-        out.append(FrameSeries(subject, ts, np.array([r[2] for r in rows]), modality))
-    return out
+        group.append((values[0], line_no, values[1:]))
+    series = _sorted_series(path, groups, "series")
+    return [FrameSeries(subject, ts, x, modality)
+            for (subject, modality), ts, x in series]
 
 
 def read_annotation_csv(path) -> list[AnnotationTrace]:
     """Read an annotation CSV into one AnnotationTrace per (subject, annotator)."""
     path = Path(path)
     groups: dict[tuple[str, str], list[tuple[float, int, float]]] = {}
-    with _open_reader(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["subject_id", "annotator_id", "timestamp", "value"]
-        if header != expected:
-            raise SchemaError(
-                f"{path}:1: expected header {','.join(expected)!r}, got "
-                f"{','.join(header) if header else '<empty>'!r}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise SchemaError(f"{path}:{line_no}: expected 4 columns")
-            t = _parse_float(row[2], path, line_no, "timestamp")
-            v = _parse_float(row[3], path, line_no, "value")
-            groups.setdefault((row[0], row[1]), []).append((t, line_no, v))
-    out = []
-    for (subject, annotator), rows in sorted(groups.items()):
-        ts = _sorted_timestamps(path, rows, f"trace {subject}/{annotator}")
-        out.append(AnnotationTrace(subject, annotator, ts,
-                                   np.array([r[2] for r in rows])))
-    return out
+    rows = _csv_rows(path, _ANNOTATION_COLUMNS)
+    _check_width(path, *next(rows), 4)
+    names = lambda: _ANNOTATION_COLUMNS[2:]  # noqa: E731
+    for line_no, row in rows:
+        _check_width(path, line_no, row, 4)
+        t, v = _parse_numbers(path, line_no, row[2:], 2, names)
+        groups.setdefault((row[0], row[1]), []).append((t, line_no, v))
+    traces = _sorted_series(path, groups, "trace")
+    return [AnnotationTrace(subject, annotator, ts, values)
+            for (subject, annotator), ts, values in traces]
 
 
 def write_feature_csv(path, series: list[FrameSeries]) -> None:
-    path = Path(path)
     max_dim = max((fs.dim for fs in series), default=0)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["subject_id", "modality", "timestamp"] + [f"f{i}" for i in range(max_dim)]
-        )
-        for fs in series:
-            for t, vec in zip(fs.timestamps, fs.features):
-                writer.writerow(
-                    [fs.subject_id, fs.modality, fmt_float(t)]
-                    + [fmt_float(v) for v in vec]
-                )
+    write_csv(path, _FEATURE_COLUMNS + [f"f{i}" for i in range(max_dim)], (
+        [fs.subject_id, fs.modality, fmt_float(t)] + [fmt_float(v) for v in vec]
+        for fs in series for t, vec in zip(fs.timestamps, fs.features)
+    ))
 
 
 def write_annotation_csv(path, traces: list[AnnotationTrace]) -> None:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "annotator_id", "timestamp", "value"])
-        for tr in traces:
-            for t, v in zip(tr.timestamps, tr.values):
-                writer.writerow(
-                    [tr.subject_id, tr.annotator_id, fmt_float(t), fmt_float(v)]
-                )
+    write_csv(path, _ANNOTATION_COLUMNS, (
+        [tr.subject_id, tr.annotator_id, fmt_float(t), fmt_float(v)]
+        for tr in traces for t, v in zip(tr.timestamps, tr.values)
+    ))
 
 
 def write_dataset(
@@ -507,19 +525,11 @@ def write_dataset(
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     dim = table.x.shape[1] if len(table) else 0
-    path = outdir / "dataset.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_DATASET_COLUMNS + [f"f{i}" for i in range(dim)])
-        for subject, start, n_annot, mu, sigma, vec in zip(
-            table.subjects.tolist(), table.starts.tolist(),
-            table.n_annotators.tolist(), table.mu.tolist(), table.sigma.tolist(),
-            table.x.tolist(),
-        ):
-            writer.writerow(
-                [subject, fmt_float(start), n_annot, fmt_float(mu), fmt_float(sigma)]
-                + [fmt_float(v) for v in vec]
-            )
+    path = write_csv(outdir / "dataset.csv", _DATASET_COLUMNS + [
+        f"f{i}" for i in range(dim)
+    ], zip(table.subjects.tolist(), map(fmt_float, table.starts),
+           table.n_annotators.tolist(),
+           *(map(fmt_float, col) for col in (table.mu, table.sigma, *table.x.T))))
     manifest = {
         "label_range": list(cfg.label_range),
         "window": {"window_len": cfg.window_len, "stride": cfg.stride},
@@ -550,45 +560,30 @@ def read_dataset(path) -> tuple[WindowTable, dict]:
     if path.is_dir():
         path = path / "dataset.csv"
     subjects, n_annot, numbers = [], [], []
-    with _open_reader(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:5] != _DATASET_COLUMNS:
-            raise SchemaError(f"{path}:1: expected dataset header {_DATASET_COLUMNS}")
-        numeric = [1] + list(range(3, len(header)))  # window_start, mu, sigma, f*
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"{path}:{line_no}: expected {len(header)} columns, "
-                    f"got {len(row)}"
-                )
-            try:
-                n_annot.append(int(row[2]))
-            except ValueError:
-                raise SchemaError(
-                    f"{path}:{line_no}: column 'n_annotators' is not an "
-                    f"integer: {row[2]!r}"
-                ) from None
-            values = [_parse_float(row[i], path, line_no, header[i]) for i in numeric]
-            if not all(map(math.isfinite, values)):
-                i = next(i for i, v in zip(numeric, values) if not math.isfinite(v))
-                raise SchemaError(
-                    f"{path}:{line_no}: column {header[i]!r} is not finite: "
-                    f"{row[i]!r}"
-                )
-            if values[2] < 0.0:
-                raise SchemaError(
-                    f"{path}:{line_no}: column 'sigma' is negative: {row[4]!r}"
-                )
-            subjects.append(row[0])
-            numbers.append(values)
-    numbers = np.array(numbers, dtype=np.float64).reshape(-1, len(numeric))
-    starts, mu, sigma = numbers[:, :3].T.copy()
-    table = WindowTable(np.array(subjects, dtype=str), starts,
-                        np.array(n_annot, dtype=np.int64), mu, sigma,
-                        numbers[:, 3:].copy())
+    rows = _csv_rows(path, _DATASET_COLUMNS)
+    _, header = next(rows)
+    names = lambda: header[1:]  # noqa: E731
+    for line_no, row in rows:
+        _check_width(path, line_no, row, len(header))
+        try:
+            n_annot.append(int(row[2]))
+        except ValueError:
+            raise SchemaError(
+                f"{path}:{line_no}: column 'n_annotators' is not an "
+                f"integer: {row[2]!r}"
+            ) from None
+        # window_start, n_annotators, mu, sigma, f*
+        values = _parse_numbers(path, line_no, row[1:], len(row) - 1, names)
+        if values[3] < 0.0:
+            raise SchemaError(
+                f"{path}:{line_no}: column 'sigma' is negative: {row[4]!r}"
+            )
+        subjects.append(row[0])
+        numbers.append(values)
+    numbers = np.array(numbers, dtype=np.float64).reshape(-1, len(header) - 1)
+    table = WindowTable(np.array(subjects, dtype=str), numbers[:, 0].copy(),
+                        np.array(n_annot, dtype=np.int64), numbers[:, 2].copy(),
+                        numbers[:, 3].copy(), numbers[:, 4:].copy())
     manifest_path = path.parent / "dataset_manifest.json"
     manifest = {}
     if manifest_path.exists():

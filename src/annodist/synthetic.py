@@ -19,7 +19,6 @@ deterministic and per-subject parallel-safe.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,15 +26,19 @@ import numpy as np
 
 from . import special
 from .consensus import MomentPair, moment_match_arrays
-from .errors import DomainError, SchemaError
+from .errors import DomainError
 from .pipeline import (
     AnnotationTrace,
     FrameSeries,
     WindowConfig,
+    _check_width,
+    _csv_rows,
+    _parse_numbers,
     _window_means,
     fmt_float,
     window_starts,
     write_annotation_csv,
+    write_csv,
     write_feature_csv,
 )
 
@@ -204,30 +207,27 @@ def generate(
     return features, annotations, GroundTruth.from_rows(truth_rows)
 
 
+_GROUND_TRUTH_COLUMNS = ["subject_id", "window_start", "mu_true", "sigma_true"]
+
+
 def write_ground_truth_csv(path, truth: GroundTruth) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "window_start", "mu_true", "sigma_true"])
-        for subject, start, mu, sigma in truth.rows:
-            writer.writerow([subject, fmt_float(start), fmt_float(mu), fmt_float(sigma)])
+    write_csv(path, _GROUND_TRUTH_COLUMNS, (
+        [subject, fmt_float(start), fmt_float(mu), fmt_float(sigma)]
+        for subject, start, mu, sigma in truth.rows
+    ))
 
 
 def read_ground_truth_csv(path) -> GroundTruth:
+    """Read per-window truth rows; every number must be finite."""
     path = Path(path)
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["subject_id", "window_start", "mu_true", "sigma_true"]
-        if header != expected:
-            raise SchemaError(f"{path}:1: expected header {','.join(expected)!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise SchemaError(f"{path}:{line_no}: expected 4 columns")
-            rows.append((row[0], float(row[1]), float(row[2]), float(row[3])))
-    return GroundTruth.from_rows(rows)
+    rows = _csv_rows(path, _GROUND_TRUTH_COLUMNS)
+    _check_width(path, *next(rows), 4)
+    truth = []
+    for line_no, row in rows:
+        _check_width(path, line_no, row, 4)
+        truth.append((row[0], *_parse_numbers(path, line_no, row[1:], 3,
+                                              lambda: _GROUND_TRUTH_COLUMNS[1:])))
+    return GroundTruth.from_rows(truth)
 
 
 def write_dataset_csvs(cfg: SyntheticConfig, outdir,

@@ -282,6 +282,15 @@ MALFORMED = {
     "build-annotation-duplicate-timestamp":
         ("build", "annotations.csv", 5, _repeat, 6),
     "fit-annotation-duplicate-timestamp": ("fit", "annotations.csv", 5, _repeat, 6),
+    "build-feature-nan-timestamp": ("build", "features.csv", 5, _set_cell(2, "nan"), 5),
+    "build-feature-inf-timestamp": ("build", "features.csv", 6, _set_cell(2, "inf"), 6),
+    "build-annotation-nan-timestamp":
+        ("build", "annotations.csv", 5, _set_cell(2, "nan"), 5),
+    "build-annotation-inf-timestamp":
+        ("build", "annotations.csv", 6, _set_cell(2, "inf"), 6),
+    "fit-annotation-nan-timestamp": ("fit", "annotations.csv", 5, _set_cell(2, "nan"), 5),
+    "fit-annotation-inf-timestamp": ("fit", "annotations.csv", 6, _set_cell(2, "inf"), 6),
+    "fit-annotation-nan-value": ("fit", "annotations.csv", 7, _set_cell(3, "nan"), 7),
 }
 
 
@@ -311,6 +320,46 @@ class TestMalformedInput:
         assert code == 2, err
         assert f"{bad}:{bad_line}:" in err
         assert "Traceback" not in err
+
+
+# (subcommand, config key, bad value): JSON types the key's default rejects.
+BAD_CONFIG_TYPES = [
+    ("synth", "n_subjects", "three"),
+    ("fit", "window_len", "3"),
+    ("run", "n_seeds", 2.5),
+    ("run", "variants", "fully_shared"),
+    ("synth", "identity_features", 1),
+    ("run", "k_folds", True),
+    ("build", "modalities", ["synth", 1]),
+]
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("sub,key,value", BAD_CONFIG_TYPES)
+    def test_wrong_json_type_exit_2(self, sub, key, value, synth_dir, built_dir,
+                                    tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        args = {
+            "synth": [],
+            "fit": ["--annotations", synth_dir / "annotations.csv"],
+            "build": ["--features", synth_dir / "features.csv",
+                      "--annotations", synth_dir / "annotations.csv"],
+            "run": ["--dataset", built_dir, "--max-epochs", 1],
+        }[sub]
+        code = run_cli(sub, *args, "--config", cfg, "--out", tmp_path / "out")
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"{cfg}: key {key!r}" in err
+        assert "Traceback" not in err
+
+    def test_ints_for_floats_and_null_modalities_accepted(self, synth_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window_len": 3, "label_range": [0, 1],
+                                   "modalities": None}))
+        assert run_cli("build", "--features", synth_dir / "features.csv",
+                       "--annotations", synth_dir / "annotations.csv",
+                       "--config", cfg, "--out", tmp_path / "out") == 0
 
 
 class TestUsageAndEnvironment:

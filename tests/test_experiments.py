@@ -1,5 +1,7 @@
 """Fold construction, grid execution, significance marking, density output."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,37 @@ class TestRunGrid:
         assert failed == {"fully_shared", "point[median]"}
         for c in report.failures():
             assert "TrainingError" in c.failed
+
+    def test_folds_are_the_plan_splits(self, tiny_report):
+        data, plan = tiny_report.data, tiny_report.fold_plan
+        assert len(tiny_report.folds) == TINY_GRID.k_folds
+        for i, fold in enumerate(tiny_report.folds):
+            for idx, subjects in ((fold.train, plan.train_subjects(i)),
+                                  (fold.val, plan.val_subjects(i)),
+                                  (fold.test, plan.test_subjects(i))):
+                np.testing.assert_array_equal(
+                    idx, np.flatnonzero(np.isin(data.subjects, subjects)))
+            np.testing.assert_array_equal(fold.mean, data.x[fold.train].mean(axis=0))
+
+    def test_constant_feature_is_not_scaled(self, tiny_table):
+        x = tiny_table.x.copy()
+        x[:, 0] = 3.0
+        data = DatasetArrays.from_samples(dataclasses.replace(tiny_table, x=x))
+        plan = make_folds(sorted(set(data.subjects.tolist())), 3, 0)
+        fold = experiments._fold(data, plan, 0)
+        assert fold.mean[0] == 3.0 and fold.std[0] == 1.0
+        assert np.all(fold.std[1:] > 0)
+
+    def test_empty_split_raises_before_any_stack(self, tiny_table, monkeypatch):
+        # With 2 folds every subject is held out, so no fold has a train split.
+        def no_stack(*args, **kwargs):
+            raise AssertionError("a stack ran despite an empty split")
+
+        monkeypatch.setattr(experiments, "_run_stack", no_stack)
+        cfg = ExperimentConfig(k_folds=2, n_seeds=1, variants=("fully_shared",),
+                               baselines=())
+        with pytest.raises(InsufficientDataError, match="fold 0: a split has no"):
+            run_grid(tiny_table, cfg)
 
     def test_per_subject_ccc_pooling(self, tiny_table, tiny_report):
         cfg = ExperimentConfig(**{

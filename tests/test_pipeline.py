@@ -315,6 +315,32 @@ class TestCsvRoundTrips:
         with pytest.raises(SchemaError, match="value"):
             read_annotation_csv(path)
 
+    def test_feature_empty_cells_ignored_nan_allowed(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("subject_id,modality,timestamp\n"
+                        "s,m,0.0,1.0,,nan\ns,m,0.5,,-inf,2.0\n")
+        (fs,) = read_feature_csv(path)
+        np.testing.assert_array_equal(fs.features, [[1.0, np.nan], [-np.inf, 2.0]])
+        path.write_text("subject_id,modality,timestamp\ns,m,0.0,,oops,1.0\n")
+        with pytest.raises(SchemaError, match="f.csv:2: column 'f1' is not a number"):
+            read_feature_csv(path)
+
+    @pytest.mark.parametrize("text,error", [
+        ("subject_id,annotator_id,timestamp,value,x\ns,a,0.0,0.5\n",
+         ":1: expected 4 columns, got 5"),
+        ("subject_id,annotator_id,timestamp,value\ns,a,0.0,0.5,1\n",
+         ":2: expected 4 columns, got 5"),
+        ("subject_id,annotator_id,timestamp,value\n\ns,a,0.0,0.5\ns,a,1.0,inf\n",
+         ":4: column 'value' is not finite: 'inf'"),
+        ("subject_id,annotator_id,timestamp,value\ns,a,,0.5\n",
+         ":2: column 'timestamp' is not a number: ''"),
+    ])
+    def test_annotation_rows_checked(self, tmp_path, text, error):
+        path = tmp_path / "a.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=f"a.csv{error}"):
+            read_annotation_csv(path)
+
     def test_bad_number_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -348,6 +374,31 @@ class TestCsvRoundTrips:
             np.testing.assert_array_equal(getattr(back, name), getattr(table, name))
         second = write_dataset(tmp_path / "two", back, report, WindowConfig())
         assert second.read_bytes() == first.read_bytes()
+
+    def test_feature_csv_round_trip(self, tmp_path):
+        # Two modalities of different widths, with NaN cells.
+        features, _ = ragged_inputs(0)
+        write_feature_csv(tmp_path / "one.csv", features)
+        back = read_feature_csv(tmp_path / "one.csv")
+        assert [(fs.subject_id, fs.modality) for fs in back] == [
+            (fs.subject_id, fs.modality) for fs in features]
+        for got, ref in zip(back, features):
+            np.testing.assert_array_equal(got.timestamps, ref.timestamps)
+            np.testing.assert_array_equal(got.features, ref.features)
+        write_feature_csv(tmp_path / "two.csv", back)
+        assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+    def test_annotation_csv_round_trip(self, tmp_path):
+        _, traces = ragged_inputs(0)
+        write_annotation_csv(tmp_path / "one.csv", traces)
+        back = read_annotation_csv(tmp_path / "one.csv")
+        assert [(tr.subject_id, tr.annotator_id) for tr in back] == [
+            (tr.subject_id, tr.annotator_id) for tr in traces]
+        for got, ref in zip(back, traces):
+            np.testing.assert_array_equal(got.timestamps, ref.timestamps)
+            np.testing.assert_array_equal(got.values, ref.values)
+        write_annotation_csv(tmp_path / "two.csv", back)
+        assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from annodist.errors import DomainError
+from annodist.errors import DomainError, SchemaError
 from annodist.metrics import PairedSeries, ccc
 from annodist.pipeline import WindowConfig, build_dataset, window_consensus, window_starts
 from annodist.synthetic import (
@@ -147,3 +147,14 @@ class TestGroundTruthCsv:
             assert got[1] == ref[1]
             assert got[2] == pytest.approx(ref[2], abs=1e-15)
             assert got[3] == pytest.approx(ref[3], abs=1e-15)
+
+    @pytest.mark.parametrize("cell,problem", [("oops", "a number"),
+                                              ("inf", "finite")])
+    def test_bad_number_names_line(self, tmp_path, cell, problem):
+        paths = write_dataset_csvs(SMALL, tmp_path)
+        lines = paths["ground_truth"].read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace(lines[3].split(",")[2], cell, 1)
+        paths["ground_truth"].write_text("".join(lines))
+        with pytest.raises(SchemaError, match=r"ground_truth\.csv:4: column "
+                           f"'mu_true' is not {problem}: '{cell}'"):
+            read_ground_truth_csv(paths["ground_truth"])
