@@ -270,7 +270,6 @@ def _cmd_run(args) -> int:
     params = _resolve(args, _RUN_DEFAULTS)
     outdir = _out_dir(args.out)
     _write_manifest(outdir, "run", args, params)
-    table, _ = pipeline.read_dataset(args.dataset)
     jobs = params["jobs"] if params["jobs"] > 0 else (os.cpu_count() or 1)
     cfg = experiments.ExperimentConfig(
         k_folds=params["k_folds"],
@@ -288,6 +287,7 @@ def _cmd_run(args) -> int:
         include_oracle=params["include_oracle"],
         jobs=jobs,
     )
+    table, _ = pipeline.read_dataset(args.dataset)
     report = experiments.run_grid(table, cfg)
     paths = experiments.write_report(report, outdir, params["significance_level"])
 

@@ -19,7 +19,16 @@ and shuffle and differ only in the target column).  Seeds are
 master_seed + {0..n_seeds-1}; a member's init and shuffle come from its seed
 alone, and each member early-stops on its own.  A member whose training
 turns non-finite fails only its own cell.  ``jobs`` runs stacks in parallel
-worker processes; the grid is deterministic and does not depend on ``jobs``.
+worker processes, which only train and predict; the grid is deterministic
+and does not depend on ``jobs``.
+
+The parent process scores every cell.  All moment cells, the oracle's
+included, are scored by one Beta fit (:func:`fit_beta_arrays`, non-strict)
+and one KL pass per direction over their concatenated test windows, then
+sliced per cell for concordance and the KL means.  Quantiles and KL terms
+are computed element by element, so each cell gets the bits it would get
+alone; if the batched fit raises, every cell is fitted alone, so a bad one
+fails by itself with its own message.
 
 Each fold's window split and training-fold z-score statistics are computed
 once, before any stack trains (:class:`Fold`), and the report keeps them for
@@ -128,6 +137,11 @@ class ExperimentConfig:
             )
         if self.n_seeds < 1 or self.k_folds < 2 or self.jobs < 1:
             raise DomainError("ExperimentConfig: bad grid dimensions")
+        if self.master_seed < 0:
+            raise DomainError(
+                f"ExperimentConfig: master_seed must be >= 0, got {self.master_seed}"
+            )
+        self.train_config()  # rejects a bad training field before any stack runs
 
     def train_config(self) -> nn.TrainConfig:
         return nn.TrainConfig(
@@ -227,15 +241,9 @@ def _score_ccc(pred, target, subjects, pooling: str) -> float:
     return float(np.mean(values))
 
 
-def _evaluate_moment_model(
-    data: DatasetArrays, mu_hat: np.ndarray, sigma_hat: np.ndarray,
-    test_idx: np.ndarray, epsilon: float, pooling: str = "pooled",
-) -> dict[str, float]:
-    subjects = data.subjects[test_idx]
-    scores = {
-        "ccc_mu": _score_ccc(mu_hat, data.mu[test_idx], subjects, pooling),
-        "ccc_sigma": _score_ccc(sigma_hat, data.sigma[test_idx], subjects, pooling),
-    }
+def _fit_and_kl(data: DatasetArrays, mu_hat, sigma_hat, test_idx, epsilon: float):
+    """Predicted descriptors and the per-window KL arrays (truth-pred,
+    pred-truth, truth-uniform) of moment predictions on ``test_idx``."""
     # Non-strict quantiles: badly clamped predictions (sigma_hat above the
     # validity cap) yield near-degenerate Betas whose quartiles collapse to
     # the interval ends; scoring them beats losing the whole grid cell, and
@@ -243,21 +251,75 @@ def _evaluate_moment_model(
     pred_alpha, pred_beta, pred_desc = fit_beta_arrays(
         mu_hat, sigma_hat, epsilon, strict=False
     )
+    t_alpha = data.truth_alpha[test_idx]
+    t_beta = data.truth_beta[test_idx]
+    ones = np.ones_like(t_alpha)
+    return (
+        pred_desc,
+        kl_beta_arrays(t_alpha, t_beta, pred_alpha, pred_beta),
+        kl_beta_arrays(pred_alpha, pred_beta, t_alpha, t_beta),
+        kl_beta_arrays(t_alpha, t_beta, ones, ones),
+    )
+
+
+def _evaluate_moment_model(
+    data: DatasetArrays, mu_hat: np.ndarray, sigma_hat: np.ndarray,
+    test_idx: np.ndarray, epsilon: float, pooling: str = "pooled",
+    fitted: tuple | None = None,
+) -> dict[str, float]:
+    """One moment cell's scores; ``fitted`` is its slice of a batched
+    :func:`_fit_and_kl`, computed here when not given."""
+    subjects = data.subjects[test_idx]
+    scores = {
+        "ccc_mu": _score_ccc(mu_hat, data.mu[test_idx], subjects, pooling),
+        "ccc_sigma": _score_ccc(sigma_hat, data.sigma[test_idx], subjects, pooling),
+    }
+    if fitted is None:
+        fitted = _fit_and_kl(data, mu_hat, sigma_hat, test_idx, epsilon)
+    pred_desc, kl_tp, kl_pt, kl_tu = fitted
     for name in DESCRIPTOR_NAMES:
         scores[f"ccc_{name}"] = _score_ccc(
             pred_desc[name], data.truth_desc[name][test_idx], subjects, pooling
         )
-    t_alpha = data.truth_alpha[test_idx]
-    t_beta = data.truth_beta[test_idx]
-    ones = np.ones_like(t_alpha)
-    kl_tp = kl_beta_arrays(t_alpha, t_beta, pred_alpha, pred_beta)
-    kl_pt = kl_beta_arrays(pred_alpha, pred_beta, t_alpha, t_beta)
-    kl_tu = kl_beta_arrays(t_alpha, t_beta, ones, ones)
     scores["kl_truth_pred"] = float(kl_tp.mean())
     scores["kl_pred_truth"] = float(kl_pt.mean())
     scores["kl_truth_uniform"] = float(kl_tu.mean())
     scores["kl_frac_better"] = float(np.mean(kl_tp < kl_tu))
     return scores
+
+
+def _score_moment_cells(data: DatasetArrays, batch: list, epsilon: float,
+                        pooling: str) -> None:
+    """Score ``(cells, mu_hat, sigma_hat, test_idx)`` entries, every cell of
+    an entry alike, with one Beta fit and KL pass over all their windows.
+
+    Each window's quantiles and KL terms are computed element by element,
+    so a cell's slice holds the bits it would get alone.  If the batched fit
+    raises, every entry is fitted alone, so a bad one fails by itself and
+    with its own message.
+    """
+    _, mu_hat, sigma_hat, test_idx = zip(*batch)
+    try:
+        fitted = _fit_and_kl(data, np.concatenate(mu_hat), np.concatenate(sigma_hat),
+                             np.concatenate(test_idx), epsilon)
+    except (AnnodistError, FloatingPointError):
+        fitted = None
+    hi = 0
+    for cells, mu_hat, sigma_hat, test_idx in batch:
+        lo, hi = hi, hi + test_idx.size
+        mine = None if fitted is None else (
+            {k: v[lo:hi] for k, v in fitted[0].items()},
+            *(kl[lo:hi] for kl in fitted[1:]),
+        )
+        try:
+            scores = _evaluate_moment_model(data, mu_hat, sigma_hat, test_idx,
+                                            epsilon, pooling, mine)
+        except (AnnodistError, FloatingPointError) as exc:
+            for cell in cells:
+                cell.failed = _failure(exc)
+            continue
+        for cell in cells:
+            cell.scores = dict(scores)
 
 
 # Worker-global payload for parallel grids (fork start method).
@@ -295,6 +357,14 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _members(cfg: ExperimentConfig, kind: str) -> list[tuple[str, str | None, int]]:
+    """(model, point target, seed) of each member of a ``kind`` stack."""
+    seeds = [cfg.master_seed + s for s in range(cfg.n_seeds)]
+    if kind == "point":
+        return [(f"point[{b}]", b, seed) for b in cfg.baselines for seed in seeds]
+    return [(kind, None, seed) for seed in seeds]
+
+
 def _run_stack(
     data: DatasetArrays,
     cfg: ExperimentConfig,
@@ -302,29 +372,21 @@ def _run_stack(
     fold: int,
     split: Fold,
 ) -> tuple[list[CellResult], np.ndarray | None]:
-    """Train and score one (kind, fold) stack on that fold's ``split``.
+    """Train one (kind, fold) stack on that fold's ``split`` and predict its
+    test windows.
 
-    Returns its cells, in member order, and for a moment variant the test
-    predictions of its master-seed member (None if that member failed).
+    Returns its cells, in member order, with failed members marked, and the
+    members' test predictions: ``(M, n_test)`` for ``point``, ``(M, n_test,
+    2)`` moments otherwise, the oracle's one member being the true moments.
+    The predictions are None when the whole stack failed.
     """
-    seeds = [cfg.master_seed + s for s in range(cfg.n_seeds)]
-    if kind == "point":
-        members = [(f"point[{b}]", b, seed) for b in cfg.baselines for seed in seeds]
-    else:
-        members = [(kind, None, seed) for seed in seeds]
+    members = _members(cfg, kind)
     cells = [CellResult(model=model, fold=fold, seed=seed)
              for model, _, seed in members]
     train_idx, val_idx, test_idx = split.train, split.val, split.test
-    subjects = data.subjects[test_idx]
+    if kind == ORACLE_MODEL:
+        return cells, np.column_stack([data.mu[test_idx], data.sigma[test_idx]])[None]
     try:
-        if kind == ORACLE_MODEL:
-            scores = _evaluate_moment_model(
-                data, data.mu[test_idx], data.sigma[test_idx], test_idx,
-                cfg.epsilon, cfg.ccc_pooling,
-            )
-            for cell in cells:
-                cell.scores = dict(scores)
-            return cells, None
         x = (data.x - split.mean) / split.std
         if kind == "point":
             y = np.stack([data.truth_desc[b] for _, b, _ in members])
@@ -341,36 +403,46 @@ def _run_stack(
         for cell in cells:
             cell.failed = _failure(exc)
         return cells, None
-
-    for m, (cell, (_, target_name, _)) in enumerate(zip(cells, members)):
-        if history.members[m].error is not None:
-            cell.failed = _failure(history.members[m].error)
-            continue
-        try:
-            if kind == "point":
-                cell.scores = {
-                    f"ccc_{target_name}": _score_ccc(
-                        pred[m], data.truth_desc[target_name][test_idx],
-                        subjects, cfg.ccc_pooling,
-                    )
-                }
-            else:
-                cell.scores = _evaluate_moment_model(
-                    data, pred[m, :, 0], pred[m, :, 1], test_idx,
-                    cfg.epsilon, cfg.ccc_pooling,
-                )
-        except (AnnodistError, FloatingPointError) as exc:
-            cell.failed = _failure(exc)
-    reference = None
-    if kind != "point" and cells[0].failed is None:
-        reference = pred[0]
-    return cells, reference
+    for cell, member in zip(cells, history.members):
+        if member.error is not None:
+            cell.failed = _failure(member.error)
+    return cells, pred
 
 
 def _run_stack_task(unit: tuple[str, int]):
     kind, fold = unit
     return _run_stack(_GRID_PAYLOAD["data"], _GRID_PAYLOAD["cfg"], kind, fold,
                       _GRID_PAYLOAD["folds"][fold])
+
+
+def _score(data: DatasetArrays, cfg: ExperimentConfig, folds: list[Fold],
+           units: list[tuple[str, int]], results: list) -> None:
+    """Score every cell that trained: one concordance per point cell, and
+    every moment cell, the oracle's included, in one batched Beta fit."""
+    batch = []
+    for (kind, fold), (cells, pred) in zip(units, results):
+        if pred is None:
+            continue
+        test_idx = folds[fold].test
+        if kind == ORACLE_MODEL:
+            batch.append((cells, pred[0, :, 0], pred[0, :, 1], test_idx))
+            continue
+        subjects = data.subjects[test_idx]
+        for m, (cell, (_, target, _)) in enumerate(zip(cells, _members(cfg, kind))):
+            if cell.failed is not None:
+                continue
+            if kind != "point":
+                batch.append(([cell], pred[m, :, 0], pred[m, :, 1], test_idx))
+                continue
+            try:
+                cell.scores = {f"ccc_{target}": _score_ccc(
+                    pred[m], data.truth_desc[target][test_idx], subjects,
+                    cfg.ccc_pooling,
+                )}
+            except (AnnodistError, FloatingPointError) as exc:
+                cell.failed = _failure(exc)
+    if batch:
+        _score_moment_cells(data, batch, cfg.epsilon, cfg.ccc_pooling)
 
 
 def run_grid(
@@ -380,10 +452,10 @@ def run_grid(
     """Train and evaluate every (model, fold, seed) cell of the grid.
 
     Each fold's split and normalisation are computed once, up front, so a
-    fold with an empty split raises before anything trains.  Work runs as
-    (network kind, fold) stacks, on at most ``cfg.jobs`` worker processes and
-    never more than there are stacks.  Cell failures are recorded in the
-    report and do not stop the grid.
+    fold with an empty split raises before anything trains.  Stacks train
+    and predict on at most ``cfg.jobs`` worker processes, never more than
+    there are stacks; this process then scores every cell.  Cell failures
+    are recorded in the report and do not stop the grid.
     """
     data = DatasetArrays.from_samples(table, cfg.epsilon)
     plan = make_folds(sorted(set(data.subjects.tolist())), cfg.k_folds,
@@ -403,6 +475,7 @@ def run_grid(
     else:
         results = [_run_stack(data, cfg, kind, fold, folds[fold])
                    for kind, fold in units]
+    _score(data, cfg, folds, units, results)
     by_key = {(c.model, c.fold, c.seed): c for cells, _ in results for c in cells}
     cells = [
         by_key[(model, fold, cfg.master_seed + s)]
@@ -410,8 +483,11 @@ def run_grid(
         for fold in range(cfg.k_folds)
         for s in range(cfg.n_seeds)
     ]
-    # With variants, units[0] is (variants[0], fold 0): the reference stack.
-    reference = results[0][1] if cfg.variants else None
+    # With variants, units[0] is (variants[0], fold 0): the reference stack,
+    # whose master-seed member is its first cell.
+    reference = None
+    if cfg.variants and results[0][0][0].failed is None:
+        reference = results[0][1][0]
     return ExperimentReport(cfg, plan, cells, folds, data, reference)
 
 

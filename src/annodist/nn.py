@@ -20,6 +20,15 @@ are ``(M, fan_in, fan_out)`` and biases ``(M, 1, fan_out)`` views into one
 ``np.matmul``.  Each reduction stays inside one member's slice, so a
 member's numbers do not depend on which other members share its stack.
 
+Each :func:`train` call allocates one :class:`Workspace` and one
+:class:`AdamState`, and every step reuses them.  The workspace holds the
+``(M, P)`` gradient buffer, whose per-layer ``.w``/``.b`` views each
+backward pass writes into with ``out=``, and each layer's pre-activation,
+activation and backward buffers for every input shape it sees (the full
+batch, a ragged last batch, the validation set).  The Adam state holds the
+moments and two temporaries.  A result written into a buffer has the bits a
+freshly allocated one would have, so the buffers change no numbers.
+
 Training minimises the joint MSE of mu and sigma (plain MSE for point nets)
 with Adam (beta1=0.9, beta2=0.999, eps=1e-8) applied to the whole buffer.  A
 member's seed draws both its init and its per-epoch shuffle.  Each member
@@ -33,10 +42,8 @@ is not finite fails alone, with a :class:`TrainingError` in its history.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -83,13 +90,10 @@ class TrainConfig:
     patience: int = 5
 
     def __post_init__(self):
-        if (
-            self.learning_rate <= 0
-            or self.batch_size < 1
-            or self.max_epochs < 1
-            or self.patience < 1
-        ):
-            raise DomainError("TrainConfig: all fields must be positive")
+        for name in ("learning_rate", "batch_size", "max_epochs", "patience"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise DomainError(f"TrainConfig: {name} must be positive, got {value!r}")
 
 
 # Layers as (param prefix, fan-in, fan-out, activation) per chain.
@@ -262,30 +266,111 @@ def _pre_activation_grad(kind: str, dout: np.ndarray, z: np.ndarray,
     raise DomainError(f"unknown activation {kind!r}")
 
 
-def _chain_forward(params, layers, x, cache=None):
+class _Layer:
+    """One layer of a stack at one input shape: its parameter and gradient
+    views, and the buffers its forward (and backward) passes write into."""
+
+    __slots__ = ("act", "w", "b", "w_t", "gw", "gb", "z", "a", "mask", "dz",
+                 "din", "a_in")
+
+    def __init__(self, act, w, b, gw, gb, n, backward, din):
+        m, fan_in, fan_out = w.shape
+        self.act, self.w, self.b, self.gw, self.gb = act, w, b, gw, gb
+        self.w_t = np.swapaxes(w, -1, -2)
+        self.z = np.empty((m, n, fan_out))
+        relu = act == "relu"
+        self.a = np.empty_like(self.z) if relu else None
+        relu_backward = relu and backward
+        self.mask = np.empty(self.z.shape, dtype=bool) if relu_backward else None
+        self.dz = np.empty_like(self.z) if relu_backward else None
+        self.din = np.empty((m, n, fan_in)) if backward and din else None
+        self.a_in = None
+
+
+@dataclass
+class _Pass:
+    """A stack's layers and loss buffers for one input shape."""
+
+    chains: dict[str, list[_Layer]]
+    residual: np.ndarray | None  # output - targets
+    dout: np.ndarray | None  # d(loss)/d(output)
+
+
+class Workspace:
+    """Every buffer a stack's passes reuse, allocated once per :func:`train`.
+
+    ``grads`` is the ``(M, P)`` gradient buffer as :class:`FlatParams`; each
+    layer writes its weight and bias gradients straight into its views.
+    Activations, pre-activations and backward temporaries are kept per input
+    shape (the full batch, a ragged last batch, the validation set), so a
+    step allocates no stack-sized array; a shape that only runs forward gets
+    no backward buffers.  A pass at one shape overwrites the previous pass at
+    that shape; outputs that alias a buffer are valid until then.
+    """
+
+    def __init__(self, net: Network):
+        self.net = net
+        self.grads = FlatParams(net.variant, np.zeros_like(net.flat))
+        self.scratch = np.empty_like(net.flat)
+        self._passes: dict[tuple[int, ...], _Pass] = {}
+
+    def pass_for(self, shape: tuple[int, ...], backward: bool = False) -> _Pass:
+        """The buffers for inputs of ``shape``, ``(n, d)`` or ``(M, n, d)``."""
+        found = self._passes.get(shape)
+        if found is None or (backward and found.dout is None):
+            found = self._passes[shape] = self._allocate(shape[-2], backward)
+        return found
+
+    def _allocate(self, n: int, backward: bool) -> _Pass:
+        net, params, grads = self.net, self.net.params, self.grads
+        # The chains that read the features need no gradient for their input.
+        reads_x = {"trunk", "shared"} if net.kind != "independent" else {"mu", "sigma"}
+        chains = {
+            chain: [
+                _Layer(act, params[name + ".w"], params[name + ".b"],
+                       grads[name + ".w"], grads[name + ".b"], n, backward,
+                       din=i > 0 or chain not in reads_x)
+                for i, (name, _, _, act) in enumerate(layers)
+            ]
+            for chain, layers in _chains(net.variant).items()
+        }
+        if not backward:
+            return _Pass(chains, None, None)
+        shape = (net.n_members, n) + (() if net.kind == "point" else (2,))
+        return _Pass(chains, np.empty(shape), np.empty(shape))
+
+
+def _chain_forward(layers: list[_Layer], x: np.ndarray) -> np.ndarray:
     a = x
-    for name, _, _, act in layers:
-        z = a @ params[f"{name}.w"] + params[f"{name}.b"]
-        a_next = _activate(act, z)
-        if cache is not None:
-            cache.append((name, act, a, z, a_next))
-        a = a_next
+    for layer in layers:
+        layer.a_in = a
+        z = np.matmul(a, layer.w, out=layer.z)
+        z += layer.b
+        if layer.act == "relu":
+            a = np.maximum(z, 0.0, out=layer.a)
+        else:
+            a = layer.a = _activate(layer.act, z)
     return a
 
 
-def _chain_backward(params, cache, dout, grads, input_grad=True):
-    # Walks the cached layer records in reverse; returns dL/d(chain input),
-    # or None when ``input_grad`` is off (the chain reads the features).
-    for i in range(len(cache) - 1, -1, -1):
-        name, act, a_in, z, a_out = cache[i]
-        dz = _pre_activation_grad(act, dout, z, a_out)
-        grads[f"{name}.w"] = np.swapaxes(a_in, -1, -2) @ dz
-        grads[f"{name}.b"] = dz.sum(axis=-2, keepdims=True)
+def _chain_backward(layers: list[_Layer], dout: np.ndarray, input_grad: bool = True):
+    # Walks the layers of the last forward pass in reverse, writing each
+    # gradient into the workspace; returns dL/d(chain input), or None when
+    # ``input_grad`` is off (the chain reads the features).
+    for i in range(len(layers) - 1, -1, -1):
+        layer = layers[i]
+        if layer.act == "relu":
+            dz = np.multiply(dout, np.greater(layer.z, 0.0, out=layer.mask),
+                             out=layer.dz)
+        else:
+            dz = _pre_activation_grad(layer.act, dout, layer.z, layer.a)
+        np.matmul(np.swapaxes(layer.a_in, -1, -2), dz, out=layer.gw)
+        np.add.reduce(dz, axis=-2, keepdims=True, out=layer.gb)
         if i or input_grad:
-            w_t = np.swapaxes(params[f"{name}.w"], -1, -2)
             # Through a one-unit layer this is an outer product: a broadcast
             # multiply gives the matmul's bits at a fraction of its cost.
-            dout = dz * w_t if dz.shape[-1] == 1 else dz @ w_t
+            product = np.multiply if dz.shape[-1] == 1 else np.matmul
+            dout = product(dz, layer.w_t, out=layer.din)
     return dout if input_grad else None
 
 
@@ -308,29 +393,24 @@ def _require_finite(what: str, *arrays) -> None:
             raise DomainError(f"{what}: inputs must be finite")
 
 
-def forward(net: Network, x, caches: dict | None = None) -> np.ndarray:
+def forward(net: Network, x, work: Workspace | None = None) -> np.ndarray:
     """Batch forward pass of every member.
 
     ``x`` is ``(n, d)``, shared by all members, or ``(M, n, d)``, one batch
     per member.  Moment variants return an ``(M, n, 2)`` array of (mu_hat,
-    sigma_hat); point variants an ``(M, n)`` array.  ``caches`` collects
-    per-chain activation records for the backward pass.  Inputs are not
-    scanned for finiteness here; :func:`train` and :func:`predict` do that.
+    sigma_hat); point variants an ``(M, n)`` array.  The pass runs in
+    ``work``'s buffers for this input shape (a fresh :class:`Workspace`
+    without one), where :func:`gradients` finds it.  Inputs are not scanned
+    for finiteness here; :func:`train` and :func:`predict` do that.
     """
     x = _as_inputs(net, x)
-    chains = _chains(net.variant)
-    record = (lambda key: caches.setdefault(key, [])) if caches is not None else (
-        lambda key: None
-    )
+    chains = (work or Workspace(net)).pass_for(x.shape).chains
     if net.kind in ("point", "fully_shared"):
-        out = _chain_forward(net.params, chains["trunk"], x, record("trunk"))
+        out = _chain_forward(chains["trunk"], x)
         return out[..., 0] if net.kind == "point" else out
-    if net.kind == "shared_first":
-        h = _chain_forward(net.params, chains["shared"], x, record("shared"))
-    else:
-        h = x
-    mu = _chain_forward(net.params, chains["mu"], h, record("mu"))
-    sigma = _chain_forward(net.params, chains["sigma"], h, record("sigma"))
+    h = _chain_forward(chains["shared"], x) if net.kind == "shared_first" else x
+    mu = _chain_forward(chains["mu"], h)
+    sigma = _chain_forward(chains["sigma"], h)
     return np.concatenate([mu, sigma], axis=-1)
 
 
@@ -341,12 +421,13 @@ def predict(net: Network, x) -> np.ndarray:
     return forward(net, x)
 
 
-def predict_moments(net: Network, x) -> tuple[np.ndarray, np.ndarray]:
-    """(mu_hat, sigma_hat), each ``(M, n)``; only for the moment kinds."""
-    if net.kind not in MOMENT_KINDS:
-        raise DomainError(f"predict_moments: not a moment variant: {net.kind!r}")
-    out = predict(net, x)
-    return out[..., 0], out[..., 1]
+def _residual_loss(kind: str, residual: np.ndarray) -> np.ndarray:
+    # Each mean is add.reduce(d*d)/n over a contiguous row, as np.mean sums.
+    if kind == "point":
+        return np.add.reduce(np.square(residual), axis=-1) / residual.shape[-1]
+    n = residual.shape[-2]
+    return (np.add.reduce(np.square(residual[..., 0]), axis=-1) / n
+            + np.add.reduce(np.square(residual[..., 1]), axis=-1) / n)
 
 
 def loss_value(net: Network, out: np.ndarray, targets) -> np.ndarray:
@@ -356,45 +437,42 @@ def loss_value(net: Network, out: np.ndarray, targets) -> np.ndarray:
     ``targets`` is shared by all members (``(n,)`` / ``(n, 2)``) or given per
     member (``(M, n)`` / ``(M, n, 2)``).
     """
-    targets = np.asarray(targets, dtype=np.float64)
-    if net.kind == "point":
-        return np.mean((out - targets) ** 2, axis=-1)
-    return (
-        np.mean((out[..., 0] - targets[..., 0]) ** 2, axis=-1)
-        + np.mean((out[..., 1] - targets[..., 1]) ** 2, axis=-1)
-    )
+    return _residual_loss(net.kind, out - np.asarray(targets, dtype=np.float64))
 
 
-def loss(net: Network, x, targets) -> np.ndarray:
-    return loss_value(net, forward(net, x), targets)
+def loss(net: Network, x, targets, work: Workspace | None = None) -> np.ndarray:
+    return loss_value(net, forward(net, x, work), targets)
 
 
-def gradients(net: Network, x, targets) -> tuple[np.ndarray, FlatParams]:
+def gradients(
+    net: Network, x, targets, work: Workspace | None = None
+) -> tuple[np.ndarray, FlatParams]:
     """Per-member losses and the analytic gradient of each member's loss
-    with respect to its own parameters, laid out like ``net.params``."""
-    targets = np.asarray(targets, dtype=np.float64)
-    caches: dict = {}
-    out = forward(net, x, caches)
-    n = out.shape[1]
-    grads = FlatParams(net.variant, np.zeros_like(net.flat))
-    value = loss_value(net, out, targets)
+    with respect to its own parameters, laid out like ``net.params``.
+
+    The gradients are ``work.grads`` (a fresh workspace's without one), and
+    the next call on that workspace overwrites them.
+    """
+    work = work or Workspace(net)
+    x = _as_inputs(net, x)
+    buffers = work.pass_for(x.shape, backward=True)
+    out = forward(net, x, work)
+    chains = buffers.chains
+    residual = np.subtract(out, targets, out=buffers.residual)
+    value = _residual_loss(net.kind, residual)
+    dout = np.multiply(residual, 2.0 / out.shape[1], out=buffers.dout)
     if net.kind == "point":
-        dout = (2.0 / n) * (out - targets)[..., None]
-        _chain_backward(net.params, caches["trunk"], dout, grads, input_grad=False)
+        _chain_backward(chains["trunk"], dout[..., None], input_grad=False)
     elif net.kind == "fully_shared":
-        dout = (2.0 / n) * (out - targets)
-        _chain_backward(net.params, caches["trunk"], dout, grads, input_grad=False)
+        _chain_backward(chains["trunk"], dout, input_grad=False)
     else:
-        d_mu = (2.0 / n) * (out[..., 0] - targets[..., 0])[..., None]
-        d_sigma = (2.0 / n) * (out[..., 1] - targets[..., 1])[..., None]
         shared = net.kind == "shared_first"
-        dh = _chain_backward(net.params, caches["mu"], d_mu, grads, input_grad=shared)
-        dh_sigma = _chain_backward(net.params, caches["sigma"], d_sigma, grads,
-                                   input_grad=shared)
+        dh = _chain_backward(chains["mu"], dout[..., :1], input_grad=shared)
+        dh_sigma = _chain_backward(chains["sigma"], dout[..., 1:], input_grad=shared)
         if shared:
-            _chain_backward(net.params, caches["shared"], dh + dh_sigma, grads,
+            _chain_backward(chains["shared"], np.add(dh, dh_sigma, out=dh),
                             input_grad=False)
-    return value, grads
+    return value, work.grads
 
 
 def finite_difference_gradients(
@@ -408,12 +486,13 @@ def finite_difference_gradients(
     """
     flat = net.flat
     grads = np.zeros_like(flat)
+    work = Workspace(net)
     for i in range(flat.shape[1]):
         orig = flat[:, i].copy()
         flat[:, i] = orig + h
-        up = loss(net, x, targets)
+        up = loss(net, x, targets, work)
         flat[:, i] = orig - h
-        down = loss(net, x, targets)
+        down = loss(net, x, targets, work)
         flat[:, i] = orig
         grads[:, i] = (up - down) / (2.0 * h)
     return FlatParams(net.variant, grads)
@@ -421,11 +500,13 @@ def finite_difference_gradients(
 
 @dataclass
 class AdamState:
-    """First and second moments over the whole ``(M, P)`` buffer."""
+    """First and second moments over the whole ``(M, P)`` buffer, and two
+    temporaries of that shape; all are allocated at the first step."""
 
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     step: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def adam_step(
@@ -438,18 +519,23 @@ def adam_step(
     """One Adam update of the ``(M, P)`` buffer; rows where ``active`` is
     False are left unchanged (their gradients must be finite)."""
     if state.m is None:
-        state.m = np.zeros_like(flat)
-        state.v = np.zeros_like(flat)
+        state.m, state.v = np.zeros_like(flat), np.zeros_like(flat)
+        state.scratch = np.empty_like(flat), np.empty_like(flat)
     state.step += 1
     t = state.step
     m, v = state.m, state.v
+    update, denom = state.scratch
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grads
+    m += np.multiply(grads, 1.0 - ADAM_BETA1, out=update)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grads * grads
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    v += np.multiply(np.multiply(grads, 1.0 - ADAM_BETA2, out=update), grads,
+                     out=update)
+    # lr * m_hat / (sqrt(v_hat) + eps), each operation in that order.
+    np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**t, out=denom), out=denom)
+    denom += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=update)
+    update *= lr
+    update /= denom
     if active is not None and not active.all():
         update *= active[:, None]
     flat -= update
@@ -457,16 +543,18 @@ def adam_step(
 
 def backward_and_step(
     net: Network, x, targets, state: AdamState, cfg: TrainConfig,
-    active: np.ndarray | None = None,
+    active: np.ndarray | None = None, work: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One gradient step of every active member.
+    """One gradient step of every active member, in ``work``'s buffers.
 
     Returns the per-member losses and a mask of the members whose loss and
     gradient norm were finite.  A member outside that mask is not updated.
     """
-    value, grads = gradients(net, x, targets)
+    work = work or Workspace(net)
+    value, grads = gradients(net, x, targets, work)
     # The max-norm is finite exactly when every entry is, and cannot overflow.
-    finite = np.isfinite(value) & np.isfinite(np.max(np.abs(grads.flat), axis=1))
+    norm = np.max(np.abs(grads.flat, out=work.scratch), axis=1)
+    finite = np.isfinite(value) & np.isfinite(norm)
     if not finite.all():
         grads.flat[~finite] = 0.0
         active = finite if active is None else active & finite
@@ -544,25 +632,28 @@ def train(
     rows = np.arange(net.n_members)[:, None]
     rngs = [np.random.default_rng(seed) for seed in net.seeds]
     members = [TrainHistory() for _ in net.seeds]
+    work = Workspace(net)
     state = AdamState()
     active = np.ones(net.n_members, dtype=bool)
     best_val = np.full(net.n_members, math.inf)
     best = net.flat.copy()
     bad_epochs = np.zeros(net.n_members, dtype=np.int64)
     order = np.empty((net.n_members, n), dtype=np.int64)
+    starts = range(0, n, cfg.batch_size)
+    batch_losses = np.empty((net.n_members, len(starts)))
     for epoch in range(1, cfg.max_epochs + 1):
         live = np.flatnonzero(active)
         if live.size == 0:
             break
         for m in live:
             order[m] = rngs[m].permutation(n)
-        batch_losses = []
-        for lo in range(0, n, cfg.batch_size):
+        for j, lo in enumerate(starts):
             idx = order[:, lo : lo + cfg.batch_size]
             y = train_y[rows, idx] if per_member_targets else train_y[idx]
-            value, finite = backward_and_step(net, train_x[idx], y, state, cfg, active)
-            failed = active & ~finite
-            if failed.any():
+            value, finite = backward_and_step(net, train_x[idx], y, state, cfg,
+                                              active, work)
+            if not finite.all():
+                failed = active & ~finite
                 for m in np.flatnonzero(failed):
                     members[m].error = TrainingError(
                         f"non-finite loss or gradient in epoch {epoch} "
@@ -572,9 +663,9 @@ def train(
                 net.flat[failed] = 0.0
                 best[failed] = 0.0
                 active &= ~failed
-            batch_losses.append(value)
-        train_loss = np.stack(batch_losses, axis=1).mean(axis=1)
-        val = loss(net, val_x, val_y)
+            batch_losses[:, j] = value
+        train_loss = batch_losses.mean(axis=1)
+        val = loss(net, val_x, val_y, work)
         improved = active & (val < best_val - MIN_IMPROVEMENT)
         for m in np.flatnonzero(active):
             members[m].train_loss.append(float(train_loss[m]))
@@ -588,30 +679,3 @@ def train(
         active &= bad_epochs < cfg.patience
     net.flat[...] = best
     return StackHistory(members)
-
-
-def save_checkpoint(net: Network, path, manifest: dict | None = None) -> None:
-    """Write parameters (npz) plus a JSON manifest alongside."""
-    path = Path(path)
-    np.savez(path.with_suffix(".npz"), **net.params)
-    meta = {
-        "kind": net.kind,
-        "input_dim": net.input_dim,
-        "seeds": list(net.seeds),
-        "param_count": count_params(net.kind, net.input_dim),
-    }
-    meta.update(manifest or {})
-    with open(path.with_suffix(".json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
-
-
-def load_checkpoint(path) -> tuple[Network, dict]:
-    path = Path(path)
-    with open(path.with_suffix(".json"), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    net = _zeros(NetworkVariant(meta["kind"], int(meta["input_dim"])), meta["seeds"])
-    with np.load(path.with_suffix(".npz")) as data:
-        for name in net.params:
-            net.params[name] = data[name]
-    return net, meta

@@ -24,13 +24,15 @@ CSV interfaces
 Timestamps are finite seconds as decimals; files are UTF-8.  Every CSV is
 read through :func:`_csv_rows` (header check, blank rows skipped),
 :func:`_check_width` and :func:`_parse_numbers`, and written through
-:func:`write_csv`.  A malformed row raises a
-:class:`~annodist.errors.SchemaError` naming its file and line.
+:func:`write_csv`; the annotation reader parses its two numeric columns
+with NumPy and checks row by row only when that fails.  A malformed row
+raises a :class:`~annodist.errors.SchemaError` naming its file and line.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import math
@@ -50,6 +52,8 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 _TIME_TOL = 1e-9
+# Rows the annotation reader holds as strings at once; bounds its memory.
+_CHUNK_ROWS = 512
 
 _FEATURE_COLUMNS = ["subject_id", "modality", "timestamp"]
 _ANNOTATION_COLUMNS = ["subject_id", "annotator_id", "timestamp", "value"]
@@ -488,12 +492,66 @@ def read_feature_csv(path) -> list[FrameSeries]:
 
 
 def read_annotation_csv(path) -> list[AnnotationTrace]:
-    """Read an annotation CSV into one AnnotationTrace per (subject, annotator)."""
+    """Read an annotation CSV into one AnnotationTrace per (subject, annotator).
+
+    Rows are taken in chunks; each chunk's timestamp and value columns are
+    parsed by NumPy, one call each, and the series are split by one stable
+    sort.  Only when a row is malformed or a series repeats a timestamp is
+    the file walked row by row, to name the first bad row with its line.
+    """
     path = Path(path)
-    groups: dict[tuple[str, str], list[tuple[float, int, float]]] = {}
     rows = _csv_rows(path, _ANNOTATION_COLUMNS)
     _check_width(path, *next(rows), 4)
+    code: dict[tuple[str, str], int] = {}
+    chunks = []
+    while chunk := [row for _, row in itertools.islice(rows, _CHUNK_ROWS)]:
+        columns = _annotation_columns(chunk, code)
+        if columns is None:
+            return _walk_annotation_rows(path)
+        chunks.append(columns)
+    if not chunks:
+        return []
+    ids = sorted(code)
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[[code[key] for key in ids]] = np.arange(len(ids))
+    ts, values, codes = (np.concatenate(c) for c in zip(*chunks))
+    codes = rank[codes]
+    # Stable: a series' rows keep file order among equal timestamps.
+    order = np.lexsort((ts, codes))
+    ts, values, codes = ts[order], values[order], codes[order]
+    if np.any((np.diff(ts) <= 0) & (np.diff(codes) == 0)):
+        return _walk_annotation_rows(path)
+    bounds = np.searchsorted(codes, np.arange(len(ids) + 1))
+    return [AnnotationTrace(subject, annotator, ts[lo:hi], values[lo:hi])
+            for (subject, annotator), lo, hi in zip(ids, bounds, bounds[1:])]
+
+
+def _annotation_columns(rows: list[list[str]], code: dict):
+    """(timestamps, values, series codes) of well-formed annotation rows,
+    adding new (subject, annotator) pairs to ``code``; None if any row is
+    malformed."""
+    if set(map(len, rows)) != {4}:
+        return None
+    subjects, annotators, t, v = zip(*rows)
+    try:
+        ts, values = np.array(t, dtype=np.float64), np.array(v, dtype=np.float64)
+    except ValueError:
+        return None
+    if not (np.isfinite(ts).all() and np.isfinite(values).all()):
+        return None
+    for key in set(zip(subjects, annotators)) - code.keys():
+        code[key] = len(code)
+    return ts, values, np.fromiter(map(code.__getitem__, zip(subjects, annotators)),
+                                   np.intp, len(t))
+
+
+def _walk_annotation_rows(path) -> list[AnnotationTrace]:
+    """:func:`read_annotation_csv` row by row; raises at the first malformed
+    row or repeated timestamp."""
+    groups: dict[tuple[str, str], list[tuple[float, int, float]]] = {}
     names = lambda: _ANNOTATION_COLUMNS[2:]  # noqa: E731
+    rows = _csv_rows(path, _ANNOTATION_COLUMNS)
+    next(rows)
     for line_no, row in rows:
         _check_width(path, line_no, row, 4)
         t, v = _parse_numbers(path, line_no, row[2:], 2, names)

@@ -70,6 +70,8 @@ class SyntheticConfig:
             raise DomainError("SyntheticConfig: bad latent/feature dimensions")
         if self.noise_std < 0 or self.annotator_bias_std < 0:
             raise DomainError("SyntheticConfig: noise levels must be >= 0")
+        if self.seed < 0:
+            raise DomainError(f"SyntheticConfig: seed must be >= 0, got {self.seed}")
         if self.identity_features and self.feature_dim != 2 + self.latent_dim:
             raise DomainError(
                 "SyntheticConfig: identity_features requires "

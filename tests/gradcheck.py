@@ -11,13 +11,13 @@ def min_relu_margin(net, x) -> float:
     Central differences are invalid when a perturbation crosses the ReLU
     kink; callers should redraw inputs until the margin clears the step.
     """
-    caches: dict = {}
-    nn.forward(net, x, caches)
+    work = nn.Workspace(net)
+    nn.forward(net, x, work)
     margin = np.inf
-    for records in caches.values():
-        for _, act, _, z, _ in records:
-            if act == "relu":
-                margin = min(margin, float(np.min(np.abs(z))))
+    for layers in work.pass_for(np.shape(x)).chains.values():
+        for layer in layers:
+            if layer.act == "relu":
+                margin = min(margin, float(np.min(np.abs(layer.z))))
     return margin
 
 

@@ -362,6 +362,42 @@ class TestConfigTypes:
                        "--config", cfg, "--out", tmp_path / "out") == 0
 
 
+# (subcommand, flag, value, field the error must name)
+BAD_FIELDS = [
+    ("run", "--batch-size", 0, "batch_size"),
+    ("run", "--max-epochs", 0, "max_epochs"),
+    ("run", "--patience", 0, "patience"),
+    ("run", "--learning-rate", 0, "learning_rate"),
+    ("run", "--learning-rate", -0.001, "learning_rate"),
+    ("run", "--master-seed", -1, "master_seed"),
+    ("synth", "--seed", -1, "seed"),
+]
+
+
+class TestFieldChecks:
+    @pytest.mark.parametrize("sub,flag,value,field", BAD_FIELDS)
+    def test_bad_field_exit_2_before_any_work(self, sub, flag, value, field,
+                                              built_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["--dataset", built_dir] if sub == "run" else list(SYNTH_ARGS)
+        code = run_cli(sub, *args, flag, value, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert field in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    def test_negative_master_seed_in_config_exit_2(self, built_dir, tmp_path,
+                                                   capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"master_seed": -1}))
+        code = run_cli("run", "--dataset", built_dir, "--config", cfg,
+                       "--out", tmp_path / "out")
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "master_seed" in err and "Traceback" not in err
+
+
 class TestUsageAndEnvironment:
     def test_unknown_flag_exit_1(self, synth_dir, capsys):
         assert run_cli("synth", "--out", "x", "--bogus-flag", "1") == 1

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from annodist import experiments
+from annodist import experiments, special
 from annodist.consensus import BetaParams, beta_pdf
 from annodist.errors import DomainError, InsufficientDataError
 from annodist.experiments import (
@@ -199,6 +199,54 @@ class TestRunGrid:
         for c in report.cells:
             assert np.isfinite(c.scores["ccc_median"])
             assert np.isfinite(c.scores["kl_truth_pred"])
+
+
+class TestBatchedScoring:
+    def _batch(self, report, rng):
+        # Two cells with random predictions, some sigma_hat above the
+        # validity cap, on different folds, and a two-seed oracle entry.
+        data, folds = report.data, report.folds
+        batch = []
+        for fold in folds[:2]:
+            n = fold.test.size
+            batch.append(([CellResult("fully_shared", 0, 1)],
+                          rng.uniform(0.05, 0.95, n), rng.uniform(0.01, 0.6, n),
+                          fold.test))
+        test = folds[2].test
+        batch.append(([CellResult("oracle", 2, s) for s in (1, 2)],
+                      data.mu[test], data.sigma[test], test))
+        return batch
+
+    @pytest.mark.parametrize("pooling", experiments.CCC_POOLINGS)
+    def test_batched_cells_match_cells_scored_alone(self, tiny_report, pooling,
+                                                    monkeypatch):
+        data = tiny_report.data
+        batch = self._batch(tiny_report, np.random.default_rng(32))
+        calls = []
+        inverse = special.inv_reg_inc_beta
+        monkeypatch.setattr(special, "inv_reg_inc_beta",
+                            lambda *a, **k: calls.append(1) or inverse(*a, **k))
+        experiments._score_moment_cells(data, batch, 1e-4, pooling)
+        assert len(calls) == 1
+        for cells, mu_hat, sigma_hat, test_idx in batch:
+            alone = experiments._evaluate_moment_model(
+                data, mu_hat, sigma_hat, test_idx, 1e-4, pooling)
+            for cell in cells:
+                assert cell.failed is None
+                assert cell.scores == alone
+
+    def test_a_cell_whose_scoring_raises_fails_alone(self, tiny_report):
+        data = tiny_report.data
+        batch = self._batch(tiny_report, np.random.default_rng(33))
+        cells, mu_hat, sigma_hat, test_idx = batch[1]
+        mu_hat[3] = np.nan
+        experiments._score_moment_cells(data, batch, 1e-4, "pooled")
+        assert cells[0].failed == "DomainError: PairedSeries: values must be finite"
+        for cells, mu_hat, sigma_hat, test_idx in batch[::2]:
+            alone = experiments._evaluate_moment_model(
+                data, mu_hat, sigma_hat, test_idx, 1e-4)
+            for cell in cells:
+                assert cell.failed is None and cell.scores == alone
 
 
 def _fake_report(score_map, n_folds=1):

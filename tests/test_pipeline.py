@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from annodist import pipeline
 from annodist.consensus import clamp_moments, consensus_moments
 from annodist.errors import (
     DomainError,
@@ -15,6 +16,7 @@ from annodist.pipeline import (
     FrameSeries,
     WindowConfig,
     build_dataset,
+    fmt_float,
     read_annotation_csv,
     read_dataset,
     read_feature_csv,
@@ -497,6 +499,30 @@ def ragged_inputs(seed):
 
 class TestLoopReference:
     CFG = WindowConfig(3.0, 0.4)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 512])
+    def test_annotation_reader_matches_row_walk(self, tmp_path, monkeypatch, chunk):
+        # Interleaved, unsorted series over many chunks; then one bad row in
+        # a late chunk, which must still be named by its line.
+        monkeypatch.setattr(pipeline, "_CHUNK_ROWS", chunk)
+        _, traces = ragged_inputs(1)
+        rows = [f"{tr.subject_id},{tr.annotator_id},{fmt_float(t)},{fmt_float(v)}"
+                for tr in traces for t, v in zip(tr.timestamps, tr.values)]
+        np.random.default_rng(4).shuffle(rows)
+        path = tmp_path / "a.csv"
+        header = "subject_id,annotator_id,timestamp,value\n"
+        path.write_text(header + "\n".join(rows) + "\n")
+        read, walked = read_annotation_csv(path), pipeline._walk_annotation_rows(path)
+        assert [(tr.subject_id, tr.annotator_id) for tr in read] == [
+            (tr.subject_id, tr.annotator_id) for tr in walked]
+        for got, ref in zip(read, walked):
+            np.testing.assert_array_equal(got.timestamps, ref.timestamps)
+            np.testing.assert_array_equal(got.values, ref.values)
+        rows[-3] = rows[-3].rsplit(",", 1)[0] + ",nan"
+        path.write_text(header + "\n".join(rows) + "\n")
+        with pytest.raises(SchemaError, match=f"a.csv:{len(rows) - 1}: column "
+                                              "'value' is not finite"):
+            read_annotation_csv(path)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_window_features_match_loop(self, seed):
