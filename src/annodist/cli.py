@@ -1,8 +1,14 @@
 """Command-line entry point: synth, build, fit, run, report.
 
 Configuration comes from an optional JSON file plus flag overrides
-(flags > file > defaults).  Every subcommand writes a ``manifest.json`` into
-its output directory before computing anything, recording the resolved
+(flags > file > defaults).  Each parameter key is one row of ``_PARAMS``;
+its default and range check belong to the config that owns it
+(:class:`synthetic.SyntheticConfig`, :class:`pipeline.WindowConfig`,
+:class:`experiments.ExperimentConfig`, or :class:`CliConfig` for the keys
+only the CLI has).  Every value is type-, finiteness- and range-checked
+before anything is written, so a rejected invocation exits 2 naming its key
+and leaves no output.  An accepted one writes a ``manifest.json`` into its
+output directory before computing anything, recording the resolved
 parameters, master seed and tool version; a run is reproducible from its
 manifest alone.  ``ANNODIST_OUT_ROOT`` prefixes relative output paths.
 
@@ -15,15 +21,114 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, experiments, nn, pipeline, synthetic
-from .consensus import DESCRIPTOR_NAMES, fit_beta_arrays
-from .errors import DataError, InsufficientDataError, NumericError, TrainingError
+from .consensus import DEFAULT_EPSILON, DESCRIPTOR_NAMES, EPSILON_RANGE, fit_beta_arrays
+from .errors import (
+    DataError,
+    InsufficientDataError,
+    NumericError,
+    TrainingError,
+    at_least,
+    check_fields,
+)
 
 OUT_ROOT_ENV = "ANNODIST_OUT_ROOT"
+
+
+@dataclass(frozen=True)
+class CliConfig:
+    """The parameters no library config owns, with their defaults and ranges."""
+
+    epsilon: float = DEFAULT_EPSILON
+    modalities: tuple[str, ...] | None = None
+    jobs: int = 0  # 0 = one worker per available core (at most one per stack)
+    density_windows: int = 8
+    significance_level: float = 0.05
+
+    def __post_init__(self):
+        check_fields(
+            self, epsilon=EPSILON_RANGE,
+            modalities=(lambda m: m is None or len(m) > 0, "null or a non-empty list"),
+            jobs=at_least(0), density_windows=at_least(0),
+            significance_level=(lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+        )
+
+
+# One row per parameter key: its help text and argparse extras.  The flag is
+# --key-name unless the row names one; its type follows the key's default.
+_PARAMS = {
+    "n_subjects": {"help": "subjects to generate"},
+    "duration": {"help": "seconds per subject"},
+    "frame_rate": {"help": "feature frames per second"},
+    "n_annotators": {"help": "annotators per subject"},
+    "feature_dim": {"help": "feature columns"},
+    "latent_dim": {"help": "nuisance latents mixed into the features"},
+    "noise_std": {"help": "standard deviation of the feature noise"},
+    "seed": {"help": "generator seed"},
+    "annotation_rate": {"help": "annotation marks per second"},
+    "annotator_bias_std": {"help": "standard deviation of each annotator's bias"},
+    "identity_features": {"help": "features are the latents themselves"},
+    "window_len": {"help": "window length in seconds"},
+    "stride": {"help": "window shift in seconds"},
+    "label_range": {"help": "annotation scale, mapped onto [0, 1]", "nargs": 2,
+                    "metavar": ("LO", "HI")},
+    "epsilon": {"help": "margin of the Beta validity clamp"},
+    "modalities": {"help": "feature modalities to join, in order (default: all)",
+                   "nargs": "+"},
+    "k_folds": {"help": "subject folds"},
+    "n_seeds": {"help": "seeds per model and fold"},
+    "master_seed": {"help": "first seed; also seeds the fold assignment"},
+    "variants": {"help": "moment network variants", "nargs": "+",
+                 "choices": nn.MOMENT_KINDS},
+    "baselines": {"help": "descriptor targets of the point baselines", "nargs": "*",
+                  "choices": DESCRIPTOR_NAMES},
+    "learning_rate": {"help": "Adam learning rate"},
+    "batch_size": {"help": "training batch size"},
+    "max_epochs": {"help": "epoch limit per network"},
+    "patience": {"help": "epochs without validation gain before a member stops"},
+    "kl_direction": {"help": "KL direction reported first",
+                     "choices": experiments.KL_DIRECTIONS},
+    "ccc_pooling": {"help": "CCC over all test windows or averaged per subject",
+                    "choices": experiments.CCC_POOLINGS},
+    "include_oracle": {"help": "add an oracle model fed the true targets",
+                       "flag": "--oracle"},
+    "jobs": {"help": "worker processes; 0 means one per core"},
+    "density_windows": {"help": "test windows written to density_data.csv"},
+    "significance_level": {"help": "level of the paired Wilcoxon tests"},
+}
+
+
+def _keys(owner, *skip) -> tuple:
+    return tuple(f.name for f in fields(owner) if f.name not in skip)
+
+
+# Each subcommand's keys in flag order, grouped by the config that owns them:
+# its field default is the key's default and its __post_init__ the key's
+# range check.
+_OWNERS = {
+    "synth": ((synthetic.SyntheticConfig, _keys(synthetic.SyntheticConfig)),
+              (pipeline.WindowConfig, _keys(pipeline.WindowConfig, "label_range"))),
+    "build": ((pipeline.WindowConfig, _keys(pipeline.WindowConfig)),
+              (CliConfig, ("epsilon", "modalities"))),
+    "fit": ((pipeline.WindowConfig, _keys(pipeline.WindowConfig)),
+            (CliConfig, ("epsilon",))),
+    "run": ((experiments.ExperimentConfig, _keys(experiments.ExperimentConfig, "jobs")),
+            (CliConfig, ("jobs", "density_windows", "significance_level"))),
+}
+
+
+def _defaults(subcommand: str) -> dict:
+    return {f.name: f.default for owner, keys in _OWNERS[subcommand]
+            for f in fields(owner) if f.name in keys}
+
+
+def _flag(key: str) -> str:
+    return _PARAMS[key].get("flag", "--" + key.replace("_", "-"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,55 +161,67 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-_KINDS = {bool: "boolean", int: "integer", float: "number", str: "string"}
+_KINDS = {bool: ("a boolean", "booleans"), int: ("an integer", "integers"),
+          float: ("a finite number", "finite numbers"), str: ("a string", "strings")}
 
 
-def _check_type(path: str, key: str, value, default) -> None:
-    """Reject a config-file value whose JSON type is not its default's.
+def _check_type(source: str, key: str, value, default) -> None:
+    """Reject a value whose JSON type is not its default's.
 
-    A bool is not a number, an int also passes for a float, a list takes
-    items of its default's item type, and the ``None`` default of
-    ``modalities`` takes null or a list of strings.
+    A bool is not a number, an int also passes for a float, a float must be
+    finite, a list takes items of its default's item type, and the ``None``
+    default of ``modalities`` takes null or a list of strings.
     """
     def fits(v, kind):
-        return type(v) is kind or (kind is float and type(v) is int)
+        if kind is float:
+            return type(v) in (int, float) and abs(v) <= sys.float_info.max
+        return type(v) is kind
 
-    if default is None or isinstance(default, list):
+    if default is None or isinstance(default, tuple):
         kind = type(default[0]) if default else str
         ok = (value is None and default is None) or (
             isinstance(value, list) and all(fits(v, kind) for v in value))
-        what = "null or " * (default is None) + f"a list of {_KINDS[kind]}s"
+        what = "null or " * (default is None) + f"a list of {_KINDS[kind][1]}"
     else:
-        ok, what = fits(value, type(default)), f"of type {_KINDS[type(default)]}"
+        ok, what = fits(value, type(default)), _KINDS[type(default)][0]
     if not ok:
-        raise DataError(f"{path}: key {key!r} must be {what}, got {json.dumps(value)}")
+        raise DataError(f"{source}: key {key!r} must be {what}, got {json.dumps(value)}")
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults <- config file <- explicit CLI flags."""
-    resolved = dict(defaults)
-    path = getattr(args, "config", None)
-    file_cfg = _load_config(path)
-    unknown = set(file_cfg) - set(defaults)
+def _resolve(args: argparse.Namespace) -> tuple[dict, list]:
+    """Merge defaults <- config file <- explicit flags, type-check each value
+    given and build the subcommand's configs (which check the ranges), all
+    before anything is written.
+
+    Returns the parameters for the manifest and the configs in ``_OWNERS``
+    order; lists become tuples in the configs.
+    """
+    params = _defaults(args.subcommand)
+    file_cfg = _load_config(args.config)
+    unknown = set(file_cfg) - set(params)
     if unknown:
         raise DataError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in file_cfg.items():
-        _check_type(path, key, value, defaults[key])
-    resolved.update(file_cfg)
-    for key in defaults:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-    return resolved
+    given = [(args.config, key, value) for key, value in file_cfg.items()]
+    given += [(f"flag {_flag(key)}", key, value) for key in params
+              if (value := getattr(args, key)) is not None]
+    for source, key, value in given:
+        _check_type(source, key, value, params[key])
+    params.update((key, value) for _, key, value in given)
+    configs = [owner(**{k: tuple(params[k]) if isinstance(params[k], list)
+                        else params[k] for k in keys})
+               for owner, keys in _OWNERS[args.subcommand]]
+    return params, configs
 
 
-def _write_manifest(outdir: Path, subcommand: str, args, params: dict) -> None:
+def _write_manifest(args, params: dict) -> Path:
+    """Create the output directory and record ``params`` in it; returns it."""
+    outdir = _out_dir(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "tool": "annodist",
         "tool_version": __version__,
-        "subcommand": subcommand,
-        "config_file": getattr(args, "config", None),
+        "subcommand": args.subcommand,
+        "config_file": args.config,
         "parameters": params,
         "master_seed": params.get("seed", params.get("master_seed")),
         "output_dir": str(outdir),
@@ -112,45 +229,22 @@ def _write_manifest(outdir: Path, subcommand: str, args, params: dict) -> None:
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _window_config(params: dict) -> pipeline.WindowConfig:
-    return pipeline.WindowConfig(
-        window_len=params["window_len"],
-        stride=params["stride"],
-        label_range=tuple(params["label_range"]),
-    )
+    return outdir
 
 
 # ---------------------------------------------------------------------------
-# synth
+# synth, build, fit, run, report
 # ---------------------------------------------------------------------------
 
-_SYNTH_DEFAULTS = {
-    "n_subjects": 20,
-    "duration": 150.0,
-    "frame_rate": 25.0,
-    "n_annotators": 6,
-    "feature_dim": 24,
-    "latent_dim": 4,
-    "noise_std": 0.02,
-    "seed": 0,
-    "annotation_rate": 5.0,
-    "annotator_bias_std": 0.0,
-    "identity_features": False,
-    "window_len": 3.0,
-    "stride": 0.4,
-}
+
+def _read_traces(path, cfg: pipeline.WindowConfig) -> list:
+    return [pipeline.rescale_annotations(tr, cfg.label_range)
+            for tr in pipeline.read_annotation_csv(path)]
 
 
 def _cmd_synth(args) -> int:
-    params = _resolve(args, _SYNTH_DEFAULTS)
-    outdir = _out_dir(args.out)
-    _write_manifest(outdir, "synth", args, params)
-    cfg = synthetic.SyntheticConfig(
-        **{k: params[k] for k in _SYNTH_DEFAULTS if k not in ("window_len", "stride")}
-    )
-    window_cfg = pipeline.WindowConfig(params["window_len"], params["stride"])
+    params, (cfg, window_cfg) = _resolve(args)
+    outdir = _write_manifest(args, params)
     paths = synthetic.write_dataset_csvs(cfg, outdir, window_cfg)
     for name, path in paths.items():
         with open(path, "r", encoding="utf-8") as fh:
@@ -159,36 +253,18 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# build
-# ---------------------------------------------------------------------------
-
-_BUILD_DEFAULTS = {
-    "window_len": 3.0,
-    "stride": 0.4,
-    "label_range": [0.0, 1.0],
-    "epsilon": 1e-4,
-    "modalities": None,
-}
-
-
 def _cmd_build(args) -> int:
-    params = _resolve(args, _BUILD_DEFAULTS)
-    outdir = _out_dir(args.out)
-    _write_manifest(outdir, "build", args, params)
-    cfg = _window_config(params)
+    params, (cfg, opts) = _resolve(args)
+    outdir = _write_manifest(args, params)
     features = pipeline.read_feature_csv(args.features)
-    traces = [
-        pipeline.rescale_annotations(tr, cfg.label_range)
-        for tr in pipeline.read_annotation_csv(args.annotations)
-    ]
+    traces = _read_traces(args.annotations, cfg)
     if len(traces) < 2:
         raise InsufficientDataError(
             f"build: need annotation traces from >= 2 annotators, "
             f"got {len(traces)} in {args.annotations}"
         )
     table, report = pipeline.build_dataset(
-        features, traces, cfg, params["modalities"], params["epsilon"]
+        features, traces, cfg, opts.modalities, opts.epsilon
     )
     path = pipeline.write_dataset(outdir, table, report, cfg)
     print(f"dataset: {path}")
@@ -201,29 +277,11 @@ def _cmd_build(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# fit
-# ---------------------------------------------------------------------------
-
-_FIT_DEFAULTS = {
-    "window_len": 3.0,
-    "stride": 0.4,
-    "label_range": [0.0, 1.0],
-    "epsilon": 1e-4,
-}
-
-
 def _cmd_fit(args) -> int:
-    params = _resolve(args, _FIT_DEFAULTS)
-    outdir = _out_dir(args.out)
-    _write_manifest(outdir, "fit", args, params)
-    cfg = _window_config(params)
-    eps = params["epsilon"]
-    traces = [
-        pipeline.rescale_annotations(tr, cfg.label_range)
-        for tr in pipeline.read_annotation_csv(args.annotations)
-    ]
-    table, _ = pipeline.window_consensus(traces, cfg, eps)
+    params, (cfg, opts) = _resolve(args)
+    outdir = _write_manifest(args, params)
+    eps = opts.epsilon
+    table, _ = pipeline.window_consensus(_read_traces(args.annotations, cfg), cfg, eps)
     if not len(table):
         raise DataError("fit: no valid windows found")
     mu, sigma = table.mu, table.sigma
@@ -242,61 +300,20 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# run
-# ---------------------------------------------------------------------------
-
-_RUN_DEFAULTS = {
-    "k_folds": 5,
-    "n_seeds": 10,
-    "master_seed": 0,
-    "variants": list(nn.MOMENT_KINDS),
-    "baselines": list(DESCRIPTOR_NAMES),
-    "learning_rate": 1e-3,
-    "batch_size": 128,
-    "max_epochs": 50,
-    "patience": 5,
-    "epsilon": 1e-4,
-    "kl_direction": "truth_first",
-    "ccc_pooling": "pooled",
-    "include_oracle": False,
-    "jobs": 0,  # 0 = one worker per available core (at most one per stack)
-    "density_windows": 8,
-    "significance_level": 0.05,
-}
-
-
 def _cmd_run(args) -> int:
-    params = _resolve(args, _RUN_DEFAULTS)
-    outdir = _out_dir(args.out)
-    _write_manifest(outdir, "run", args, params)
-    jobs = params["jobs"] if params["jobs"] > 0 else (os.cpu_count() or 1)
-    cfg = experiments.ExperimentConfig(
-        k_folds=params["k_folds"],
-        n_seeds=params["n_seeds"],
-        master_seed=params["master_seed"],
-        variants=tuple(params["variants"]),
-        baselines=tuple(params["baselines"]),
-        learning_rate=params["learning_rate"],
-        batch_size=params["batch_size"],
-        max_epochs=params["max_epochs"],
-        patience=params["patience"],
-        epsilon=params["epsilon"],
-        kl_direction=params["kl_direction"],
-        ccc_pooling=params["ccc_pooling"],
-        include_oracle=params["include_oracle"],
-        jobs=jobs,
-    )
+    params, (cfg, opts) = _resolve(args)
+    cfg = replace(cfg, jobs=opts.jobs or os.cpu_count() or 1)
+    outdir = _write_manifest(args, params)
     table, _ = pipeline.read_dataset(args.dataset)
     report = experiments.run_grid(table, cfg)
-    paths = experiments.write_report(report, outdir, params["significance_level"])
+    paths = experiments.write_report(report, outdir, opts.significance_level)
 
     pred = report.reference_predictions
-    if params["density_windows"] > 0 and pred is not None:
+    if opts.density_windows > 0 and pred is not None:
         # The grid's own variants[0] / fold-0 / master-seed member.
         test_idx = report.folds[0].test
         pick = np.linspace(
-            0, test_idx.size - 1, min(params["density_windows"], test_idx.size)
+            0, test_idx.size - 1, min(opts.density_windows, test_idx.size)
         ).astype(int)
         paths["density"] = experiments.emit_density_data(
             report.data, pred[pick, 0], pred[pick, 1], test_idx[pick],
@@ -314,11 +331,6 @@ def _cmd_run(args) -> int:
         return 3
     print(f"grid complete: {len(report.cells)} cells")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# report
-# ---------------------------------------------------------------------------
 
 
 def _cmd_report(args) -> int:
@@ -366,86 +378,37 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_override(parser, name, kind, help_text=""):
-    parser.add_argument(name, type=kind, default=None, help=help_text)
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="annodist", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_Parser)
-
-    p = sub.add_parser("synth", help="generate a synthetic multi-annotator dataset")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="JSON config file")
-    _add_override(p, "--n-subjects", int)
-    _add_override(p, "--duration", float)
-    _add_override(p, "--frame-rate", float)
-    _add_override(p, "--n-annotators", int)
-    _add_override(p, "--feature-dim", int)
-    _add_override(p, "--latent-dim", int)
-    _add_override(p, "--noise-std", float)
-    _add_override(p, "--seed", int)
-    _add_override(p, "--annotation-rate", float)
-    _add_override(p, "--annotator-bias-std", float)
-    p.add_argument("--identity-features", action="store_const", const=True,
-                   default=None)
-    _add_override(p, "--window-len", float)
-    _add_override(p, "--stride", float)
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("build", help="window features and annotations into a dataset")
-    p.add_argument("--features", required=True)
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", help="JSON config file")
-    _add_override(p, "--window-len", float)
-    _add_override(p, "--stride", float)
-    p.add_argument("--label-range", nargs=2, type=float, default=None,
-                   metavar=("LO", "HI"))
-    _add_override(p, "--epsilon", float)
-    p.add_argument("--modalities", nargs="+", default=None)
-    p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("fit", help="fit per-window Beta parameters and descriptors")
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", help="JSON config file")
-    _add_override(p, "--window-len", float)
-    _add_override(p, "--stride", float)
-    p.add_argument("--label-range", nargs=2, type=float, default=None,
-                   metavar=("LO", "HI"))
-    _add_override(p, "--epsilon", float)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("run", help="run the cross-validation experiment grid")
-    p.add_argument("--dataset", required=True, help="built dataset dir or CSV")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", help="JSON config file")
-    _add_override(p, "--k-folds", int)
-    _add_override(p, "--n-seeds", int)
-    _add_override(p, "--master-seed", int)
-    p.add_argument("--variants", nargs="+", default=None,
-                   choices=list(nn.MOMENT_KINDS))
-    p.add_argument("--baselines", nargs="*", default=None,
-                   choices=list(DESCRIPTOR_NAMES))
-    _add_override(p, "--learning-rate", float)
-    _add_override(p, "--batch-size", int)
-    _add_override(p, "--max-epochs", int)
-    _add_override(p, "--patience", int)
-    _add_override(p, "--epsilon", float)
-    p.add_argument("--kl-direction", choices=list(experiments.KL_DIRECTIONS),
-                   default=None)
-    p.add_argument("--ccc-pooling", choices=list(experiments.CCC_POOLINGS),
-                   default=None)
-    p.add_argument("--oracle", dest="include_oracle", action="store_const",
-                   const=True, default=None,
-                   help="add an oracle model fed the true targets")
-    _add_override(p, "--jobs", int)
-    _add_override(p, "--density-windows", int)
-    _add_override(p, "--significance-level", float)
-    p.set_defaults(func=_cmd_run)
+    features = ("--features", "feature CSV")
+    annotations = ("--annotations", "annotation CSV")
+    commands = {
+        "synth": ("generate a synthetic multi-annotator dataset", _cmd_synth, ()),
+        "build": ("window features and annotations into a dataset", _cmd_build,
+                  (features, annotations)),
+        "fit": ("fit per-window Beta parameters and descriptors", _cmd_fit,
+                (annotations,)),
+        "run": ("run the cross-validation experiment grid", _cmd_run,
+                (("--dataset", "built dataset dir or CSV"),)),
+    }
+    for name, (help_text, func, inputs) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, input_help in inputs:
+            p.add_argument(flag, required=True, help=input_help)
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--config", help="JSON config file")
+        for key, default in _defaults(name).items():
+            extra = {k: v for k, v in _PARAMS[key].items() if k != "flag"}
+            kind = type(default[0] if isinstance(default, tuple) else default)
+            if kind is bool:
+                extra.update(action="store_const", const=True)
+            elif kind in (int, float):
+                extra["type"] = kind
+            p.add_argument(_flag(key), dest=key, default=None, **extra)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("report", help="print summary tables for a finished run")
     p.add_argument("--run", required=True, help="run output directory")

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .errors import DomainError, InsufficientDataError, ValidityError
+from .errors import DomainError, InsufficientDataError, ValidityError, check
 
 DEFAULT_EPSILON = 1e-4
+EPSILON_RANGE = (lambda e: 0.0 < e < 0.5, "in (0, 0.5)")
 
 #: Report order for the derived higher-order descriptors.
 DESCRIPTOR_NAMES = ("median", "q25", "q75", "skew", "kurt")
@@ -126,8 +127,7 @@ def clamp_moments(raw: MomentPair, epsilon: float = DEFAULT_EPSILON) -> MomentPa
 
 def clamp_moments_arrays(mu, sigma, epsilon: float = DEFAULT_EPSILON):
     """Vectorised :func:`clamp_moments` on arrays of raw moments."""
-    if not 0.0 < epsilon < 0.5:
-        raise DomainError("clamp_moments: epsilon must lie in (0, 0.5)")
+    check("clamp_moments", "epsilon", epsilon, EPSILON_RANGE)
     mu = np.clip(np.asarray(mu, dtype=np.float64), epsilon, 1.0 - epsilon)
     cap = mu * (1.0 - mu)
     var = np.clip(np.square(np.asarray(sigma, dtype=np.float64)),

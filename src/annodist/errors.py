@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy and config field checks shared across the package.
 
 The split matters for the CLI: ``DataError`` subclasses map to exit code 2,
 ``NumericError`` and ``TrainingError`` to exit code 3.
@@ -46,3 +46,34 @@ class NumericError(AnnodistError, ArithmeticError):
 
 class TrainingError(AnnodistError):
     """Model training aborted (non-finite gradients, empty split, ...)."""
+
+
+# Field rules: ``(test, text)`` pairs; ``test(value)`` is true for a valid
+# value, and ``text`` completes "<field> must be ...".  NaN fails every rule.
+POSITIVE = (lambda v: v > 0, "positive")
+
+
+def at_least(lo):
+    return (lambda v: v >= lo), f">= {lo}"
+
+
+def one_of(options: tuple):
+    return (lambda v: v in options), f"one of {options}"
+
+
+def subset_of(options: tuple):
+    return (lambda v: set(v) <= set(options)), f"drawn from {options}"
+
+
+def check(owner: str, name: str, value, rule) -> None:
+    """Raise :class:`DomainError` naming ``name`` and ``value`` unless the
+    value passes ``rule``."""
+    test, text = rule
+    if not test(value):
+        raise DomainError(f"{owner}: {name} must be {text}, got {value!r}")
+
+
+def check_fields(obj, **rules) -> None:
+    """:func:`check` each named field of ``obj`` against its rule, in order."""
+    for name, rule in rules.items():
+        check(type(obj).__name__, name, getattr(obj, name), rule)

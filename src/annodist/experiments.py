@@ -47,7 +47,9 @@ import numpy as np
 
 from . import nn
 from .consensus import (
+    DEFAULT_EPSILON,
     DESCRIPTOR_NAMES,
+    EPSILON_RANGE,
     beta_pdf_arrays,
     clamp_moments_arrays,
     fit_beta_arrays,
@@ -58,6 +60,10 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     TrainingError,
+    at_least,
+    check_fields,
+    one_of,
+    subset_of,
 )
 from .metrics import PairedSeries, ccc, kl_beta_arrays, wilcoxon_signed_rank
 from .pipeline import WindowTable, fmt_float, write_csv
@@ -114,33 +120,19 @@ class ExperimentConfig:
     batch_size: int = 128
     max_epochs: int = 50
     patience: int = 5
-    epsilon: float = 1e-4
+    epsilon: float = DEFAULT_EPSILON
     kl_direction: str = "truth_first"
     ccc_pooling: str = "pooled"
     include_oracle: bool = False
     jobs: int = 1
 
     def __post_init__(self):
-        for v in self.variants:
-            if v not in nn.MOMENT_KINDS:
-                raise DomainError(f"ExperimentConfig: unknown variant {v!r}")
-        for b in self.baselines:
-            if b not in DESCRIPTOR_NAMES:
-                raise DomainError(f"ExperimentConfig: unknown baseline target {b!r}")
-        if self.kl_direction not in KL_DIRECTIONS:
-            raise DomainError(
-                f"ExperimentConfig: kl_direction must be one of {KL_DIRECTIONS}"
-            )
-        if self.ccc_pooling not in CCC_POOLINGS:
-            raise DomainError(
-                f"ExperimentConfig: ccc_pooling must be one of {CCC_POOLINGS}"
-            )
-        if self.n_seeds < 1 or self.k_folds < 2 or self.jobs < 1:
-            raise DomainError("ExperimentConfig: bad grid dimensions")
-        if self.master_seed < 0:
-            raise DomainError(
-                f"ExperimentConfig: master_seed must be >= 0, got {self.master_seed}"
-            )
+        check_fields(
+            self, k_folds=at_least(2), n_seeds=at_least(1), master_seed=at_least(0),
+            variants=subset_of(nn.MOMENT_KINDS), baselines=subset_of(DESCRIPTOR_NAMES),
+            epsilon=EPSILON_RANGE, kl_direction=one_of(KL_DIRECTIONS),
+            ccc_pooling=one_of(CCC_POOLINGS), jobs=at_least(1),
+        )
         self.train_config()  # rejects a bad training field before any stack runs
 
     def train_config(self) -> nn.TrainConfig:
@@ -167,7 +159,8 @@ class DatasetArrays(WindowTable):
     truth_desc: dict[str, np.ndarray]
 
     @staticmethod
-    def from_samples(table: WindowTable, epsilon: float = 1e-4) -> "DatasetArrays":
+    def from_samples(table: WindowTable,
+                     epsilon: float = DEFAULT_EPSILON) -> "DatasetArrays":
         """Take a :class:`WindowTable` and add the Beta fits of its
         (re-clamped) moments; the name is kept for existing callers."""
         if not len(table):
@@ -537,7 +530,7 @@ def emit_density_data(
     indices: np.ndarray,
     path,
     n_points: int = 512,
-    epsilon: float = 1e-4,
+    epsilon: float = DEFAULT_EPSILON,
 ) -> Path:
     """Write true/predicted Beta densities for selected windows as tidy CSV.
 
@@ -554,22 +547,18 @@ def emit_density_data(
     grid = (np.arange(n_points) + 0.5) / n_points
     pmu, psigma = clamp_moments_arrays(mu_hat, sigma_hat, epsilon)
     pred_alpha, pred_beta = moment_match_arrays(pmu, psigma)
-
-    def rows():
-        for j, idx in enumerate(indices):
-            at, bt = data.truth_alpha[idx], data.truth_beta[idx]
-            ap, bp = pred_alpha[j], pred_beta[j]
-            head = [
-                data.subjects[idx], fmt_float(data.starts[idx]),
-                fmt_float(at), fmt_float(bt), fmt_float(ap), fmt_float(bp),
-            ]
-            for x, pt, pp in zip(grid, beta_pdf_arrays(grid, at, bt),
-                                 beta_pdf_arrays(grid, ap, bp)):
-                yield head + [fmt_float(x), fmt_float(pt), fmt_float(pp)]
-
+    true_alpha, true_beta = data.truth_alpha[indices], data.truth_beta[indices]
+    windows = [data.subjects[indices].tolist()] + [
+        [fmt_float(v) for v in col]
+        for col in (data.starts[indices], true_alpha, true_beta, pred_alpha, pred_beta)]
+    # A window's cells repeat on each of its n_points rows.
+    head = [[cell for cell in col for _ in range(n_points)] for col in windows]
+    xs = [fmt_float(x) for x in grid] * indices.size
+    pdfs = [np.concatenate([beta_pdf_arrays(grid, a, b) for a, b in zip(alpha, beta)])
+            for alpha, beta in ((true_alpha, true_beta), (pred_alpha, pred_beta))]
     return write_csv(path, ["subject_id", "window_start", "alpha_true", "beta_true",
                             "alpha_pred", "beta_pred", "x", "pdf_true", "pdf_pred"],
-                     rows())
+                     zip(*head, xs, *(map(fmt_float, pdf) for pdf in pdfs)))
 
 
 # Wide per-cell score tables: key in the returned paths -> (file, score keys).

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, TrainingError
+from .errors import POSITIVE, DomainError, TrainingError, check_fields
 
 KINDS = ("independent", "shared_first", "fully_shared", "point")
 MOMENT_KINDS = ("independent", "shared_first", "fully_shared")
@@ -90,10 +90,8 @@ class TrainConfig:
     patience: int = 5
 
     def __post_init__(self):
-        for name in ("learning_rate", "batch_size", "max_epochs", "patience"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise DomainError(f"TrainConfig: {name} must be positive, got {value!r}")
+        check_fields(self, learning_rate=POSITIVE, batch_size=POSITIVE,
+                     max_epochs=POSITIVE, patience=POSITIVE)
 
 
 # Layers as (param prefix, fan-in, fan-out, activation) per chain.

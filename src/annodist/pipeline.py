@@ -43,10 +43,12 @@ import numpy as np
 
 from .consensus import DEFAULT_EPSILON, clamp_moments_arrays
 from .errors import (
+    POSITIVE,
     DomainError,
     EmptyDatasetError,
     InsufficientDataError,
     SchemaError,
+    check_fields,
 )
 
 log = logging.getLogger(__name__)
@@ -74,10 +76,12 @@ class WindowConfig:
     label_range: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        if not (0.0 < self.stride <= self.window_len):
-            raise DomainError("WindowConfig: need 0 < stride <= window_len")
-        if len(self.label_range) != 2 or not self.label_range[1] > self.label_range[0]:
-            raise DomainError("WindowConfig: label_range must be (lo, hi) with hi > lo")
+        check_fields(
+            self, window_len=POSITIVE,
+            stride=(lambda v: 0.0 < v <= self.window_len,
+                    f"in (0, window_len={self.window_len!r}]"),
+            label_range=(lambda r: len(r) == 2 and r[1] > r[0], "(lo, hi) with hi > lo"),
+        )
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import special
 from .consensus import MomentPair, moment_match_arrays
-from .errors import DomainError
+from .errors import POSITIVE, DomainError, at_least, check_fields
 from .pipeline import (
     AnnotationTrace,
     FrameSeries,
@@ -62,16 +62,17 @@ class SyntheticConfig:
     identity_features: bool = False
 
     def __post_init__(self):
-        if self.n_subjects < 1 or self.n_annotators < 2:
-            raise DomainError("SyntheticConfig: need >= 1 subject, >= 2 annotators")
-        if self.duration <= 0 or self.frame_rate <= 0 or self.annotation_rate <= 0:
-            raise DomainError("SyntheticConfig: durations and rates must be positive")
-        if self.feature_dim < 1 or self.latent_dim < 0:
-            raise DomainError("SyntheticConfig: bad latent/feature dimensions")
-        if self.noise_std < 0 or self.annotator_bias_std < 0:
-            raise DomainError("SyntheticConfig: noise levels must be >= 0")
-        if self.seed < 0:
-            raise DomainError(f"SyntheticConfig: seed must be >= 0, got {self.seed}")
+        check_fields(
+            self, n_subjects=at_least(1), n_annotators=at_least(2),
+            duration=POSITIVE, frame_rate=POSITIVE, annotation_rate=POSITIVE,
+            feature_dim=at_least(1), latent_dim=at_least(0),
+            noise_std=at_least(0), annotator_bias_std=at_least(0), seed=at_least(0),
+        )
+        if not self.duration * min(self.frame_rate, self.annotation_rate) > 0.5:
+            raise DomainError(
+                f"SyntheticConfig: duration {self.duration!r} is too short for "
+                "one frame and one annotation mark"
+            )
         if self.identity_features and self.feature_dim != 2 + self.latent_dim:
             raise DomainError(
                 "SyntheticConfig: identity_features requires "
@@ -136,8 +137,6 @@ def generate(
     window_cfg = window_cfg or WindowConfig()
     n_frames = int(round(cfg.duration * cfg.frame_rate))
     n_marks = int(round(cfg.duration * cfg.annotation_rate))
-    if n_frames < 1 or n_marks < 1:
-        raise DomainError("generate: duration too short for the given rates")
     t_frames = np.arange(n_frames) / cfg.frame_rate
     t_marks = np.arange(n_marks) / cfg.annotation_rate
     starts = window_starts(float(t_marks[-1]), window_cfg)

@@ -1,12 +1,18 @@
 """End-to-end CLI: subcommands, manifests, exit codes, reproducibility."""
 
+import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from annodist import cli
 from annodist.cli import main
 
 
@@ -371,31 +377,261 @@ BAD_FIELDS = [
     ("run", "--learning-rate", -0.001, "learning_rate"),
     ("run", "--master-seed", -1, "master_seed"),
     ("synth", "--seed", -1, "seed"),
+    ("run", "--jobs", -4, "jobs"),
+    ("run", "--significance-level", 5, "significance_level"),
+    ("run", "--significance-level", -1, "significance_level"),
+    ("run", "--significance-level", "nan", "significance_level"),
+    ("run", "--density-windows", -1, "density_windows"),
+    ("run", "--n-seeds", 0, "n_seeds"),
+    ("run", "--k-folds", 1, "k_folds"),
+    ("run", "--epsilon", 0.5, "epsilon"),
+    ("synth", "--n-annotators", 1, "n_annotators"),
+    ("synth", "--stride", 0, "stride"),
+    ("synth", "--duration", "nan", "duration"),
+    ("synth", "--frame-rate", "nan", "frame_rate"),
+    ("synth", "--annotation-rate", "nan", "annotation_rate"),
+    ("synth", "--noise-std", "nan", "noise_std"),
+    ("build", "--window-len", "inf", "window_len"),
+    ("fit", "--window-len", "inf", "window_len"),
+    ("build", "--epsilon", 0, "epsilon"),
 ]
+
+# (subcommand, config file contents, field the error must name)
+BAD_CONFIG_FIELDS = [
+    ("run", {"master_seed": -1}, "master_seed"),
+    ("run", {"jobs": -4}, "jobs"),
+    ("run", {"significance_level": float("inf")}, "significance_level"),
+    ("synth", {"duration": float("nan")}, "duration"),
+    ("synth", {"noise_std": float("nan")}, "noise_std"),
+    ("build", {"modalities": []}, "modalities"),
+    ("fit", {"label_range": [0, float("-inf")]}, "label_range"),
+]
+
+
+def _inputs(sub, synth_dir, built_dir):
+    """The required input flags of ``sub``."""
+    return {
+        "synth": list(SYNTH_ARGS),
+        "build": ["--features", synth_dir / "features.csv",
+                  "--annotations", synth_dir / "annotations.csv"],
+        "fit": ["--annotations", synth_dir / "annotations.csv"],
+        "run": ["--dataset", built_dir],
+    }[sub]
 
 
 class TestFieldChecks:
     @pytest.mark.parametrize("sub,flag,value,field", BAD_FIELDS)
     def test_bad_field_exit_2_before_any_work(self, sub, flag, value, field,
-                                              built_dir, tmp_path, capsys):
+                                              synth_dir, built_dir, tmp_path, capsys):
         out = tmp_path / "out"
-        args = ["--dataset", built_dir] if sub == "run" else list(SYNTH_ARGS)
-        code = run_cli(sub, *args, flag, value, "--out", out)
+        code = run_cli(sub, *_inputs(sub, synth_dir, built_dir), flag, value,
+                       "--out", out)
         err = capsys.readouterr().err
         assert code == 2, err
         assert field in err
         assert "Traceback" not in err
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        assert not out.exists()
 
-    def test_negative_master_seed_in_config_exit_2(self, built_dir, tmp_path,
-                                                   capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"master_seed": -1}))
-        code = run_cli("run", "--dataset", built_dir, "--config", cfg,
-                       "--out", tmp_path / "out")
+    @pytest.mark.parametrize(
+        "sub,values,field", BAD_CONFIG_FIELDS,
+        ids=[f"{sub}-{field}" for sub, _, field in BAD_CONFIG_FIELDS])
+    def test_bad_config_value_exit_2_before_any_work(self, sub, values, field,
+                                                     synth_dir, built_dir, tmp_path,
+                                                     capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(values))
+        code = run_cli(sub, *_inputs(sub, synth_dir, built_dir), "--config", cfg,
+                       "--out", out)
         err = capsys.readouterr().err
         assert code == 2, err
-        assert "master_seed" in err and "Traceback" not in err
+        assert field in err and "Traceback" not in err
+        assert not out.exists()
+
+
+# Each subcommand's flags as (option, dest, type, nargs, choices, const),
+# recorded before the parameter table replaced the hand-written parser.
+FLAG_SURFACE = {
+    "build": [
+        ("--features", "features", None, None, None, None),
+        ("--annotations", "annotations", None, None, None, None),
+        ("--out", "out", None, None, None, None),
+        ("--config", "config", None, None, None, None),
+        ("--window-len", "window_len", "float", None, None, None),
+        ("--stride", "stride", "float", None, None, None),
+        ("--label-range", "label_range", "float", 2, None, None),
+        ("--epsilon", "epsilon", "float", None, None, None),
+        ("--modalities", "modalities", None, "+", None, None),
+    ],
+    "fit": [
+        ("--annotations", "annotations", None, None, None, None),
+        ("--out", "out", None, None, None, None),
+        ("--config", "config", None, None, None, None),
+        ("--window-len", "window_len", "float", None, None, None),
+        ("--stride", "stride", "float", None, None, None),
+        ("--label-range", "label_range", "float", 2, None, None),
+        ("--epsilon", "epsilon", "float", None, None, None),
+    ],
+    "report": [("--run", "run", None, None, None, None)],
+    "run": [
+        ("--dataset", "dataset", None, None, None, None),
+        ("--out", "out", None, None, None, None),
+        ("--config", "config", None, None, None, None),
+        ("--k-folds", "k_folds", "int", None, None, None),
+        ("--n-seeds", "n_seeds", "int", None, None, None),
+        ("--master-seed", "master_seed", "int", None, None, None),
+        ("--variants", "variants", None, "+",
+         ("independent", "shared_first", "fully_shared"), None),
+        ("--baselines", "baselines", None, "*",
+         ("median", "q25", "q75", "skew", "kurt"), None),
+        ("--learning-rate", "learning_rate", "float", None, None, None),
+        ("--batch-size", "batch_size", "int", None, None, None),
+        ("--max-epochs", "max_epochs", "int", None, None, None),
+        ("--patience", "patience", "int", None, None, None),
+        ("--epsilon", "epsilon", "float", None, None, None),
+        ("--kl-direction", "kl_direction", None, None,
+         ("truth_first", "pred_first"), None),
+        ("--ccc-pooling", "ccc_pooling", None, None, ("pooled", "per_subject"), None),
+        ("--oracle", "include_oracle", None, 0, None, True),
+        ("--jobs", "jobs", "int", None, None, None),
+        ("--density-windows", "density_windows", "int", None, None, None),
+        ("--significance-level", "significance_level", "float", None, None, None),
+    ],
+    "synth": [
+        ("--out", "out", None, None, None, None),
+        ("--config", "config", None, None, None, None),
+        ("--n-subjects", "n_subjects", "int", None, None, None),
+        ("--duration", "duration", "float", None, None, None),
+        ("--frame-rate", "frame_rate", "float", None, None, None),
+        ("--n-annotators", "n_annotators", "int", None, None, None),
+        ("--feature-dim", "feature_dim", "int", None, None, None),
+        ("--latent-dim", "latent_dim", "int", None, None, None),
+        ("--noise-std", "noise_std", "float", None, None, None),
+        ("--seed", "seed", "int", None, None, None),
+        ("--annotation-rate", "annotation_rate", "float", None, None, None),
+        ("--annotator-bias-std", "annotator_bias_std", "float", None, None, None),
+        ("--identity-features", "identity_features", None, 0, None, True),
+        ("--window-len", "window_len", "float", None, None, None),
+        ("--stride", "stride", "float", None, None, None),
+    ],
+}
+
+# Each subcommand's parameters with no config file and no flags, as recorded
+# in its manifest.
+RESOLVED_DEFAULTS = {
+    "synth": {
+        "n_subjects": 20, "duration": 150.0, "frame_rate": 25.0, "n_annotators": 6,
+        "feature_dim": 24, "latent_dim": 4, "noise_std": 0.02, "seed": 0,
+        "annotation_rate": 5.0, "annotator_bias_std": 0.0,
+        "identity_features": False, "window_len": 3.0, "stride": 0.4,
+    },
+    "build": {"window_len": 3.0, "stride": 0.4, "label_range": [0.0, 1.0],
+              "epsilon": 0.0001, "modalities": None},
+    "fit": {"window_len": 3.0, "stride": 0.4, "label_range": [0.0, 1.0],
+            "epsilon": 0.0001},
+    "run": {
+        "k_folds": 5, "n_seeds": 10, "master_seed": 0,
+        "variants": ["independent", "shared_first", "fully_shared"],
+        "baselines": ["median", "q25", "q75", "skew", "kurt"],
+        "learning_rate": 0.001, "batch_size": 128, "max_epochs": 50, "patience": 5,
+        "epsilon": 0.0001, "kl_direction": "truth_first", "ccc_pooling": "pooled",
+        "include_oracle": False, "jobs": 0, "density_windows": 8,
+        "significance_level": 0.05,
+    },
+}
+REQUIRED_INPUTS = {"synth": [], "build": ["--features", "f", "--annotations", "a"],
+                   "fit": ["--annotations", "a"], "run": ["--dataset", "d"]}
+
+
+class TestParameterTable:
+    def test_flag_surface_is_unchanged(self):
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        surface = {
+            name: [(" ".join(a.option_strings), a.dest,
+                    a.type.__name__ if a.type else None, a.nargs,
+                    tuple(a.choices) if a.choices else None, a.const)
+                   for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+            for name, parser in sub.choices.items()
+        }
+        assert surface == FLAG_SURFACE
+
+    @pytest.mark.parametrize("sub", sorted(RESOLVED_DEFAULTS))
+    def test_resolved_defaults(self, sub):
+        args = cli._build_parser().parse_args([sub, "--out", "o", *REQUIRED_INPUTS[sub]])
+        params, _ = cli._resolve(args)
+        # Dumped, so that 150 and 150.0 or a tuple and a list would differ.
+        assert (json.dumps(params, sort_keys=True)
+                == json.dumps(RESOLVED_DEFAULTS[sub], sort_keys=True))
+
+
+# Values each key's range check rejects.  Keys in CONFIG_ONLY take them only
+# from a config file: argparse's choices and nargs already refuse the flag form.
+OUT_OF_RANGE = {
+    "n_subjects": [0], "duration": [0, -1.5, 0.01], "frame_rate": [0.0],
+    "n_annotators": [1], "feature_dim": [0], "latent_dim": [-1], "noise_std": [-0.1],
+    "seed": [-1], "annotation_rate": [-2.0], "annotator_bias_std": [-1],
+    "identity_features": [True],  # feature_dim 24 != 2 + latent_dim 4
+    "window_len": [0, -3.0], "stride": [0, 100.0], "label_range": [[1, 0], [0.5, 0.5]],
+    "epsilon": [0, 0.5, -1e-4], "modalities": [[]], "k_folds": [0, 1], "n_seeds": [0],
+    "master_seed": [-3], "variants": [["bogus"]], "baselines": [["mean"]],
+    "learning_rate": [0, -1.0], "batch_size": [0], "max_epochs": [-1], "patience": [0],
+    "kl_direction": ["both"], "ccc_pooling": ["none"], "include_oracle": [],
+    "jobs": [-1, -4], "density_windows": [-1], "significance_level": [0, 1, 5, -1],
+}
+CONFIG_ONLY = {"modalities", "variants", "baselines", "kl_direction", "ccc_pooling"}
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+# JSON values of the wrong type, by the type of the key's default.
+WRONG_TYPES = {
+    int: ["3", 2.5, True, None], float: ["3.0", True, None, [1.0]],
+    bool: [1, "yes", None], str: [3, None, ["truth_first"]],
+    "list": ["x", [1, "2"], [True]], type(None): ["synth", [1]],
+}
+
+
+@st.composite
+def bad_invocations(draw):
+    """(subcommand, key, bad value, whether to give it as a flag)."""
+    sub = draw(st.sampled_from(sorted(RESOLVED_DEFAULTS)))
+    key = draw(st.sampled_from(sorted(RESOLVED_DEFAULTS[sub])))
+    default = RESOLVED_DEFAULTS[sub][key]
+    flag_ok = key not in CONFIG_ONLY
+    bad = [(v, flag_ok) for v in OUT_OF_RANGE[key]]
+    if type(default) is float or key == "label_range":
+        bad += [([0.0, v] if key == "label_range" else v, flag_ok) for v in NON_FINITE]
+    kind = "list" if isinstance(default, list) else type(default)
+    bad += [(v, False) for v in WRONG_TYPES[kind]]
+    value, flag_ok = draw(st.sampled_from(bad))
+    return sub, key, value, flag_ok and draw(st.booleans())
+
+
+class TestBadValues:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(bad_invocations())
+    def test_exit_2_naming_the_key_with_no_output(self, synth_dir, built_dir,
+                                                  tmp_path_factory, case):
+        sub, key, value, as_flag = case
+        base = tmp_path_factory.mktemp("bad")
+        out = base / "out"
+        if not as_flag:
+            (base / "cfg.json").write_text(json.dumps({key: value}))
+            given = ["--config", base / "cfg.json"]
+        elif value is True:
+            given = [cli._flag(key)]
+        elif isinstance(value, list):
+            texts = [repr(float(v)) for v in value]
+            assume(not any(t.startswith("-") for t in texts))  # read as options
+            given = [cli._flag(key), *texts]
+        else:
+            given = [f"{cli._flag(key)}={value!r}"]
+        inputs = [] if sub == "synth" else _inputs(sub, synth_dir, built_dir)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(sub, *inputs, *given, "--out", out)
+        err = err.getvalue()
+        assert code == 2, err
+        assert key in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestUsageAndEnvironment:

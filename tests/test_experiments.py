@@ -1,6 +1,7 @@
 """Fold construction, grid execution, significance marking, density output."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,37 @@ def tiny_table():
 @pytest.fixture(scope="module")
 def tiny_report(tiny_table):
     return run_grid(tiny_table, TINY_GRID)
+
+
+# (config, field, bad value): each range error names its field and the value.
+BAD_CONFIG_FIELDS = [
+    (ExperimentConfig, "n_seeds", 0), (ExperimentConfig, "k_folds", 1),
+    (ExperimentConfig, "jobs", 0), (ExperimentConfig, "master_seed", -1),
+    (ExperimentConfig, "epsilon", 0.5), (ExperimentConfig, "variants", ("bogus",)),
+    (ExperimentConfig, "baselines", ("mean",)),
+    (ExperimentConfig, "kl_direction", "both"), (ExperimentConfig, "ccc_pooling", "none"),
+    (SyntheticConfig, "n_subjects", 0), (SyntheticConfig, "n_annotators", 1),
+    (SyntheticConfig, "duration", 0.0), (SyntheticConfig, "frame_rate", -1.0),
+    (SyntheticConfig, "annotation_rate", float("nan")),
+    (SyntheticConfig, "feature_dim", 0), (SyntheticConfig, "latent_dim", -1),
+    (SyntheticConfig, "noise_std", -0.1), (SyntheticConfig, "annotator_bias_std", -1.0),
+    (SyntheticConfig, "seed", -1),
+    (WindowConfig, "window_len", 0.0), (WindowConfig, "stride", 0.0),
+    (WindowConfig, "stride", 5.0), (WindowConfig, "label_range", (1.0, 0.0)),
+]
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("owner,field,value", BAD_CONFIG_FIELDS)
+    def test_range_error_names_field_and_value(self, owner, field, value):
+        with pytest.raises(DomainError, match=re.escape(f"{owner.__name__}: {field} ")):
+            owner(**{field: value})
+        with pytest.raises(DomainError, match=re.escape(repr(value))):
+            owner(**{field: value})
+
+    def test_duration_too_short_for_one_mark(self):
+        with pytest.raises(DomainError, match="duration 0.1 is too short"):
+            SyntheticConfig(duration=0.1)
 
 
 class TestFolds:
