@@ -51,6 +51,7 @@ class TrainingError(AnnodistError):
 # Field rules: ``(test, text)`` pairs; ``test(value)`` is true for a valid
 # value, and ``text`` completes "<field> must be ...".  NaN fails every rule.
 POSITIVE = (lambda v: v > 0, "positive")
+DISTINCT = (lambda v: len(set(v)) == len(v), "free of repeats")
 
 
 def at_least(lo):

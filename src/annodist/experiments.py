@@ -37,10 +37,10 @@ reproducibility.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,7 @@ from .consensus import (
     moment_match_arrays,
 )
 from .errors import (
+    DISTINCT,
     AnnodistError,
     DomainError,
     InsufficientDataError,
@@ -133,6 +134,10 @@ class ExperimentConfig:
             epsilon=EPSILON_RANGE, kl_direction=one_of(KL_DIRECTIONS),
             ccc_pooling=one_of(CCC_POOLINGS), jobs=at_least(1),
         )
+        check_fields(self, variants=DISTINCT, baselines=DISTINCT)
+        if not (self.variants or self.baselines):
+            raise DomainError("ExperimentConfig: variants and baselines are both "
+                              "empty, so the grid has no model to train")
         self.train_config()  # rejects a bad training field before any stack runs
 
     def train_config(self) -> nn.TrainConfig:
@@ -457,6 +462,10 @@ def run_grid(
     units = _work_units(cfg)
     workers = min(cfg.jobs, len(units))
     if workers > 1:
+        # Imported here so that no other command pays for loading them.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         payload = {"data": data, "cfg": cfg, "folds": folds}
         with ProcessPoolExecutor(
             max_workers=workers,
@@ -548,17 +557,28 @@ def emit_density_data(
     pmu, psigma = clamp_moments_arrays(mu_hat, sigma_hat, epsilon)
     pred_alpha, pred_beta = moment_match_arrays(pmu, psigma)
     true_alpha, true_beta = data.truth_alpha[indices], data.truth_beta[indices]
-    windows = [data.subjects[indices].tolist()] + [
+    keys = zip(data.subjects[indices].tolist(), *(
         [fmt_float(v) for v in col]
-        for col in (data.starts[indices], true_alpha, true_beta, pred_alpha, pred_beta)]
-    # A window's cells repeat on each of its n_points rows.
-    head = [[cell for cell in col for _ in range(n_points)] for col in windows]
-    xs = [fmt_float(x) for x in grid] * indices.size
-    pdfs = [np.concatenate([beta_pdf_arrays(grid, a, b) for a, b in zip(alpha, beta)])
-            for alpha, beta in ((true_alpha, true_beta), (pred_alpha, pred_beta))]
-    return write_csv(path, ["subject_id", "window_start", "alpha_true", "beta_true",
-                            "alpha_pred", "beta_pred", "x", "pdf_true", "pdf_pred"],
-                     zip(*head, xs, *(map(fmt_float, pdf) for pdf in pdfs)))
+        for col in (data.starts[indices], true_alpha, true_beta, pred_alpha, pred_beta)))
+    xs = [fmt_float(x) for x in grid]
+    path = Path(path)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(["subject_id", "window_start", "alpha_true",
+                                 "beta_true", "alpha_pred", "beta_pred", "x",
+                                 "pdf_true", "pdf_pred"])
+        for key, a_true, b_true, a_pred, b_pred in zip(
+                keys, true_alpha, true_beta, pred_alpha, pred_beta):
+            # The csv module quotes a window's key cells once.  Numbers need
+            # no quoting, so each of its rows joins them with "," and "\r\n"
+            # as the csv module would, one window at a time.
+            line = io.StringIO()
+            csv.writer(line, lineterminator=",").writerow(key)
+            prefix = line.getvalue()
+            fh.write("".join(
+                f"{prefix}{x},{p},{q}\r\n" for x, p, q in zip(
+                    xs, map(fmt_float, beta_pdf_arrays(grid, a_true, b_true)),
+                    map(fmt_float, beta_pdf_arrays(grid, a_pred, b_pred)))))
+    return path
 
 
 # Wide per-cell score tables: key in the returned paths -> (file, score keys).

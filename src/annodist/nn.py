@@ -14,29 +14,34 @@ of sigma^2 against mu(1-mu) is NOT enforced here; the Beta conversion clamps
 downstream.  Point heads are identity (descriptor targets can be negative).
 
 A :class:`Network` is a stack of M members of one variant; a single network
-is the M = 1 case.  Each member has its own seed and parameters.  Weights
-are ``(M, fan_in, fan_out)`` and biases ``(M, 1, fan_out)`` views into one
-``(M, P)`` buffer, and every pass runs all members at once with batched
-``np.matmul``.  Each reduction stays inside one member's slice, so a
+is the M = 1 case.  Each member has its own seed and parameters.  A layer's
+weights ``W`` and bias ``b`` are adjacent in its member's row of one ``(M,
+P)`` buffer, so the layer sees them as one ``(M, fan_in + 1, fan_out)``
+view ``[W; b]``.  Every activation that feeds a layer carries a trailing
+ones column, so a layer's forward pass is one batched ``np.matmul``, and
+one more writes ``[gW; gb]`` in its backward pass.  Every pass runs all
+members at once.  Each reduction stays inside one member's slice, so a
 member's numbers do not depend on which other members share its stack.
 
-Each :func:`train` call allocates one :class:`Workspace` and one
-:class:`AdamState`, and every step reuses them.  The workspace holds the
-``(M, P)`` gradient buffer, whose per-layer ``.w``/``.b`` views each
-backward pass writes into with ``out=``, and each layer's pre-activation,
-activation and backward buffers for every input shape it sees (the full
-batch, a ragged last batch, the validation set).  The Adam state holds the
-moments and two temporaries.  A result written into a buffer has the bits a
-freshly allocated one would have, so the buffers change no numbers.
+A :class:`Workspace` holds the ``(M, P)`` gradient buffer, whose per-layer
+``[gW; gb]`` views each backward pass writes into with ``out=``, and each
+layer's pre-activation, activation and backward buffers for every number of
+input rows it sees (the full batch, a ragged last batch, the validation
+set).  An :class:`AdamState` holds the moments and two temporaries.
+:func:`train` allocates both once per live-member count, not once per step.
+A result written into a buffer has the bits a freshly allocated one would
+have, so the buffers change no numbers.
 
 Training minimises the joint MSE of mu and sigma (plain MSE for point nets)
 with Adam (beta1=0.9, beta2=0.999, eps=1e-8) applied to the whole buffer.  A
 member's seed draws both its init and its per-epoch shuffle.  Each member
-early-stops on its own validation loss; a stopped member freezes (its update
-is masked to zero) while the others train on, and it ends with its best-epoch
+early-stops on its own validation loss and ends with its best-epoch
 parameters.  Features are checked to be finite once per :func:`train` call.
 Each step checks every member's loss and gradient norm; a member where either
 is not finite fails alone, with a :class:`TrainingError` in its history.
+A member that stops or fails is dropped at the end of that epoch: the others
+train on as a smaller stack with their own parameters, Adam moments, targets
+and shuffle generators, and no step spends work on a member that has left.
 """
 
 from __future__ import annotations
@@ -120,31 +125,40 @@ def _chains(variant: NetworkVariant) -> dict[str, list[tuple[str, int, int, str]
 
 
 @functools.lru_cache(maxsize=None)
-def _layout(variant: NetworkVariant) -> tuple[tuple[str, int, int, tuple[int, int]], ...]:
-    """(name, start, stop, per-member shape) of every parameter in the buffer."""
+def _layout(variant: NetworkVariant) -> tuple[tuple[str, int, int, int], ...]:
+    """(layer name, offset, fan-in, fan-out) of every layer in the buffer.
+
+    A layer's ``[W; b]`` fill ``(fan_in + 1) * fan_out`` adjacent entries,
+    ``W`` row-major and the bias row last.
+    """
     out, offset = [], 0
     for layers in _chains(variant).values():
         for name, fan_in, fan_out, _ in layers:
-            for suffix, shape in ((".w", (fan_in, fan_out)), (".b", (1, fan_out))):
-                size = shape[0] * shape[1]
-                out.append((name + suffix, offset, offset + size, shape))
-                offset += size
+            out.append((name, offset, fan_in, fan_out))
+            offset += (fan_in + 1) * fan_out
     return tuple(out)
 
 
 class FlatParams(dict):
     """Named ``(M, ...)`` parameter arrays that are views into ``flat`` (M, P).
 
-    Assigning to a name copies into the buffer, so every entry stays a view
-    and whole-stack updates of ``flat`` reach all of them.
+    Each layer has a ``name.w`` ``(M, fan_in, fan_out)`` and a ``name.b``
+    ``(M, 1, fan_out)`` entry, and ``layers[name]`` is their ``(M, fan_in +
+    1, fan_out)`` union ``[W; b]``.  Assigning to a name copies into the
+    buffer, so every entry stays a view and whole-stack updates of ``flat``
+    reach all of them.
     """
 
     def __init__(self, variant: NetworkVariant, flat: np.ndarray):
-        super().__init__(
-            (name, flat[:, lo:hi].reshape((flat.shape[0],) + shape))
-            for name, lo, hi, shape in _layout(variant)
-        )
+        super().__init__()
         self.flat = flat
+        self.layers = {}
+        for name, lo, fan_in, fan_out in _layout(variant):
+            wb = flat[:, lo : lo + (fan_in + 1) * fan_out].reshape(
+                flat.shape[0], fan_in + 1, fan_out)
+            self.layers[name] = wb
+            dict.__setitem__(self, name + ".w", wb[:, :fan_in])
+            dict.__setitem__(self, name + ".b", wb[:, fan_in:])
 
     def __setitem__(self, name: str, value) -> None:
         self[name][...] = value
@@ -265,19 +279,23 @@ def _pre_activation_grad(kind: str, dout: np.ndarray, z: np.ndarray,
 
 
 class _Layer:
-    """One layer of a stack at one input shape: its parameter and gradient
-    views, and the buffers its forward (and backward) passes write into."""
+    """One layer of a stack at one input shape: its ``[W; b]`` parameter and
+    gradient views, and the buffers its forward (and backward) passes write
+    into.  A ReLU layer's activation ``a`` is a view of ``a_ones``, which
+    adds the ones column that the next layer's bias row multiplies."""
 
-    __slots__ = ("act", "w", "b", "w_t", "gw", "gb", "z", "a", "mask", "dz",
+    __slots__ = ("act", "wb", "gwb", "w_t", "z", "a", "a_ones", "mask", "dz",
                  "din", "a_in")
 
-    def __init__(self, act, w, b, gw, gb, n, backward, din):
-        m, fan_in, fan_out = w.shape
-        self.act, self.w, self.b, self.gw, self.gb = act, w, b, gw, gb
-        self.w_t = np.swapaxes(w, -1, -2)
+    def __init__(self, act, wb, gwb, n, backward, din):
+        m, rows, fan_out = wb.shape
+        fan_in = rows - 1
+        self.act, self.wb, self.gwb = act, wb, gwb
+        self.w_t = np.swapaxes(wb[:, :fan_in], -1, -2)
         self.z = np.empty((m, n, fan_out))
         relu = act == "relu"
-        self.a = np.empty_like(self.z) if relu else None
+        self.a_ones = np.ones((m, n, fan_out + 1)) if relu else None
+        self.a = self.a_ones[..., :fan_out] if relu else None
         relu_backward = relu and backward
         self.mask = np.empty(self.z.shape, dtype=bool) if relu_backward else None
         self.dz = np.empty_like(self.z) if relu_backward else None
@@ -295,12 +313,12 @@ class _Pass:
 
 
 class Workspace:
-    """Every buffer a stack's passes reuse, allocated once per :func:`train`.
+    """Every buffer a stack's passes reuse.
 
     ``grads`` is the ``(M, P)`` gradient buffer as :class:`FlatParams`; each
-    layer writes its weight and bias gradients straight into its views.
-    Activations, pre-activations and backward temporaries are kept per input
-    shape (the full batch, a ragged last batch, the validation set), so a
+    layer writes its ``[gW; gb]`` straight into its view.  Activations,
+    pre-activations and backward temporaries are kept per number of input
+    rows (the full batch, a ragged last batch, the validation set), so a
     step allocates no stack-sized array; a shape that only runs forward gets
     no backward buffers.  A pass at one shape overwrites the previous pass at
     that shape; outputs that alias a buffer are valid until then.
@@ -310,13 +328,15 @@ class Workspace:
         self.net = net
         self.grads = FlatParams(net.variant, np.zeros_like(net.flat))
         self.scratch = np.empty_like(net.flat)
-        self._passes: dict[tuple[int, ...], _Pass] = {}
+        self._passes: dict[int, _Pass] = {}
 
     def pass_for(self, shape: tuple[int, ...], backward: bool = False) -> _Pass:
-        """The buffers for inputs of ``shape``, ``(n, d)`` or ``(M, n, d)``."""
-        found = self._passes.get(shape)
+        """The buffers for inputs of ``shape``, ``(n, d)`` or ``(M, n, d)``,
+        with or without the ones column."""
+        n = shape[-2]
+        found = self._passes.get(n)
         if found is None or (backward and found.dout is None):
-            found = self._passes[shape] = self._allocate(shape[-2], backward)
+            found = self._passes[n] = self._allocate(n, backward)
         return found
 
     def _allocate(self, n: int, backward: bool) -> _Pass:
@@ -325,8 +345,7 @@ class Workspace:
         reads_x = {"trunk", "shared"} if net.kind != "independent" else {"mu", "sigma"}
         chains = {
             chain: [
-                _Layer(act, params[name + ".w"], params[name + ".b"],
-                       grads[name + ".w"], grads[name + ".b"], n, backward,
+                _Layer(act, params.layers[name], grads.layers[name], n, backward,
                        din=i > 0 or chain not in reads_x)
                 for i, (name, _, _, act) in enumerate(layers)
             ]
@@ -339,13 +358,14 @@ class Workspace:
 
 
 def _chain_forward(layers: list[_Layer], x: np.ndarray) -> np.ndarray:
+    # ``x`` carries the ones column; so does the output of a ReLU layer.
     a = x
     for layer in layers:
         layer.a_in = a
-        z = np.matmul(a, layer.w, out=layer.z)
-        z += layer.b
+        z = np.matmul(a, layer.wb, out=layer.z)
         if layer.act == "relu":
-            a = np.maximum(z, 0.0, out=layer.a)
+            np.maximum(z, 0.0, out=layer.a)
+            a = layer.a_ones
         else:
             a = layer.a = _activate(layer.act, z)
     return a
@@ -362,8 +382,8 @@ def _chain_backward(layers: list[_Layer], dout: np.ndarray, input_grad: bool = T
                              out=layer.dz)
         else:
             dz = _pre_activation_grad(layer.act, dout, layer.z, layer.a)
-        np.matmul(np.swapaxes(layer.a_in, -1, -2), dz, out=layer.gw)
-        np.add.reduce(dz, axis=-2, keepdims=True, out=layer.gb)
+        # The input's ones column turns the bias gradient into the last row.
+        np.matmul(np.swapaxes(layer.a_in, -1, -2), dz, out=layer.gwb)
         if i or input_grad:
             # Through a one-unit layer this is an outer product: a broadcast
             # multiply gives the matmul's bits at a fraction of its cost.
@@ -372,17 +392,23 @@ def _chain_backward(layers: list[_Layer], dout: np.ndarray, input_grad: bool = T
     return dout if input_grad else None
 
 
-def _as_inputs(net: Network, x) -> np.ndarray:
+def _as_inputs(net: Network, x, augmented: bool = False) -> np.ndarray:
+    """``x`` as ``(n, d + 1)`` or ``(M, n, d + 1)`` inputs whose last column
+    is ones; ``augmented`` inputs already have it."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    if (x.ndim not in (2, 3) or x.shape[-1] != net.input_dim
+    if (x.ndim not in (2, 3) or x.shape[-1] != net.input_dim + augmented
             or (x.ndim == 3 and x.shape[0] != net.n_members)):
         raise DomainError(
             f"forward: expected (n, {net.input_dim}) or "
             f"({net.n_members}, n, {net.input_dim}) inputs, got {x.shape}"
         )
-    return x
+    if augmented:
+        return x
+    out = np.ones(x.shape[:-1] + (x.shape[-1] + 1,))
+    out[..., :-1] = x
+    return out
 
 
 def _require_finite(what: str, *arrays) -> None:
@@ -391,17 +417,20 @@ def _require_finite(what: str, *arrays) -> None:
             raise DomainError(f"{what}: inputs must be finite")
 
 
-def forward(net: Network, x, work: Workspace | None = None) -> np.ndarray:
+def forward(net: Network, x, work: Workspace | None = None,
+            augmented: bool = False) -> np.ndarray:
     """Batch forward pass of every member.
 
     ``x`` is ``(n, d)``, shared by all members, or ``(M, n, d)``, one batch
-    per member.  Moment variants return an ``(M, n, 2)`` array of (mu_hat,
-    sigma_hat); point variants an ``(M, n)`` array.  The pass runs in
-    ``work``'s buffers for this input shape (a fresh :class:`Workspace`
-    without one), where :func:`gradients` finds it.  Inputs are not scanned
-    for finiteness here; :func:`train` and :func:`predict` do that.
+    per member; ``augmented`` inputs carry a last column of ones, as
+    :func:`train` builds them.  Moment variants return an ``(M, n, 2)``
+    array of (mu_hat, sigma_hat); point variants an ``(M, n)`` array.  The
+    pass runs in ``work``'s buffers for this input shape (a fresh
+    :class:`Workspace` without one), where :func:`gradients` finds it.
+    Inputs are not scanned for finiteness here; :func:`train` and
+    :func:`predict` do that.
     """
-    x = _as_inputs(net, x)
+    x = _as_inputs(net, x, augmented)
     chains = (work or Workspace(net)).pass_for(x.shape).chains
     if net.kind in ("point", "fully_shared"):
         out = _chain_forward(chains["trunk"], x)
@@ -416,7 +445,7 @@ def predict(net: Network, x) -> np.ndarray:
     """:func:`forward` on inputs that are first checked to be finite."""
     x = _as_inputs(net, x)
     _require_finite("predict", x)
-    return forward(net, x)
+    return forward(net, x, augmented=True)
 
 
 def _residual_loss(kind: str, residual: np.ndarray) -> np.ndarray:
@@ -438,12 +467,13 @@ def loss_value(net: Network, out: np.ndarray, targets) -> np.ndarray:
     return _residual_loss(net.kind, out - np.asarray(targets, dtype=np.float64))
 
 
-def loss(net: Network, x, targets, work: Workspace | None = None) -> np.ndarray:
-    return loss_value(net, forward(net, x, work), targets)
+def loss(net: Network, x, targets, work: Workspace | None = None,
+         augmented: bool = False) -> np.ndarray:
+    return loss_value(net, forward(net, x, work, augmented), targets)
 
 
 def gradients(
-    net: Network, x, targets, work: Workspace | None = None
+    net: Network, x, targets, work: Workspace | None = None, augmented: bool = False
 ) -> tuple[np.ndarray, FlatParams]:
     """Per-member losses and the analytic gradient of each member's loss
     with respect to its own parameters, laid out like ``net.params``.
@@ -452,9 +482,9 @@ def gradients(
     the next call on that workspace overwrites them.
     """
     work = work or Workspace(net)
-    x = _as_inputs(net, x)
+    x = _as_inputs(net, x, augmented)
     buffers = work.pass_for(x.shape, backward=True)
-    out = forward(net, x, work)
+    out = forward(net, x, work, augmented=True)
     chains = buffers.chains
     residual = np.subtract(out, targets, out=buffers.residual)
     value = _residual_loss(net.kind, residual)
@@ -499,7 +529,8 @@ def finite_difference_gradients(
 @dataclass
 class AdamState:
     """First and second moments over the whole ``(M, P)`` buffer, and two
-    temporaries of that shape; all are allocated at the first step."""
+    temporaries of that shape; each is allocated at the first step that
+    lacks it."""
 
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -518,6 +549,7 @@ def adam_step(
     False are left unchanged (their gradients must be finite)."""
     if state.m is None:
         state.m, state.v = np.zeros_like(flat), np.zeros_like(flat)
+    if state.scratch is None:
         state.scratch = np.empty_like(flat), np.empty_like(flat)
     state.step += 1
     t = state.step
@@ -542,6 +574,7 @@ def adam_step(
 def backward_and_step(
     net: Network, x, targets, state: AdamState, cfg: TrainConfig,
     active: np.ndarray | None = None, work: Workspace | None = None,
+    augmented: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One gradient step of every active member, in ``work``'s buffers.
 
@@ -549,7 +582,7 @@ def backward_and_step(
     gradient norm were finite.  A member outside that mask is not updated.
     """
     work = work or Workspace(net)
-    value, grads = gradients(net, x, targets, work)
+    value, grads = gradients(net, x, targets, work, augmented)
     # The max-norm is finite exactly when every entry is, and cannot overflow.
     norm = np.max(np.abs(grads.flat, out=work.scratch), axis=1)
     finite = np.isfinite(value) & np.isfinite(norm)
@@ -614,66 +647,100 @@ def train(
     at ``cfg.max_epochs``, and keeps the parameters of its best epoch.  A
     member whose loss or gradient turns non-finite stops with a
     :class:`TrainingError` in its history and all-zero parameters; the others
-    are not affected.
+    are not affected.  After an epoch in which members stop or fail, the
+    rest train on as a smaller stack of the live members alone.
     """
-    train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y, dtype=np.float64)
-    val_x = np.asarray(val_x, dtype=np.float64)
     val_y = np.asarray(val_y, dtype=np.float64)
-    n = train_x.shape[0]
-    if n == 0 or val_x.shape[0] == 0:
+    if np.shape(train_x)[0] == 0 or np.shape(val_x)[0] == 0:
         raise TrainingError("train: empty training or validation split")
     # Features are shared by every member; a member's own non-finite targets
-    # fail it alone, through the per-step loss check.
+    # fail it alone, through the per-step loss check.  Both splits get their
+    # ones column here, once, and every batch is gathered from them.
+    train_x, val_x = _as_inputs(net, train_x), _as_inputs(net, val_x)
     _require_finite("train", train_x, val_x)
-    per_member_targets = train_y.ndim == (2 if net.kind == "point" else 3)
-    rows = np.arange(net.n_members)[:, None]
+    n, n_members = train_x.shape[0], net.n_members
+    member_ndim = 2 if net.kind == "point" else 3  # targets given per member
     rngs = [np.random.default_rng(seed) for seed in net.seeds]
-    members = [TrainHistory() for _ in net.seeds]
-    work = Workspace(net)
-    state = AdamState()
-    active = np.ones(net.n_members, dtype=bool)
-    best_val = np.full(net.n_members, math.inf)
-    best = net.flat.copy()
-    bad_epochs = np.zeros(net.n_members, dtype=np.int64)
-    order = np.empty((net.n_members, n), dtype=np.int64)
     starts = range(0, n, cfg.batch_size)
-    batch_losses = np.empty((net.n_members, len(starts)))
+    # Per epoch: the stack's members and their train and validation losses.
+    # Per member: the epoch it left the stack in, its best epoch and
+    # parameters, and its error.
+    epochs = []
+    left = np.full(n_members, cfg.max_epochs)
+    best_epoch = np.zeros(n_members, dtype=np.int64)
+    best = net.flat.copy()
+    errors: list[TrainingError | None] = [None] * n_members
+    # The live stack: its members, its buffers and, per row, the best
+    # validation loss and the epochs since it last improved.
+    ids = np.arange(n_members)
+    stack, work, state = net, Workspace(net), AdamState()
+    rows, active = ids[:, None], np.ones(n_members, dtype=bool)
+    order = np.empty((n_members, n), dtype=np.int64)
+    batch_losses = np.empty((n_members, len(starts)))
+    best_val = np.full(n_members, math.inf)
+    bad_epochs = np.zeros(n_members, dtype=np.int64)
     for epoch in range(1, cfg.max_epochs + 1):
-        live = np.flatnonzero(active)
-        if live.size == 0:
-            break
-        for m in live:
-            order[m] = rngs[m].permutation(n)
+        for row, m in enumerate(ids):
+            order[row] = rngs[m].permutation(n)
         for j, lo in enumerate(starts):
             idx = order[:, lo : lo + cfg.batch_size]
-            y = train_y[rows, idx] if per_member_targets else train_y[idx]
-            value, finite = backward_and_step(net, train_x[idx], y, state, cfg,
-                                              active, work)
+            y = (train_y[rows, idx] if train_y.ndim == member_ndim
+                 else train_y.take(idx, axis=0))
+            value, finite = backward_and_step(stack, train_x.take(idx, axis=0), y,
+                                              state, cfg, active, work,
+                                              augmented=True)
             if not finite.all():
                 failed = active & ~finite
-                for m in np.flatnonzero(failed):
-                    members[m].error = TrainingError(
+                for row in np.flatnonzero(failed):
+                    errors[ids[row]] = TrainingError(
                         f"non-finite loss or gradient in epoch {epoch} "
-                        f"(loss={float(value[m])!r}); member stopped"
+                        f"(loss={float(value[row])!r}); member stopped"
                     )
                 # Zeroed parameters keep a failed member's later passes finite.
-                net.flat[failed] = 0.0
-                best[failed] = 0.0
+                stack.flat[failed] = 0.0
+                best[ids[failed]] = 0.0
                 active &= ~failed
             batch_losses[:, j] = value
-        train_loss = batch_losses.mean(axis=1)
-        val = loss(net, val_x, val_y, work)
+        val = loss(stack, val_x, val_y, work, augmented=True)
+        # The mean over batches, summed and divided as np.mean does it.
+        epochs.append((ids, np.add.reduce(batch_losses, axis=1) / len(starts), val))
         improved = active & (val < best_val - MIN_IMPROVEMENT)
-        for m in np.flatnonzero(active):
-            members[m].train_loss.append(float(train_loss[m]))
-            members[m].val_loss.append(float(val[m]))
-            if improved[m]:
-                members[m].best_epoch = epoch
-        best_val[improved] = val[improved]
-        best[improved] = net.flat[improved]
-        bad_epochs[improved] = 0
-        bad_epochs[active & ~improved] += 1
+        if improved.any():
+            better = ids[improved]
+            best_epoch[better] = epoch
+            best[better] = stack.flat[improved]
+            best_val[improved] = val[improved]
+        bad_epochs = np.where(improved, 0, bad_epochs + 1)
         active &= bad_epochs < cfg.patience
+        if active.all():
+            continue
+        left[ids[~active]] = epoch
+        if not active.any():
+            break
+        # Every operation runs within one member's row, so the live members
+        # train on in a stack of their own with the same bits.
+        ids, rows = ids[active], rows[: np.count_nonzero(active)]
+        stack = Network(net.variant, tuple(net.seeds[m] for m in ids),
+                        FlatParams(net.variant, stack.flat[active]))
+        work = Workspace(stack)
+        state = AdamState(state.m[active], state.v[active], state.step)
+        order, batch_losses = order[active], batch_losses[active]
+        best_val, bad_epochs = best_val[active], bad_epochs[active]
+        if train_y.ndim == member_ndim:
+            train_y = train_y[active]
+        if val_y.ndim == member_ndim:
+            val_y = val_y[active]
+        active = active[active]
     net.flat[...] = best
-    return StackHistory(members)
+    losses = np.empty((2, len(epochs), n_members))
+    for e, (members, train_loss, val) in enumerate(epochs):
+        losses[:, e, members] = train_loss, val
+    # A member recorded every epoch up to the one it left in, except that a
+    # failed member left during that epoch.
+    n_epochs = left - np.array([error is not None for error in errors])
+    return StackHistory([
+        TrainHistory(losses[0, :k, m].tolist(), losses[1, :k, m].tolist(),
+                     int(best_epoch[m]), errors[m])
+        for m, k in enumerate(n_epochs.tolist())
+    ])

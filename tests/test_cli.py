@@ -394,6 +394,8 @@ BAD_FIELDS = [
     ("build", "--window-len", "inf", "window_len"),
     ("fit", "--window-len", "inf", "window_len"),
     ("build", "--epsilon", 0, "epsilon"),
+    ("run", "--variants", ("fully_shared", "fully_shared"), "variants"),
+    ("run", "--baselines", ("median", "median"), "baselines"),
 ]
 
 # (subcommand, config file contents, field the error must name)
@@ -405,6 +407,8 @@ BAD_CONFIG_FIELDS = [
     ("synth", {"noise_std": float("nan")}, "noise_std"),
     ("build", {"modalities": []}, "modalities"),
     ("fit", {"label_range": [0, float("-inf")]}, "label_range"),
+    ("run", {"variants": [], "baselines": []}, "variants"),
+    ("run", {"baselines": ["q25", "skew", "q25"]}, "baselines"),
 ]
 
 
@@ -424,7 +428,8 @@ class TestFieldChecks:
     def test_bad_field_exit_2_before_any_work(self, sub, flag, value, field,
                                               synth_dir, built_dir, tmp_path, capsys):
         out = tmp_path / "out"
-        code = run_cli(sub, *_inputs(sub, synth_dir, built_dir), flag, value,
+        values = value if isinstance(value, tuple) else (value,)
+        code = run_cli(sub, *_inputs(sub, synth_dir, built_dir), flag, *values,
                        "--out", out)
         err = capsys.readouterr().err
         assert code == 2, err

@@ -20,7 +20,7 @@ from annodist.experiments import (
     significance,
     write_report,
 )
-from annodist.pipeline import WindowConfig, build_dataset
+from annodist.pipeline import WindowConfig, build_dataset, fmt_float, write_csv
 from annodist.synthetic import SyntheticConfig, generate
 
 TINY_SYNTH = SyntheticConfig(
@@ -51,6 +51,8 @@ BAD_CONFIG_FIELDS = [
     (ExperimentConfig, "jobs", 0), (ExperimentConfig, "master_seed", -1),
     (ExperimentConfig, "epsilon", 0.5), (ExperimentConfig, "variants", ("bogus",)),
     (ExperimentConfig, "baselines", ("mean",)),
+    (ExperimentConfig, "variants", ("fully_shared", "independent", "fully_shared")),
+    (ExperimentConfig, "baselines", ("median", "median")),
     (ExperimentConfig, "kl_direction", "both"), (ExperimentConfig, "ccc_pooling", "none"),
     (SyntheticConfig, "n_subjects", 0), (SyntheticConfig, "n_annotators", 1),
     (SyntheticConfig, "duration", 0.0), (SyntheticConfig, "frame_rate", -1.0),
@@ -70,6 +72,10 @@ class TestConfigChecks:
             owner(**{field: value})
         with pytest.raises(DomainError, match=re.escape(repr(value))):
             owner(**{field: value})
+
+    def test_grid_without_models_rejected(self):
+        with pytest.raises(DomainError, match="variants and baselines are both empty"):
+            ExperimentConfig(variants=(), baselines=())
 
     def test_duration_too_short_for_one_mark(self):
         with pytest.raises(DomainError, match="duration 0.1 is too short"):
@@ -369,6 +375,31 @@ class TestDensityData:
             for col in (7, 8):
                 pdf = np.array([float(r[col]) for r in chunk])
                 assert np.trapezoid(pdf, x) == pytest.approx(1.0, abs=1e-3)
+
+    def test_bytes_match_the_csv_module(self, tmp_path):
+        # Rows are joined by hand after the key cells go through the csv
+        # module; the file must be what csv.writer makes of the same cells,
+        # also for subject ids that need quoting.
+        data = dataclasses.replace(self._data(), subjects=np.array(
+            ["s0", "a,b", 'say "hi"', "s3", "s4", "s5"]))
+        idx = np.array([2, 1, 0])
+        mu_hat, sigma_hat = data.mu[idx] * 0.9, data.sigma[idx]
+        path = emit_density_data(data, mu_hat, sigma_hat, idx, tmp_path / "d.csv")
+        from annodist.consensus import (beta_pdf_arrays, clamp_moments_arrays,
+                                        moment_match_arrays)
+        grid = (np.arange(512) + 0.5) / 512
+        alpha, beta = moment_match_arrays(*clamp_moments_arrays(mu_hat, sigma_hat))
+        rows = [
+            [data.subjects[i]] + [fmt_float(v) for v in (
+                data.starts[i], data.truth_alpha[i], data.truth_beta[i], a, b, x,
+                beta_pdf_arrays(grid, data.truth_alpha[i], data.truth_beta[i])[k],
+                beta_pdf_arrays(grid, a, b)[k])]
+            for i, a, b in zip(idx, alpha, beta) for k, x in enumerate(grid)
+        ]
+        want = write_csv(tmp_path / "want.csv", [
+            "subject_id", "window_start", "alpha_true", "beta_true", "alpha_pred",
+            "beta_pred", "x", "pdf_true", "pdf_pred"], rows)
+        assert path.read_bytes() == want.read_bytes()
 
     def test_invalid_window_rejected(self, tmp_path):
         data = self._data()

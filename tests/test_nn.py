@@ -19,6 +19,20 @@ def random_problem(rng, kind, input_dim, n=12):
     return x, y
 
 
+def moment_targets(z):
+    """Per-window (mu, sigma) targets that follow the score ``z``."""
+    logistic = 1.0 / (1.0 + np.exp(-z))
+    return np.stack([logistic, 0.05 + 0.1 * (1.0 - logistic)], axis=-1)
+
+
+def assert_same_history(got, want):
+    assert got.train_loss == want.train_loss
+    assert got.val_loss == want.val_loss
+    assert got.best_epoch == want.best_epoch
+    assert type(got.error) is type(want.error)
+    assert str(got.error) == str(want.error)
+
+
 class TestGeometry:
     def test_hidden_dims_reference(self):
         assert nn.hidden_dims(40) == (30, 20)
@@ -198,6 +212,16 @@ class TestTraining:
         assert history.n_epochs == 6
         assert history.best_epoch == 1
 
+    def test_huge_epoch_budget_is_not_preallocated(self):
+        # Early stopping ends a run with a vast epoch budget; nothing may be
+        # sized by the budget rather than by the epochs run.
+        rng = np.random.default_rng(10)
+        net = nn.build(nn.NetworkVariant("point", 5), [0, 1])
+        x, y = random_problem(rng, "point", 5, n=64)
+        cfg = nn.TrainConfig(learning_rate=1e-30, patience=2, max_epochs=10**15)
+        history = nn.train(net, x, y, x, y, cfg)
+        assert [h.n_epochs for h in history.members] == [3, 3]
+
     def test_loss_decreases_across_seeds(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(256, 6))
@@ -285,6 +309,94 @@ class TestTraining:
             assert history.members[m].val_loss == solo.val_loss
             assert history.members[m].best_epoch == solo.best_epoch
             np.testing.assert_array_equal(stack.flat[m], alone.flat[0])
+
+    @pytest.mark.parametrize("kind", nn.MOMENT_KINDS)
+    def test_moment_stack_members_match_single_networks(self, kind):
+        # The moment kinds' version of the test above: per-member targets,
+        # the noisier ones stopping sooner.
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(300, 5))
+        y = np.stack([moment_targets(x @ rng.normal(size=5) + noise * rng.normal(size=300))
+                      for noise in (0.0, 1.0, 3.0)])
+        cfg = nn.TrainConfig(learning_rate=3e-2, max_epochs=40, patience=2)
+        seeds = [4, 5, 6]
+        stack = nn.build(nn.NetworkVariant(kind, 5), seeds)
+        history = nn.train(stack, x[:200], y[:, :200], x[200:], y[:, 200:], cfg)
+        assert len({h.n_epochs for h in history.members}) > 1
+        for m, seed in enumerate(seeds):
+            alone = nn.build(nn.NetworkVariant(kind, 5), seed)
+            solo = nn.train(alone, x[:200], y[m, :200], x[200:], y[m, 200:],
+                            cfg).members[0]
+            assert_same_history(history.members[m], solo)
+            np.testing.assert_array_equal(stack.flat[m], alone.flat[0])
+
+    def test_failure_after_a_stop_matches_runs_alone(self, monkeypatch):
+        # Member 4 stops at epoch 5; member 5 is poisoned at the start of
+        # epoch 8, in a stack that has already shrunk, and member 6 trains on.
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(300, 5))
+        y = np.stack([x @ rng.normal(size=5) * s for s in (0.05, 0.5, 2.0)])
+        cfg = nn.TrainConfig(learning_rate=1e-2, max_epochs=40, patience=2)
+        seeds, poisoned, fail_epoch = [4, 5, 6], 5, 8
+        calls_per_epoch = 2  # 200 rows in batches of 128
+        real_step = nn.backward_and_step
+        calls = []
+
+        def poisoning_step(net, *args, **kwargs):
+            if (len(calls) == (fail_epoch - 1) * calls_per_epoch
+                    and poisoned in net.seeds):
+                net.params["head.w"][net.seeds.index(poisoned)] = 1e300
+            calls.append(net.n_members)
+            return real_step(net, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "backward_and_step", poisoning_step)
+        stack = nn.build(nn.NetworkVariant("point", 5), seeds)
+        history = nn.train(stack, x[:200], y[:, :200], x[200:], y[:, 200:], cfg)
+        stopped, failed, healthy = history.members
+        assert stopped.error is None and stopped.n_epochs < fail_epoch
+        assert isinstance(failed.error, TrainingError)
+        assert failed.n_epochs == fail_epoch - 1
+        assert healthy.error is None and healthy.n_epochs > fail_epoch
+        for m, seed in enumerate(seeds):
+            calls.clear()
+            alone = nn.build(nn.NetworkVariant("point", 5), seed)
+            solo = nn.train(alone, x[:200], y[m, :200], x[200:], y[m, 200:],
+                            cfg).members[0]
+            assert_same_history(history.members[m], solo)
+            np.testing.assert_array_equal(stack.flat[m], alone.flat[0])
+
+    @pytest.mark.parametrize("kind", ["point", "shared_first"])
+    def test_stack_holds_only_live_members(self, kind, monkeypatch):
+        # Every step's stack, and its batch, has one row per member still
+        # training in that epoch: stopped and failed members are dropped.
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(300, 5))
+        if kind == "point":
+            y = np.stack([x @ rng.normal(size=5) * s for s in (0.05, 0.5, 2.0, 1.0)])
+            lr = 1e-2
+        else:
+            y = np.stack([moment_targets(x @ rng.normal(size=5) + noise * rng.normal(size=300))
+                          for noise in (0.0, 1.0, 3.0, 2.0)])
+            lr = 3e-2
+        y[3, 150] = np.nan  # member 3 fails in its first epoch
+        real_step = nn.backward_and_step
+        sizes = []
+
+        def spy(net, x, *args, **kwargs):
+            sizes.append((net.n_members, x.shape[0]))
+            return real_step(net, x, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "backward_and_step", spy)
+        cfg = nn.TrainConfig(learning_rate=lr, max_epochs=40, patience=2)
+        stack = nn.build(nn.NetworkVariant(kind, 5), [4, 5, 6, 7])
+        members = nn.train(stack, x[:200], y[:, :200], x[200:], y[:, 200:],
+                           cfg).members
+        assert isinstance(members[3].error, TrainingError)
+        # A member trains in epoch e if it records e, or fails during it.
+        last = [h.n_epochs + (h.error is not None) for h in members]
+        assert len(set(last)) > 2
+        live = [sum(e <= k for k in last) for e in range(1, max(last) + 1)]
+        assert sizes == [(n, n) for n in live for _ in range(2)]
 
     def test_non_finite_target_fails_only_its_member(self):
         rng = np.random.default_rng(18)
