@@ -146,21 +146,6 @@ def _out_dir(raw: str) -> Path:
     return path
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise DataError(f"config file {path} must hold a JSON object")
-    return cfg
-
-
 _KINDS = {bool: ("a boolean", "booleans"), int: ("an integer", "integers"),
           float: ("a finite number", "finite numbers"), str: ("a string", "strings")}
 
@@ -197,7 +182,7 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, list]:
     order; lists become tuples in the configs.
     """
     params = _defaults(args.subcommand)
-    file_cfg = _load_config(args.config)
+    file_cfg = pipeline.read_json(args.config) if args.config else {}
     unknown = set(file_cfg) - set(params)
     if unknown:
         raise DataError(f"unknown config keys: {sorted(unknown)}")
@@ -226,9 +211,7 @@ def _write_manifest(args, params: dict) -> Path:
         "master_seed": params.get("seed", params.get("master_seed")),
         "output_dir": str(outdir),
     }
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    pipeline.write_json(outdir / "manifest.json", manifest)
     return outdir
 
 
@@ -338,8 +321,7 @@ def _cmd_report(args) -> int:
     summary_path = rundir / "summary.json"
     if not summary_path.exists():
         raise DataError(f"report: no summary.json under {rundir}")
-    with open(summary_path, "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
+    summary = pipeline.read_json(summary_path)
     level = summary.get("significance_level", 0.05)
     print(f"run: {rundir}")
     grid = summary.get("grid", {})

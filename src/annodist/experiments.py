@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,7 +66,7 @@ from .errors import (
     subset_of,
 )
 from .metrics import PairedSeries, ccc, kl_beta_arrays, wilcoxon_signed_rank
-from .pipeline import WindowTable, fmt_float, write_csv
+from .pipeline import WindowTable, fmt_float, write_csv, write_json
 
 ORACLE_MODEL = "oracle"
 KL_DIRECTIONS = ("truth_first", "pred_first")
@@ -647,7 +646,5 @@ def write_report(
         "significance_level": level,
         "significance": significance(report, level),
     }
-    with open(paths["summary"], "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(paths["summary"], summary)
     return paths

@@ -39,9 +39,10 @@ early-stops on its own validation loss and ends with its best-epoch
 parameters.  Features are checked to be finite once per :func:`train` call.
 Each step checks every member's loss and gradient norm; a member where either
 is not finite fails alone, with a :class:`TrainingError` in its history.
-A member that stops or fails is dropped at the end of that epoch: the others
-train on as a smaller stack with their own parameters, Adam moments, targets
-and shuffle generators, and no step spends work on a member that has left.
+A member that fails leaves the stack after that step, and one that stops
+leaves after that epoch: the others train on as a smaller stack with their
+own parameters and Adam moments, and no step spends work on a member that
+has left.
 """
 
 from __future__ import annotations
@@ -243,8 +244,7 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 
 def _activate(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
+    # ReLU layers are handled inline by _chain_forward and _chain_backward.
     if kind == "identity":
         return z
     if kind == "sigmoid":
@@ -262,8 +262,6 @@ def _activate(kind: str, z: np.ndarray) -> np.ndarray:
 def _pre_activation_grad(kind: str, dout: np.ndarray, z: np.ndarray,
                          a: np.ndarray) -> np.ndarray:
     # dL/dz from dL/da, using the activation value where that is cheaper.
-    if kind == "relu":
-        return dout * (z > 0.0)
     if kind == "identity":
         return dout
     if kind == "sigmoid":
@@ -573,10 +571,9 @@ def adam_step(
 
 def backward_and_step(
     net: Network, x, targets, state: AdamState, cfg: TrainConfig,
-    active: np.ndarray | None = None, work: Workspace | None = None,
-    augmented: bool = False,
+    work: Workspace | None = None, augmented: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One gradient step of every active member, in ``work``'s buffers.
+    """One gradient step of every member, in ``work``'s buffers.
 
     Returns the per-member losses and a mask of the members whose loss and
     gradient norm were finite.  A member outside that mask is not updated.
@@ -588,8 +585,7 @@ def backward_and_step(
     finite = np.isfinite(value) & np.isfinite(norm)
     if not finite.all():
         grads.flat[~finite] = 0.0
-        active = finite if active is None else active & finite
-    adam_step(net.flat, grads.flat, state, cfg.learning_rate, active)
+    adam_step(net.flat, grads.flat, state, cfg.learning_rate, finite)
     return value, finite
 
 
@@ -626,6 +622,19 @@ class StackHistory:
         return sum(h.best_epoch for h in self.members)
 
 
+def _keep(ids: np.ndarray, stack: Network, state: AdamState, rows: np.ndarray):
+    """The members ``ids[rows]`` of a live stack, as a stack of their own.
+
+    Returns their ids, the stack of their parameters, a workspace sized for
+    it and their Adam moments at the same step count.  Every operation runs
+    within one member's row, so they train on with the same bits.
+    """
+    seeds = tuple(seed for seed, kept in zip(stack.seeds, rows) if kept)
+    kept = Network(stack.variant, seeds, FlatParams(stack.variant, stack.flat[rows]))
+    return (ids[rows], kept, Workspace(kept),
+            AdamState(state.m[rows], state.v[rows], state.step))
+
+
 # The per-step checks catch every non-finite value member by member, so
 # NumPy's floating-point errors stay off: one member's overflow must not raise
 # out of the whole stack, whatever error state the caller set.
@@ -645,10 +654,12 @@ def train(
     ``default_rng(net.seeds[m])``.  A member stops after ``cfg.patience``
     epochs without a strict improvement (>= 1e-6 lower validation loss) or
     at ``cfg.max_epochs``, and keeps the parameters of its best epoch.  A
-    member whose loss or gradient turns non-finite stops with a
-    :class:`TrainingError` in its history and all-zero parameters; the others
-    are not affected.  After an epoch in which members stop or fail, the
-    rest train on as a smaller stack of the live members alone.
+    member whose loss or gradient turns non-finite fails with a
+    :class:`TrainingError` in its history and all-zero parameters, and
+    records no losses for that epoch; the others are not affected.  A
+    member that fails leaves the stack after that step, and one that stops
+    leaves after that epoch: the rest train on as a smaller stack of the
+    live members alone.
     """
     train_y = np.asarray(train_y, dtype=np.float64)
     val_y = np.asarray(val_y, dtype=np.float64)
@@ -662,85 +673,54 @@ def train(
     n, n_members = train_x.shape[0], net.n_members
     member_ndim = 2 if net.kind == "point" else 3  # targets given per member
     rngs = [np.random.default_rng(seed) for seed in net.seeds]
+    members = [TrainHistory() for _ in net.seeds]
     starts = range(0, n, cfg.batch_size)
-    # Per epoch: the stack's members and their train and validation losses.
-    # Per member: the epoch it left the stack in, its best epoch and
-    # parameters, and its error.
-    epochs = []
-    left = np.full(n_members, cfg.max_epochs)
-    best_epoch = np.zeros(n_members, dtype=np.int64)
-    best = net.flat.copy()
-    errors: list[TrainingError | None] = [None] * n_members
-    # The live stack: its members, its buffers and, per row, the best
-    # validation loss and the epochs since it last improved.
-    ids = np.arange(n_members)
-    stack, work, state = net, Workspace(net), AdamState()
-    rows, active = ids[:, None], np.ones(n_members, dtype=bool)
+    # Per member: its shuffle and batch losses in this epoch, its best
+    # parameters and validation loss, and the epochs since that improved.
     order = np.empty((n_members, n), dtype=np.int64)
     batch_losses = np.empty((n_members, len(starts)))
-    best_val = np.full(n_members, math.inf)
+    best, best_val = net.flat.copy(), np.full(n_members, math.inf)
     bad_epochs = np.zeros(n_members, dtype=np.int64)
+    # The live stack: its members' ids, in order, and its buffers.
+    ids, stack, work, state = np.arange(n_members), net, Workspace(net), AdamState()
     for epoch in range(1, cfg.max_epochs + 1):
-        for row, m in enumerate(ids):
-            order[row] = rngs[m].permutation(n)
+        for m in ids:
+            order[m] = rngs[m].permutation(n)
         for j, lo in enumerate(starts):
-            idx = order[:, lo : lo + cfg.batch_size]
-            y = (train_y[rows, idx] if train_y.ndim == member_ndim
+            idx = order[ids, lo : lo + cfg.batch_size]
+            y = (train_y[ids[:, None], idx] if train_y.ndim == member_ndim
                  else train_y.take(idx, axis=0))
             value, finite = backward_and_step(stack, train_x.take(idx, axis=0), y,
-                                              state, cfg, active, work,
-                                              augmented=True)
+                                              state, cfg, work, augmented=True)
+            batch_losses[ids, j] = value
             if not finite.all():
-                failed = active & ~finite
-                for row in np.flatnonzero(failed):
-                    errors[ids[row]] = TrainingError(
+                for row in np.flatnonzero(~finite):
+                    members[ids[row]].error = TrainingError(
                         f"non-finite loss or gradient in epoch {epoch} "
                         f"(loss={float(value[row])!r}); member stopped"
                     )
-                # Zeroed parameters keep a failed member's later passes finite.
-                stack.flat[failed] = 0.0
-                best[ids[failed]] = 0.0
-                active &= ~failed
-            batch_losses[:, j] = value
-        val = loss(stack, val_x, val_y, work, augmented=True)
-        # The mean over batches, summed and divided as np.mean does it.
-        epochs.append((ids, np.add.reduce(batch_losses, axis=1) / len(starts), val))
-        improved = active & (val < best_val - MIN_IMPROVEMENT)
-        if improved.any():
-            better = ids[improved]
-            best_epoch[better] = epoch
-            best[better] = stack.flat[improved]
-            best_val[improved] = val[improved]
-        bad_epochs = np.where(improved, 0, bad_epochs + 1)
-        active &= bad_epochs < cfg.patience
-        if active.all():
-            continue
-        left[ids[~active]] = epoch
-        if not active.any():
+                best[ids[~finite]] = 0.0
+                ids, stack, work, state = _keep(ids, stack, state, finite)
+                if not ids.size:
+                    break
+        if not ids.size:
             break
-        # Every operation runs within one member's row, so the live members
-        # train on in a stack of their own with the same bits.
-        ids, rows = ids[active], rows[: np.count_nonzero(active)]
-        stack = Network(net.variant, tuple(net.seeds[m] for m in ids),
-                        FlatParams(net.variant, stack.flat[active]))
-        work = Workspace(stack)
-        state = AdamState(state.m[active], state.v[active], state.step)
-        order, batch_losses = order[active], batch_losses[active]
-        best_val, bad_epochs = best_val[active], bad_epochs[active]
-        if train_y.ndim == member_ndim:
-            train_y = train_y[active]
-        if val_y.ndim == member_ndim:
-            val_y = val_y[active]
-        active = active[active]
+        train_loss = batch_losses[ids].mean(axis=1)
+        val = loss(stack, val_x, val_y[ids] if val_y.ndim == member_ndim else val_y,
+                   work, augmented=True)
+        for m, t, v in zip(ids, train_loss.tolist(), val.tolist()):
+            members[m].train_loss.append(t)
+            members[m].val_loss.append(v)
+        improved = val < best_val[ids] - MIN_IMPROVEMENT
+        for m in ids[improved]:
+            members[m].best_epoch = epoch
+        best[ids[improved]] = stack.flat[improved]
+        best_val[ids[improved]] = val[improved]
+        bad_epochs[ids] = np.where(improved, 0, bad_epochs[ids] + 1)
+        live = bad_epochs[ids] < cfg.patience
+        if not live.all():
+            ids, stack, work, state = _keep(ids, stack, state, live)
+            if not ids.size:
+                break
     net.flat[...] = best
-    losses = np.empty((2, len(epochs), n_members))
-    for e, (members, train_loss, val) in enumerate(epochs):
-        losses[:, e, members] = train_loss, val
-    # A member recorded every epoch up to the one it left in, except that a
-    # failed member left during that epoch.
-    n_epochs = left - np.array([error is not None for error in errors])
-    return StackHistory([
-        TrainHistory(losses[0, :k, m].tolist(), losses[1, :k, m].tolist(),
-                     int(best_epoch[m]), errors[m])
-        for m, k in enumerate(n_epochs.tolist())
-    ])
+    return StackHistory(members)

@@ -27,6 +27,8 @@ read through :func:`_csv_rows` (header check, blank rows skipped),
 :func:`write_csv`; the annotation reader parses its two numeric columns
 with NumPy and checks row by row only when that fails.  A malformed row
 raises a :class:`~annodist.errors.SchemaError` naming its file and line.
+Every JSON file (config, manifest, run summary) is read through
+:func:`read_json` and written through :func:`write_json`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import numpy as np
 from .consensus import DEFAULT_EPSILON, clamp_moments_arrays
 from .errors import (
     POSITIVE,
+    DataError,
     DomainError,
     EmptyDatasetError,
     InsufficientDataError,
@@ -453,6 +456,36 @@ def write_csv(path, header: list[str], rows) -> Path:
     return path
 
 
+def read_json(path) -> dict:
+    """The JSON object in a UTF-8 file.
+
+    A file that is not UTF-8, not valid JSON, or whose top level is not an
+    object raises a :class:`DataError` naming its file and line.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+        obj = json.loads(text)
+    except UnicodeDecodeError as exc:
+        line, what = raw[:exc.start].count(b"\n") + 1, "not UTF-8 text"
+    except json.JSONDecodeError as exc:
+        line, what = exc.lineno, f"invalid JSON: {exc.msg} (column {exc.colno})"
+    else:
+        if isinstance(obj, dict):
+            return obj
+        line = text[: len(text) - len(text.lstrip())].count("\n") + 1
+        what = "the top level is not a JSON object"
+    raise DataError(f"{path}:{line}: {what}")
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as UTF-8 JSON, indented by 2 with sorted keys and a
+    final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _sorted_series(path, groups: dict, noun: str):
     """Yield ``(ids, timestamps, values)`` for each ``ids -> [(t, line,
     values)]`` group of a series CSV, sorted by ids and then by time; raise
@@ -604,9 +637,7 @@ def write_dataset(
             "windows_unmatched": report.windows_unmatched,
         },
     }
-    with open(outdir / "dataset_manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(outdir / "dataset_manifest.json", manifest)
     return path
 
 
@@ -647,7 +678,5 @@ def read_dataset(path) -> tuple[WindowTable, dict]:
                         np.array(n_annot, dtype=np.int64), numbers[:, 2].copy(),
                         numbers[:, 3].copy(), numbers[:, 4:].copy())
     manifest_path = path.parent / "dataset_manifest.json"
-    manifest = {}
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = read_json(manifest_path) if manifest_path.exists() else {}
     return table, manifest

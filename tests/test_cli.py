@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -22,6 +23,11 @@ def run_cli(*args):
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 SYNTH_ARGS = [
@@ -120,7 +126,7 @@ class TestFit:
                 writer.writerow(["s1", "a2", t * 0.25, 0.6])
         out = tmp_path / "fit"
         assert run_cli("fit", "--annotations", path, "--out", out) == 0
-        rows = list(csv.DictReader(open(out / "beta_fits.csv")))
+        rows = csv_rows(out / "beta_fits.csv")
         assert rows
         for row in rows:
             # mu=0.5, sigma=0.1 -> phi=24 -> alpha=beta=12
@@ -138,7 +144,7 @@ class TestFit:
                     writer.writerow(["s1", a, t * 0.25, 0.2])
         out = tmp_path / "fit"
         assert run_cli("fit", "--annotations", path, "--out", out) == 0
-        rows = list(csv.DictReader(open(out / "beta_fits.csv")))
+        rows = csv_rows(out / "beta_fits.csv")
         assert all(row["degenerate"] == "1" for row in rows)
 
     def test_uniform_spread_has_near_zero_skew(self, tmp_path):
@@ -152,7 +158,7 @@ class TestFit:
                     writer.writerow(["s1", f"a{i}", t * 0.25, v])
         out = tmp_path / "fit"
         assert run_cli("fit", "--annotations", path, "--out", out) == 0
-        rows = list(csv.DictReader(open(out / "beta_fits.csv")))
+        rows = csv_rows(out / "beta_fits.csv")
         assert all(abs(float(row["skew"])) < 1e-9 for row in rows)
 
     def test_exact_zero_one_split_fits(self, tmp_path):
@@ -170,7 +176,7 @@ class TestFit:
         out = tmp_path / "fit"
         assert run_cli("fit", "--annotations", path, "--label-range", 0, 100,
                        "--out", out) == 0
-        rows = list(csv.DictReader(open(out / "beta_fits.csv")))
+        rows = csv_rows(out / "beta_fits.csv")
         assert rows
         for row in rows:
             a, b = float(row["alpha"]), float(row["beta"])
@@ -201,7 +207,7 @@ class TestRun:
                        "--k-folds", 3, "--n-seeds", 1, "--max-epochs", 2,
                        "--variants", "fully_shared", "--baselines",
                        "--oracle", "--density-windows", 0) == 0
-        rows = list(csv.DictReader(open(out / "moments_ccc.csv")))
+        rows = csv_rows(out / "moments_ccc.csv")
         oracle_rows = [r for r in rows if r["model"] == "oracle"]
         assert oracle_rows
         for r in oracle_rows:
@@ -326,6 +332,46 @@ class TestMalformedInput:
         assert code == 2, err
         assert f"{bad}:{bad_line}:" in err
         assert "Traceback" not in err
+
+
+# JSON files that are malformed, not an object or not UTF-8: (contents, line
+# the error must name).
+BAD_JSON = {
+    "malformed": (b'{\n  "n_subjects": 3,\n  "duration":\n}\n', 4),
+    "array": (b"\n\n[1, 2]\n", 3),
+    "number": (b"3", 1),
+    "not-utf8": (b'{\n  "modalities": "\xff"\n}\n', 2),
+}
+
+
+class TestBadJson:
+    @pytest.mark.parametrize("role", ["config", "manifest", "summary"])
+    @pytest.mark.parametrize("case", sorted(BAD_JSON))
+    def test_exit_2_with_file_and_line(self, role, case, built_dir, tmp_path, capsys):
+        # A config file for synth, a dataset manifest for run (which reads
+        # and discards it) and a run's summary for report.
+        contents, line = BAD_JSON[case]
+        out = tmp_path / "out"
+        if role == "config":
+            bad = tmp_path / "cfg.json"
+            args = ["synth", "--config", bad, "--out", out]
+        elif role == "manifest":
+            bad = tmp_path / "dataset" / "dataset_manifest.json"
+            bad.parent.mkdir()
+            shutil.copy(built_dir / "dataset.csv", bad.parent)
+            args = ["run", "--dataset", bad.parent, "--out", out, "--max-epochs", 1]
+        else:
+            bad = tmp_path / "run" / "summary.json"
+            bad.parent.mkdir()
+            args = ["report", "--run", bad.parent]
+        bad.write_bytes(contents)
+        code = run_cli(*args)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"{bad}:{line}:" in err
+        assert "Traceback" not in err
+        if role == "config":
+            assert not out.exists()
 
 
 # (subcommand, config key, bad value): JSON types the key's default rejects.

@@ -367,8 +367,8 @@ class TestTraining:
 
     @pytest.mark.parametrize("kind", ["point", "shared_first"])
     def test_stack_holds_only_live_members(self, kind, monkeypatch):
-        # Every step's stack, and its batch, has one row per member still
-        # training in that epoch: stopped and failed members are dropped.
+        # Every step's stack, and its batch, has one row per member that has
+        # neither stopped in an earlier epoch nor failed in an earlier step.
         rng = np.random.default_rng(16)
         x = rng.normal(size=(300, 5))
         if kind == "point":
@@ -378,7 +378,10 @@ class TestTraining:
             y = np.stack([moment_targets(x @ rng.normal(size=5) + noise * rng.normal(size=300))
                           for noise in (0.0, 1.0, 3.0, 2.0)])
             lr = 3e-2
-        y[3, 150] = np.nan  # member 3 fails in its first epoch
+        seeds, batch, steps = [4, 5, 6, 7], 128, 2  # 200 rows in batches of 128
+        y[3, 150] = np.nan  # member 3 fails in the epoch-1 step that draws row 150
+        position = np.flatnonzero(np.random.default_rng(seeds[3]).permutation(200) == 150)
+        fail_step = int(position[0]) // batch
         real_step = nn.backward_and_step
         sizes = []
 
@@ -387,16 +390,21 @@ class TestTraining:
             return real_step(net, x, *args, **kwargs)
 
         monkeypatch.setattr(nn, "backward_and_step", spy)
-        cfg = nn.TrainConfig(learning_rate=lr, max_epochs=40, patience=2)
-        stack = nn.build(nn.NetworkVariant(kind, 5), [4, 5, 6, 7])
+        cfg = nn.TrainConfig(learning_rate=lr, batch_size=batch, max_epochs=40,
+                             patience=2)
+        stack = nn.build(nn.NetworkVariant(kind, 5), seeds)
         members = nn.train(stack, x[:200], y[:, :200], x[200:], y[:, 200:],
                            cfg).members
         assert isinstance(members[3].error, TrainingError)
-        # A member trains in epoch e if it records e, or fails during it.
-        last = [h.n_epochs + (h.error is not None) for h in members]
-        assert len(set(last)) > 2
-        live = [sum(e <= k for k in last) for e in range(1, max(last) + 1)]
-        assert sizes == [(n, n) for n in live for _ in range(2)]
+        assert "epoch 1 " in str(members[3].error)
+        assert members[3].n_epochs == 0  # no losses for the epoch it failed in
+        assert np.all(stack.flat[3] == 0.0)
+        stopped = [h.n_epochs for h in members[:3]]
+        assert all(h.error is None for h in members[:3])
+        assert len(set(stopped)) > 1
+        live = [sum(epoch <= k for k in stopped) + ((epoch, step) <= (1, fail_step))
+                for epoch in range(1, max(stopped) + 1) for step in range(steps)]
+        assert sizes == [(k, k) for k in live]
 
     def test_non_finite_target_fails_only_its_member(self):
         rng = np.random.default_rng(18)
