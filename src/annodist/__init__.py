@@ -8,52 +8,26 @@ subject-independent cross-validation.
 
 __version__ = "0.1.0"
 
-from .consensus import (
-    BetaParams,
-    DescriptorSet,
-    MomentPair,
-    beta_excess_kurtosis,
-    beta_mean_std,
-    beta_median_approx,
-    beta_pdf,
-    beta_quantile,
-    beta_skewness,
-    clamp_moments,
-    consensus_moments,
-    descriptors,
-    moment_match,
-)
-from .metrics import PairedSeries, ccc, kl_beta, mse, wilcoxon_signed_rank
+from .consensus import consensus_moments, fit_beta_arrays
+from .metrics import PairedSeries, ccc, kl_beta_arrays, wilcoxon_signed_rank
 from .pipeline import AnnotationTrace, FrameSeries, WindowConfig, WindowTable
 from .special import digamma, inv_reg_inc_beta, log_gamma, reg_inc_beta
 from .synthetic import SyntheticConfig
 
 __all__ = [
-    "BetaParams",
-    "DescriptorSet",
-    "MomentPair",
     "PairedSeries",
     "AnnotationTrace",
     "FrameSeries",
     "WindowConfig",
     "WindowTable",
     "SyntheticConfig",
-    "beta_excess_kurtosis",
-    "beta_mean_std",
-    "beta_median_approx",
-    "beta_pdf",
-    "beta_quantile",
-    "beta_skewness",
     "ccc",
-    "clamp_moments",
     "consensus_moments",
-    "descriptors",
     "digamma",
+    "fit_beta_arrays",
     "inv_reg_inc_beta",
-    "kl_beta",
+    "kl_beta_arrays",
     "log_gamma",
-    "moment_match",
-    "mse",
     "reg_inc_beta",
     "wilcoxon_signed_rank",
 ]

@@ -316,33 +316,29 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    rundir = _out_dir(args.run)
-    summary_path = rundir / "summary.json"
-    if not summary_path.exists():
-        raise DataError(f"report: no summary.json under {rundir}")
-    summary = pipeline.read_json(summary_path)
+def _report_lines(rundir: Path, summary: dict):
+    """The lines ``report`` prints for the run in ``rundir``."""
     level = summary.get("significance_level", 0.05)
-    print(f"run: {rundir}")
+    yield f"run: {rundir}"
     grid = summary.get("grid", {})
-    print(
+    yield (
         f"grid: {grid.get('cells', '?')} cells, "
         f"{grid.get('k_folds', '?')} folds x {grid.get('n_seeds', '?')} seeds, "
         f"master seed {grid.get('master_seed', '?')}"
     )
     if grid.get("failures"):
-        print(f"failures: {len(grid['failures'])}")
-    print(f"KL direction: {summary.get('kl_direction')}")
+        yield f"failures: {len(grid['failures'])}"
+    yield f"KL direction: {summary.get('kl_direction')}"
     kl_means = summary.get("kl_means", {})
     if kl_means:
-        print("mean per-window KL (vs truth Beta | vs uniform | windows better)")
+        yield "mean per-window KL (vs truth Beta | vs uniform | windows better)"
         for model, row in sorted(kl_means.items()):
-            print(f"    {model:<24} {row['vs_truth_beta']:8.3f} "
-                  f"{row['vs_uniform']:8.3f} "
-                  f"{row['windows_better_than_uniform']:8.1%}")
-    print(f"significance level: {level} (paired Wilcoxon, * best, = on par)")
+            yield (f"    {model:<24} {row['vs_truth_beta']:8.3f} "
+                   f"{row['vs_uniform']:8.3f} "
+                   f"{row['windows_better_than_uniform']:8.1%}")
+    yield f"significance level: {level} (paired Wilcoxon, * best, = on par)"
     for metric, entries in sorted(summary.get("significance", {}).items()):
-        print(f"\n{metric}")
+        yield f"\n{metric}"
         for model in sorted(entries, key=lambda m: -entries[m]["mean"]):
             row = entries[model]
             if row.get("best"):
@@ -353,7 +349,21 @@ def _cmd_report(args) -> int:
                 mark = "?"
             else:
                 mark = " "
-            print(f"  {mark} {model:<24} {row['mean']:+.4f} +/- {row['std']:.4f}")
+            yield f"  {mark} {model:<24} {row['mean']:+.4f} +/- {row['std']:.4f}"
+
+
+def _cmd_report(args) -> int:
+    rundir = _out_dir(args.run)
+    summary_path = rundir / "summary.json"
+    if not summary_path.exists():
+        raise DataError(f"report: no summary.json under {rundir}")
+    summary = pipeline.read_json(summary_path)
+    try:
+        lines = list(_report_lines(rundir, summary))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{summary_path}: not a run summary "
+                        f"({type(exc).__name__}: {exc})") from None
+    print("\n".join(lines))
     return 0
 
 

@@ -17,16 +17,12 @@ class DomainError(DataError, ValueError):
     """Argument outside a function's mathematical domain."""
 
 
-class ValidityError(DataError, ValueError):
-    """Moment pair violates the Beta validity conditions."""
-
-
 class InsufficientDataError(DataError):
     """Too few samples, annotators, or subjects to proceed."""
 
 
 class SchemaError(DataError):
-    """Malformed CSV input; message carries file and line context."""
+    """Malformed input file; message carries file and line context."""
 
 
 class EmptyDatasetError(DataError):

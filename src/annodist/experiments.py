@@ -59,7 +59,6 @@ from .errors import (
     AnnodistError,
     DomainError,
     InsufficientDataError,
-    TrainingError,
     at_least,
     check_fields,
     one_of,

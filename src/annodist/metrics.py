@@ -1,10 +1,12 @@
-"""Evaluation metrics: concordance, Beta-Beta KL divergence, MSE, Wilcoxon.
+"""Evaluation metrics: concordance, Beta-Beta KL divergence, Wilcoxon.
 
-All statistics use the population (divide-by-N) convention, matching the
-consensus module.  The Wilcoxon signed-rank test drops zero differences,
-ranks ties by average rank, enumerates the exact null distribution when the
-effective sample is small and otherwise uses the normal approximation with
-tie and continuity corrections.
+CCC compares a :class:`PairedSeries` of predictions and targets; the KL
+divergence works elementwise on arrays of Beta shapes.  All statistics use
+the population (divide-by-N) convention, matching the consensus module.
+The Wilcoxon signed-rank test drops zero differences, ranks ties by average
+rank, enumerates the exact null distribution when the effective sample is
+small and otherwise uses the normal approximation with tie and continuity
+corrections.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import special
-from .consensus import BetaParams
 from .errors import DomainError, InsufficientDataError
 
 EXACT_WILCOXON_MAX_N = 20
@@ -42,13 +43,12 @@ class PairedSeries:
         object.__setattr__(self, "targets", targ)
 
 
-class CccResult(NamedTuple):
-    value: float
-    degenerate: bool
+def ccc(s: PairedSeries) -> float:
+    """Concordance Correlation Coefficient: 2*cov / (var_x + var_y + dmean^2).
 
-
-def ccc_result(s: PairedSeries) -> CccResult:
-    """Concordance correlation with a flag for the degenerate 0/0 case."""
+    Penalises both decorrelation and location/scale shift; population
+    statistics throughout.  Returns 0 for the degenerate constant-equal case.
+    """
     x = s.predictions
     y = s.targets
     mx = x.mean()
@@ -56,42 +56,19 @@ def ccc_result(s: PairedSeries) -> CccResult:
     cov = ((x - mx) * (y - my)).mean()
     denom = x.var() + y.var() + (mx - my) ** 2
     if denom == 0.0:
-        return CccResult(0.0, True)
-    return CccResult(float(2.0 * cov / denom), False)
-
-
-def ccc(s: PairedSeries) -> float:
-    """Concordance Correlation Coefficient: 2*cov / (var_x + var_y + dmean^2).
-
-    Penalises both decorrelation and location/scale shift; population
-    statistics throughout.  Returns 0 for the degenerate constant-equal case.
-    """
-    return ccc_result(s).value
-
-
-def mse(s: PairedSeries) -> float:
-    """Mean squared error between predictions and targets."""
-    return float(np.mean((s.predictions - s.targets) ** 2))
-
-
-def kl_beta(p: BetaParams, q: BetaParams) -> float:
-    """Closed-form KL(p || q) between two Beta distributions; >= 0."""
-    return float(
-        kl_beta_arrays(
-            np.asarray(p.alpha), np.asarray(p.beta),
-            np.asarray(q.alpha), np.asarray(q.beta),
-        )
-    )
+        return 0.0
+    return float(2.0 * cov / denom)
 
 
 def kl_beta_arrays(alpha_p, beta_p, alpha_q, beta_q):
-    """Vectorised Beta-Beta KL divergence over shape arrays."""
+    """Closed-form KL(p || q) between Beta(alpha_p, beta_p) and
+    Beta(alpha_q, beta_q), elementwise over shape arrays; >= 0."""
     ap = np.asarray(alpha_p, dtype=np.float64)
     bp = np.asarray(beta_p, dtype=np.float64)
     aq = np.asarray(alpha_q, dtype=np.float64)
     bq = np.asarray(beta_q, dtype=np.float64)
     if np.any(ap <= 0) or np.any(bp <= 0) or np.any(aq <= 0) or np.any(bq <= 0):
-        raise DomainError("kl_beta: shape parameters must be positive")
+        raise DomainError("kl_beta_arrays: shape parameters must be positive")
     kl = (
         special.log_beta(aq, bq)
         - special.log_beta(ap, bp)

@@ -21,8 +21,10 @@ CSV interfaces
   Rows must be as wide as the header, with an integer ``n_annotators``,
   finite numbers and ``sigma >= 0``.
 
-Timestamps are finite seconds as decimals; files are UTF-8.  Every CSV is
-read through :func:`_csv_rows` (header check, blank rows skipped),
+Timestamps are finite seconds as decimals.  Files are UTF-8: a CSV or
+JSON file that is not raises a :class:`~annodist.errors.SchemaError`
+naming its file and the line of its first bad byte.  Every CSV is read
+through :func:`_csv_rows` (header check, blank rows skipped),
 :func:`_check_width` and :func:`_parse_numbers`, and written through
 :func:`write_csv`; the annotation reader parses its two numeric columns
 with NumPy and checks row by row only when that fails.  A malformed row
@@ -395,21 +397,37 @@ def build_dataset(
 # ---------------------------------------------------------------------------
 
 
+def _decode_utf8(path, raw: bytes) -> str:
+    """``raw``, the whole content of the file at ``path``, as UTF-8 text; a
+    :class:`SchemaError` names the line of the first byte that is not."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw[:exc.start].count(b"\n") + 1
+        raise SchemaError(f"{path}:{line}: not UTF-8 text") from None
+
+
 def _csv_rows(path, prefix: list[str]):
     """Yield ``(line_no, row)`` for the header (line 1) and then every
     non-blank row of a UTF-8 CSV whose header must start with ``prefix``."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:len(prefix)] != prefix:
-            raise SchemaError(
-                f"{path}:1: expected header starting with {','.join(prefix)!r}, "
-                f"got {','.join(header) if header else '<empty>'!r}"
-            )
-        yield 1, header
-        for line_no, row in enumerate(reader, start=2):
-            if row:
-                yield line_no, row
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or header[:len(prefix)] != prefix:
+                raise SchemaError(
+                    f"{path}:1: expected header starting with {','.join(prefix)!r}, "
+                    f"got {','.join(header) if header else '<empty>'!r}"
+                )
+            yield 1, header
+            for line_no, row in enumerate(reader, start=2):
+                if row:
+                    yield line_no, row
+    except UnicodeDecodeError:
+        # The text layer decodes in chunks, so the error's offset is
+        # relative to one chunk: find the line in the whole file.
+        _decode_utf8(path, Path(path).read_bytes())
+        raise
 
 
 def _check_width(path, line_no: int, row: list[str], width: int,
@@ -462,12 +480,9 @@ def read_json(path) -> dict:
     A file that is not UTF-8, not valid JSON, or whose top level is not an
     object raises a :class:`DataError` naming its file and line.
     """
-    raw = Path(path).read_bytes()
+    text = _decode_utf8(path, Path(path).read_bytes())
     try:
-        text = raw.decode("utf-8")
         obj = json.loads(text)
-    except UnicodeDecodeError as exc:
-        line, what = raw[:exc.start].count(b"\n") + 1, "not UTF-8 text"
     except json.JSONDecodeError as exc:
         line, what = exc.lineno, f"invalid JSON: {exc.msg} (column {exc.colno})"
     else:

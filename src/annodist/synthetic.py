@@ -4,12 +4,12 @@ Each subject carries smooth latent trajectories (mu*(t), sigma*(t)) built
 from low-frequency sinusoids and kept strictly inside the Beta validity
 region.  Annotators are modelled as slowly drifting quantile levels
 u_i(t) = frac(u_i0 + d_i * t): u_i(t) is exactly uniform at every instant,
-so the cross-annotator value distribution at time t is exactly
-Beta(moment_match(mu*(t), sigma*(t))), while each annotator's deviation is
-persistent within a window.  That persistence is what makes the empirical
-cross-annotator moments of per-annotator window means converge to
-(mu*, sigma*) as the panel grows; frame-wise independent draws would average
-the disagreement away inside each window.
+so the cross-annotator value distribution at time t is exactly the Beta
+with mean mu*(t) and standard deviation sigma*(t), while each annotator's
+deviation is persistent within a window.  That persistence is what makes
+the empirical cross-annotator moments of per-annotator window means converge
+to (mu*, sigma*) as the panel grows; frame-wise independent draws would
+average the disagreement away inside each window.
 
 Features are a fixed random linear map of [mu*, sigma*, nuisance latents]
 plus Gaussian observation noise.  All randomness flows from
@@ -19,13 +19,13 @@ deterministic and per-subject parallel-safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import special
-from .consensus import MomentPair, moment_match_arrays
+from .consensus import moment_match_arrays
 from .errors import POSITIVE, DomainError, at_least, check_fields
 from .pipeline import (
     AnnotationTrace,
@@ -85,12 +85,6 @@ class GroundTruth:
     """Per-window latent (mu*, sigma*) rows: the oracle for synthetic data."""
 
     rows: tuple[tuple[str, float, float, float], ...]
-    lookup: dict[tuple[str, float], MomentPair] = field(repr=False, default_factory=dict)
-
-    @staticmethod
-    def from_rows(rows) -> "GroundTruth":
-        table = {(s, start): MomentPair(mu, sigma) for s, start, mu, sigma in rows}
-        return GroundTruth(rows=tuple(rows), lookup=table)
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -205,7 +199,7 @@ def generate(
             _window_means(mu_a, lo, hi).tolist(),
             _window_means(sigma_a, lo, hi).tolist(),
         )
-    return features, annotations, GroundTruth.from_rows(truth_rows)
+    return features, annotations, GroundTruth(tuple(truth_rows))
 
 
 _GROUND_TRUTH_COLUMNS = ["subject_id", "window_start", "mu_true", "sigma_true"]
@@ -228,7 +222,7 @@ def read_ground_truth_csv(path) -> GroundTruth:
         _check_width(path, line_no, row, 4)
         truth.append((row[0], *_parse_numbers(path, line_no, row[1:], 3,
                                               lambda: _GROUND_TRUTH_COLUMNS[1:])))
-    return GroundTruth.from_rows(truth)
+    return GroundTruth(tuple(truth))
 
 
 def write_dataset_csvs(cfg: SyntheticConfig, outdir,

@@ -8,7 +8,6 @@ import io
 import json
 import shutil
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -258,6 +257,21 @@ class TestReport:
 
     def test_missing_run_dir_exit_2(self, tmp_path):
         assert run_cli("report", "--run", tmp_path / "nope") == 2
+
+    @pytest.mark.parametrize("summary", [
+        '{"grid": []}',
+        '{"kl_means": {"m": {}}}',
+        '{"significance": {"ccc_mu": {"m": {"mean": "x"}}}}',
+    ])
+    def test_malformed_summary_exit_2(self, summary, tmp_path, capsys):
+        bad = tmp_path / "run" / "summary.json"
+        bad.parent.mkdir()
+        bad.write_text(summary)
+        assert run_cli("report", "--run", bad.parent) == 2
+        out, err = capsys.readouterr()
+        assert f"{bad}: not a run summary" in err
+        assert "Traceback" not in err
+        assert out == ""
 
 
 def _set_cell(i, value):

@@ -12,22 +12,17 @@ from scipy import stats
 from scipy.integrate import quad
 
 from annodist.consensus import (
-    BetaParams,
-    MomentPair,
-    beta_excess_kurtosis,
-    beta_mean_std,
-    beta_median_approx,
-    beta_pdf,
-    beta_quantile,
-    beta_skewness,
-    clamp_moments,
+    beta_excess_kurtosis_arrays,
+    beta_mean_std_arrays,
+    beta_pdf_arrays,
+    beta_skewness_arrays,
     clamp_moments_arrays,
     consensus_moments,
-    descriptors,
-    moment_match,
+    descriptors_arrays,
     moment_match_arrays,
 )
-from annodist.errors import DomainError, InsufficientDataError, ValidityError
+from annodist.errors import DomainError, InsufficientDataError
+from annodist.special import inv_reg_inc_beta
 
 
 def quadrature_central_moment(alpha: float, beta: float, order: int) -> float:
@@ -43,19 +38,19 @@ def quadrature_central_moment(alpha: float, beta: float, order: int) -> float:
 
 class TestConsensusMoments:
     def test_symmetric_pair(self):
-        m = consensus_moments([0.4, 0.6])
-        assert m.mu == pytest.approx(0.5)
-        assert m.sigma == pytest.approx(0.1)
+        mu, sigma = consensus_moments([0.4, 0.6])
+        assert mu == pytest.approx(0.5)
+        assert sigma == pytest.approx(0.1)
 
     def test_unanimous(self):
-        m = consensus_moments([0.2, 0.2, 0.2])
-        assert m.mu == pytest.approx(0.2)
-        assert m.sigma == pytest.approx(0.0, abs=1e-15)
+        mu, sigma = consensus_moments([0.2, 0.2, 0.2])
+        assert mu == pytest.approx(0.2)
+        assert sigma == pytest.approx(0.0, abs=1e-15)
 
     def test_three_spread(self):
-        m = consensus_moments([0.1, 0.5, 0.9])
-        assert m.mu == pytest.approx(0.5)
-        assert m.sigma == pytest.approx(math.sqrt(0.32 / 3.0))
+        mu, sigma = consensus_moments([0.1, 0.5, 0.9])
+        assert mu == pytest.approx(0.5)
+        assert sigma == pytest.approx(math.sqrt(0.32 / 3.0))
 
     def test_too_few(self):
         with pytest.raises(InsufficientDataError):
@@ -68,19 +63,18 @@ class TestConsensusMoments:
 
 class TestClampMoments:
     def test_zero_sigma_lifted(self):
-        clamped = clamp_moments(MomentPair(0.5, 0.0), epsilon=1e-4)
-        assert clamped.mu == 0.5
-        assert clamped.sigma == pytest.approx(math.sqrt(1e-4 * 0.25))
+        mu, sigma = clamp_moments_arrays(0.5, 0.0, epsilon=1e-4)
+        assert mu == 0.5
+        assert sigma == pytest.approx(math.sqrt(1e-4 * 0.25))
 
     def test_boundary_mu_pulled_in(self):
-        clamped = clamp_moments(MomentPair(0.0, 0.1), epsilon=1e-4)
-        assert clamped.mu == pytest.approx(1e-4)
-        cap = clamped.mu * (1 - clamped.mu)
-        assert clamped.variance == pytest.approx((1 - 1e-4) * cap)
+        mu, sigma = clamp_moments_arrays(0.0, 0.1, epsilon=1e-4)
+        assert mu == pytest.approx(1e-4)
+        cap = mu * (1 - mu)
+        assert sigma**2 == pytest.approx((1 - 1e-4) * cap)
 
     def test_valid_input_untouched(self):
-        clamped = clamp_moments(MomentPair(0.3, 0.1))
-        assert (clamped.mu, clamped.sigma) == (0.3, 0.1)
+        assert clamp_moments_arrays(0.3, 0.1) == (0.3, 0.1)
 
     def test_fuzz_output_always_valid(self):
         rng = np.random.default_rng(8)
@@ -94,22 +88,14 @@ class TestClampMoments:
 
 class TestMomentMatch:
     def test_uniform_case(self):
-        p = moment_match(MomentPair(0.5, math.sqrt(1.0 / 12.0)))
-        assert p.alpha == pytest.approx(1.0, abs=1e-12)
-        assert p.beta == pytest.approx(1.0, abs=1e-12)
+        alpha, beta = moment_match_arrays(0.5, math.sqrt(1.0 / 12.0))
+        assert alpha == pytest.approx(1.0, abs=1e-12)
+        assert beta == pytest.approx(1.0, abs=1e-12)
 
     def test_worked_case(self):
-        p = moment_match(MomentPair(0.3, 0.1))
-        assert p.alpha == pytest.approx(6.0, abs=1e-12)
-        assert p.beta == pytest.approx(14.0, abs=1e-12)
-
-    def test_variance_at_cap_rejected(self):
-        with pytest.raises(ValidityError):
-            moment_match(MomentPair(0.5, 0.5))
-
-    def test_mu_outside_open_interval_rejected(self):
-        with pytest.raises(ValidityError):
-            moment_match(MomentPair(0.0, 0.1))
+        alpha, beta = moment_match_arrays(0.3, 0.1)
+        assert alpha == pytest.approx(6.0, abs=1e-12)
+        assert beta == pytest.approx(14.0, abs=1e-12)
 
     def test_round_trip_mean_std(self):
         rng = np.random.default_rng(9)
@@ -126,140 +112,109 @@ class TestMomentMatch:
 
 class TestClosedFormDescriptors:
     def test_mean_std_examples(self):
-        assert beta_mean_std(BetaParams(1, 1)) == (
+        assert beta_mean_std_arrays(1, 1) == (
             pytest.approx(0.5), pytest.approx(math.sqrt(1 / 12)))
-        assert beta_mean_std(BetaParams(6, 14)) == (
+        assert beta_mean_std_arrays(6, 14) == (
             pytest.approx(0.3), pytest.approx(0.1))
-        assert beta_mean_std(BetaParams(2, 2)) == (
+        assert beta_mean_std_arrays(2, 2) == (
             pytest.approx(0.5), pytest.approx(math.sqrt(4 / 80)))
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 7.5, 40.0])
     def test_skew_zero_for_symmetric(self, k):
-        assert beta_skewness(BetaParams(k, k)) == pytest.approx(0.0, abs=1e-14)
+        assert beta_skewness_arrays(k, k) == pytest.approx(0.0, abs=1e-14)
 
     def test_skew_worked_case_vs_quadrature(self):
         # 2*6*sqrt(11) / (12*4) from the closed form; quadrature cross-check.
         expected = 12.0 * math.sqrt(11.0) / 48.0
         assert expected == pytest.approx(0.8292, abs=5e-5)
-        got = beta_skewness(BetaParams(2, 8))
+        got = beta_skewness_arrays(2, 8)
         assert got == pytest.approx(expected, rel=1e-12)
         m2 = quadrature_central_moment(2, 8, 2)
         m3 = quadrature_central_moment(2, 8, 3)
         assert got == pytest.approx(m3 / m2**1.5, abs=1e-9)
 
     def test_skew_antisymmetry(self):
-        assert beta_skewness(BetaParams(8, 2)) == pytest.approx(
-            -beta_skewness(BetaParams(2, 8)), abs=1e-14)
+        assert beta_skewness_arrays(8, 2) == pytest.approx(
+            -beta_skewness_arrays(2, 8), abs=1e-14)
 
     def test_uniform_excess_kurtosis(self):
-        assert beta_excess_kurtosis(BetaParams(1, 1)) == pytest.approx(-1.2)
+        assert beta_excess_kurtosis_arrays(1, 1) == pytest.approx(-1.2)
 
     def test_kurtosis_vs_quadrature(self):
         # Beta(2,2): fourth-moment quadrature gives -6/7.
-        got = beta_excess_kurtosis(BetaParams(2, 2))
+        got = beta_excess_kurtosis_arrays(2, 2)
         m2 = quadrature_central_moment(2, 2, 2)
         m4 = quadrature_central_moment(2, 2, 4)
         assert got == pytest.approx(m4 / m2**2 - 3.0, abs=1e-9)
         assert got == pytest.approx(-6.0 / 7.0, rel=1e-12)
 
     def test_kurtosis_symmetric_under_swap(self):
-        assert beta_excess_kurtosis(BetaParams(3, 11)) == pytest.approx(
-            beta_excess_kurtosis(BetaParams(11, 3)), abs=1e-14)
+        assert beta_excess_kurtosis_arrays(3, 11) == pytest.approx(
+            beta_excess_kurtosis_arrays(11, 3), abs=1e-14)
 
     def test_quantiles(self):
-        assert beta_quantile(BetaParams(1, 1), 0.75) == pytest.approx(0.75, abs=1e-9)
-        assert beta_quantile(BetaParams(3, 3), 0.5) == pytest.approx(0.5, abs=1e-9)
-        assert beta_quantile(BetaParams(6, 14), 0.5) == pytest.approx(
+        assert inv_reg_inc_beta(0.75, 1, 1) == pytest.approx(0.75, abs=1e-9)
+        assert inv_reg_inc_beta(0.5, 3, 3) == pytest.approx(0.5, abs=1e-9)
+        assert inv_reg_inc_beta(0.5, 6, 14) == pytest.approx(
             stats.beta(6, 14).ppf(0.5), abs=1e-8)
 
     def test_quantile_ordering(self):
         rng = np.random.default_rng(10)
         for _ in range(200):
-            p = BetaParams(*rng.uniform(0.1, 60.0, 2))
-            d = descriptors(p)
-            assert d.q25 <= d.median <= d.q75
-            assert 0.0 <= d.q25 and d.q75 <= 1.0
-
-
-class TestMedianApprox:
-    def test_symmetric_exact(self):
-        assert beta_median_approx(BetaParams(2, 2)) == pytest.approx(0.5)
-
-    def test_worked_case(self):
-        approx = beta_median_approx(BetaParams(6, 14))
-        assert approx == pytest.approx(17.0 / 58.0, rel=1e-12)
-        assert abs(approx - beta_quantile(BetaParams(6, 14), 0.5)) < 0.005
-
-    def test_outside_validity(self):
-        with pytest.raises(DomainError):
-            beta_median_approx(BetaParams(1, 5))
-
-    def test_accuracy_over_validity_range(self):
-        rng = np.random.default_rng(11)
-        shapes = rng.uniform(1.1, 50.0, (500, 2))
-        # The worst corner sits at small alpha/beta; include it explicitly.
-        shapes = np.vstack([shapes, [[1.1, 1.1], [1.1, 50.0], [50.0, 1.1], [2.2, 1.1]]])
-        for a, b in shapes:
-            p = BetaParams(a, b)
-            assert abs(beta_median_approx(p) - beta_quantile(p, 0.5)) <= 0.01
+            d = descriptors_arrays(*rng.uniform(0.1, 60.0, 2))
+            assert d["q25"] <= d["median"] <= d["q75"]
+            assert 0.0 <= d["q25"] and d["q75"] <= 1.0
 
 
 class TestBetaPdf:
     def test_uniform_density(self):
         x = np.linspace(0, 1, 11)
-        np.testing.assert_allclose(beta_pdf(BetaParams(1, 1), x), 1.0)
+        np.testing.assert_allclose(beta_pdf_arrays(x, 1, 1), 1.0)
 
     def test_worked_value(self):
-        assert beta_pdf(BetaParams(2, 2), 0.5) == pytest.approx(1.5, rel=1e-12)
+        assert beta_pdf_arrays(0.5, 2, 2) == pytest.approx(1.5, rel=1e-12)
 
     def test_symmetry(self):
-        p = BetaParams(2, 2)
         x = np.linspace(0.05, 0.45, 9)
-        np.testing.assert_allclose(beta_pdf(p, x), beta_pdf(p, 1.0 - x), rtol=1e-12)
+        np.testing.assert_allclose(beta_pdf_arrays(x, 2, 2),
+                                   beta_pdf_arrays(1.0 - x, 2, 2), rtol=1e-12)
 
     @pytest.mark.parametrize("a,b", [(2, 5), (0.7, 0.9), (6, 14), (1, 3)])
     def test_normalisation_by_quadrature(self, a, b):
-        p = BetaParams(a, b)
-        total, err = quad(lambda x: beta_pdf(p, x), 0.0, 1.0, limit=200)
+        total, err = quad(lambda x: beta_pdf_arrays(x, a, b), 0.0, 1.0, limit=200)
         assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_divergent_boundary_rejected(self):
-        with pytest.raises(DomainError):
-            beta_pdf(BetaParams(0.5, 2.0), 0.0)
-        with pytest.raises(DomainError):
-            beta_pdf(BetaParams(2.0, 0.5), 1.0)
 
     def test_finite_boundary_values(self):
         # Shape exactly 1 leaves a finite limit; shape > 1 drives it to zero.
-        assert beta_pdf(BetaParams(1, 3), 0.0) == pytest.approx(3.0)
-        assert beta_pdf(BetaParams(2, 2), 0.0) == 0.0
+        assert beta_pdf_arrays(0.0, 1, 3) == pytest.approx(3.0)
+        assert beta_pdf_arrays(0.0, 2, 2) == 0.0
 
 
 class TestDescriptorBundle:
     def test_uniform_bundle(self):
-        d = descriptors(BetaParams(1, 1))
-        assert d.mean == pytest.approx(0.5)
-        assert d.std == pytest.approx(math.sqrt(1 / 12))
-        assert d.skew == pytest.approx(0.0, abs=1e-14)
-        assert d.kurt_ex == pytest.approx(-1.2)
-        assert d.median == pytest.approx(0.5, abs=1e-9)
-        assert d.q25 == pytest.approx(0.25, abs=1e-9)
-        assert d.q75 == pytest.approx(0.75, abs=1e-9)
+        d = descriptors_arrays(1, 1)
+        assert d["mean"] == pytest.approx(0.5)
+        assert d["std"] == pytest.approx(math.sqrt(1 / 12))
+        assert d["skew"] == pytest.approx(0.0, abs=1e-14)
+        assert d["kurt"] == pytest.approx(-1.2)
+        assert d["median"] == pytest.approx(0.5, abs=1e-9)
+        assert d["q25"] == pytest.approx(0.25, abs=1e-9)
+        assert d["q75"] == pytest.approx(0.75, abs=1e-9)
 
     def test_worked_case_against_oracles(self):
-        d = descriptors(BetaParams(6, 14))
+        d = descriptors_arrays(6, 14)
         m2 = quadrature_central_moment(6, 14, 2)
-        assert d.mean == pytest.approx(0.3, abs=1e-12)
-        assert d.std == pytest.approx(math.sqrt(m2), abs=1e-9)
-        assert d.skew == pytest.approx(
+        assert d["mean"] == pytest.approx(0.3, abs=1e-12)
+        assert d["std"] == pytest.approx(math.sqrt(m2), abs=1e-9)
+        assert d["skew"] == pytest.approx(
             quadrature_central_moment(6, 14, 3) / m2**1.5, abs=1e-6)
-        assert d.kurt_ex == pytest.approx(
+        assert d["kurt"] == pytest.approx(
             quadrature_central_moment(6, 14, 4) / m2**2 - 3.0, abs=1e-6)
-        for prob, got in ((0.5, d.median), (0.25, d.q25), (0.75, d.q75)):
-            assert got == pytest.approx(stats.beta(6, 14).ppf(prob), abs=1e-6)
+        for name, prob in (("median", 0.5), ("q25", 0.25), ("q75", 0.75)):
+            assert d[name] == pytest.approx(stats.beta(6, 14).ppf(prob), abs=1e-6)
 
     def test_symmetric_means_align(self):
-        d = descriptors(BetaParams(4, 4))
-        assert d.median == pytest.approx(0.5, abs=1e-9)
-        assert d.mean == pytest.approx(0.5)
-        assert d.skew == pytest.approx(0.0, abs=1e-14)
+        d = descriptors_arrays(4, 4)
+        assert d["median"] == pytest.approx(0.5, abs=1e-9)
+        assert d["mean"] == pytest.approx(0.5)
+        assert d["skew"] == pytest.approx(0.0, abs=1e-14)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from annodist import experiments, special
-from annodist.consensus import BetaParams, beta_pdf
 from annodist.errors import DomainError, InsufficientDataError
 from annodist.experiments import (
     CellResult,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from annodist import pipeline
-from annodist.consensus import clamp_moments, consensus_moments
+from annodist.consensus import clamp_moments_arrays, consensus_moments
 from annodist.errors import (
     DomainError,
     EmptyDatasetError,
@@ -28,6 +28,7 @@ from annodist.pipeline import (
     write_dataset,
     write_feature_csv,
 )
+from annodist.synthetic import SyntheticConfig, read_ground_truth_csv, write_dataset_csvs
 
 
 def enumerate_starts_oracle(duration, window_len, stride):
@@ -403,6 +404,40 @@ class TestCsvRoundTrips:
         assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
+@pytest.fixture(scope="module")
+def written_csvs(tmp_path_factory):
+    """The synthetic features, annotations and ground truth of a small panel,
+    and the dataset built from them, each written as a CSV."""
+    out = tmp_path_factory.mktemp("csvs")
+    cfg = SyntheticConfig(n_subjects=4, duration=40.0, frame_rate=10.0,
+                          n_annotators=3, feature_dim=6, latent_dim=2, seed=2)
+    paths = write_dataset_csvs(cfg, out)
+    table, report = build_dataset(read_feature_csv(paths["features"]),
+                                  read_annotation_csv(paths["annotations"]),
+                                  WindowConfig())
+    paths["dataset"] = write_dataset(out / "built", table, report, WindowConfig())
+    return paths
+
+
+class TestNotUtf8:
+    READERS = {"features": read_feature_csv, "annotations": read_annotation_csv,
+               "dataset": read_dataset, "ground_truth": read_ground_truth_csv}
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_first_bad_byte_names_its_line(self, kind, written_csvs, tmp_path):
+        lines = written_csvs[kind].read_bytes().splitlines(keepends=True)
+        bad_line = len(lines) * 3 // 4
+        # The text layer decodes 8 KB at a time; past the first chunk its
+        # error offset no longer counts from the start of the file.
+        assert len(b"".join(lines[:bad_line - 1])) > 8192
+        lines[bad_line - 1] = lines[bad_line - 1].replace(b",", b"\xff,", 1)
+        bad = tmp_path / written_csvs[kind].name
+        bad.write_bytes(b"".join(lines))
+        with pytest.raises(SchemaError) as info:
+            self.READERS[kind](bad)
+        assert str(info.value) == f"{bad}:{bad_line}: not UTF-8 text"
+
+
 # ---------------------------------------------------------------------------
 # Loop-form reference: the per-window loops the columnar windowing replaced.
 # The array code must reproduce them exactly (same summation order).
@@ -426,7 +461,7 @@ def loop_window_features(series, cfg):
 
 
 def loop_window_consensus(traces, cfg, epsilon):
-    """One subject's windows as (start, MomentPair, n_annotators), plus drops."""
+    """One subject's windows as (start, (mu, sigma), n_annotators), plus drops."""
     duration = max(float(tr.timestamps[-1]) for tr in traces if tr.timestamps.size)
     out, dropped = [], []
     for start in window_starts(duration, cfg):
@@ -439,13 +474,14 @@ def loop_window_consensus(traces, cfg, epsilon):
         if len(per_annotator) < 2:
             dropped.append(float(start))
             continue
-        target = clamp_moments(consensus_moments(per_annotator), epsilon)
+        target = tuple(map(float, clamp_moments_arrays(
+            *consensus_moments(per_annotator), epsilon)))
         out.append((float(start), target, len(per_annotator)))
     return out, dropped
 
 
 def loop_build_dataset(features, annotations, cfg, epsilon):
-    """Rows (subject, start, vector, MomentPair, n) and report counts."""
+    """Rows (subject, start, vector, (mu, sigma), n) and report counts."""
     modalities = sorted({fs.modality for fs in features})
     subjects = sorted({fs.subject_id for fs in features}
                       & {tr.subject_id for tr in annotations})
@@ -552,8 +588,8 @@ class TestLoopReference:
             assert table.subjects[rows].tolist() == [subject] * len(ref)
             assert table.starts[rows].tolist() == [s for s, _, _ in ref]
             assert table.n_annotators[rows].tolist() == [n for _, _, n in ref]
-            assert table.mu[rows].tolist() == [t.mu for _, t, _ in ref]
-            assert table.sigma[rows].tolist() == [t.sigma for _, t, _ in ref]
+            assert table.mu[rows].tolist() == [t[0] for _, t, _ in ref]
+            assert table.sigma[rows].tolist() == [t[1] for _, t, _ in ref]
             assert dropped[subject].tolist() == ref_dropped
         assert at == len(table)
         assert sum(d.size for d in dropped.values()) > 0
@@ -567,8 +603,8 @@ class TestLoopReference:
         assert table.subjects.tolist() == [r[0] for r in rows]
         assert table.starts.tolist() == [r[1] for r in rows]
         assert table.n_annotators.tolist() == [r[4] for r in rows]
-        assert table.mu.tolist() == [r[3].mu for r in rows]
-        assert table.sigma.tolist() == [r[3].sigma for r in rows]
+        assert table.mu.tolist() == [r[3][0] for r in rows]
+        assert table.sigma.tolist() == [r[3][1] for r in rows]
         np.testing.assert_array_equal(table.x, np.stack([r[2] for r in rows]))
         assert (report.windows_skipped_empty, report.windows_dropped_few_annotators,
                 report.windows_unmatched) == (

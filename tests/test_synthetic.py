@@ -85,12 +85,13 @@ class TestConvergence:
         _, annots, truth = generate(cfg, wcfg)
         table, _ = window_consensus(annots, wcfg)
         assert len(table)
+        ref = {(s, start): (mu, sigma) for s, start, mu, sigma in truth.rows}
         for subject, start, mu, sigma in zip(table.subjects.tolist(),
                                              table.starts.tolist(),
                                              table.mu, table.sigma):
-            ref = truth.lookup[(subject, start)]
-            assert abs(mu - ref.mu) < 0.02
-            assert abs(sigma - ref.sigma) < 0.02
+            ref_mu, ref_sigma = ref[(subject, start)]
+            assert abs(mu - ref_mu) < 0.02
+            assert abs(sigma - ref_sigma) < 0.02
 
 
 class TestRevelation:
@@ -104,9 +105,9 @@ class TestRevelation:
         feats, annots, truth = generate(cfg, wcfg)
         table, _ = build_dataset(feats, annots, wcfg)
         x = table.x
+        ref = {(s, start): mu for s, start, mu, _ in truth.rows}
         truth_mu = np.array(
-            [truth.lookup[key].mu for key in zip(table.subjects.tolist(),
-                                                 table.starts.tolist())]
+            [ref[key] for key in zip(table.subjects.tolist(), table.starts.tolist())]
         )
         # Column 0 of the identity map is the latent mean trajectory itself.
         assert ccc(PairedSeries(x[:, 0], truth_mu)) > 0.99
