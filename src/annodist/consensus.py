@@ -116,12 +116,11 @@ def beta_pdf_arrays(x, alpha, beta):
     out[interior] = np.exp(
         (alpha - 1.0) * np.log(xi) + (beta - 1.0) * np.log1p(-xi) - ln_norm
     )
-    # Finite boundary limits: shape == 1 contributes the constant factor, a
-    # shape > 1 drives the density to zero.
-    if alpha == 1.0:
-        out[x == 0.0] = np.exp(-ln_norm)
-    if beta == 1.0:
-        out[x == 1.0] = np.exp(-ln_norm)
+    # Boundary limits: a shape below 1 makes the density diverge, a shape of
+    # 1 leaves the constant factor, and a shape above 1 drives it to zero.
+    for edge, shape in ((0.0, alpha), (1.0, beta)):
+        if shape <= 1.0:
+            out[x == edge] = np.inf if shape < 1.0 else np.exp(-ln_norm)
     return out
 
 

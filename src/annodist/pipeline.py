@@ -21,14 +21,13 @@ CSV interfaces
   Rows must be as wide as the header, with an integer ``n_annotators``,
   finite numbers and ``sigma >= 0``.
 
-Timestamps are finite seconds as decimals.  Files are UTF-8: a CSV or
-JSON file that is not raises a :class:`~annodist.errors.SchemaError`
-naming its file and the line of its first bad byte.  Every CSV is read
-through :func:`_csv_rows` (header check, blank rows skipped),
-:func:`_check_width` and :func:`_parse_numbers`, and written through
-:func:`write_csv`; the annotation reader parses its two numeric columns
-with NumPy and checks row by row only when that fails.  A malformed row
-raises a :class:`~annodist.errors.SchemaError` naming its file and line.
+Timestamps are finite seconds as decimals.  Files are UTF-8, a leading
+byte-order mark allowed: a CSV or JSON file that is not raises a
+:class:`~annodist.errors.SchemaError` naming its file and the line of its
+first bad byte.  Every CSV is read by :func:`_read_table` under the rules its
+:class:`_Table` declares, and written through :func:`write_csv`.  A malformed
+row raises a SchemaError naming its file and the physical line it starts on;
+series errors (a repeated timestamp, a changed feature dimension) come after.
 Every JSON file (config, manifest, run summary) is read through
 :func:`read_json` and written through :func:`write_json`.
 """
@@ -39,9 +38,9 @@ import csv
 import itertools
 import json
 import logging
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,12 +58,8 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 _TIME_TOL = 1e-9
-# Rows the annotation reader holds as strings at once; bounds its memory.
+# Rows a CSV reader holds as strings at once; bounds its memory.
 _CHUNK_ROWS = 512
-
-_FEATURE_COLUMNS = ["subject_id", "modality", "timestamp"]
-_ANNOTATION_COLUMNS = ["subject_id", "annotator_id", "timestamp", "value"]
-_DATASET_COLUMNS = ["subject_id", "window_start", "n_annotators", "mu", "sigma"]
 
 
 def fmt_float(x) -> str:
@@ -173,11 +168,13 @@ class BuildReport:
 
 
 def window_starts(duration: float, cfg: WindowConfig) -> np.ndarray:
-    """All window starts k * stride with k*stride + window_len <= duration."""
+    """All window starts k * stride with k*stride + window_len <= duration; a
+    :class:`DomainError` if there are too many to hold."""
     count = int(np.floor((duration - cfg.window_len + _TIME_TOL) / cfg.stride)) + 1
-    if count <= 0:
-        return np.empty(0, dtype=np.float64)
-    return np.arange(count, dtype=np.float64) * cfg.stride
+    try:
+        return np.arange(max(count, 0), dtype=np.float64) * cfg.stride
+    except (ValueError, MemoryError):
+        raise DomainError(f"window_starts: {count} windows in {duration!r} s") from None
 
 
 def _window_means(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -398,70 +395,167 @@ def build_dataset(
 
 
 def _decode_utf8(path, raw: bytes) -> str:
-    """``raw``, the whole content of the file at ``path``, as UTF-8 text; a
-    :class:`SchemaError` names the line of the first byte that is not."""
+    """``raw``, the whole content of the file at ``path``, as UTF-8 text after
+    an optional byte-order mark; a :class:`SchemaError` names the line of the
+    first byte that is not UTF-8."""
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line = raw[:exc.start].count(b"\n") + 1
+        # ``exc.object`` and ``exc.start`` count from after the mark.
+        line = exc.object[:exc.start].count(b"\n") + 1
         raise SchemaError(f"{path}:{line}: not UTF-8 text") from None
 
 
-def _csv_rows(path, prefix: list[str]):
-    """Yield ``(line_no, row)`` for the header (line 1) and then every
-    non-blank row of a UTF-8 CSV whose header must start with ``prefix``."""
+def _parse(texts, kind: str):
+    """The cells ``texts`` as one array of ``kind`` ("number", "finite",
+    "non-negative" or "integer", one that fits 64 bits), or what is wrong
+    with them: the cell's own problem when ``texts`` is one cell."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        values = np.array(texts, np.int64 if kind == "integer" else np.float64)
+    except ValueError:
+        return "is not an integer" if kind == "integer" else "is not a number"
+    except OverflowError:
+        return "is out of range"
+    if kind in ("finite", "non-negative") and not np.isfinite(values).all():
+        return "is not finite"
+    if kind == "non-negative" and (values < 0.0).any():
+        return "is negative"
+    return values
+
+
+class _Table(NamedTuple):
+    """The rules of a CSV table: its leading ``columns`` (name -> kind, None
+    for a string key) and then extra columns of kind ``extra`` (none when
+    None).  Rows are as wide as the header, except in a ``ragged`` table:
+    each row has at least one extra cell, and empty extra cells are ignored."""
+
+    columns: dict
+    extra: str | None = None
+    ragged: bool = False
+
+
+_FEATURES = _Table({"subject_id": None, "modality": None, "timestamp": "finite"},
+                   "number", ragged=True)
+_ANNOTATIONS = _Table({"subject_id": None, "annotator_id": None,
+                       "timestamp": "finite", "value": "finite"})
+_DATASET = _Table({"subject_id": None, "window_start": "finite",
+                   "n_annotators": "integer", "mu": "finite",
+                   "sigma": "non-negative"}, "finite")
+
+
+def _read_table(path, table: _Table):
+    """``(header, lines, *columns)`` of the CSV at ``path`` under ``table``'s
+    rules: the physical line each non-blank row starts on, and what
+    :func:`_columns` makes of them, ``_CHUNK_ROWS`` rows at a time."""
+    path, names = Path(path), list(table.columns)
+    chunks = [(np.empty(0, np.intp), *_columns(table, [], 0))]
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[:len(prefix)] != prefix:
+            header = next(reader, [])
+            if header[:len(names)] != names:
                 raise SchemaError(
-                    f"{path}:1: expected header starting with {','.join(prefix)!r}, "
+                    f"{path}:1: expected header starting with {','.join(names)!r}, "
                     f"got {','.join(header) if header else '<empty>'!r}"
                 )
-            yield 1, header
-            for line_no, row in enumerate(reader, start=2):
-                if row:
-                    yield line_no, row
+            width = len(header) if table.extra else len(names)
+            if len(header) != width:
+                raise SchemaError(f"{path}:1: expected {width} columns, got {len(header)}")
+            end = reader.line_num
+            while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
+                lines = np.arange(end + 1, reader.line_num + 1)
+                if lines.size > len(rows):  # a quoted cell holds a line break
+                    lines = end + 1 + np.cumsum([0] + [1 + sum(
+                        c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
+                        for row in rows[:-1]])
+                end = reader.line_num
+                if [] in rows:  # blank rows are skipped
+                    lines = lines[np.fromiter(map(bool, rows), bool, len(rows))]
+                    rows = [row for row in rows if row]
+                if (columns := _columns(table, rows, width)) is None:
+                    _check_rows(path, table, header, rows, lines)  # raises
+                chunks.append((lines, *columns))
     except UnicodeDecodeError:
         # The text layer decodes in chunks, so the error's offset is
         # relative to one chunk: find the line in the whole file.
-        _decode_utf8(path, Path(path).read_bytes())
+        _decode_utf8(path, path.read_bytes())
         raise
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+    lines, keys, numbers, extra, dims = zip(*chunks)
+    return (header, np.concatenate(lines),
+            [list(itertools.chain.from_iterable(c)) for c in zip(*keys)],
+            [np.concatenate(c) for c in zip(*numbers)], np.concatenate(extra),
+            np.concatenate(dims))
 
 
-def _check_width(path, line_no: int, row: list[str], width: int,
-                 at_least: bool = False) -> None:
-    if len(row) != width and not (at_least and len(row) > width):
-        raise SchemaError(
-            f"{path}:{line_no}: expected {'at least ' * at_least}{width} "
-            f"columns, got {len(row)}"
-        )
+def _columns(table: _Table, rows, width: int):
+    """``(keys, numbers, extra, dims)`` of ``rows``: the key and the numeric
+    columns, and every extra value, row after row, with each row's count of
+    them.  None if a row has the wrong width or a column fails its kind;
+    each numeric column is parsed with one NumPy call."""
+    n = len(table.columns)
+    dims = np.fromiter(map(len, rows), np.intp, len(rows)) - n
+    if ((dims <= 0) if table.ragged else (dims != width - n)).any():
+        return None
+    head = list(itertools.islice(zip(*rows), n)) or [()] * n
+    numbers = [_parse(col, kind) for col, kind in zip(head, table.columns.values()) if kind]
+    cells = list(itertools.chain.from_iterable(row[n:] for row in rows)) if table.extra else []
+    if table.ragged and "" in cells:  # empty extra cells are ignored
+        cells = list(filter(None, cells))
+        dims = np.fromiter((len(row) - n - row[n:].count("") for row in rows), np.intp)
+    extra = _parse(cells, table.extra or "number")
+    if any(isinstance(values, str) for values in (*numbers, extra)):
+        return None
+    keys = [col for col, kind in zip(head, table.columns.values()) if not kind]
+    return keys, numbers, extra, dims
 
 
-def _parse_numbers(path, line_no: int, cells: list[str], n_finite: int,
-                   names) -> list[float]:
-    """``cells`` as floats, the first ``n_finite`` of them finite.
+def _check_rows(path, table: _Table, header: list[str], rows, lines) -> None:
+    """Raise a :class:`SchemaError` at the first of ``rows`` of the wrong
+    width or with a cell that :func:`_parse` rejects on its own."""
+    n = len(table.columns)
+    width = n + 1 if table.ragged else len(header)
+    for row, line in zip(rows, lines):
+        if len(row) < width or (len(row) > width and not table.ragged):
+            raise SchemaError(f"{path}:{line}: expected {'at least ' * table.ragged}"
+                              f"{width} columns, got {len(row)}")
+        names = [*table.columns, *(f"f{i}" for i in range(len(row) - n))]
+        kinds = [*table.columns.values(), *[table.extra] * (len(row) - n)]
+        for i, (name, kind, text) in enumerate(zip(names if table.ragged else header,
+                                                   kinds, row)):
+            if (kind and (text or i < n or not table.ragged)
+                    and isinstance(problem := _parse([text], kind), str)):
+                raise SchemaError(f"{path}:{line}: column {name!r} {problem}: {text!r}")
 
-    The row is parsed with one ``map``; only when that fails are the cells
-    walked, to name the bad one from ``names()``, their column names.
-    """
-    try:
-        values = list(map(float, cells))
-        if all(map(math.isfinite, values[:n_finite])):
-            return values
-    except ValueError:
-        pass
-    for i, (name, text) in enumerate(zip(names(), cells)):
-        try:
-            value = float(text)
-        except ValueError:
-            value = None
-        if value is None or (i < n_finite and not math.isfinite(value)):
-            raise SchemaError(
-                f"{path}:{line_no}: column {name!r} is not "
-                f"{'a number' if value is None else 'finite'}: {text!r}"
-            )
+
+def _series(path, noun: str, lines, keys, ts, dims):
+    """Yield ``(key, indices)`` for each series in key order, its rows in time
+    order; the earliest row whose count of extra values differs from its
+    series' first row, or that repeats a timestamp, raises a SchemaError."""
+    code = np.zeros(ts.size, np.intp)  # each row's rank of key
+    for col in keys:
+        rank = {key: i for i, key in enumerate(sorted(set(col)))}
+        code = code * len(rank) + np.fromiter(map(rank.__getitem__, col), np.intp, ts.size)
+    _, first, series, counts = np.unique(code, return_index=True, return_inverse=True,
+                                         return_counts=True)
+    # Stable: a series' rows keep file order among equal timestamps.
+    order = np.lexsort((ts, series))
+    firsts = first[series[order]]  # the first row of each row's series
+    wider = dims[order] != dims[firsts]
+    again = ((np.diff(series[order], prepend=-1) == 0)
+             & (np.diff(ts[order], prepend=np.nan) == 0))
+    if (bad := np.flatnonzero(wider | again)).size:
+        k = bad[np.argmin(order[bad])]
+        key = "/".join(col[order[k]] for col in keys)
+        raise SchemaError(f"{Path(path)}:{lines[order[k]]}: " + (
+            f"feature dimension differs from line {lines[firsts[k]]} "
+            f"({dims[firsts[k]]}) in series {key}" if wider[k] else
+            f"duplicate timestamp {float(ts[order[k]])!r} in {noun} {key} "
+            f"(first on line {lines[order[k - 1]]})"))
+    bounds = np.cumsum([0, *counts])
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield tuple(col[order[lo]] for col in keys), order[lo:hi]
 
 
 def write_csv(path, header: list[str], rows) -> Path:
@@ -501,128 +595,32 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _sorted_series(path, groups: dict, noun: str):
-    """Yield ``(ids, timestamps, values)`` for each ``ids -> [(t, line,
-    values)]`` group of a series CSV, sorted by ids and then by time; raise
-    on a repeated timestamp."""
-    for ids, rows in sorted(groups.items()):
-        rows.sort(key=lambda r: r[0])
-        ts = np.array([r[0] for r in rows])
-        dup = np.flatnonzero(np.diff(ts) <= 0)
-        if dup.size:
-            first, again = rows[dup[0]], rows[dup[0] + 1]
-            raise SchemaError(
-                f"{path}:{again[1]}: duplicate timestamp {again[0]!r} in {noun} "
-                f"{ids[0]}/{ids[1]} (first on line {first[1]})"
-            )
-        yield ids, ts, np.array([r[2] for r in rows])
-
-
 def read_feature_csv(path) -> list[FrameSeries]:
     """Read a feature CSV into one FrameSeries per (subject, modality)."""
-    path = Path(path)
-    groups: dict[tuple[str, str], list[tuple[float, int, list[float]]]] = {}
-    rows = _csv_rows(path, _FEATURE_COLUMNS)
-    next(rows)
-    for line_no, row in rows:
-        _check_width(path, line_no, row, 4, at_least=True)
-        cells = row[2:]
-        if "" in cells:  # empty feature cells are ignored
-            cells = [v for i, v in enumerate(cells) if v or not i]
-        values = _parse_numbers(path, line_no, cells, 1, lambda: ["timestamp"] + [
-            f"f{i}" for i, v in enumerate(row[3:]) if v])
-        group = groups.setdefault((row[0], row[1]), [])
-        if group and len(values) != len(group[0][2]) + 1:
-            raise SchemaError(
-                f"{path}:{line_no}: feature dimension differs from line "
-                f"{group[0][1]} ({len(group[0][2])}) in series {row[0]}/{row[1]}"
-            )
-        group.append((values[0], line_no, values[1:]))
-    series = _sorted_series(path, groups, "series")
-    return [FrameSeries(subject, ts, x, modality)
-            for (subject, modality), ts, x in series]
+    _, lines, keys, (ts,), extra, dims = _read_table(path, _FEATURES)
+    starts = np.cumsum(dims) - dims
+    return [FrameSeries(subject, ts[at], extra[starts[at, None] + np.arange(dims[at[0]])],
+                        modality)
+            for (subject, modality), at in _series(path, "series", lines, keys, ts, dims)]
 
 
 def read_annotation_csv(path) -> list[AnnotationTrace]:
-    """Read an annotation CSV into one AnnotationTrace per (subject, annotator).
-
-    Rows are taken in chunks; each chunk's timestamp and value columns are
-    parsed by NumPy, one call each, and the series are split by one stable
-    sort.  Only when a row is malformed or a series repeats a timestamp is
-    the file walked row by row, to name the first bad row with its line.
-    """
-    path = Path(path)
-    rows = _csv_rows(path, _ANNOTATION_COLUMNS)
-    _check_width(path, *next(rows), 4)
-    code: dict[tuple[str, str], int] = {}
-    chunks = []
-    while chunk := [row for _, row in itertools.islice(rows, _CHUNK_ROWS)]:
-        columns = _annotation_columns(chunk, code)
-        if columns is None:
-            return _walk_annotation_rows(path)
-        chunks.append(columns)
-    if not chunks:
-        return []
-    ids = sorted(code)
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[[code[key] for key in ids]] = np.arange(len(ids))
-    ts, values, codes = (np.concatenate(c) for c in zip(*chunks))
-    codes = rank[codes]
-    # Stable: a series' rows keep file order among equal timestamps.
-    order = np.lexsort((ts, codes))
-    ts, values, codes = ts[order], values[order], codes[order]
-    if np.any((np.diff(ts) <= 0) & (np.diff(codes) == 0)):
-        return _walk_annotation_rows(path)
-    bounds = np.searchsorted(codes, np.arange(len(ids) + 1))
-    return [AnnotationTrace(subject, annotator, ts[lo:hi], values[lo:hi])
-            for (subject, annotator), lo, hi in zip(ids, bounds, bounds[1:])]
-
-
-def _annotation_columns(rows: list[list[str]], code: dict):
-    """(timestamps, values, series codes) of well-formed annotation rows,
-    adding new (subject, annotator) pairs to ``code``; None if any row is
-    malformed."""
-    if set(map(len, rows)) != {4}:
-        return None
-    subjects, annotators, t, v = zip(*rows)
-    try:
-        ts, values = np.array(t, dtype=np.float64), np.array(v, dtype=np.float64)
-    except ValueError:
-        return None
-    if not (np.isfinite(ts).all() and np.isfinite(values).all()):
-        return None
-    for key in set(zip(subjects, annotators)) - code.keys():
-        code[key] = len(code)
-    return ts, values, np.fromiter(map(code.__getitem__, zip(subjects, annotators)),
-                                   np.intp, len(t))
-
-
-def _walk_annotation_rows(path) -> list[AnnotationTrace]:
-    """:func:`read_annotation_csv` row by row; raises at the first malformed
-    row or repeated timestamp."""
-    groups: dict[tuple[str, str], list[tuple[float, int, float]]] = {}
-    names = lambda: _ANNOTATION_COLUMNS[2:]  # noqa: E731
-    rows = _csv_rows(path, _ANNOTATION_COLUMNS)
-    next(rows)
-    for line_no, row in rows:
-        _check_width(path, line_no, row, 4)
-        t, v = _parse_numbers(path, line_no, row[2:], 2, names)
-        groups.setdefault((row[0], row[1]), []).append((t, line_no, v))
-    traces = _sorted_series(path, groups, "trace")
-    return [AnnotationTrace(subject, annotator, ts, values)
-            for (subject, annotator), ts, values in traces]
+    """Read an annotation CSV into one AnnotationTrace per (subject, annotator)."""
+    _, lines, keys, (ts, values), _, dims = _read_table(path, _ANNOTATIONS)
+    return [AnnotationTrace(subject, annotator, ts[at], values[at])
+            for (subject, annotator), at in _series(path, "trace", lines, keys, ts, dims)]
 
 
 def write_feature_csv(path, series: list[FrameSeries]) -> None:
     max_dim = max((fs.dim for fs in series), default=0)
-    write_csv(path, _FEATURE_COLUMNS + [f"f{i}" for i in range(max_dim)], (
+    write_csv(path, [*_FEATURES.columns] + [f"f{i}" for i in range(max_dim)], (
         [fs.subject_id, fs.modality, fmt_float(t)] + [fmt_float(v) for v in vec]
         for fs in series for t, vec in zip(fs.timestamps, fs.features)
     ))
 
 
 def write_annotation_csv(path, traces: list[AnnotationTrace]) -> None:
-    write_csv(path, _ANNOTATION_COLUMNS, (
+    write_csv(path, [*_ANNOTATIONS.columns], (
         [tr.subject_id, tr.annotator_id, fmt_float(t), fmt_float(v)]
         for tr in traces for t, v in zip(tr.timestamps, tr.values)
     ))
@@ -635,7 +633,7 @@ def write_dataset(
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     dim = table.x.shape[1] if len(table) else 0
-    path = write_csv(outdir / "dataset.csv", _DATASET_COLUMNS + [
+    path = write_csv(outdir / "dataset.csv", [*_DATASET.columns] + [
         f"f{i}" for i in range(dim)
     ], zip(table.subjects.tolist(), map(fmt_float, table.starts),
            table.n_annotators.tolist(),
@@ -659,39 +657,17 @@ def write_dataset(
 def read_dataset(path) -> tuple[WindowTable, dict]:
     """Read a built dataset table (and its manifest when present).
 
-    Each row is checked as it loads, and the first bad one raises a
-    :class:`SchemaError` naming its file and line: the row must be as wide
-    as the header, ``n_annotators`` an integer, ``window_start``, ``mu``,
-    ``sigma`` and every feature finite, and ``sigma`` non-negative.
+    The first bad row raises a :class:`SchemaError` naming its file and
+    line: the row must be as wide as the header, ``n_annotators`` a 64-bit
+    integer, ``window_start``, ``mu``, ``sigma`` and every feature finite,
+    and ``sigma`` non-negative.
     """
     path = Path(path)
     if path.is_dir():
         path = path / "dataset.csv"
-    subjects, n_annot, numbers = [], [], []
-    rows = _csv_rows(path, _DATASET_COLUMNS)
-    _, header = next(rows)
-    names = lambda: header[1:]  # noqa: E731
-    for line_no, row in rows:
-        _check_width(path, line_no, row, len(header))
-        try:
-            n_annot.append(int(row[2]))
-        except ValueError:
-            raise SchemaError(
-                f"{path}:{line_no}: column 'n_annotators' is not an "
-                f"integer: {row[2]!r}"
-            ) from None
-        # window_start, n_annotators, mu, sigma, f*
-        values = _parse_numbers(path, line_no, row[1:], len(row) - 1, names)
-        if values[3] < 0.0:
-            raise SchemaError(
-                f"{path}:{line_no}: column 'sigma' is negative: {row[4]!r}"
-            )
-        subjects.append(row[0])
-        numbers.append(values)
-    numbers = np.array(numbers, dtype=np.float64).reshape(-1, len(header) - 1)
-    table = WindowTable(np.array(subjects, dtype=str), numbers[:, 0].copy(),
-                        np.array(n_annot, dtype=np.int64), numbers[:, 2].copy(),
-                        numbers[:, 3].copy(), numbers[:, 4:].copy())
+    header, _, (subjects,), numbers, extra, _ = _read_table(path, _DATASET)
+    table = WindowTable(np.array(subjects, dtype=str), *numbers,
+                        extra.reshape(len(subjects), len(header) - 5))
     manifest_path = path.parent / "dataset_manifest.json"
     manifest = read_json(manifest_path) if manifest_path.exists() else {}
     return table, manifest

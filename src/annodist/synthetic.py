@@ -31,9 +31,6 @@ from .pipeline import (
     AnnotationTrace,
     FrameSeries,
     WindowConfig,
-    _check_width,
-    _csv_rows,
-    _parse_numbers,
     _window_means,
     fmt_float,
     window_starts,
@@ -210,19 +207,6 @@ def write_ground_truth_csv(path, truth: GroundTruth) -> None:
         [subject, fmt_float(start), fmt_float(mu), fmt_float(sigma)]
         for subject, start, mu, sigma in truth.rows
     ))
-
-
-def read_ground_truth_csv(path) -> GroundTruth:
-    """Read per-window truth rows; every number must be finite."""
-    path = Path(path)
-    rows = _csv_rows(path, _GROUND_TRUTH_COLUMNS)
-    _check_width(path, *next(rows), 4)
-    truth = []
-    for line_no, row in rows:
-        _check_width(path, line_no, row, 4)
-        truth.append((row[0], *_parse_numbers(path, line_no, row[1:], 3,
-                                              lambda: _GROUND_TRUTH_COLUMNS[1:])))
-    return GroundTruth(tuple(truth))
 
 
 def write_dataset_csvs(cfg: SyntheticConfig, outdir,

@@ -1,6 +1,7 @@
 """End-to-end CLI: subcommands, manifests, exit codes, reproducibility."""
 
 import argparse
+import codecs
 import contextlib
 import csv
 import hashlib
@@ -297,6 +298,8 @@ def _repeat(row):
 # (subcommand, input file, line edited, edit, line the error must name)
 MALFORMED = {
     "run-n_annotators-not-integer": ("run", "dataset.csv", 3, _set_cell(2, "2.5"), 3),
+    "run-n_annotators-out-of-range":
+        ("run", "dataset.csv", 3, _set_cell(2, "100000000000000000000"), 3),
     "run-short-row": ("run", "dataset.csv", 4, _drop_last_cell, 4),
     "run-long-row": ("run", "dataset.csv", 4, _add_cell, 4),
     "run-nan-feature": ("run", "dataset.csv", 5, _set_cell(6, "nan"), 5),
@@ -346,6 +349,27 @@ class TestMalformedInput:
         assert code == 2, err
         assert f"{bad}:{bad_line}:" in err
         assert "Traceback" not in err
+        if "n_annotators" in case:
+            assert "'n_annotators'" in err
+
+
+class TestByteOrderMark:
+    def test_fit_reads_annotations_after_a_bom(self, synth_dir, tmp_path):
+        bom = tmp_path / "annotations.csv"
+        bom.write_bytes(codecs.BOM_UTF8 + (synth_dir / "annotations.csv").read_bytes())
+        assert run_cli("fit", "--annotations", synth_dir / "annotations.csv",
+                       "--out", tmp_path / "plain") == 0
+        assert run_cli("fit", "--annotations", bom, "--out", tmp_path / "bom") == 0
+        assert sha(tmp_path / "bom" / "beta_fits.csv") == sha(
+            tmp_path / "plain" / "beta_fits.csv")
+
+    def test_config_file_after_a_bom(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(codecs.BOM_UTF8 + json.dumps(
+            {"n_subjects": 3, "duration": 20.0, "frame_rate": 10.0}).encode())
+        assert run_cli("synth", "--out", tmp_path / "out", "--config", cfg) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["parameters"]["n_subjects"] == 3
 
 
 # JSON files that are malformed, not an object or not UTF-8: (contents, line

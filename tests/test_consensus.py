@@ -189,6 +189,13 @@ class TestBetaPdf:
         assert beta_pdf_arrays(0.0, 1, 3) == pytest.approx(3.0)
         assert beta_pdf_arrays(0.0, 2, 2) == 0.0
 
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("b", [0.5, 1.0, 2.5])
+    def test_boundary_values_match_scipy(self, a, b):
+        # A shape below 1 makes the density diverge at its end of [0, 1].
+        want = stats.beta.pdf([0.0, 1.0], a, b)
+        np.testing.assert_allclose(beta_pdf_arrays([0.0, 1.0], a, b), want, rtol=1e-12)
+
 
 class TestDescriptorBundle:
     def test_uniform_bundle(self):

@@ -1,9 +1,16 @@
 """Windowing, rescaling, consensus targets, dataset joins and CSV formats."""
 
+import codecs
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annodist import pipeline
+from annodist.cli import main
 from annodist.consensus import clamp_moments_arrays, consensus_moments
 from annodist.errors import (
     DomainError,
@@ -28,7 +35,8 @@ from annodist.pipeline import (
     write_dataset,
     write_feature_csv,
 )
-from annodist.synthetic import SyntheticConfig, read_ground_truth_csv, write_dataset_csvs
+from annodist.synthetic import SyntheticConfig, write_dataset_csvs
+from csv_reference import read as read_reference
 
 
 def enumerate_starts_oracle(duration, window_len, stride):
@@ -69,6 +77,11 @@ class TestWindowStarts:
     def test_exact_boundary_included(self):
         starts = window_starts(10.0, WindowConfig(3.0, 0.5))
         assert starts[-1] == pytest.approx(7.0)
+
+    @pytest.mark.parametrize("duration", [1e15, 1e20])
+    def test_grid_too_large_to_hold_rejected(self, duration):
+        with pytest.raises(DomainError, match="windows in"):
+            window_starts(duration, WindowConfig(3.0, 0.4))
 
     def test_short_series_gives_nothing(self):
         assert window_starts(2.0, WindowConfig(3.0, 0.4)).size == 0
@@ -406,8 +419,8 @@ class TestCsvRoundTrips:
 
 @pytest.fixture(scope="module")
 def written_csvs(tmp_path_factory):
-    """The synthetic features, annotations and ground truth of a small panel,
-    and the dataset built from them, each written as a CSV."""
+    """The synthetic features and annotations of a small panel, and the
+    dataset built from them, each written as a CSV."""
     out = tmp_path_factory.mktemp("csvs")
     cfg = SyntheticConfig(n_subjects=4, duration=40.0, frame_rate=10.0,
                           n_annotators=3, feature_dim=6, latent_dim=2, seed=2)
@@ -419,10 +432,49 @@ def written_csvs(tmp_path_factory):
     return paths
 
 
-class TestNotUtf8:
-    READERS = {"features": read_feature_csv, "annotations": read_annotation_csv,
-               "dataset": read_dataset, "ground_truth": read_ground_truth_csv}
+READERS = {"features": read_feature_csv, "annotations": read_annotation_csv,
+           "dataset": read_dataset}
 
+
+def read_plain(path, table):
+    """The reader of ``table`` on ``path``, in the form :func:`read_reference` gives."""
+    if table == "features":
+        return [((fs.subject_id, fs.modality), fs.timestamps, fs.features)
+                for fs in read_feature_csv(path)]
+    if table == "annotations":
+        return [((tr.subject_id, tr.annotator_id), tr.timestamps, tr.values)
+                for tr in read_annotation_csv(path)]
+    got, _ = read_dataset(path)
+    return got.subjects, got.starts, got.n_annotators, got.mu, got.sigma, got.x
+
+
+def assert_same(got, want, table):
+    """Two results of :func:`read_plain` (or of the reference) hold the same
+    ids and the same arrays, shapes and dtypes included."""
+    if table == "dataset":
+        got, want = [(None, *got)], [(None, *want)]
+    assert [key for key, *_ in got] == [key for key, *_ in want]
+    for (_, *arrays), (_, *ref_arrays) in zip(got, want):
+        for a, b in zip(arrays, ref_arrays):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+
+
+def assert_matches_reference(path, table):
+    """The reader and the row-by-row reference agree on ``path``: the same
+    arrays, or the same error.  Returns the error, if any."""
+    try:
+        want = read_reference(path, table)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as info:
+            read_plain(path, table)
+        assert str(info.value) == str(exc)
+        return str(exc)
+    assert_same(read_plain(path, table), want, table)
+    return None
+
+
+class TestNotUtf8:
     @pytest.mark.parametrize("kind", sorted(READERS))
     def test_first_bad_byte_names_its_line(self, kind, written_csvs, tmp_path):
         lines = written_csvs[kind].read_bytes().splitlines(keepends=True)
@@ -432,10 +484,196 @@ class TestNotUtf8:
         assert len(b"".join(lines[:bad_line - 1])) > 8192
         lines[bad_line - 1] = lines[bad_line - 1].replace(b",", b"\xff,", 1)
         bad = tmp_path / written_csvs[kind].name
-        bad.write_bytes(b"".join(lines))
-        with pytest.raises(SchemaError) as info:
-            self.READERS[kind](bad)
-        assert str(info.value) == f"{bad}:{bad_line}: not UTF-8 text"
+        for bom in (b"", codecs.BOM_UTF8):  # a byte-order mark moves no line
+            bad.write_bytes(bom + b"".join(lines))
+            with pytest.raises(SchemaError) as info:
+                READERS[kind](bad)
+            assert str(info.value) == f"{bad}:{bad_line}: not UTF-8 text"
+
+    def test_json_after_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(codecs.BOM_UTF8 + b'{\n  "seed": 3\n}\n')
+        assert pipeline.read_json(path) == {"seed": 3}
+        path.write_bytes(codecs.BOM_UTF8 + b'{\n  "seed": "\xff"\n}\n')
+        with pytest.raises(SchemaError, match="cfg.json:2: not UTF-8 text"):
+            pipeline.read_json(path)
+
+
+class TestCsvRules:
+    ANNOTATIONS = "subject_id,annotator_id,timestamp,value\n"
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_byte_order_mark_accepted(self, kind, written_csvs, tmp_path):
+        path = tmp_path / written_csvs[kind].name
+        path.write_bytes(codecs.BOM_UTF8 + written_csvs[kind].read_bytes())
+        assert_same(read_plain(path, kind), read_plain(written_csvs[kind], kind), kind)
+
+    @pytest.mark.parametrize("row,line", [
+        ('"s\n1",a,0.0,oops\n', 2),   # a bad cell in the two-line row
+        ('"s\n1",a,0.0,0.5\n', 8),    # a bad cell after it
+    ])
+    def test_lines_are_physical(self, tmp_path, row, line):
+        # Line 2 opens a quoted subject and line 3 closes it; 'oops' is the
+        # value on line 8.
+        path = tmp_path / "ml.csv"
+        good = "".join(f"s,a,{t}.0,0.5\n" for t in range(1, 5))
+        path.write_text(self.ANNOTATIONS + row + good + "s,a,9.0,oops\n")
+        with pytest.raises(SchemaError, match=f"ml.csv:{line}: column 'value' is "
+                                              "not a number: 'oops'"):
+            read_annotation_csv(path)
+
+    def test_series_errors_name_physical_lines(self, tmp_path):
+        path = tmp_path / "ml.csv"
+        path.write_text(self.ANNOTATIONS + '"s\n1",a,0.0,0.5\n"s\n1",a,0.0,0.6\n')
+        with pytest.raises(SchemaError, match=r"ml.csv:4: duplicate timestamp 0.0 "
+                                              r"in trace s\n1/a \(first on line 2\)"):
+            read_annotation_csv(path)
+
+    def test_row_errors_come_before_series_errors(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text(self.ANNOTATIONS + "s,a,1.0,0.5\ns,a,1.0,0.6\ns,a,oops,0.5\n")
+        with pytest.raises(SchemaError, match="a.csv:4: column 'timestamp'"):
+            read_annotation_csv(path)
+
+    @pytest.mark.parametrize("rows,error", [
+        # A changed dimension on line 3 and a repeated timestamp on line 4.
+        (["0.0,1.0,2.0", "0.5,1.0", "0.0,1.0,2.0"], ":3: feature dimension differs "
+                                                     r"from line 2 \(2\)"),
+        # The repeated timestamp comes first.
+        (["0.0,1.0,2.0", "0.0,1.0,2.0", "0.5,1.0"], ":3: duplicate timestamp 0.0 "
+                                                     r"in series s/m \(first on line 2\)"),
+        # One row with both faults is named for its dimension.
+        (["0.0,1.0,2.0", "0.0,1.0"], r":3: feature dimension differs from line 2 \(2\)"),
+    ])
+    def test_series_errors_in_file_order(self, tmp_path, rows, error):
+        path = tmp_path / "f.csv"
+        path.write_text("subject_id,modality,timestamp\n"
+                        + "".join(f"s,m,{row}\n" for row in rows))
+        with pytest.raises(SchemaError, match=f"f.csv{error}"):
+            read_feature_csv(path)
+
+    @pytest.mark.parametrize("cell,problem", [("2.5", "is not an integer"),
+                                              ("100000000000000000000", "is out of range")])
+    def test_n_annotators_is_a_64_bit_integer(self, tmp_path, cell, problem):
+        path = tmp_path / "dataset.csv"
+        path.write_text("subject_id,window_start,n_annotators,mu,sigma\n"
+                        f"s,0.0,3,0.5,0.1\ns,0.4,{cell},0.5,0.1\n")
+        with pytest.raises(SchemaError, match=f"dataset.csv:3: column 'n_annotators' "
+                                              f"{problem}: '{cell}'"):
+            read_dataset(path)
+
+    def test_csv_error_names_its_line(self, tmp_path):
+        # An unclosed quote swallows the rest of the file into one field.
+        path = tmp_path / "a.csv"
+        path.write_text(self.ANNOTATIONS + "s,a,0.0,0.5\n\"" + "x" * 200_000 + "\n")
+        with pytest.raises(SchemaError, match="a.csv:3: field larger than field limit"):
+            read_annotation_csv(path)
+
+
+def fuzz_base(table):
+    """The rows, header first, of a small valid file of ``table``: cells as
+    raw CSV text."""
+    times = [fmt_float(0.5 * k) for k in range(9)]
+    if table == "features":
+        return [["subject_id", "modality", "timestamp", "f0", "f1"]] + [
+            [s, m, t] + [fmt_float(0.1 * k + d) for d in range(dim)]
+            for s in ("s0", "s1") for m, dim in (("a", 2), ("b", 1))
+            for k, t in enumerate(times)]
+    if table == "annotations":
+        return [["subject_id", "annotator_id", "timestamp", "value"]] + [
+            [s, a, t, fmt_float((k % 4 + j) / 8.0)] for s in ("s0", "s1")
+            for j, a in enumerate(("r0", "r1", "r2")) for k, t in enumerate(times)]
+    return [["subject_id", "window_start", "n_annotators", "mu", "sigma", "f0", "f1"]] + [
+        [s, fmt_float(0.4 * k), "3", fmt_float(0.3 + 0.1 * k), "0.05",
+         fmt_float(k - i), fmt_float(0.5 * i)]
+        for i, s in enumerate(("s0", "s1", "s2", "s3", "s4", "s5")) for k in range(3)]
+
+
+# Cells the fuzzer writes in place of a good one.
+FUZZ_CELLS = ["nan", "inf", "-inf", "", "oops", "1e400", "-0.5", "2.5", "0",
+              "100000000000000000000", "\"0.5\"", "\"s\n1\"", "1\"5"]
+
+
+def fuzz_edit(rows, op, i, j, cell):
+    """Apply one edit to the ``rows`` of a file, in place (a "byte" edit is
+    made to the file's bytes)."""
+    row = rows[i % len(rows)]
+    at = j % max(len(row), 1)
+    text = row[at] if row else ""
+    if op == "shuffle":
+        body = rows[1:]
+        np.random.default_rng(i).shuffle(body)
+        rows[1:] = body
+    elif op == "blank":
+        rows.insert(i % len(rows) + 1, [])
+    elif op == "repeat-row":
+        rows.insert(i % len(rows), list(row))
+    elif not row:
+        return
+    elif op == "drop":
+        del row[at]
+    elif op == "repeat":
+        row.insert(at, text)
+    elif op == "swap":
+        row[at], row[(at + 1) % len(row)] = row[(at + 1) % len(row)], text
+    elif op == "set":
+        row[at] = cell
+    elif op == "quote":
+        row[at] = f'"{text}"'
+    elif op == "newline":
+        row[at] = f'"{text[:i % (len(text) + 1)]}\n{text[i % (len(text) + 1):]}"'
+    elif op == "stray-quote":
+        row[at] = text[:i % (len(text) + 1)] + '"' + text[i % (len(text) + 1):]
+
+
+FUZZ_OPS = ["drop", "repeat", "swap", "set", "quote", "newline", "stray-quote",
+            "blank", "repeat-row", "shuffle", "byte"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_annotations(tmp_path_factory):
+    """A valid annotation file for ``build`` runs on fuzzed features."""
+    path = tmp_path_factory.mktemp("fuzz") / "annotations.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in fuzz_base("annotations")))
+    return path
+
+
+class TestReaderFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(table=st.sampled_from(sorted(READERS)),
+           edits=st.lists(st.tuples(st.sampled_from(FUZZ_OPS), st.integers(0, 999),
+                                    st.integers(0, 999), st.sampled_from(FUZZ_CELLS)),
+                          max_size=3),
+           bom=st.booleans(), crlf=st.booleans(), final_newline=st.booleans())
+    def test_reader_matches_reference_and_cli_exits_cleanly(
+            self, tmp_path_factory, fuzz_annotations, table, edits, bom, crlf,
+            final_newline):
+        rows = fuzz_base(table)
+        for edit in edits:
+            fuzz_edit(rows, *edit)
+        text = "\n".join(",".join(row) for row in rows) + "\n" * final_newline
+        raw = text.replace("\n", "\r\n" if crlf else "\n").encode()
+        for op, i, _, _ in edits:
+            if op == "byte":  # not UTF-8
+                raw = raw[:i * 7 % (len(raw) + 1)] + b"\xff" + raw[i * 7 % (len(raw) + 1):]
+        base = tmp_path_factory.mktemp("fuzz")
+        path = base / f"{table}.csv"
+        path.write_bytes(codecs.BOM_UTF8 * bom + raw)
+        error = assert_matches_reference(path, table)
+
+        args = {
+            "features": ["build", "--features", path, "--annotations", fuzz_annotations],
+            "annotations": ["fit", "--annotations", path],
+            "dataset": ["run", "--dataset", path, "--k-folds", 3, "--n-seeds", 1,
+                        "--max-epochs", 1, "--variants", "fully_shared", "--baselines",
+                        "--density-windows", 0],
+        }[table]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([str(a) for a in [*args, "--out", base / "out"]])
+        assert code in (0, 2), err.getvalue()
+        if error:
+            assert code == 2 and error in err.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -538,27 +776,31 @@ class TestLoopReference:
 
     @pytest.mark.parametrize("chunk", [1, 7, 512])
     def test_annotation_reader_matches_row_walk(self, tmp_path, monkeypatch, chunk):
-        # Interleaved, unsorted series over many chunks; then one bad row in
-        # a late chunk, which must still be named by its line.
+        # Every table, its rows shuffled so that series interleave over many
+        # chunks (features of two widths, with NaN cells), against the
+        # row-by-row reference; then one bad row in a late chunk, which must
+        # still be named by its line.
         monkeypatch.setattr(pipeline, "_CHUNK_ROWS", chunk)
-        _, traces = ragged_inputs(1)
-        rows = [f"{tr.subject_id},{tr.annotator_id},{fmt_float(t)},{fmt_float(v)}"
-                for tr in traces for t, v in zip(tr.timestamps, tr.values)]
-        np.random.default_rng(4).shuffle(rows)
-        path = tmp_path / "a.csv"
-        header = "subject_id,annotator_id,timestamp,value\n"
-        path.write_text(header + "\n".join(rows) + "\n")
-        read, walked = read_annotation_csv(path), pipeline._walk_annotation_rows(path)
-        assert [(tr.subject_id, tr.annotator_id) for tr in read] == [
-            (tr.subject_id, tr.annotator_id) for tr in walked]
-        for got, ref in zip(read, walked):
-            np.testing.assert_array_equal(got.timestamps, ref.timestamps)
-            np.testing.assert_array_equal(got.values, ref.values)
-        rows[-3] = rows[-3].rsplit(",", 1)[0] + ",nan"
-        path.write_text(header + "\n".join(rows) + "\n")
-        with pytest.raises(SchemaError, match=f"a.csv:{len(rows) - 1}: column "
-                                              "'value' is not finite"):
-            read_annotation_csv(path)
+        features, traces = ragged_inputs(1)
+        write_feature_csv(tmp_path / "features.csv", features)
+        write_annotation_csv(tmp_path / "annotations.csv", traces)
+        table, report = build_dataset(features, traces, self.CFG)
+        cases = [("features", tmp_path / "features.csv", 2, "nan", "'timestamp' is not finite"),
+                 ("annotations", tmp_path / "annotations.csv", 3, "nan", "'value' is not finite"),
+                 ("dataset", write_dataset(tmp_path / "built", table, report, self.CFG),
+                  4, "-0.5", "'sigma' is negative")]
+        for kind, path, cell, bad, problem in cases:
+            header, *rows = path.read_text().splitlines(keepends=True)
+            np.random.default_rng(4).shuffle(rows)
+            path.write_text(header + "".join(rows))
+            assert assert_matches_reference(path, kind) is None
+            cells = rows[-3].split(",")
+            cells[cell] = bad + "\n" * (cell == len(cells) - 1)
+            rows[-3] = ",".join(cells)
+            path.write_text(header + "".join(rows))
+            assert assert_matches_reference(path, kind) == (
+                f"{path}:{len(rows) - 1}: column {problem}: '{bad}'")
+
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_window_features_match_loop(self, seed):

@@ -1,18 +1,18 @@
 """Synthetic generator: determinism, validity, convergence, revelation."""
 
+import csv
 import hashlib
 
 import numpy as np
 import pytest
 
-from annodist.errors import DomainError, SchemaError
+from annodist.errors import DomainError
 from annodist.metrics import PairedSeries, ccc
 from annodist.pipeline import WindowConfig, build_dataset, window_consensus, window_starts
 from annodist.synthetic import (
     SyntheticConfig,
     _subject_latents,
     generate,
-    read_ground_truth_csv,
     write_dataset_csvs,
 )
 
@@ -140,22 +140,8 @@ class TestGroundTruthWindows:
 class TestGroundTruthCsv:
     def test_round_trip(self, tmp_path):
         paths = write_dataset_csvs(SMALL, tmp_path)
-        truth = read_ground_truth_csv(paths["ground_truth"])
+        with open(paths["ground_truth"], newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
         _, _, expected = generate(SMALL)
-        assert len(truth.rows) == len(expected.rows)
-        for got, ref in zip(truth.rows, expected.rows):
-            assert got[0] == ref[0]
-            assert got[1] == ref[1]
-            assert got[2] == pytest.approx(ref[2], abs=1e-15)
-            assert got[3] == pytest.approx(ref[3], abs=1e-15)
-
-    @pytest.mark.parametrize("cell,problem", [("oops", "a number"),
-                                              ("inf", "finite")])
-    def test_bad_number_names_line(self, tmp_path, cell, problem):
-        paths = write_dataset_csvs(SMALL, tmp_path)
-        lines = paths["ground_truth"].read_text().splitlines(keepends=True)
-        lines[3] = lines[3].replace(lines[3].split(",")[2], cell, 1)
-        paths["ground_truth"].write_text("".join(lines))
-        with pytest.raises(SchemaError, match=r"ground_truth\.csv:4: column "
-                           f"'mu_true' is not {problem}: '{cell}'"):
-            read_ground_truth_csv(paths["ground_truth"])
+        assert header == ["subject_id", "window_start", "mu_true", "sigma_true"]
+        assert [(row[0], *map(float, row[1:])) for row in rows] == list(expected.rows)
