@@ -3,9 +3,10 @@
 Configuration comes from an optional JSON file plus flag overrides
 (flags > file > defaults).  Each parameter key is one row of ``_PARAMS``;
 its default and range check belong to the config that owns it
-(:class:`synthetic.SyntheticConfig`, :class:`pipeline.WindowConfig`,
-:class:`experiments.ExperimentConfig`, or :class:`CliConfig` for the keys
-only the CLI has).  Every value is type-, finiteness- and range-checked
+(:class:`~annodist.config.SyntheticConfig`,
+:class:`~annodist.config.WindowConfig`,
+:class:`~annodist.config.ExperimentConfig`, or :class:`CliConfig` for the
+keys only the CLI has).  Every value is type-, finiteness- and range-checked
 before anything is written, so a rejected invocation exits 2 naming its key
 and leaves no output.  An accepted one writes a ``manifest.json`` into its
 output directory before computing anything, recording the resolved
@@ -13,6 +14,13 @@ parameters, master seed and tool version; a run is reproducible from its
 manifest alone.  ``ANNODIST_OUT_ROOT`` prefixes relative output paths.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 numeric/training error.
+
+At module level this imports only the standard library, :mod:`errors` and
+:mod:`config`, so parsing, checking and ``report`` load no NumPy.  Each
+command imports the modules it runs once its parameters are accepted, and
+calls them through their module attributes: ``synth`` loads ``synthetic``,
+``build`` and ``fit`` load ``pipeline`` and ``consensus``, and ``run`` loads
+``experiments`` and with it ``nn`` and ``metrics``.
 """
 
 from __future__ import annotations
@@ -24,10 +32,20 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, experiments, nn, pipeline, synthetic
-from .consensus import DEFAULT_EPSILON, DESCRIPTOR_NAMES, EPSILON_RANGE, fit_beta_arrays
+from . import __version__
+from .config import (
+    CCC_POOLINGS,
+    DEFAULT_EPSILON,
+    DESCRIPTOR_NAMES,
+    EPSILON_RANGE,
+    KL_DIRECTIONS,
+    MOMENT_KINDS,
+    ExperimentConfig,
+    SyntheticConfig,
+    WindowConfig,
+    read_json,
+    write_json,
+)
 from .errors import (
     DataError,
     InsufficientDataError,
@@ -84,7 +102,7 @@ _PARAMS = {
     "n_seeds": {"help": "seeds per model and fold"},
     "master_seed": {"help": "first seed; also seeds the fold assignment"},
     "variants": {"help": "moment network variants", "nargs": "+",
-                 "choices": nn.MOMENT_KINDS},
+                 "choices": MOMENT_KINDS},
     "baselines": {"help": "descriptor targets of the point baselines", "nargs": "*",
                   "choices": DESCRIPTOR_NAMES},
     "learning_rate": {"help": "Adam learning rate"},
@@ -92,9 +110,9 @@ _PARAMS = {
     "max_epochs": {"help": "epoch limit per network"},
     "patience": {"help": "epochs without validation gain before a member stops"},
     "kl_direction": {"help": "KL direction reported first",
-                     "choices": experiments.KL_DIRECTIONS},
+                     "choices": KL_DIRECTIONS},
     "ccc_pooling": {"help": "CCC over all test windows or averaged per subject",
-                    "choices": experiments.CCC_POOLINGS},
+                    "choices": CCC_POOLINGS},
     "include_oracle": {"help": "add an oracle model fed the true targets",
                        "flag": "--oracle"},
     "jobs": {"help": "worker processes; 0 means one per core"},
@@ -111,13 +129,13 @@ def _keys(owner, *skip) -> tuple:
 # its field default is the key's default and its __post_init__ the key's
 # range check.
 _OWNERS = {
-    "synth": ((synthetic.SyntheticConfig, _keys(synthetic.SyntheticConfig)),
-              (pipeline.WindowConfig, _keys(pipeline.WindowConfig, "label_range"))),
-    "build": ((pipeline.WindowConfig, _keys(pipeline.WindowConfig)),
+    "synth": ((SyntheticConfig, _keys(SyntheticConfig)),
+              (WindowConfig, _keys(WindowConfig, "label_range"))),
+    "build": ((WindowConfig, _keys(WindowConfig)),
               (CliConfig, ("epsilon", "modalities"))),
-    "fit": ((pipeline.WindowConfig, _keys(pipeline.WindowConfig)),
+    "fit": ((WindowConfig, _keys(WindowConfig)),
             (CliConfig, ("epsilon",))),
-    "run": ((experiments.ExperimentConfig, _keys(experiments.ExperimentConfig, "jobs")),
+    "run": ((ExperimentConfig, _keys(ExperimentConfig, "jobs")),
             (CliConfig, ("jobs", "density_windows", "significance_level"))),
 }
 
@@ -182,7 +200,7 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, list]:
     order; lists become tuples in the configs.
     """
     params = _defaults(args.subcommand)
-    file_cfg = pipeline.read_json(args.config) if args.config else {}
+    file_cfg = read_json(args.config) if args.config else {}
     unknown = set(file_cfg) - set(params)
     if unknown:
         raise DataError(f"unknown config keys: {sorted(unknown)}")
@@ -211,7 +229,7 @@ def _write_manifest(args, params: dict) -> Path:
         "master_seed": params.get("seed", params.get("master_seed")),
         "output_dir": str(outdir),
     }
-    pipeline.write_json(outdir / "manifest.json", manifest)
+    write_json(outdir / "manifest.json", manifest)
     return outdir
 
 
@@ -220,24 +238,28 @@ def _write_manifest(args, params: dict) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _read_traces(path, cfg: pipeline.WindowConfig) -> list:
+def _read_traces(path, cfg: WindowConfig) -> list:
+    from . import pipeline
+
     return [pipeline.rescale_annotations(tr, cfg.label_range)
             for tr in pipeline.read_annotation_csv(path)]
 
 
 def _cmd_synth(args) -> int:
     params, (cfg, window_cfg) = _resolve(args)
+    from . import synthetic
+
     outdir = _write_manifest(args, params)
-    paths = synthetic.write_dataset_csvs(cfg, outdir, window_cfg)
+    paths, rows = synthetic.write_dataset_csvs(cfg, outdir, window_cfg)
     for name, path in paths.items():
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = sum(1 for _ in fh) - 1
-        print(f"{name}: {path} ({rows} rows)")
+        print(f"{name}: {path} ({rows[name]} rows)")
     return 0
 
 
 def _cmd_build(args) -> int:
     params, (cfg, opts) = _resolve(args)
+    from . import pipeline
+
     outdir = _write_manifest(args, params)
     features = pipeline.read_feature_csv(args.features)
     traces = _read_traces(args.annotations, cfg)
@@ -262,13 +284,15 @@ def _cmd_build(args) -> int:
 
 def _cmd_fit(args) -> int:
     params, (cfg, opts) = _resolve(args)
+    from . import consensus, pipeline
+
     outdir = _write_manifest(args, params)
     eps = opts.epsilon
     table, _ = pipeline.window_consensus(_read_traces(args.annotations, cfg), cfg, eps)
     if not len(table):
         raise DataError("fit: no valid windows found")
     mu, sigma = table.mu, table.sigma
-    alpha, beta, desc = fit_beta_arrays(mu, sigma, eps)
+    alpha, beta, desc = consensus.fit_beta_arrays(mu, sigma, eps)
     degenerate = sigma**2 <= eps * mu * (1.0 - mu) * (1.0 + 1e-9)
 
     described = ("mean", "std", "median", "q25", "q75", "skew", "kurt")
@@ -285,6 +309,10 @@ def _cmd_fit(args) -> int:
 
 def _cmd_run(args) -> int:
     params, (cfg, opts) = _resolve(args)
+    import numpy as np
+
+    from . import experiments, pipeline
+
     cfg = replace(cfg, jobs=opts.jobs or os.cpu_count() or 1)
     outdir = _write_manifest(args, params)
     table, _ = pipeline.read_dataset(args.dataset)
@@ -357,7 +385,7 @@ def _cmd_report(args) -> int:
     summary_path = rundir / "summary.json"
     if not summary_path.exists():
         raise DataError(f"report: no summary.json under {rundir}")
-    summary = pipeline.read_json(summary_path)
+    summary = read_json(summary_path)
     try:
         lines = list(_report_lines(rundir, summary))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -24,13 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import special
+# DESCRIPTOR_NAMES is imported for callers that take it from here.
+from .config import DEFAULT_EPSILON, DESCRIPTOR_NAMES, EPSILON_RANGE
 from .errors import DomainError, InsufficientDataError, check
-
-DEFAULT_EPSILON = 1e-4
-EPSILON_RANGE = (lambda e: 0.0 < e < 0.5, "in (0, 0.5)")
-
-#: Report order for the derived higher-order descriptors.
-DESCRIPTOR_NAMES = ("median", "q25", "q75", "skew", "kurt")
 
 
 def consensus_moments(annotations) -> tuple[float, float]:

@@ -45,31 +45,25 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .consensus import (
+# KL_DIRECTIONS and CCC_POOLINGS are imported for callers that take them from here.
+from .config import (
+    CCC_POOLINGS,
     DEFAULT_EPSILON,
     DESCRIPTOR_NAMES,
-    EPSILON_RANGE,
+    KL_DIRECTIONS,
+    ORACLE_MODEL,
+    ExperimentConfig,
+    write_json,
+)
+from .consensus import (
     beta_pdf_arrays,
     clamp_moments_arrays,
     fit_beta_arrays,
     moment_match_arrays,
 )
-from .errors import (
-    DISTINCT,
-    AnnodistError,
-    DomainError,
-    InsufficientDataError,
-    at_least,
-    check_fields,
-    one_of,
-    subset_of,
-)
+from .errors import AnnodistError, DomainError, InsufficientDataError
 from .metrics import PairedSeries, ccc, kl_beta_arrays, wilcoxon_signed_rank
-from .pipeline import WindowTable, fmt_float, write_csv, write_json
-
-ORACLE_MODEL = "oracle"
-KL_DIRECTIONS = ("truth_first", "pred_first")
-CCC_POOLINGS = ("pooled", "per_subject")
+from .pipeline import WindowTable, fmt_float, write_csv
 
 
 @dataclass(frozen=True)
@@ -106,51 +100,6 @@ def make_folds(subjects: list[str], k: int = 5, seed: int = 0) -> FoldPlan:
         raise DomainError("make_folds: k must be >= 2")
     order = np.random.default_rng(seed).permutation(len(uniq))
     return FoldPlan(k, {uniq[j]: i % k for i, j in enumerate(order)})
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    k_folds: int = 5
-    n_seeds: int = 10
-    master_seed: int = 0
-    variants: tuple[str, ...] = nn.MOMENT_KINDS
-    baselines: tuple[str, ...] = DESCRIPTOR_NAMES
-    learning_rate: float = 1e-3
-    batch_size: int = 128
-    max_epochs: int = 50
-    patience: int = 5
-    epsilon: float = DEFAULT_EPSILON
-    kl_direction: str = "truth_first"
-    ccc_pooling: str = "pooled"
-    include_oracle: bool = False
-    jobs: int = 1
-
-    def __post_init__(self):
-        check_fields(
-            self, k_folds=at_least(2), n_seeds=at_least(1), master_seed=at_least(0),
-            variants=subset_of(nn.MOMENT_KINDS), baselines=subset_of(DESCRIPTOR_NAMES),
-            epsilon=EPSILON_RANGE, kl_direction=one_of(KL_DIRECTIONS),
-            ccc_pooling=one_of(CCC_POOLINGS), jobs=at_least(1),
-        )
-        check_fields(self, variants=DISTINCT, baselines=DISTINCT)
-        if not (self.variants or self.baselines):
-            raise DomainError("ExperimentConfig: variants and baselines are both "
-                              "empty, so the grid has no model to train")
-        self.train_config()  # rejects a bad training field before any stack runs
-
-    def train_config(self) -> nn.TrainConfig:
-        return nn.TrainConfig(
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-        )
-
-    def model_names(self) -> list[str]:
-        names = list(self.variants) + [f"point[{b}]" for b in self.baselines]
-        if self.include_oracle:
-            names.append(ORACLE_MODEL)
-        return names
 
 
 @dataclass(frozen=True)

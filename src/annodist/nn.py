@@ -53,10 +53,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import POSITIVE, DomainError, TrainingError, check_fields
-
-KINDS = ("independent", "shared_first", "fully_shared", "point")
-MOMENT_KINDS = ("independent", "shared_first", "fully_shared")
+# MOMENT_KINDS is imported for callers that take it from here.
+from .config import KINDS, MOMENT_KINDS, TrainConfig
+from .errors import DomainError, TrainingError
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -86,18 +85,6 @@ class NetworkVariant:
             raise DomainError(f"NetworkVariant: unknown kind {self.kind!r}")
         if self.input_dim < 2:
             raise DomainError("NetworkVariant: input_dim must be >= 2")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 1e-3
-    batch_size: int = 128
-    max_epochs: int = 50
-    patience: int = 5
-
-    def __post_init__(self):
-        check_fields(self, learning_rate=POSITIVE, batch_size=POSITIVE,
-                     max_epochs=POSITIVE, patience=POSITIVE)
 
 
 # Layers as (param prefix, fan-in, fan-out, activation) per chain.
@@ -424,12 +411,15 @@ def forward(net: Network, x, work: Workspace | None = None,
     :func:`train` builds them.  Moment variants return an ``(M, n, 2)``
     array of (mu_hat, sigma_hat); point variants an ``(M, n)`` array.  The
     pass runs in ``work``'s buffers for this input shape (a fresh
-    :class:`Workspace` without one), where :func:`gradients` finds it.
-    Inputs are not scanned for finiteness here; :func:`train` and
-    :func:`predict` do that.
+    :class:`Workspace` without one).  Inputs are not scanned for finiteness
+    here; :func:`train` and :func:`predict` do that.
     """
     x = _as_inputs(net, x, augmented)
-    chains = (work or Workspace(net)).pass_for(x.shape).chains
+    return _forward_chains(net, (work or Workspace(net)).pass_for(x.shape).chains, x)
+
+
+def _forward_chains(net: Network, chains: dict[str, list[_Layer]], x) -> np.ndarray:
+    """:func:`forward` of augmented inputs ``x`` in the layers ``chains``."""
     if net.kind in ("point", "fully_shared"):
         out = _chain_forward(chains["trunk"], x)
         return out[..., 0] if net.kind == "point" else out
@@ -482,8 +472,8 @@ def gradients(
     work = work or Workspace(net)
     x = _as_inputs(net, x, augmented)
     buffers = work.pass_for(x.shape, backward=True)
-    out = forward(net, x, work, augmented=True)
     chains = buffers.chains
+    out = _forward_chains(net, chains, x)
     residual = np.subtract(out, targets, out=buffers.residual)
     value = _residual_loss(net.kind, residual)
     dout = np.multiply(residual, 2.0 / out.shape[1], out=buffers.dout)
@@ -581,7 +571,7 @@ def backward_and_step(
     work = work or Workspace(net)
     value, grads = gradients(net, x, targets, work, augmented)
     # The max-norm is finite exactly when every entry is, and cannot overflow.
-    norm = np.max(np.abs(grads.flat, out=work.scratch), axis=1)
+    norm = np.maximum.reduce(np.abs(grads.flat, out=work.scratch), axis=1)
     finite = np.isfinite(value) & np.isfinite(norm)
     if not finite.all():
         grads.flat[~finite] = 0.0
@@ -705,7 +695,7 @@ def train(
                     break
         if not ids.size:
             break
-        train_loss = batch_losses[ids].mean(axis=1)
+        train_loss = np.add.reduce(batch_losses[ids], axis=1) / len(starts)
         val = loss(stack, val_x, val_y[ids] if val_y.ndim == member_ndim else val_y,
                    work, augmented=True)
         for m, t, v in zip(ids, train_loss.tolist(), val.tolist()):

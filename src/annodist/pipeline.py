@@ -29,14 +29,14 @@ first bad byte.  Every CSV is read by :func:`_read_table` under the rules its
 row raises a SchemaError naming its file and the physical line it starts on;
 series errors (a repeated timestamp, a changed feature dimension) come after.
 Every JSON file (config, manifest, run summary) is read through
-:func:`read_json` and written through :func:`write_json`.
+:func:`~annodist.config.read_json` and written through
+:func:`~annodist.config.write_json`.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,16 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .consensus import DEFAULT_EPSILON, clamp_moments_arrays
-from .errors import (
-    POSITIVE,
-    DataError,
-    DomainError,
-    EmptyDatasetError,
-    InsufficientDataError,
-    SchemaError,
-    check_fields,
-)
+from .config import DEFAULT_EPSILON, WindowConfig, _decode_utf8, read_json, write_json
+from .consensus import clamp_moments_arrays
+from .errors import DomainError, EmptyDatasetError, InsufficientDataError, SchemaError
 
 log = logging.getLogger(__name__)
 
@@ -65,23 +58,6 @@ _CHUNK_ROWS = 512
 def fmt_float(x) -> str:
     """Shortest exact decimal form; keeps CSV output byte-reproducible."""
     return repr(float(x))
-
-
-@dataclass(frozen=True)
-class WindowConfig:
-    """Windowing parameters: 3 s windows shifted by 400 ms by default."""
-
-    window_len: float = 3.0
-    stride: float = 0.4
-    label_range: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self):
-        check_fields(
-            self, window_len=POSITIVE,
-            stride=(lambda v: 0.0 < v <= self.window_len,
-                    f"in (0, window_len={self.window_len!r}]"),
-            label_range=(lambda r: len(r) == 2 and r[1] > r[0], "(lo, hi) with hi > lo"),
-        )
 
 
 @dataclass(frozen=True)
@@ -394,18 +370,6 @@ def build_dataset(
 # ---------------------------------------------------------------------------
 
 
-def _decode_utf8(path, raw: bytes) -> str:
-    """``raw``, the whole content of the file at ``path``, as UTF-8 text after
-    an optional byte-order mark; a :class:`SchemaError` names the line of the
-    first byte that is not UTF-8."""
-    try:
-        return raw.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        # ``exc.object`` and ``exc.start`` count from after the mark.
-        line = exc.object[:exc.start].count(b"\n") + 1
-        raise SchemaError(f"{path}:{line}: not UTF-8 text") from None
-
-
 def _parse(texts, kind: str):
     """The cells ``texts`` as one array of ``kind`` ("number", "finite",
     "non-negative" or "integer", one that fits 64 bits), or what is wrong
@@ -566,33 +530,6 @@ def write_csv(path, header: list[str], rows) -> Path:
         writer.writerow(header)
         writer.writerows(rows)
     return path
-
-
-def read_json(path) -> dict:
-    """The JSON object in a UTF-8 file.
-
-    A file that is not UTF-8, not valid JSON, or whose top level is not an
-    object raises a :class:`DataError` naming its file and line.
-    """
-    text = _decode_utf8(path, Path(path).read_bytes())
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        line, what = exc.lineno, f"invalid JSON: {exc.msg} (column {exc.colno})"
-    else:
-        if isinstance(obj, dict):
-            return obj
-        line = text[: len(text) - len(text.lstrip())].count("\n") + 1
-        what = "the top level is not a JSON object"
-    raise DataError(f"{path}:{line}: {what}")
-
-
-def write_json(path, obj) -> None:
-    """Write ``obj`` as UTF-8 JSON, indented by 2 with sorted keys and a
-    final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def read_feature_csv(path) -> list[FrameSeries]:

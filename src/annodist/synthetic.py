@@ -25,12 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import special
+from .config import SyntheticConfig, WindowConfig
 from .consensus import moment_match_arrays
-from .errors import POSITIVE, DomainError, at_least, check_fields
+from .errors import DomainError
 from .pipeline import (
     AnnotationTrace,
     FrameSeries,
-    WindowConfig,
     _window_means,
     fmt_float,
     window_starts,
@@ -40,41 +40,6 @@ from .pipeline import (
 )
 
 _N_HARMONICS = 3
-
-
-@dataclass(frozen=True)
-class SyntheticConfig:
-    """Generator parameters; the seed fully determines the output."""
-
-    n_subjects: int = 20
-    duration: float = 150.0
-    frame_rate: float = 25.0
-    n_annotators: int = 6
-    feature_dim: int = 24
-    latent_dim: int = 4
-    noise_std: float = 0.02
-    seed: int = 0
-    annotation_rate: float = 5.0
-    annotator_bias_std: float = 0.0
-    identity_features: bool = False
-
-    def __post_init__(self):
-        check_fields(
-            self, n_subjects=at_least(1), n_annotators=at_least(2),
-            duration=POSITIVE, frame_rate=POSITIVE, annotation_rate=POSITIVE,
-            feature_dim=at_least(1), latent_dim=at_least(0),
-            noise_std=at_least(0), annotator_bias_std=at_least(0), seed=at_least(0),
-        )
-        if not self.duration * min(self.frame_rate, self.annotation_rate) > 0.5:
-            raise DomainError(
-                f"SyntheticConfig: duration {self.duration!r} is too short for "
-                "one frame and one annotation mark"
-            )
-        if self.identity_features and self.feature_dim != 2 + self.latent_dim:
-            raise DomainError(
-                "SyntheticConfig: identity_features requires "
-                "feature_dim == 2 + latent_dim"
-            )
 
 
 @dataclass(frozen=True)
@@ -209,9 +174,13 @@ def write_ground_truth_csv(path, truth: GroundTruth) -> None:
     ))
 
 
-def write_dataset_csvs(cfg: SyntheticConfig, outdir,
-                       window_cfg: WindowConfig | None = None) -> dict[str, Path]:
-    """Generate and write features/annotations/ground-truth CSV files."""
+def write_dataset_csvs(
+    cfg: SyntheticConfig, outdir, window_cfg: WindowConfig | None = None
+) -> tuple[dict[str, Path], dict[str, int]]:
+    """Generate and write features/annotations/ground-truth CSV files.
+
+    Returns each file's path and its number of data rows, by table name.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     features, annotations, truth = generate(cfg, window_cfg)
@@ -223,4 +192,9 @@ def write_dataset_csvs(cfg: SyntheticConfig, outdir,
     write_feature_csv(paths["features"], features)
     write_annotation_csv(paths["annotations"], annotations)
     write_ground_truth_csv(paths["ground_truth"], truth)
-    return paths
+    rows = {
+        "features": sum(fs.timestamps.size for fs in features),
+        "annotations": sum(tr.timestamps.size for tr in annotations),
+        "ground_truth": len(truth.rows),
+    }
+    return paths, rows

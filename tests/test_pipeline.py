@@ -424,7 +424,7 @@ def written_csvs(tmp_path_factory):
     out = tmp_path_factory.mktemp("csvs")
     cfg = SyntheticConfig(n_subjects=4, duration=40.0, frame_rate=10.0,
                           n_annotators=3, feature_dim=6, latent_dim=2, seed=2)
-    paths = write_dataset_csvs(cfg, out)
+    paths, _ = write_dataset_csvs(cfg, out)
     table, report = build_dataset(read_feature_csv(paths["features"]),
                                   read_annotation_csv(paths["annotations"]),
                                   WindowConfig())

@@ -42,8 +42,8 @@ class TestDeterminism:
         assert not np.array_equal(a1[0].values, a2[0].values)
 
     def test_csv_bytes_identical(self, tmp_path):
-        p1 = write_dataset_csvs(SMALL, tmp_path / "one")
-        p2 = write_dataset_csvs(SMALL, tmp_path / "two")
+        p1, _ = write_dataset_csvs(SMALL, tmp_path / "one")
+        p2, _ = write_dataset_csvs(SMALL, tmp_path / "two")
         for key in p1:
             assert file_hash(p1[key]) == file_hash(p2[key])
 
@@ -139,7 +139,7 @@ class TestGroundTruthWindows:
 
 class TestGroundTruthCsv:
     def test_round_trip(self, tmp_path):
-        paths = write_dataset_csvs(SMALL, tmp_path)
+        paths, _ = write_dataset_csvs(SMALL, tmp_path)
         with open(paths["ground_truth"], newline="", encoding="utf-8") as fh:
             header, *rows = csv.reader(fh)
         _, _, expected = generate(SMALL)
