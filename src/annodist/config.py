@@ -115,10 +115,10 @@ class ExperimentConfig:
     master_seed: int = 0
     variants: tuple[str, ...] = MOMENT_KINDS
     baselines: tuple[str, ...] = DESCRIPTOR_NAMES
-    learning_rate: float = 1e-3
-    batch_size: int = 128
-    max_epochs: int = 50
-    patience: int = 5
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    max_epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
     epsilon: float = DEFAULT_EPSILON
     kl_direction: str = "truth_first"
     ccc_pooling: str = "pooled"

@@ -57,8 +57,10 @@ def clamp_moments_arrays(mu, sigma, epsilon: float = DEFAULT_EPSILON):
     check("clamp_moments_arrays", "epsilon", epsilon, EPSILON_RANGE)
     mu = np.clip(np.asarray(mu, dtype=np.float64), epsilon, 1.0 - epsilon)
     cap = mu * (1.0 - mu)
-    var = np.clip(np.square(np.asarray(sigma, dtype=np.float64)),
-                  epsilon * cap, (1.0 - epsilon) * cap)
+    # The variance cap is below 0.25, so clipping sigma into [-1, 1] first
+    # moves no result and keeps a huge sigma from overflowing its square.
+    sigma = np.clip(np.asarray(sigma, dtype=np.float64), -1.0, 1.0)
+    var = np.clip(np.square(sigma), epsilon * cap, (1.0 - epsilon) * cap)
     return mu, np.sqrt(var)
 
 

@@ -18,17 +18,18 @@ The unit of work is a (network kind, fold) stack, trained in one
 and shuffle and differ only in the target column).  Seeds are
 master_seed + {0..n_seeds-1}; a member's init and shuffle come from its seed
 alone, and each member early-stops on its own.  A member whose training
-turns non-finite fails only its own cell.  ``jobs`` runs stacks in parallel
-worker processes, which only train and predict; the grid is deterministic
-and does not depend on ``jobs``.
+turns non-finite, or whose test predictions are not finite, fails only its
+own cell.  ``jobs`` runs stacks in parallel worker processes, which only
+train and predict; the grid is deterministic and does not depend on
+``jobs``.
 
 The parent process scores every cell.  All moment cells, the oracle's
 included, are scored by one Beta fit (:func:`fit_beta_arrays`, non-strict)
 and one KL pass per direction over their concatenated test windows, then
 sliced per cell for concordance and the KL means.  Quantiles and KL terms
 are computed element by element, so each cell gets the bits it would get
-alone; if the batched fit raises, every cell is fitted alone, so a bad one
-fails by itself with its own message.
+alone.  Per-subject CCC averages over the test subjects with at least 2
+windows; a cell with no such subject fails.
 
 Each fold's window split and training-fold z-score statistics are computed
 once, before any stack trains (:class:`Fold`), and the report keeps them for
@@ -61,7 +62,7 @@ from .consensus import (
     fit_beta_arrays,
     moment_match_arrays,
 )
-from .errors import AnnodistError, DomainError, InsufficientDataError
+from .errors import AnnodistError, DomainError, InsufficientDataError, TrainingError
 from .metrics import PairedSeries, ccc, kl_beta_arrays, wilcoxon_signed_rank
 from .pipeline import WindowTable, fmt_float, write_csv
 
@@ -175,7 +176,8 @@ class ExperimentReport:
 
 
 def _score_ccc(pred, target, subjects, pooling: str) -> float:
-    """Concordance either over pooled windows or averaged per subject."""
+    """Concordance either over pooled windows or averaged over the test
+    subjects that have at least 2 windows."""
     if pooling == "pooled":
         return ccc(PairedSeries(pred, target))
     values = [
@@ -183,86 +185,53 @@ def _score_ccc(pred, target, subjects, pooling: str) -> float:
         for s in np.unique(subjects)
         if np.count_nonzero(subjects == s) >= 2
     ]
+    if not values:
+        raise InsufficientDataError(
+            "per-subject CCC: no test subject has at least 2 windows")
     return float(np.mean(values))
-
-
-def _fit_and_kl(data: DatasetArrays, mu_hat, sigma_hat, test_idx, epsilon: float):
-    """Predicted descriptors and the per-window KL arrays (truth-pred,
-    pred-truth, truth-uniform) of moment predictions on ``test_idx``."""
-    # Non-strict quantiles: badly clamped predictions (sigma_hat above the
-    # validity cap) yield near-degenerate Betas whose quartiles collapse to
-    # the interval ends; scoring them beats losing the whole grid cell, and
-    # keeps both descriptor paths evaluated on identical windows.
-    pred_alpha, pred_beta, pred_desc = fit_beta_arrays(
-        mu_hat, sigma_hat, epsilon, strict=False
-    )
-    t_alpha = data.truth_alpha[test_idx]
-    t_beta = data.truth_beta[test_idx]
-    ones = np.ones_like(t_alpha)
-    return (
-        pred_desc,
-        kl_beta_arrays(t_alpha, t_beta, pred_alpha, pred_beta),
-        kl_beta_arrays(pred_alpha, pred_beta, t_alpha, t_beta),
-        kl_beta_arrays(t_alpha, t_beta, ones, ones),
-    )
-
-
-def _evaluate_moment_model(
-    data: DatasetArrays, mu_hat: np.ndarray, sigma_hat: np.ndarray,
-    test_idx: np.ndarray, epsilon: float, pooling: str = "pooled",
-    fitted: tuple | None = None,
-) -> dict[str, float]:
-    """One moment cell's scores; ``fitted`` is its slice of a batched
-    :func:`_fit_and_kl`, computed here when not given."""
-    subjects = data.subjects[test_idx]
-    scores = {
-        "ccc_mu": _score_ccc(mu_hat, data.mu[test_idx], subjects, pooling),
-        "ccc_sigma": _score_ccc(sigma_hat, data.sigma[test_idx], subjects, pooling),
-    }
-    if fitted is None:
-        fitted = _fit_and_kl(data, mu_hat, sigma_hat, test_idx, epsilon)
-    pred_desc, kl_tp, kl_pt, kl_tu = fitted
-    for name in DESCRIPTOR_NAMES:
-        scores[f"ccc_{name}"] = _score_ccc(
-            pred_desc[name], data.truth_desc[name][test_idx], subjects, pooling
-        )
-    scores["kl_truth_pred"] = float(kl_tp.mean())
-    scores["kl_pred_truth"] = float(kl_pt.mean())
-    scores["kl_truth_uniform"] = float(kl_tu.mean())
-    scores["kl_frac_better"] = float(np.mean(kl_tp < kl_tu))
-    return scores
 
 
 def _score_moment_cells(data: DatasetArrays, batch: list, epsilon: float,
                         pooling: str) -> None:
     """Score ``(cells, mu_hat, sigma_hat, test_idx)`` entries, every cell of
-    an entry alike, with one Beta fit and KL pass over all their windows.
-
-    Each window's quantiles and KL terms are computed element by element,
-    so a cell's slice holds the bits it would get alone.  If the batched fit
-    raises, every entry is fitted alone, so a bad one fails by itself and
-    with its own message.
+    an entry alike: one Beta fit and one KL pass per direction over all their
+    windows, then one slice per entry.  The predictions are finite
+    (:func:`_run_stack` fails a member whose are not); over finite moments the
+    fit and KL are total and elementwise, so a slice holds the bits its entry
+    would get alone.
     """
     _, mu_hat, sigma_hat, test_idx = zip(*batch)
-    try:
-        fitted = _fit_and_kl(data, np.concatenate(mu_hat), np.concatenate(sigma_hat),
-                             np.concatenate(test_idx), epsilon)
-    except (AnnodistError, FloatingPointError):
-        fitted = None
+    test_idx = np.concatenate(test_idx)
+    # Non-strict quantiles: badly clamped predictions (sigma_hat above the
+    # validity cap) yield near-degenerate Betas whose quartiles collapse to
+    # the interval ends; scoring them beats losing the whole grid cell, and
+    # keeps both descriptor paths evaluated on identical windows.
+    *pred, pred_desc = fit_beta_arrays(np.concatenate(mu_hat),
+                                       np.concatenate(sigma_hat), epsilon, strict=False)
+    truth = data.truth_alpha[test_idx], data.truth_beta[test_idx]
+    uniform = (np.ones_like(truth[0]),) * 2
+    kl_tp = kl_beta_arrays(*truth, *pred)
+    kl_pt = kl_beta_arrays(*pred, *truth)
+    kl_tu = kl_beta_arrays(*truth, *uniform)
+    targets = {"mu": data.mu, "sigma": data.sigma, **data.truth_desc}
     hi = 0
-    for cells, mu_hat, sigma_hat, test_idx in batch:
-        lo, hi = hi, hi + test_idx.size
-        mine = None if fitted is None else (
-            {k: v[lo:hi] for k, v in fitted[0].items()},
-            *(kl[lo:hi] for kl in fitted[1:]),
-        )
+    for cells, mu_hat, sigma_hat, idx in batch:
+        lo, hi = hi, hi + idx.size
+        subjects = data.subjects[idx]
+        preds = {"mu": mu_hat, "sigma": sigma_hat,
+                 **{name: pred_desc[name][lo:hi] for name in DESCRIPTOR_NAMES}}
         try:
-            scores = _evaluate_moment_model(data, mu_hat, sigma_hat, test_idx,
-                                            epsilon, pooling, mine)
+            scores = {f"ccc_{name}": _score_ccc(p, targets[name][idx], subjects, pooling)
+                      for name, p in preds.items()}
         except (AnnodistError, FloatingPointError) as exc:
             for cell in cells:
                 cell.failed = _failure(exc)
             continue
+        tp, tu = kl_tp[lo:hi], kl_tu[lo:hi]
+        scores.update(kl_truth_pred=float(tp.mean()),
+                      kl_pred_truth=float(kl_pt[lo:hi].mean()),
+                      kl_truth_uniform=float(tu.mean()),
+                      kl_frac_better=float(np.mean(tp < tu)))
         for cell in cells:
             cell.scores = dict(scores)
 
@@ -348,9 +317,12 @@ def _run_stack(
         for cell in cells:
             cell.failed = _failure(exc)
         return cells, None
-    for cell, member in zip(cells, history.members):
+    # Scoring only ever sees finite predictions: a member without them fails here.
+    for cell, member, member_pred in zip(cells, history.members, pred):
         if member.error is not None:
             cell.failed = _failure(member.error)
+        elif not np.isfinite(member_pred).all():
+            cell.failed = _failure(TrainingError("non-finite test predictions"))
     return cells, pred
 
 
@@ -381,9 +353,7 @@ def _score(data: DatasetArrays, cfg: ExperimentConfig, folds: list[Fold],
                 continue
             try:
                 cell.scores = {f"ccc_{target}": _score_ccc(
-                    pred[m], data.truth_desc[target][test_idx], subjects,
-                    cfg.ccc_pooling,
-                )}
+                    pred[m], data.truth_desc[target][test_idx], subjects, cfg.ccc_pooling)}
             except (AnnodistError, FloatingPointError) as exc:
                 cell.failed = _failure(exc)
     if batch:

@@ -76,6 +76,13 @@ class TestClampMoments:
     def test_valid_input_untouched(self):
         assert clamp_moments_arrays(0.3, 0.1) == (0.3, 0.1)
 
+    def test_huge_sigma_capped_without_overflow(self):
+        mu = np.array([0.3, 0.3, 0.9])
+        cmu, csigma = clamp_moments_arrays(mu, np.array([1e300, -1e300, 1e300]), 1e-4)
+        assert np.array_equal(cmu, mu)
+        assert csigma**2 == pytest.approx((1 - 1e-4) * mu * (1 - mu), rel=1e-15)
+        assert np.array_equal(csigma, clamp_moments_arrays(mu, np.ones(3), 1e-4)[1])
+
     def test_fuzz_output_always_valid(self):
         rng = np.random.default_rng(8)
         mu = np.concatenate([rng.uniform(0, 1, 5000), [0.0, 1.0, 0.0, 1.0]])

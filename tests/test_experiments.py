@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from annodist import experiments, special
+from annodist import experiments, nn, special
+from annodist.config import TrainConfig
 from annodist.errors import DomainError, InsufficientDataError
 from annodist.experiments import (
     CellResult,
@@ -71,6 +72,9 @@ class TestConfigChecks:
             owner(**{field: value})
         with pytest.raises(DomainError, match=re.escape(repr(value))):
             owner(**{field: value})
+
+    def test_training_defaults_are_train_configs(self):
+        assert ExperimentConfig().train_config() == TrainConfig()
 
     def test_grid_without_models_rejected(self):
         with pytest.raises(DomainError, match="variants and baselines are both empty"):
@@ -223,6 +227,15 @@ class TestRunGrid:
         # The oracle predicts the targets exactly, so both poolings give 1.
         assert np.allclose(per_subject.score_vectors("ccc_mu")["oracle"], 1.0)
 
+    def test_per_subject_ccc_needs_a_subject_with_two_windows(self):
+        pred, target = np.array([0.1, 0.2]), np.array([0.3, 0.1])
+        subjects = np.array(["a", "b"])
+        with pytest.raises(InsufficientDataError,
+                           match="no test subject has at least 2 windows"):
+            experiments._score_ccc(pred, target, subjects, "per_subject")
+        pooled = experiments._score_ccc(pred, target, subjects, "pooled")
+        assert pooled == pytest.approx(-2 / 3)
+
     def test_degenerate_predictions_scored_not_failed(self, tiny_table):
         # A frozen network keeps sigma_hat near softplus(0) ~ 0.69, above the
         # validity cap; the clamp collapses it to a near-two-point Beta whose
@@ -254,6 +267,16 @@ class TestBatchedScoring:
                       data.mu[test], data.sigma[test], test))
         return batch
 
+    @staticmethod
+    def _alone(data, entry, pooling):
+        # The same entry scored as a one-entry batch, on fresh cells.
+        cells, mu_hat, sigma_hat, test_idx = entry
+        fresh = [CellResult(c.model, c.fold, c.seed) for c in cells]
+        experiments._score_moment_cells(data, [(fresh, mu_hat, sigma_hat, test_idx)],
+                                        1e-4, pooling)
+        assert all(c.failed is None for c in fresh)
+        return fresh[0].scores
+
     @pytest.mark.parametrize("pooling", experiments.CCC_POOLINGS)
     def test_batched_cells_match_cells_scored_alone(self, tiny_report, pooling,
                                                     monkeypatch):
@@ -265,25 +288,66 @@ class TestBatchedScoring:
                             lambda *a, **k: calls.append(1) or inverse(*a, **k))
         experiments._score_moment_cells(data, batch, 1e-4, pooling)
         assert len(calls) == 1
-        for cells, mu_hat, sigma_hat, test_idx in batch:
-            alone = experiments._evaluate_moment_model(
-                data, mu_hat, sigma_hat, test_idx, 1e-4, pooling)
-            for cell in cells:
+        for entry in batch:
+            alone = self._alone(data, entry, pooling)
+            for cell in entry[0]:
                 assert cell.failed is None
                 assert cell.scores == alone
 
-    def test_a_cell_whose_scoring_raises_fails_alone(self, tiny_report):
-        data = tiny_report.data
-        batch = self._batch(tiny_report, np.random.default_rng(33))
-        cells, mu_hat, sigma_hat, test_idx = batch[1]
-        mu_hat[3] = np.nan
+    def test_any_finite_predictions_score(self, tiny_report):
+        # Moments far outside the validity region, the extremes included,
+        # fit and score without a warning (warnings are errors here).  The
+        # raw sigma_hat also enters ccc_sigma, whose variance needs
+        # |sigma_hat| below about 1e154.
+        data, folds = tiny_report.data, tiny_report.folds
+        rng = np.random.default_rng(34)
+        mu_x, sigma_x = (v.ravel() for v in np.meshgrid(
+            [0.0, 1.0, -3.0, 7.5], [0.0, 5e-324, 1e150, -1e150]))
+        batch = []
+        for fold in folds:
+            n = fold.test.size
+            mu_hat = rng.uniform(-2.0, 3.0, n)
+            sigma_hat = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320, 150, n)
+            mu_hat[:mu_x.size], sigma_hat[:mu_x.size] = mu_x, sigma_x
+            batch.append(([CellResult("fully_shared", 0, 1)], mu_hat, sigma_hat,
+                          fold.test))
         experiments._score_moment_cells(data, batch, 1e-4, "pooled")
-        assert cells[0].failed == "DomainError: PairedSeries: values must be finite"
-        for cells, mu_hat, sigma_hat, test_idx in batch[::2]:
-            alone = experiments._evaluate_moment_model(
-                data, mu_hat, sigma_hat, test_idx, 1e-4)
-            for cell in cells:
-                assert cell.failed is None and cell.scores == alone
+        for cells, *_ in batch:
+            assert cells[0].failed is None
+            assert all(np.isfinite(v) for v in cells[0].scores.values())
+
+    def test_extreme_moments_fit_to_bounded_shapes(self):
+        mu, sigma = (v.ravel() for v in np.meshgrid(
+            [0.0, 1.0, 0.5, -3.0], [0.0, 5e-324, 1e150, 1e300, -1e300, 0.3]))
+        alpha, beta, desc = experiments.fit_beta_arrays(mu, sigma, 1e-4, strict=False)
+        for shape in (alpha, beta):
+            assert np.all((shape >= 1e-8) & (shape <= 1e4))
+        assert all(np.all(np.isfinite(v)) for v in desc.values())
+        assert np.all(np.isfinite(experiments.kl_beta_arrays(alpha, beta, 1.0, 1.0)))
+
+    def test_a_member_with_non_finite_predictions_fails_alone(
+            self, tiny_table, tiny_report, monkeypatch):
+        # Poison one moment member and one point member of fold 0's stacks.
+        predict, poisoned = nn.predict, set()
+
+        def poisoning_predict(net, x):
+            pred = predict(net, x)
+            if net.kind not in poisoned:
+                poisoned.add(net.kind)
+                pred[1 if net.kind == "fully_shared" else 0, 3] = np.nan
+            return pred
+
+        monkeypatch.setattr(nn, "predict", poisoning_predict)
+        report = run_grid(tiny_table, TINY_GRID)
+        assert poisoned == {"fully_shared", "point"}
+        assert {(c.model, c.fold, c.seed): c.failed for c in report.failures()} == {
+            ("fully_shared", 0, 2): "TrainingError: non-finite test predictions",
+            ("point[median]", 0, 1): "TrainingError: non-finite test predictions",
+        }
+        for a, b in zip(tiny_report.cells, report.cells):
+            assert (a.model, a.fold, a.seed) == (b.model, b.fold, b.seed)
+            if b.failed is None:
+                assert a.scores == b.scores
 
 
 def _fake_report(score_map, n_folds=1):
