@@ -66,6 +66,9 @@ from .errors import AnnodistError, DomainError, InsufficientDataError, TrainingE
 from .metrics import PairedSeries, ccc, kl_beta_arrays, wilcoxon_signed_rank
 from .pipeline import WindowTable, fmt_float, write_csv
 
+# Density curves are sampled at this many midpoints of (0, 1).
+DENSITY_POINTS = 512
+
 
 @dataclass(frozen=True)
 class FoldPlan:
@@ -455,13 +458,12 @@ def emit_density_data(
     sigma_hat: np.ndarray,
     indices: np.ndarray,
     path,
-    n_points: int = 512,
     epsilon: float = DEFAULT_EPSILON,
 ) -> Path:
     """Write true/predicted Beta densities for selected windows as tidy CSV.
 
-    Densities are sampled at ``n_points`` midpoints of (0, 1); columns carry
-    the window key, both Beta parameter pairs, x and the two densities.
+    Densities are sampled at ``DENSITY_POINTS`` midpoints of (0, 1); columns
+    carry the window key, both Beta parameter pairs, x and the two densities.
     """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
@@ -470,7 +472,7 @@ def emit_density_data(
         raise DomainError("emit_density_data: window index out of range")
     if np.asarray(mu_hat).shape != indices.shape:
         raise DomainError("emit_density_data: predictions must align with indices")
-    grid = (np.arange(n_points) + 0.5) / n_points
+    grid = (np.arange(DENSITY_POINTS) + 0.5) / DENSITY_POINTS
     pmu, psigma = clamp_moments_arrays(mu_hat, sigma_hat, epsilon)
     pred_alpha, pred_beta = moment_match_arrays(pmu, psigma)
     true_alpha, true_beta = data.truth_alpha[indices], data.truth_beta[indices]

@@ -48,9 +48,13 @@ def ccc(s: PairedSeries) -> float:
 
     Penalises both decorrelation and location/scale shift; population
     statistics throughout.  Returns 0 for the degenerate constant-equal case.
+    Both series are first divided by the power of two at their common max
+    |value|: an exact scale, after which no square of a finite series can
+    overflow.
     """
-    x = s.predictions
-    y = s.targets
+    _, e = math.frexp(max(np.max(np.abs(s.predictions)), np.max(np.abs(s.targets))))
+    x = np.ldexp(s.predictions, -e)
+    y = np.ldexp(s.targets, -e)
     mx = x.mean()
     my = y.mean()
     cov = ((x - mx) * (y - my)).mean()
@@ -86,17 +90,9 @@ class WilcoxonResult(NamedTuple):
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    # A tie group of c values that ends at rank r shares rank r - (c - 1) / 2.
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[group]
 
 
 def _exact_cdf_at(doubled_ranks: np.ndarray, doubled_w: int) -> float:

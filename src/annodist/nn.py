@@ -1,17 +1,20 @@
 """Small feed-forward predictors with explicit backprop and Adam, in stacks.
 
 All variants share the same bottleneck layout: two hidden ReLU layers at 75%
-and 50% of the input width (round half up).  Four head arrangements exist:
+and 50% of the input width (round half up), then a head.  A variant is a
+tuple of chains of layers, each reading the features or one earlier chain;
+the output concatenates the chains that end in a head, in order:
 
-* ``independent``  - two disjoint networks, one per moment (mu, sigma)
-* ``shared_first`` - one shared first layer, split second layers and heads
-* ``fully_shared`` - one shared trunk with a two-unit head
-* ``point``        - a single scalar head, used for per-descriptor baselines
+* ``independent``  - a mu and a sigma chain, each on the features
+* ``shared_first`` - a one-layer shared chain, read by a mu and a sigma chain
+* ``fully_shared`` - one chain with a two-unit (mu, sigma) head
+* ``point``        - one chain with a scalar head, for per-descriptor baselines
 
-Moment heads squash: the mu output passes through a logistic so it stays in
-(0, 1), the sigma output through a softplus so it stays positive.  Validity
-of sigma^2 against mu(1-mu) is NOT enforced here; the Beta conversion clamps
-downstream.  Point heads are identity (descriptor targets can be negative).
+A head applies one activation per output column.  Moment heads squash: mu
+passes through a logistic so it stays in (0, 1), sigma through a softplus so
+it stays positive.  Validity of sigma^2 against mu(1-mu) is NOT enforced
+here; the Beta conversion clamps downstream.  Point heads are identity
+(descriptor targets can be negative).
 
 A :class:`Network` is a stack of M members of one variant; a single network
 is the M = 1 case.  Each member has its own seed and parameters.  A layer's
@@ -87,29 +90,42 @@ class NetworkVariant:
             raise DomainError("NetworkVariant: input_dim must be >= 2")
 
 
-# Layers as (param prefix, fan-in, fan-out, activation) per chain.
-def _chains(variant: NetworkVariant) -> dict[str, list[tuple[str, int, int, str]]]:
+@functools.lru_cache(maxsize=None)
+def _chains(variant: NetworkVariant) -> tuple[tuple, ...]:
+    """The variant's chains ``(name, source, layers)`` in order: ``source`` is
+    None (the features) or an earlier chain.  A layer is ``(param name,
+    fan-in, fan-out, activation)``, and a head's activation is a tuple of one
+    head activation per output column.  The chains that end in a head are
+    the outputs."""
     d = variant.input_dim
     h1, h2 = hidden_dims(d)
     if variant.kind == "point":
-        return {"trunk": [("l1", d, h1, "relu"), ("l2", h1, h2, "relu"),
-                          ("head", h2, 1, "identity")]}
+        return (("trunk", None, (("l1", d, h1, "relu"), ("l2", h1, h2, "relu"),
+                                 ("head", h2, 1, ("identity",)))),)
     if variant.kind == "fully_shared":
-        return {"trunk": [("l1", d, h1, "relu"), ("l2", h1, h2, "relu"),
-                          ("head", h2, 2, "moment")]}
+        return (("trunk", None, (("l1", d, h1, "relu"), ("l2", h1, h2, "relu"),
+                                 ("head", h2, 2, ("sigmoid", "softplus")))),)
     if variant.kind == "shared_first":
-        return {
-            "shared": [("shared", d, h1, "relu")],
-            "mu": [("mu_l2", h1, h2, "relu"), ("mu_head", h2, 1, "sigmoid")],
-            "sigma": [("sigma_l2", h1, h2, "relu"),
-                      ("sigma_head", h2, 1, "softplus")],
-        }
-    return {
-        "mu": [("mu_l1", d, h1, "relu"), ("mu_l2", h1, h2, "relu"),
-               ("mu_head", h2, 1, "sigmoid")],
-        "sigma": [("sigma_l1", d, h1, "relu"), ("sigma_l2", h1, h2, "relu"),
-                  ("sigma_head", h2, 1, "softplus")],
-    }
+        return (
+            ("shared", None, (("shared", d, h1, "relu"),)),
+            ("mu", "shared", (("mu_l2", h1, h2, "relu"),
+                              ("mu_head", h2, 1, ("sigmoid",)))),
+            ("sigma", "shared", (("sigma_l2", h1, h2, "relu"),
+                                 ("sigma_head", h2, 1, ("softplus",)))),
+        )
+    return (
+        ("mu", None, (("mu_l1", d, h1, "relu"), ("mu_l2", h1, h2, "relu"),
+                      ("mu_head", h2, 1, ("sigmoid",)))),
+        ("sigma", None, (("sigma_l1", d, h1, "relu"), ("sigma_l2", h1, h2, "relu"),
+                         ("sigma_head", h2, 1, ("softplus",)))),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _out_width(variant: NetworkVariant) -> int:
+    # One output column per head activation.
+    return sum(len(act) for *_, layers in _chains(variant)
+               for *_, act in layers if isinstance(act, tuple))
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,7 +136,7 @@ def _layout(variant: NetworkVariant) -> tuple[tuple[str, int, int, int], ...]:
     ``W`` row-major and the bias row last.
     """
     out, offset = [], 0
-    for layers in _chains(variant).values():
+    for *_, layers in _chains(variant):
         for name, fan_in, fan_out, _ in layers:
             out.append((name, offset, fan_in, fan_out))
             offset += (fan_in + 1) * fan_out
@@ -177,14 +193,6 @@ class Network:
         return self.params.flat
 
 
-def _zeros(variant: NetworkVariant, seeds) -> Network:
-    seeds = (int(seeds),) if np.ndim(seeds) == 0 else tuple(int(s) for s in seeds)
-    if not seeds:
-        raise DomainError("Network: a stack needs at least one member")
-    flat = np.zeros((len(seeds), count_params(variant.kind, variant.input_dim)))
-    return Network(variant, seeds, FlatParams(variant, flat))
-
-
 def build(variant: NetworkVariant, seeds) -> Network:
     """Initialise one member per seed (an int gives a one-member stack).
 
@@ -192,32 +200,26 @@ def build(variant: NetworkVariant, seeds) -> Network:
     by ``HEAD_INIT_SCALE``; biases start at zero.  Member m's init is drawn
     from ``default_rng(seeds[m])`` alone.
     """
-    net = _zeros(variant, seeds)
-    for m, seed in enumerate(net.seeds):
+    seeds = (int(seeds),) if np.ndim(seeds) == 0 else tuple(int(s) for s in seeds)
+    if not seeds:
+        raise DomainError("Network: a stack needs at least one member")
+    flat = np.zeros((len(seeds), count_params(variant.kind, variant.input_dim)))
+    net = Network(variant, seeds, FlatParams(variant, flat))
+    for m, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        for layers in _chains(variant).values():
-            for name, fan_in, fan_out, _ in layers:
+        for *_, layers in _chains(variant):
+            for name, fan_in, fan_out, act in layers:
                 limit = math.sqrt(6.0 / fan_in)
-                if name.endswith("head"):
+                if isinstance(act, tuple):
                     limit *= HEAD_INIT_SCALE
                 net.params[f"{name}.w"][m] = rng.uniform(-limit, limit, (fan_in, fan_out))
     return net
 
 
 def count_params(kind: str, input_dim: int) -> int:
-    """Closed-form trainable parameter count for one variant (one member)."""
-    d = input_dim
-    h1, h2 = hidden_dims(d)
-    trunk = d * h1 + h1 + h1 * h2 + h2
-    if kind == "point":
-        return trunk + h2 + 1
-    if kind == "fully_shared":
-        return trunk + 2 * h2 + 2
-    if kind == "shared_first":
-        return d * h1 + h1 + 2 * (h1 * h2 + h2) + 2 * (h2 + 1)
-    if kind == "independent":
-        return 2 * (trunk + h2 + 1)
-    raise DomainError(f"count_params: unknown kind {kind!r}")
+    """Trainable parameter count for one variant (one member)."""
+    return sum((fan_in + 1) * fan_out
+               for *_, fan_in, fan_out in _layout(NetworkVariant(kind, input_dim)))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -230,69 +232,48 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.where(z > 30.0, z, np.log1p(np.exp(np.minimum(z, 30.0))))
 
 
-def _activate(kind: str, z: np.ndarray) -> np.ndarray:
-    # ReLU layers are handled inline by _chain_forward and _chain_backward.
-    if kind == "identity":
-        return z
-    if kind == "sigmoid":
-        return _sigmoid(z)
-    if kind == "softplus":
-        return _softplus(z)
-    if kind == "moment":
-        out = np.empty_like(z)
-        out[..., 0] = _sigmoid(z[..., 0])
-        out[..., 1] = _softplus(z[..., 1])
-        return out
-    raise DomainError(f"unknown activation {kind!r}")
-
-
-def _pre_activation_grad(kind: str, dout: np.ndarray, z: np.ndarray,
-                         a: np.ndarray) -> np.ndarray:
-    # dL/dz from dL/da, using the activation value where that is cheaper.
-    if kind == "identity":
-        return dout
-    if kind == "sigmoid":
-        return dout * (a * (1.0 - a))
-    if kind == "softplus":
-        return dout * _sigmoid(z)
-    if kind == "moment":
-        g = np.empty_like(z)
-        g[..., 0] = a[..., 0] * (1.0 - a[..., 0])
-        g[..., 1] = _sigmoid(z[..., 1])
-        return dout * g
-    raise DomainError(f"unknown activation {kind!r}")
+# Head activations by name: (a(z), da/dz from z and a).  ReLU layers are
+# handled inline by _chain_forward and _chain_backward.
+_HEADS = {
+    "identity": (lambda z: z, lambda z, a: 1.0),
+    "sigmoid": (_sigmoid, lambda z, a: a * (1.0 - a)),
+    "softplus": (_softplus, lambda z, a: _sigmoid(z)),
+}
 
 
 class _Layer:
     """One layer of a stack at one input shape: its ``[W; b]`` parameter and
     gradient views, and the buffers its forward (and backward) passes write
     into.  A ReLU layer's activation ``a`` is a view of ``a_ones``, which
-    adds the ones column that the next layer's bias row multiplies."""
+    adds the ones column that the next layer's bias row multiplies; a head
+    layer's is ``out``, its columns of the pass's output, and ``heads`` holds
+    its per-column activations."""
 
-    __slots__ = ("act", "wb", "gwb", "w_t", "z", "a", "a_ones", "mask", "dz",
-                 "din", "a_in")
+    __slots__ = ("act", "heads", "wb", "gwb", "w_t", "z", "a", "a_ones", "mask",
+                 "dz", "din", "a_in")
 
-    def __init__(self, act, wb, gwb, n, backward, din):
+    def __init__(self, act, wb, gwb, n, backward, din, out=None):
         m, rows, fan_out = wb.shape
         fan_in = rows - 1
         self.act, self.wb, self.gwb = act, wb, gwb
+        self.heads = None if out is None else [_HEADS[name] for name in act]
         self.w_t = np.swapaxes(wb[:, :fan_in], -1, -2)
         self.z = np.empty((m, n, fan_out))
-        relu = act == "relu"
-        self.a_ones = np.ones((m, n, fan_out + 1)) if relu else None
-        self.a = self.a_ones[..., :fan_out] if relu else None
-        relu_backward = relu and backward
+        self.a_ones = np.ones((m, n, fan_out + 1)) if out is None else None
+        self.a = self.a_ones[..., :fan_out] if out is None else out
+        relu_backward = backward and out is None
         self.mask = np.empty(self.z.shape, dtype=bool) if relu_backward else None
-        self.dz = np.empty_like(self.z) if relu_backward else None
+        self.dz = np.empty_like(self.z) if backward else None
         self.din = np.empty((m, n, fan_in)) if backward and din else None
         self.a_in = None
 
 
 @dataclass
 class _Pass:
-    """A stack's layers and loss buffers for one input shape."""
+    """A stack's layers and output buffers for one input shape."""
 
     chains: dict[str, list[_Layer]]
+    out: np.ndarray  # the output, which the head layers write
     residual: np.ndarray | None  # output - targets
     dout: np.ndarray | None  # d(loss)/d(output)
 
@@ -326,20 +307,23 @@ class Workspace:
 
     def _allocate(self, n: int, backward: bool) -> _Pass:
         net, params, grads = self.net, self.net.params, self.grads
-        # The chains that read the features need no gradient for their input.
-        reads_x = {"trunk", "shared"} if net.kind != "independent" else {"mu", "sigma"}
-        chains = {
-            chain: [
-                _Layer(act, params.layers[name], grads.layers[name], n, backward,
-                       din=i > 0 or chain not in reads_x)
-                for i, (name, _, _, act) in enumerate(layers)
-            ]
-            for chain, layers in _chains(net.variant).items()
-        }
+        out = np.empty((net.n_members, n, _out_width(net.variant)))
+        chains, col = {}, 0
+        for chain, source, layers in _chains(net.variant):
+            chains[chain] = []
+            for i, (name, _, fan_out, act) in enumerate(layers):
+                head = isinstance(act, tuple)
+                # A chain that reads the features needs no gradient for its input.
+                chains[chain].append(_Layer(
+                    act, params.layers[name], grads.layers[name], n, backward,
+                    din=i > 0 or source is not None,
+                    out=out[..., col : col + fan_out] if head else None))
+                col += fan_out if head else 0
+        # A one-column output is returned without its column axis.
+        out = out[..., 0] if out.shape[-1] == 1 else out
         if not backward:
-            return _Pass(chains, None, None)
-        shape = (net.n_members, n) + (() if net.kind == "point" else (2,))
-        return _Pass(chains, np.empty(shape), np.empty(shape))
+            return _Pass(chains, out, None, None)
+        return _Pass(chains, out, np.empty_like(out), np.empty_like(out))
 
 
 def _chain_forward(layers: list[_Layer], x: np.ndarray) -> np.ndarray:
@@ -348,25 +332,30 @@ def _chain_forward(layers: list[_Layer], x: np.ndarray) -> np.ndarray:
     for layer in layers:
         layer.a_in = a
         z = np.matmul(a, layer.wb, out=layer.z)
-        if layer.act == "relu":
+        if layer.heads is None:
             np.maximum(z, 0.0, out=layer.a)
             a = layer.a_ones
         else:
-            a = layer.a = _activate(layer.act, z)
+            for j, (activation, _) in enumerate(layer.heads):
+                layer.a[..., j] = activation(z[..., j])
+            a = layer.a
     return a
 
 
-def _chain_backward(layers: list[_Layer], dout: np.ndarray, input_grad: bool = True):
+def _chain_backward(layers: list[_Layer], dout: np.ndarray, input_grad: bool):
     # Walks the layers of the last forward pass in reverse, writing each
     # gradient into the workspace; returns dL/d(chain input), or None when
     # ``input_grad`` is off (the chain reads the features).
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
-        if layer.act == "relu":
+        if layer.heads is None:
             dz = np.multiply(dout, np.greater(layer.z, 0.0, out=layer.mask),
                              out=layer.dz)
         else:
-            dz = _pre_activation_grad(layer.act, dout, layer.z, layer.a)
+            dz = layer.dz
+            for j, (_, derivative) in enumerate(layer.heads):
+                dz[..., j] = derivative(layer.z[..., j], layer.a[..., j])
+            dz *= dout
         # The input's ones column turns the bias gradient into the last row.
         np.matmul(np.swapaxes(layer.a_in, -1, -2), dz, out=layer.gwb)
         if i or input_grad:
@@ -415,18 +404,15 @@ def forward(net: Network, x, work: Workspace | None = None,
     here; :func:`train` and :func:`predict` do that.
     """
     x = _as_inputs(net, x, augmented)
-    return _forward_chains(net, (work or Workspace(net)).pass_for(x.shape).chains, x)
+    return _forward_chains(net, (work or Workspace(net)).pass_for(x.shape), x)
 
 
-def _forward_chains(net: Network, chains: dict[str, list[_Layer]], x) -> np.ndarray:
-    """:func:`forward` of augmented inputs ``x`` in the layers ``chains``."""
-    if net.kind in ("point", "fully_shared"):
-        out = _chain_forward(chains["trunk"], x)
-        return out[..., 0] if net.kind == "point" else out
-    h = _chain_forward(chains["shared"], x) if net.kind == "shared_first" else x
-    mu = _chain_forward(chains["mu"], h)
-    sigma = _chain_forward(chains["sigma"], h)
-    return np.concatenate([mu, sigma], axis=-1)
+def _forward_chains(net: Network, buffers: _Pass, x) -> np.ndarray:
+    """:func:`forward` of augmented inputs ``x`` in the buffers of one pass."""
+    outputs = {None: x}
+    for chain, source, _ in _chains(net.variant):
+        outputs[chain] = _chain_forward(buffers.chains[chain], outputs[source])
+    return buffers.out
 
 
 def predict(net: Network, x) -> np.ndarray:
@@ -436,13 +422,15 @@ def predict(net: Network, x) -> np.ndarray:
     return forward(net, x, augmented=True)
 
 
-def _residual_loss(kind: str, residual: np.ndarray) -> np.ndarray:
-    # Each mean is add.reduce(d*d)/n over a contiguous row, as np.mean sums.
-    if kind == "point":
-        return np.add.reduce(np.square(residual), axis=-1) / residual.shape[-1]
-    n = residual.shape[-2]
-    return (np.add.reduce(np.square(residual[..., 0]), axis=-1) / n
-            + np.add.reduce(np.square(residual[..., 1]), axis=-1) / n)
+def _residual_loss(residual: np.ndarray, width: int) -> np.ndarray:
+    # The sum of each output column's mean square; each mean is
+    # add.reduce(d*d)/n over a row, as np.mean sums.
+    columns = residual[..., None] if width == 1 else residual
+    n = columns.shape[-2]
+    total = np.add.reduce(np.square(columns[..., 0]), axis=-1) / n
+    for j in range(1, width):
+        total += np.add.reduce(np.square(columns[..., j]), axis=-1) / n
+    return total
 
 
 def loss_value(net: Network, out: np.ndarray, targets) -> np.ndarray:
@@ -452,7 +440,8 @@ def loss_value(net: Network, out: np.ndarray, targets) -> np.ndarray:
     ``targets`` is shared by all members (``(n,)`` / ``(n, 2)``) or given per
     member (``(M, n)`` / ``(M, n, 2)``).
     """
-    return _residual_loss(net.kind, out - np.asarray(targets, dtype=np.float64))
+    residual = out - np.asarray(targets, dtype=np.float64)
+    return _residual_loss(residual, _out_width(net.variant))
 
 
 def loss(net: Network, x, targets, work: Workspace | None = None,
@@ -472,22 +461,26 @@ def gradients(
     work = work or Workspace(net)
     x = _as_inputs(net, x, augmented)
     buffers = work.pass_for(x.shape, backward=True)
-    chains = buffers.chains
-    out = _forward_chains(net, chains, x)
+    out = _forward_chains(net, buffers, x)
     residual = np.subtract(out, targets, out=buffers.residual)
-    value = _residual_loss(net.kind, residual)
     dout = np.multiply(residual, 2.0 / out.shape[1], out=buffers.dout)
-    if net.kind == "point":
-        _chain_backward(chains["trunk"], dout[..., None], input_grad=False)
-    elif net.kind == "fully_shared":
-        _chain_backward(chains["trunk"], dout, input_grad=False)
-    else:
-        shared = net.kind == "shared_first"
-        dh = _chain_backward(chains["mu"], dout[..., :1], input_grad=shared)
-        dh_sigma = _chain_backward(chains["sigma"], dout[..., 1:], input_grad=shared)
-        if shared:
-            _chain_backward(chains["shared"], np.add(dh, dh_sigma, out=dh),
-                            input_grad=False)
+    dout = dout.reshape(out.shape[:2] + (-1,))
+    value = _residual_loss(residual, dout.shape[-1])
+    # In reverse: a chain that ends in a head takes its columns of dout, from
+    # the last, and one that others read the sum of their input gradients.
+    end, dchain = dout.shape[-1], {}
+    for chain, source, _ in reversed(_chains(net.variant)):
+        layers = buffers.chains[chain]
+        if layers[-1].heads is None:
+            d = dchain[chain]
+        else:
+            end -= len(layers[-1].heads)
+            d = dout[..., end : end + len(layers[-1].heads)]
+        din = _chain_backward(layers, d, input_grad=source is not None)
+        if source in dchain:
+            np.add(dchain[source], din, out=dchain[source])
+        elif source is not None:
+            dchain[source] = din
     return value, work.grads
 
 
@@ -661,7 +654,7 @@ def train(
     train_x, val_x = _as_inputs(net, train_x), _as_inputs(net, val_x)
     _require_finite("train", train_x, val_x)
     n, n_members = train_x.shape[0], net.n_members
-    member_ndim = 2 if net.kind == "point" else 3  # targets given per member
+    member_ndim = 2 if _out_width(net.variant) == 1 else 3  # targets per member
     rngs = [np.random.default_rng(seed) for seed in net.seeds]
     members = [TrainHistory() for _ in net.seeds]
     starts = range(0, n, cfg.batch_size)

@@ -297,17 +297,16 @@ class TestBatchedScoring:
     def test_any_finite_predictions_score(self, tiny_report):
         # Moments far outside the validity region, the extremes included,
         # fit and score without a warning (warnings are errors here).  The
-        # raw sigma_hat also enters ccc_sigma, whose variance needs
-        # |sigma_hat| below about 1e154.
+        # raw sigma_hat also enters ccc_sigma.
         data, folds = tiny_report.data, tiny_report.folds
         rng = np.random.default_rng(34)
         mu_x, sigma_x = (v.ravel() for v in np.meshgrid(
-            [0.0, 1.0, -3.0, 7.5], [0.0, 5e-324, 1e150, -1e150]))
+            [0.0, 1.0, -3.0, 7.5], [0.0, 5e-324, 1e300, -1e300]))
         batch = []
         for fold in folds:
             n = fold.test.size
             mu_hat = rng.uniform(-2.0, 3.0, n)
-            sigma_hat = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320, 150, n)
+            sigma_hat = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320, 300, n)
             mu_hat[:mu_x.size], sigma_hat[:mu_x.size] = mu_x, sigma_x
             batch.append(([CellResult("fully_shared", 0, 1)], mu_hat, sigma_hat,
                           fold.test))

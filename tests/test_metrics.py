@@ -73,6 +73,20 @@ class TestCcc:
         assert ccc(PairedSeries(np.full(4, 0.5), np.full(4, 0.5))) == 0.0
         assert ccc(PairedSeries(np.full(4, 0.4), np.full(4, 0.6))) == 0.0
 
+    @pytest.mark.parametrize("k", [-600, 0, 600])
+    def test_power_of_two_scale_keeps_every_bit(self, k):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=40)
+        y = 0.7 * x + rng.normal(scale=0.5, size=40)
+        assert ccc(PairedSeries(x, y)) == ccc(PairedSeries(x * 2.0**k, y * 2.0**k))
+
+    def test_huge_finite_series(self):
+        # Squares of these values overflow; the concordance does not.
+        s = PairedSeries(np.array([1e200, 2e200, 3e200]), np.array([1e200, 2e200, 3.1e200]))
+        assert ccc(s) == pytest.approx(0.99762470, rel=1e-7)
+        s = PairedSeries(np.array([1e200, 2e200, 3e200]), np.array([1.0, 2.0, 3.0]))
+        assert 0.0 < ccc(s) < 1e-190
+
 
 class TestKlBeta:
     def test_identity_is_zero(self):

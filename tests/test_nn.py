@@ -52,6 +52,14 @@ class TestGeometry:
         # 40*30+30 + 30*20+20 + 20*2+2
         assert nn.count_params("fully_shared", 40) == 1892
 
+    def test_reference_counts_of_the_other_kinds(self):
+        # Two trunks with one-unit heads: 2 * (40*30+30 + 30*20+20 + 20+1).
+        assert nn.count_params("independent", 40) == 3742
+        # 40*30+30, then per moment 30*20+20 + 20+1.
+        assert nn.count_params("shared_first", 40) == 2512
+        # 40*30+30 + 30*20+20 + 20+1.
+        assert nn.count_params("point", 40) == 1871
+
     def test_same_seed_identical_init(self):
         a = nn.build(nn.NetworkVariant("shared_first", 12), 5)
         b = nn.build(nn.NetworkVariant("shared_first", 12), 5)
