@@ -296,13 +296,12 @@ def _cmd_fit(args) -> int:
     degenerate = sigma**2 <= eps * mu * (1.0 - mu) * (1.0 + 1e-9)
 
     described = ("mean", "std", "median", "q25", "q75", "skew", "kurt")
-    numbers = [map(pipeline.fmt_float, col)
-               for col in (mu, sigma, alpha, beta, *(desc[k] for k in described))]
-    out_path = pipeline.write_csv(outdir / "beta_fits.csv", [
+    out_path = pipeline.write_table(outdir / "beta_fits.csv", [
         "subject_id", "window_start", "n_annotators", "mu", "sigma", "alpha",
         "beta", *described, "degenerate",
-    ], zip(table.subjects.tolist(), map(pipeline.fmt_float, table.starts),
-           table.n_annotators.tolist(), *numbers, degenerate.astype(int).tolist()))
+    ], pipeline.key_runs(table.subjects, [
+        table.starts, table.n_annotators, mu, sigma, alpha, beta,
+        *(desc[k] for k in described), degenerate.astype(int)]))
     print(f"beta fits: {out_path} ({len(table)} windows)")
     return 0
 

@@ -38,8 +38,6 @@ reproducibility.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,7 +62,7 @@ from .consensus import (
 )
 from .errors import AnnodistError, DomainError, InsufficientDataError, TrainingError
 from .metrics import PairedSeries, ccc, kl_beta_arrays, wilcoxon_signed_rank
-from .pipeline import WindowTable, fmt_float, write_csv
+from .pipeline import WindowTable, write_table
 
 # Density curves are sampled at this many midpoints of (0, 1).
 DENSITY_POINTS = 512
@@ -477,27 +475,13 @@ def emit_density_data(
     pred_alpha, pred_beta = moment_match_arrays(pmu, psigma)
     true_alpha, true_beta = data.truth_alpha[indices], data.truth_beta[indices]
     keys = zip(data.subjects[indices].tolist(), *(
-        [fmt_float(v) for v in col]
+        col.tolist()
         for col in (data.starts[indices], true_alpha, true_beta, pred_alpha, pred_beta)))
-    xs = [fmt_float(x) for x in grid]
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(["subject_id", "window_start", "alpha_true",
-                                 "beta_true", "alpha_pred", "beta_pred", "x",
-                                 "pdf_true", "pdf_pred"])
-        for key, a_true, b_true, a_pred, b_pred in zip(
-                keys, true_alpha, true_beta, pred_alpha, pred_beta):
-            # The csv module quotes a window's key cells once.  Numbers need
-            # no quoting, so each of its rows joins them with "," and "\r\n"
-            # as the csv module would, one window at a time.
-            line = io.StringIO()
-            csv.writer(line, lineterminator=",").writerow(key)
-            prefix = line.getvalue()
-            fh.write("".join(
-                f"{prefix}{x},{p},{q}\r\n" for x, p, q in zip(
-                    xs, map(fmt_float, beta_pdf_arrays(grid, a_true, b_true)),
-                    map(fmt_float, beta_pdf_arrays(grid, a_pred, b_pred)))))
-    return path
+    return write_table(path, ["subject_id", "window_start", "alpha_true", "beta_true",
+                              "alpha_pred", "beta_pred", "x", "pdf_true", "pdf_pred"], (
+        (key, [grid, beta_pdf_arrays(grid, *key[2:4]), beta_pdf_arrays(grid, *key[4:])])
+        for key in keys
+    ))
 
 
 # Wide per-cell score tables: key in the returned paths -> (file, score keys).
@@ -516,16 +500,17 @@ def write_report(
     outdir.mkdir(parents=True, exist_ok=True)
     cells = sorted(report.cells, key=lambda c: (c.model, c.fold, c.seed))
 
+    # One block per row: its key cells, then one column per score.
     paths = {
-        name: write_csv(outdir / file, ["model", "fold", "seed"] + keys, (
-            [c.model, c.fold, c.seed] + [fmt_float(c.scores[k]) for k in keys]
+        name: write_table(outdir / file, ["model", "fold", "seed"] + keys, (
+            ((c.model, c.fold, c.seed), np.array([[c.scores[k]] for k in keys], float))
             for c in cells if keys[0] in c.scores
         ))
         for name, (file, keys) in _SCORE_TABLES.items()
     }
-    paths["descriptors"] = write_csv(
+    paths["descriptors"] = write_table(
         outdir / "descriptors_ccc.csv", ["model", "fold", "seed", "descriptor", "ccc"],
-        ([c.model, c.fold, c.seed, name, fmt_float(c.scores[f"ccc_{name}"])]
+        (((c.model, c.fold, c.seed, name), np.array([[c.scores[f"ccc_{name}"]]], float))
          for c in cells for name in DESCRIPTOR_NAMES if f"ccc_{name}" in c.scores),
     )
     paths["summary"] = outdir / "summary.json"

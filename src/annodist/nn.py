@@ -484,29 +484,6 @@ def gradients(
     return value, work.grads
 
 
-def finite_difference_gradients(
-    net: Network, x, targets, h: float = 1e-5
-) -> FlatParams:
-    """Central-difference gradients; the oracle for gradient validation.
-
-    One parameter index is perturbed in every member at once, and each
-    member's own loss gives its entry, so a member whose loss read another
-    member's parameters would not match the analytic gradients.
-    """
-    flat = net.flat
-    grads = np.zeros_like(flat)
-    work = Workspace(net)
-    for i in range(flat.shape[1]):
-        orig = flat[:, i].copy()
-        flat[:, i] = orig + h
-        up = loss(net, x, targets, work)
-        flat[:, i] = orig - h
-        down = loss(net, x, targets, work)
-        flat[:, i] = orig
-        grads[:, i] = (up - down) / (2.0 * h)
-    return FlatParams(net.variant, grads)
-
-
 @dataclass
 class AdamState:
     """First and second moments over the whole ``(M, P)`` buffer, and two

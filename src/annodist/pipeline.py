@@ -25,7 +25,7 @@ Timestamps are finite seconds as decimals.  Files are UTF-8, a leading
 byte-order mark allowed: a CSV or JSON file that is not raises a
 :class:`~annodist.errors.SchemaError` naming its file and the line of its
 first bad byte.  Every CSV is read by :func:`_read_table` under the rules its
-:class:`_Table` declares, and written through :func:`write_csv`.  A malformed
+:class:`_Table` declares, and written through :func:`write_table`.  A malformed
 row raises a SchemaError naming its file and the physical line it starts on;
 series errors (a repeated timestamp, a changed feature dimension) come after.
 Every JSON file (config, manifest, run summary) is read through
@@ -36,6 +36,7 @@ Every JSON file (config, manifest, run summary) is read through
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import logging
 from dataclasses import dataclass, field
@@ -51,13 +52,8 @@ from .errors import DomainError, EmptyDatasetError, InsufficientDataError, Schem
 log = logging.getLogger(__name__)
 
 _TIME_TOL = 1e-9
-# Rows a CSV reader holds as strings at once; bounds its memory.
+# Rows a CSV reader or writer holds as strings at once; bounds its memory.
 _CHUNK_ROWS = 512
-
-
-def fmt_float(x) -> str:
-    """Shortest exact decimal form; keeps CSV output byte-reproducible."""
-    return repr(float(x))
 
 
 @dataclass(frozen=True)
@@ -522,14 +518,40 @@ def _series(path, noun: str, lines, keys, ts, dims):
         yield tuple(col[order[lo]] for col in keys), order[lo:hi]
 
 
-def write_csv(path, header: list[str], rows) -> Path:
-    """Write ``header`` and then ``rows`` (cells already formatted) as UTF-8."""
+def write_table(path, header: list[str], blocks) -> Path:
+    """Write ``header`` and then, for each ``(key, columns)`` of ``blocks``,
+    one row per element of the equal-length NumPy ``columns``, as UTF-8.
+
+    A row is the ``key`` cells as the csv module writes them, formatted once
+    per block, then that element of each column as Python writes the number:
+    ``repr``, the shortest round-trip form of a float, an int in plain
+    decimal.  Numbers need no quoting, so the rows are joined as the csv
+    module would join them, ``_CHUNK_ROWS`` at a time.
+    """
     path = Path(path)
+    cells = io.StringIO()
+    # The csv module quotes a cell holding a character of its line
+    # terminator, so the key cells are written with the file's "\r\n".
+    keys = csv.writer(cells)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        for key, columns in blocks:
+            cells.seek(0)
+            cells.truncate()
+            keys.writerow([*key, ""])  # the key cells, "," and "\r\n"
+            prefix = cells.getvalue()[:-2]
+            for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+                fh.write("".join(prefix + ",".join(map(repr, row)) + "\r\n" for row in zip(
+                    *(col[lo:lo + _CHUNK_ROWS].tolist() for col in columns))))
     return path
+
+
+def key_runs(keys: np.ndarray, columns):
+    """The blocks of :func:`write_table` for a table keyed by the one column
+    ``keys``: one per run of equal keys, with its slice of each column."""
+    ends = [*(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), keys.size]
+    return (((keys[lo],), [col[lo:hi] for col in columns])
+            for lo, hi in zip([0, *ends], ends) if hi > lo)
 
 
 def read_feature_csv(path) -> list[FrameSeries]:
@@ -550,16 +572,14 @@ def read_annotation_csv(path) -> list[AnnotationTrace]:
 
 def write_feature_csv(path, series: list[FrameSeries]) -> None:
     max_dim = max((fs.dim for fs in series), default=0)
-    write_csv(path, [*_FEATURES.columns] + [f"f{i}" for i in range(max_dim)], (
-        [fs.subject_id, fs.modality, fmt_float(t)] + [fmt_float(v) for v in vec]
-        for fs in series for t, vec in zip(fs.timestamps, fs.features)
+    write_table(path, [*_FEATURES.columns] + [f"f{i}" for i in range(max_dim)], (
+        ((fs.subject_id, fs.modality), [fs.timestamps, *fs.features.T]) for fs in series
     ))
 
 
 def write_annotation_csv(path, traces: list[AnnotationTrace]) -> None:
-    write_csv(path, [*_ANNOTATIONS.columns], (
-        [tr.subject_id, tr.annotator_id, fmt_float(t), fmt_float(v)]
-        for tr in traces for t, v in zip(tr.timestamps, tr.values)
+    write_table(path, [*_ANNOTATIONS.columns], (
+        ((tr.subject_id, tr.annotator_id), [tr.timestamps, tr.values]) for tr in traces
     ))
 
 
@@ -570,11 +590,10 @@ def write_dataset(
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     dim = table.x.shape[1] if len(table) else 0
-    path = write_csv(outdir / "dataset.csv", [*_DATASET.columns] + [
+    path = write_table(outdir / "dataset.csv", [*_DATASET.columns] + [
         f"f{i}" for i in range(dim)
-    ], zip(table.subjects.tolist(), map(fmt_float, table.starts),
-           table.n_annotators.tolist(),
-           *(map(fmt_float, col) for col in (table.mu, table.sigma, *table.x.T))))
+    ], key_runs(table.subjects, [table.starts, table.n_annotators, table.mu,
+                                 table.sigma, *table.x.T]))
     manifest = {
         "label_range": list(cfg.label_range),
         "window": {"window_len": cfg.window_len, "stride": cfg.stride},

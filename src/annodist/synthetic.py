@@ -19,6 +19,7 @@ deterministic and per-subject parallel-safe.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,11 +33,10 @@ from .pipeline import (
     AnnotationTrace,
     FrameSeries,
     _window_means,
-    fmt_float,
     window_starts,
     write_annotation_csv,
-    write_csv,
     write_feature_csv,
+    write_table,
 )
 
 _N_HARMONICS = 3
@@ -136,18 +136,21 @@ def generate(
             2.0 * np.pi * prng.uniform(0.02, 0.05) * t_marks
             + prng.uniform(0.0, 2.0 * np.pi)
         )
-        for i in range(cfg.n_annotators):
-            arng = _rng(cfg.seed, 3, s, i)
-            amp = arng.uniform(0.015, 0.045)
-            freq = arng.uniform(0.02, 0.06)
-            phase = arng.uniform(0.0, 2.0 * np.pi)
-            levels = np.mod(
-                base
-                + (i + 0.5) / cfg.n_annotators
-                + amp * np.sin(2.0 * np.pi * freq * t_marks + phase),
-                1.0,
-            )
-            values = special.inv_reg_inc_beta(levels, alpha_a, beta_a)
+        # Each annotator draws from its own stream: the amplitude, frequency
+        # and phase of its wander, then its bias.
+        arngs = [_rng(cfg.seed, 3, s, i) for i in range(cfg.n_annotators)]
+        wander = np.array([[arng.uniform(0.015, 0.045), arng.uniform(0.02, 0.06),
+                            arng.uniform(0.0, 2.0 * np.pi)] for arng in arngs])
+        amp, freq, phase = (col[:, None] for col in wander.T)
+        levels = np.mod(
+            base
+            + (np.arange(cfg.n_annotators)[:, None] + 0.5) / cfg.n_annotators
+            + amp * np.sin(2.0 * np.pi * freq * t_marks + phase),
+            1.0,
+        )
+        # One quantile call for the whole panel: the kernel is elementwise.
+        panel = special.inv_reg_inc_beta(levels, alpha_a, beta_a)
+        for i, (arng, values) in enumerate(zip(arngs, panel)):
             if cfg.annotator_bias_std > 0:
                 values = np.clip(
                     values + arng.normal(0.0, cfg.annotator_bias_std), 0.0, 1.0
@@ -168,9 +171,9 @@ _GROUND_TRUTH_COLUMNS = ["subject_id", "window_start", "mu_true", "sigma_true"]
 
 
 def write_ground_truth_csv(path, truth: GroundTruth) -> None:
-    write_csv(path, _GROUND_TRUTH_COLUMNS, (
-        [subject, fmt_float(start), fmt_float(mu), fmt_float(sigma)]
-        for subject, start, mu, sigma in truth.rows
+    write_table(path, _GROUND_TRUTH_COLUMNS, (
+        ((subject,), np.array([row[1:] for row in rows]).T)
+        for subject, rows in itertools.groupby(truth.rows, key=lambda row: row[0])
     ))
 
 

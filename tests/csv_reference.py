@@ -1,9 +1,10 @@
-"""A row-by-row reference for annodist's three CSV readers.
+"""A row-by-row reference for annodist's three CSV readers and its writer.
 
 It is written with the ``csv`` module and Python's ``int``/``float`` alone,
-one record at a time, so that the chunked readers in ``annodist.pipeline``
-can be checked against it: for any file, :func:`read` returns the same
-arrays as the reader of that table, or raises the same SchemaError.
+one record at a time, so that the chunked readers and the table writer in
+``annodist.pipeline`` can be checked against it: for any file, :func:`read`
+returns the same arrays as the reader of that table, or raises the same
+SchemaError, and :func:`write` makes the bytes the writer must make.
 """
 
 import codecs
@@ -146,3 +147,17 @@ def read(path, table):
              np.array([payload for _, _, payload in timed], dtype=float).reshape(
                  len(timed), len(timed[0][2]))[:, 0 if table == "annotations" else slice(None)])
             for key, timed in series]
+
+
+def write(path, header, rows):
+    """Write ``header`` and ``rows`` with ``csv.writer``: a string cell as it
+    is, an integer as ``repr(int(x))`` and any other number as
+    ``repr(float(x))``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cell if isinstance(cell, str) else
+                             repr(int(cell)) if isinstance(cell, (int, np.integer)) else
+                             repr(float(cell)) for cell in row])
+    return Path(path)

@@ -20,8 +20,9 @@ from annodist.experiments import (
     significance,
     write_report,
 )
-from annodist.pipeline import WindowConfig, build_dataset, fmt_float, write_csv
+from annodist.pipeline import WindowConfig, build_dataset
 from annodist.synthetic import SyntheticConfig, generate
+import csv_reference
 
 TINY_SYNTH = SyntheticConfig(
     n_subjects=6, duration=24.0, frame_rate=10.0, n_annotators=4,
@@ -439,12 +440,12 @@ class TestDensityData:
                 assert np.trapezoid(pdf, x) == pytest.approx(1.0, abs=1e-3)
 
     def test_bytes_match_the_csv_module(self, tmp_path):
-        # Rows are joined by hand after the key cells go through the csv
-        # module; the file must be what csv.writer makes of the same cells,
-        # also for subject ids that need quoting.
+        # The table writer joins the numbers by hand after the key cells go
+        # through the csv module; the file must be what csv.writer makes of
+        # the same cells, also for subject ids that need quoting.
         data = dataclasses.replace(self._data(), subjects=np.array(
-            ["s0", "a,b", 'say "hi"', "s3", "s4", "s5"]))
-        idx = np.array([2, 1, 0])
+            ["s0", "a,b", 'say "hi"', "two\nlines", "s4", "s5"]))
+        idx = np.array([3, 2, 1, 0])
         mu_hat, sigma_hat = data.mu[idx] * 0.9, data.sigma[idx]
         path = emit_density_data(data, mu_hat, sigma_hat, idx, tmp_path / "d.csv")
         from annodist.consensus import (beta_pdf_arrays, clamp_moments_arrays,
@@ -452,13 +453,12 @@ class TestDensityData:
         grid = (np.arange(512) + 0.5) / 512
         alpha, beta = moment_match_arrays(*clamp_moments_arrays(mu_hat, sigma_hat))
         rows = [
-            [data.subjects[i]] + [fmt_float(v) for v in (
-                data.starts[i], data.truth_alpha[i], data.truth_beta[i], a, b, x,
-                beta_pdf_arrays(grid, data.truth_alpha[i], data.truth_beta[i])[k],
-                beta_pdf_arrays(grid, a, b)[k])]
+            [data.subjects[i], data.starts[i], data.truth_alpha[i], data.truth_beta[i],
+             a, b, x, beta_pdf_arrays(grid, data.truth_alpha[i], data.truth_beta[i])[k],
+             beta_pdf_arrays(grid, a, b)[k]]
             for i, a, b in zip(idx, alpha, beta) for k, x in enumerate(grid)
         ]
-        want = write_csv(tmp_path / "want.csv", [
+        want = csv_reference.write(tmp_path / "want.csv", [
             "subject_id", "window_start", "alpha_true", "beta_true", "alpha_pred",
             "beta_pred", "x", "pdf_true", "pdf_pred"], rows)
         assert path.read_bytes() == want.read_bytes()
@@ -477,6 +477,23 @@ class TestWriteReport:
         for key in ("moments", "descriptors", "kl", "summary"):
             assert paths1[key].exists()
             assert paths1[key].read_bytes() == paths2[key].read_bytes()
+
+    def test_score_tables_match_the_csv_module(self, tiny_report, tmp_path):
+        paths = write_report(tiny_report, tmp_path / "got")
+        cells = sorted(tiny_report.cells, key=lambda c: (c.model, c.fold, c.seed))
+        tables = {"moments": ["ccc_mu", "ccc_sigma"],
+                  "kl": ["kl_truth_pred", "kl_pred_truth", "kl_truth_uniform",
+                         "kl_frac_better"]}
+        for name, keys in tables.items():
+            want = csv_reference.write(tmp_path / "want.csv", ["model", "fold", "seed", *keys], [
+                [c.model, c.fold, c.seed, *(c.scores[k] for k in keys)]
+                for c in cells if keys[0] in c.scores])
+            assert paths[name].read_bytes() == want.read_bytes()
+        want = csv_reference.write(
+            tmp_path / "want.csv", ["model", "fold", "seed", "descriptor", "ccc"],
+            [[c.model, c.fold, c.seed, d, c.scores[f"ccc_{d}"]] for c in cells
+             for d in experiments.DESCRIPTOR_NAMES if f"ccc_{d}" in c.scores])
+        assert paths["descriptors"].read_bytes() == want.read_bytes()
 
     def test_moments_rows_cover_moment_models(self, tiny_report, tmp_path):
         paths = write_report(tiny_report, tmp_path)

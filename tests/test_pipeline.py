@@ -23,7 +23,6 @@ from annodist.pipeline import (
     FrameSeries,
     WindowConfig,
     build_dataset,
-    fmt_float,
     read_annotation_csv,
     read_dataset,
     read_feature_csv,
@@ -570,22 +569,27 @@ class TestCsvRules:
             read_annotation_csv(path)
 
 
+def _num(x) -> str:
+    """A number as the table writer writes it."""
+    return repr(float(x))
+
+
 def fuzz_base(table):
     """The rows, header first, of a small valid file of ``table``: cells as
     raw CSV text."""
-    times = [fmt_float(0.5 * k) for k in range(9)]
+    times = [_num(0.5 * k) for k in range(9)]
     if table == "features":
         return [["subject_id", "modality", "timestamp", "f0", "f1"]] + [
-            [s, m, t] + [fmt_float(0.1 * k + d) for d in range(dim)]
+            [s, m, t] + [_num(0.1 * k + d) for d in range(dim)]
             for s in ("s0", "s1") for m, dim in (("a", 2), ("b", 1))
             for k, t in enumerate(times)]
     if table == "annotations":
         return [["subject_id", "annotator_id", "timestamp", "value"]] + [
-            [s, a, t, fmt_float((k % 4 + j) / 8.0)] for s in ("s0", "s1")
+            [s, a, t, _num((k % 4 + j) / 8.0)] for s in ("s0", "s1")
             for j, a in enumerate(("r0", "r1", "r2")) for k, t in enumerate(times)]
     return [["subject_id", "window_start", "n_annotators", "mu", "sigma", "f0", "f1"]] + [
-        [s, fmt_float(0.4 * k), "3", fmt_float(0.3 + 0.1 * k), "0.05",
-         fmt_float(k - i), fmt_float(0.5 * i)]
+        [s, _num(0.4 * k), "3", _num(0.3 + 0.1 * k), "0.05",
+         _num(k - i), _num(0.5 * i)]
         for i, s in enumerate(("s0", "s1", "s2", "s3", "s4", "s5")) for k in range(3)]
 
 
