@@ -48,7 +48,6 @@ from .config import (
 )
 from .errors import (
     DataError,
-    InsufficientDataError,
     NumericError,
     TrainingError,
     at_least,
@@ -262,14 +261,8 @@ def _cmd_build(args) -> int:
 
     outdir = _write_manifest(args, params)
     features = pipeline.read_feature_csv(args.features)
-    traces = _read_traces(args.annotations, cfg)
-    if len(traces) < 2:
-        raise InsufficientDataError(
-            f"build: need annotation traces from >= 2 annotators, "
-            f"got {len(traces)} in {args.annotations}"
-        )
     table, report = pipeline.build_dataset(
-        features, traces, cfg, opts.modalities, opts.epsilon
+        features, _read_traces(args.annotations, cfg), cfg, opts.modalities, opts.epsilon
     )
     path = pipeline.write_dataset(outdir, table, report, cfg)
     print(f"dataset: {path}")

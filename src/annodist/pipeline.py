@@ -3,9 +3,12 @@
 Frame-level features and annotation traces are cut into half-open windows
 ``[start, start + window_len)`` on a shared stride grid (start = k * stride,
 requiring full coverage: start + window_len <= duration), all windows of a
-stream at once.  Features are averaged per window and concatenated across
-modalities; annotations are averaged per annotator within the window and
-reduced to clamped consensus moments across annotators.  The windows travel
+stream at once.  :func:`_window_means` is the one place where a stream is cut
+into windows: features, each annotator's trace and the synthetic truth all
+go through it, so a window's start has the same bits in every stream.
+Features are averaged per window and concatenated across modalities;
+annotations are averaged per annotator within the window and reduced to
+clamped consensus moments across annotators.  The windows travel
 as one columnar :class:`WindowTable`, from :func:`build_dataset` through
 :func:`write_dataset`/:func:`read_dataset` to the experiment grid.
 
@@ -149,21 +152,25 @@ def window_starts(duration: float, cfg: WindowConfig) -> np.ndarray:
         raise DomainError(f"window_starts: {count} windows in {duration!r} s") from None
 
 
-def _window_means(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``values[lo[i]:hi[i]].mean(axis=0)`` for every window i; NaN if empty.
+def _window_means(ts: np.ndarray, values: np.ndarray, end: float, cfg: WindowConfig):
+    """``(starts, counts, means)`` for every window of ``window_starts(end,
+    cfg)``: how many of the sorted ``ts`` fall in it, and the mean of their
+    rows of ``values`` (NaN when none do).
 
     Equal-count windows are averaged as gathered ``(windows, count[, dim])``
     blocks of at most 32 windows (bounding the temporary) along axis 1, which
     sums in the slice's own order: the bits match (``np.add.reduceat``'s not).
     """
-    counts = hi - lo
-    out = np.full(lo.shape + values.shape[1:], np.nan)
+    starts = window_starts(end, cfg)
+    lo = np.searchsorted(ts, starts, side="left")
+    counts = np.searchsorted(ts, starts + cfg.window_len, side="left") - lo
+    means = np.full(starts.shape + values.shape[1:], np.nan)
     for count in set(counts.tolist()) - {0}:
         same = np.flatnonzero(counts == count)
         for at in range(0, same.size, 32):
             rows = same[at:at + 32]
-            out[rows] = values[lo[rows, None] + np.arange(count)].mean(axis=1)
-    return out
+            means[rows] = values[lo[rows, None] + np.arange(count)].mean(axis=1)
+    return starts, counts, means
 
 
 def window_features(
@@ -181,19 +188,16 @@ def window_features(
         )
         return np.empty(0), np.empty((0, series.dim)), np.empty(0)
     keep = ~np.any(np.isnan(series.features), axis=1)
-    ts = series.timestamps[keep]
-    starts = window_starts(float(series.timestamps[-1]), cfg)
-    lo = np.searchsorted(ts, starts, side="left")
-    hi = np.searchsorted(ts, starts + cfg.window_len, side="left")
-    full = hi > lo
+    starts, counts, means = _window_means(series.timestamps[keep], series.features[keep],
+                                          float(series.timestamps[-1]), cfg)
+    full = counts > 0
     skipped = starts[~full]
     if skipped.size:
         log.warning(
             "window_features: %s/%s skipped %d empty windows",
             series.subject_id, series.modality, skipped.size,
         )
-    means = _window_means(series.features[keep], lo[full], hi[full])
-    return starts[full], means, skipped
+    return starts[full], means[full], skipped
 
 
 def rescale_annotations(
@@ -246,45 +250,38 @@ def window_consensus(
                 f"{tr.subject_id!r} annotator {tr.annotator_id!r}"
             )
         group.append(tr)
-    groups = sorted(by_subject.items())
-    grids = [
-        window_starts(
-            max(float(tr.timestamps[-1]) for tr in group if tr.timestamps.size), cfg
-        )
-        for _, group in groups
-    ]
-    sizes = [grid.size for grid in grids]
-    # Per-annotator window means of every subject, NaN where an annotator has
-    # no sample (or the subject has fewer annotators than the widest one).
-    means = np.full((sum(sizes), max(map(len, by_subject.values()), default=0)),
-                     np.nan)
-    at = 0
-    for (subject, group), grid in zip(groups, grids):
+    # Each subject's kept windows as (subjects, starts, count, mu, sigma),
+    # after an empty first entry: the columns are valid without windows too.
+    columns, dropped = [(np.empty(0, str), np.empty(0), np.empty(0, np.intp),
+                         np.empty(0), np.empty(0))], {}
+    for subject, group in sorted(by_subject.items()):
         if len(group) < 2:
             raise InsufficientDataError(
                 f"window_consensus: subject {subject!r} needs >= 2 annotation "
                 f"traces, got {len(group)}"
             )
-        for j, tr in enumerate(group):
-            lo = np.searchsorted(tr.timestamps, grid, side="left")
-            hi = np.searchsorted(tr.timestamps, grid + cfg.window_len, side="left")
-            means[at:at + grid.size, j] = _window_means(tr.values, lo, hi)
-        at += grid.size
-    present = ~np.isnan(means)
-    count = present.sum(axis=1)
-    mu, sigma = np.empty(count.size), np.empty(count.size)
-    for k in set(count.tolist()) - {0, 1}:
-        rows = np.flatnonzero(count == k)
-        # Each window's contributing annotators, in trace order.
-        block = means[rows][present[rows]].reshape(rows.size, k)
-        mu[rows], sigma[rows] = block.mean(axis=1), block.std(axis=1)
-    subjects = np.repeat(np.array([s for s, _ in groups], dtype=str), sizes)
-    starts = np.concatenate([np.empty(0)] + grids)  # valid without traces too
-    kept = count >= 2
-    mu, sigma = clamp_moments_arrays(mu[kept], sigma[kept], epsilon)
-    table = WindowTable(subjects[kept], starts[kept], count[kept], mu, sigma,
-                        np.empty((mu.size, 0)))
-    return table, {s: starts[~kept & (subjects == s)] for s, _ in groups}
+        ends = [float(tr.timestamps[-1]) for tr in group if tr.timestamps.size]
+        if not ends:  # no samples, so no windows
+            dropped[subject] = np.empty(0)
+            continue
+        # One column per annotator: its sample count and mean in each window.
+        grids, counts, means = zip(*(_window_means(tr.timestamps, tr.values, max(ends), cfg)
+                                     for tr in group))
+        present, means = np.column_stack(counts) > 0, np.column_stack(means)
+        count = present.sum(axis=1)
+        kept = count >= 2
+        mu, sigma = np.empty(count.size), np.empty(count.size)
+        for k in set(count[kept].tolist()):
+            rows = np.flatnonzero(count == k)
+            # Each window's contributing annotators, in trace order.
+            block = means[rows][present[rows]].reshape(rows.size, k)
+            mu[rows], sigma[rows] = block.mean(axis=1), block.std(axis=1)
+        dropped[subject] = grids[0][~kept]
+        columns.append((np.full(np.count_nonzero(kept), subject), grids[0][kept],
+                        count[kept], mu[kept], sigma[kept]))
+    subjects, starts, count, mu, sigma = map(np.concatenate, zip(*columns))
+    mu, sigma = clamp_moments_arrays(mu, sigma, epsilon)
+    return WindowTable(subjects, starts, count, mu, sigma, np.empty((mu.size, 0))), dropped
 
 
 def build_dataset(
@@ -331,10 +328,9 @@ def build_dataset(
         [tr for tr in annotations if tr.subject_id in subjects], cfg, epsilon
     )
     report.windows_dropped_few_annotators = sum(d.size for d in dropped.values())
-    target_ks = np.rint(targets.starts / cfg.stride).astype(np.int64)
     rows, xs = [], []
     for subject in subjects:
-        ks, means = [], []
+        grids, means = [], []
         for m in modalities:
             fs = by_key[(subject, m)]
             if fs.dim != report.modality_dims[m]:
@@ -344,15 +340,18 @@ def build_dataset(
                 )
             starts, mean, skipped = window_features(fs, cfg)
             report.windows_skipped_empty += skipped.size
-            ks.append(np.rint(starts / cfg.stride).astype(np.int64))
+            grids.append(starts)
             means.append(mean)
-        feat_ks = set.intersection(*(set(k.tolist()) for k in ks))
+        # Every start is k * stride from the one window_starts, so a window
+        # has the same bits in every stream: the sorted starts join as they are.
+        feat = grids[0]
+        for grid in grids[1:]:
+            feat = np.intersect1d(feat, grid, assume_unique=True)
         mine = np.flatnonzero(targets.subjects == subject)
-        target_set = set(target_ks[mine].tolist())
-        common = np.array(sorted(feat_ks & target_set), dtype=np.int64)
-        report.windows_unmatched += len(feat_ks | target_set) - common.size
-        rows.append(mine[np.searchsorted(target_ks[mine], common)])
-        xs.append(np.hstack([f[np.searchsorted(k, common)] for k, f in zip(ks, means)]))
+        common = np.intersect1d(feat, targets.starts[mine], assume_unique=True)
+        report.windows_unmatched += feat.size + mine.size - 2 * common.size
+        rows.append(mine[np.searchsorted(targets.starts[mine], common)])
+        xs.append(np.hstack([f[np.searchsorted(g, common)] for g, f in zip(grids, means)]))
     rows = np.concatenate(rows)
     table = WindowTable(targets.subjects[rows], targets.starts[rows],
                         targets.n_annotators[rows], targets.mu[rows],
@@ -571,6 +570,10 @@ def read_annotation_csv(path) -> list[AnnotationTrace]:
 
 
 def write_feature_csv(path, series: list[FrameSeries]) -> None:
+    for fs in series:
+        if not fs.dim:  # its rows would have no feature cell to read back
+            raise DomainError(f"write_feature_csv: series {fs.subject_id}/{fs.modality} "
+                              "has no feature column")
     max_dim = max((fs.dim for fs in series), default=0)
     write_table(path, [*_FEATURES.columns] + [f"f{i}" for i in range(max_dim)], (
         ((fs.subject_id, fs.modality), [fs.timestamps, *fs.features.T]) for fs in series

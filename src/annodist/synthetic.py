@@ -19,7 +19,6 @@ deterministic and per-subject parallel-safe.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .pipeline import (
     AnnotationTrace,
     FrameSeries,
     _window_means,
-    window_starts,
+    key_runs,
     write_annotation_csv,
     write_feature_csv,
     write_table,
@@ -44,9 +43,13 @@ _N_HARMONICS = 3
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Per-window latent (mu*, sigma*) rows: the oracle for synthetic data."""
+    """Per-window latent (mu*, sigma*), one element per (subject, window) in
+    each column: the oracle for synthetic data."""
 
-    rows: tuple[tuple[str, float, float, float], ...]
+    subjects: np.ndarray
+    starts: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -95,9 +98,6 @@ def generate(
     n_marks = int(round(cfg.duration * cfg.annotation_rate))
     t_frames = np.arange(n_frames) / cfg.frame_rate
     t_marks = np.arange(n_marks) / cfg.annotation_rate
-    starts = window_starts(float(t_marks[-1]), window_cfg)
-    lo = np.searchsorted(t_marks, starts, side="left")
-    hi = np.searchsorted(t_marks, starts + window_cfg.window_len, side="left")
 
     map_rng = _rng(cfg.seed, 1)
     n_latent = 2 + cfg.latent_dim
@@ -110,7 +110,7 @@ def generate(
 
     features: list[FrameSeries] = []
     annotations: list[AnnotationTrace] = []
-    truth_rows: list[tuple[str, float, float, float]] = []
+    truth: list[tuple[np.ndarray, np.ndarray]] = []
     for s in range(cfg.n_subjects):
         subject = _subject_id(s)
         mu_f, sigma_f, nuisance_f = _subject_latents(cfg, s, t_frames)
@@ -159,22 +159,21 @@ def generate(
                 AnnotationTrace(subject, f"a{i:02d}", t_marks, values)
             )
 
-        truth_rows += zip(
-            [subject] * starts.size, starts.tolist(),
-            _window_means(mu_a, lo, hi).tolist(),
-            _window_means(sigma_a, lo, hi).tolist(),
-        )
-    return features, annotations, GroundTruth(tuple(truth_rows))
+        # One call per latent, so that each is averaged in 1-D slices.
+        starts, _, mu_w = _window_means(t_marks, mu_a, t_marks[-1], window_cfg)
+        truth.append((mu_w, _window_means(t_marks, sigma_a, t_marks[-1], window_cfg)[2]))
+    mu, sigma = map(np.concatenate, zip(*truth))
+    subjects = np.repeat([_subject_id(s) for s in range(cfg.n_subjects)], starts.size)
+    return features, annotations, GroundTruth(
+        subjects, np.tile(starts, cfg.n_subjects), mu, sigma)
 
 
 _GROUND_TRUTH_COLUMNS = ["subject_id", "window_start", "mu_true", "sigma_true"]
 
 
 def write_ground_truth_csv(path, truth: GroundTruth) -> None:
-    write_table(path, _GROUND_TRUTH_COLUMNS, (
-        ((subject,), np.array([row[1:] for row in rows]).T)
-        for subject, rows in itertools.groupby(truth.rows, key=lambda row: row[0])
-    ))
+    write_table(path, _GROUND_TRUTH_COLUMNS,
+                key_runs(truth.subjects, [truth.starts, truth.mu, truth.sigma]))
 
 
 def write_dataset_csvs(
@@ -198,6 +197,6 @@ def write_dataset_csvs(
     rows = {
         "features": sum(fs.timestamps.size for fs in features),
         "annotations": sum(tr.timestamps.size for tr in annotations),
-        "ground_truth": len(truth.rows),
+        "ground_truth": truth.starts.size,
     }
     return paths, rows

@@ -114,6 +114,17 @@ class TestBuild:
         assert code == 2
         assert "annotat" in capsys.readouterr().err
 
+    def test_one_annotator_exit_2_names_the_subject(self, tmp_path, synth_dir, capsys):
+        one = tmp_path / "one.csv"
+        one.write_text("subject_id,annotator_id,timestamp,value\n"
+                       + "".join(f"s003,a00,{t}.0,0.5\n" for t in range(10)))
+        code = run_cli(
+            "build", "--features", synth_dir / "features.csv",
+            "--annotations", one, "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert "'s003'" in capsys.readouterr().err
+
 
 class TestFit:
     def test_constant_pair_fits_reference_shapes(self, tmp_path):

@@ -187,7 +187,9 @@ def test_dataset_csv(tmp_path_factory, keys, dim, data):
 def test_ground_truth_csv(tmp_path_factory, rows):
     tmp = tmp_path_factory.mktemp("w")
     got = tmp / "g.csv"
-    write_ground_truth_csv(got, GroundTruth(tuple(rows)))
+    write_ground_truth_csv(got, GroundTruth(
+        np.array([row[0] for row in rows], dtype=str),
+        *(np.array([row[i] for row in rows], dtype=float) for i in (1, 2, 3))))
     want = csv_reference.write(tmp / "want.csv", [
         "subject_id", "window_start", "mu_true", "sigma_true"], rows)
     assert got.read_bytes() == want.read_bytes()

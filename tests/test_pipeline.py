@@ -236,6 +236,19 @@ class TestWindowConsensus:
         with pytest.raises(InsufficientDataError):
             window_consensus([constant_trace(0.5)], WindowConfig())
 
+    def test_subject_without_samples_has_no_windows(self):
+        # As window_features does for an empty series: no windows, none
+        # dropped, and the other subjects' windows as they are alone.
+        empty = [AnnotationTrace("s0", a, [], []) for a in ("a", "b")]
+        table, dropped = window_consensus(empty, WindowConfig())
+        assert len(table) == 0 and dropped["s0"].size == 0
+        pair = [constant_trace(0.4, annotator="a1"), constant_trace(0.6, annotator="a2")]
+        alone, _ = window_consensus(pair, WindowConfig())
+        table, dropped = window_consensus(empty + pair, WindowConfig())
+        assert table.subjects.tolist() == ["s1"] * len(alone)
+        assert table.starts.tolist() == alone.starts.tolist()
+        assert dropped["s0"].size == dropped["s1"].size == 0
+
     def test_unrescaled_values_rejected(self):
         bad = AnnotationTrace("s1", "a1", np.array([0.0, 1.0]), np.array([0.5, 1.4]))
         ok = constant_trace(0.5, annotator="a2")
@@ -308,6 +321,14 @@ class TestCsvRoundTrips:
         for orig, got in zip(sorted(series, key=lambda f: f.subject_id), back):
             np.testing.assert_allclose(got.timestamps, orig.timestamps)
             np.testing.assert_allclose(got.features, orig.features)
+
+    def test_zero_width_features_rejected_before_writing(self, tmp_path):
+        # Its rows would be "s2,m,0.0": no feature cell, which the reader rejects.
+        path = tmp_path / "features.csv"
+        series = [make_series(), FrameSeries("s2", [0.0, 1.0], np.empty((2, 0)), "m")]
+        with pytest.raises(DomainError, match="s2/m"):
+            write_feature_csv(path, series)
+        assert not path.exists()
 
     def test_annotation_csv(self, tmp_path):
         traces = [constant_trace(0.4, annotator="a1"),
@@ -856,3 +877,63 @@ class TestLoopReference:
                 report.windows_unmatched) == (
             counts["skipped"], counts["dropped"], counts["unmatched"])
         assert counts["skipped"] and counts["dropped"] and counts["unmatched"]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_drawn_grids_join_as_the_loops_do(self, data):
+        # The join matches window starts by their bits, which holds only if
+        # every stream puts the same float at the same k * stride.  Strides
+        # that are not binary fractions are where a rounding would show.
+        stride = data.draw(st.sampled_from([0.1, 0.3, 0.7, 0.4, 1.0])
+                           | st.floats(0.05, 1.5), label="stride")
+        window_len = data.draw(st.sampled_from([stride, 0.7, 1.0, 2.1, 3.0]).filter(
+            lambda v: v >= stride) | st.floats(stride, 4.0), label="window_len")
+        cfg = WindowConfig(window_len, stride)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rates = st.sampled_from([2.0, 7.3, 10.0, 29.97]) | st.floats(0.5, 30.0)
+        modalities = ("audio", "video")[:data.draw(st.integers(1, 2), label="modalities")]
+        features, traces = [], []
+        for subject in ("s0", "s1", "s2")[:data.draw(st.integers(1, 3), label="subjects")]:
+            duration = data.draw(st.floats(0.5, 12.0), label="duration")
+            for modality in modalities:
+                fps = data.draw(rates, label="fps")
+                t = np.arange(int(duration * fps)) / fps
+                gap = rng.uniform(0.0, duration, 2)  # frames in [gap) are lost
+                keep = (rng.random(t.size) > 0.2) & ((t < gap.min()) | (t >= gap.max()))
+                feats = rng.normal(size=(int(keep.sum()), 1 + (modality == "audio")))
+                feats[rng.random(feats.shape) < 0.1] = np.nan
+                features.append(FrameSeries(subject, t[keep], feats, modality))
+            for a in range(data.draw(st.integers(2, 5), label="annotators")):
+                rate = data.draw(rates, label="rate")
+                t = np.arange(int(duration * rate) + 1) / rate
+                stop = data.draw(st.floats(0.0, duration), label="stop")
+                # Every trace keeps its sample at 0, so each subject has one.
+                keep = (t <= stop) & ((rng.random(t.size) > 0.2) | (t == 0.0))
+                traces.append(AnnotationTrace(subject, f"r{a}", t[keep],
+                                              rng.uniform(0.0, 1.0, int(keep.sum()))))
+
+        for fs in features:
+            starts, means, skipped = window_features(fs, cfg)
+            wins, ref_skipped = loop_window_features(fs, cfg)
+            assert starts.tolist() == [s for s, _ in wins]
+            assert means.tolist() == [m.tolist() for _, m in wins]
+            assert skipped.tolist() == ref_skipped
+        table, dropped = window_consensus(traces, cfg, 1e-4)
+        ref = []
+        for subject in dropped:
+            windows, ref_dropped = loop_window_consensus(
+                [tr for tr in traces if tr.subject_id == subject], cfg, 1e-4)
+            ref += [(subject, start, n, *target) for start, target, n in windows]
+            assert dropped[subject].tolist() == ref_dropped
+        assert list(zip(table.subjects.tolist(), table.starts.tolist(),
+                        table.n_annotators.tolist(), table.mu.tolist(),
+                        table.sigma.tolist())) == ref
+        table, report = build_dataset(features, traces, cfg)
+        rows, counts = loop_build_dataset(features, traces, cfg, 1e-4)
+        assert list(zip(table.subjects.tolist(), table.starts.tolist(),
+                        table.n_annotators.tolist(), table.mu.tolist(),
+                        table.sigma.tolist(), table.x.tolist())) == [
+            (s, start, n, *target, x.tolist()) for s, start, x, target, n in rows]
+        assert (report.n_samples, report.windows_skipped_empty,
+                report.windows_dropped_few_annotators, report.windows_unmatched) == (
+            len(rows), counts["skipped"], counts["dropped"], counts["unmatched"])

@@ -33,7 +33,8 @@ class TestDeterminism:
             np.testing.assert_array_equal(x.timestamps, y.timestamps)
         for x, y in zip(a1, a2):
             np.testing.assert_array_equal(x.values, y.values)
-        assert t1.rows == t2.rows
+        for name in ("subjects", "starts", "mu", "sigma"):
+            assert getattr(t1, name).tolist() == getattr(t2, name).tolist()
 
     def test_different_seed_differs(self):
         _, a1, _ = generate(SMALL)
@@ -56,9 +57,9 @@ class TestValidity:
 
     def test_truth_satisfies_validity_conditions(self):
         _, _, truth = generate(SMALL)
-        for _, _, mu, sigma in truth.rows:
-            assert 0.0 < mu < 1.0
-            assert 0.0 < sigma**2 < mu * (1.0 - mu)
+        mu, sigma = truth.mu, truth.sigma
+        assert mu.size and np.all((0.0 < mu) & (mu < 1.0))
+        assert np.all((0.0 < sigma**2) & (sigma**2 < mu * (1.0 - mu)))
 
     def test_biased_annotators_stay_in_range(self):
         cfg = SyntheticConfig(**{**SMALL.__dict__, "annotator_bias_std": 0.2})
@@ -85,7 +86,8 @@ class TestConvergence:
         _, annots, truth = generate(cfg, wcfg)
         table, _ = window_consensus(annots, wcfg)
         assert len(table)
-        ref = {(s, start): (mu, sigma) for s, start, mu, sigma in truth.rows}
+        ref = dict(zip(zip(truth.subjects.tolist(), truth.starts.tolist()),
+                       zip(truth.mu, truth.sigma)))
         for subject, start, mu, sigma in zip(table.subjects.tolist(),
                                              table.starts.tolist(),
                                              table.mu, table.sigma):
@@ -105,7 +107,7 @@ class TestRevelation:
         feats, annots, truth = generate(cfg, wcfg)
         table, _ = build_dataset(feats, annots, wcfg)
         x = table.x
-        ref = {(s, start): mu for s, start, mu, _ in truth.rows}
+        ref = dict(zip(zip(truth.subjects.tolist(), truth.starts.tolist()), truth.mu))
         truth_mu = np.array(
             [ref[key] for key in zip(table.subjects.tolist(), table.starts.tolist())]
         )
@@ -134,7 +136,10 @@ class TestGroundTruthWindows:
                 hi = np.searchsorted(t_marks, start + wcfg.window_len, side="left")
                 expected.append((f"s{s:03d}", float(start),
                                  float(mu[lo:hi].mean()), float(sigma[lo:hi].mean())))
-        assert list(truth.rows) == expected
+        assert truth.subjects.tolist() == [row[0] for row in expected]
+        assert truth.starts.tolist() == [row[1] for row in expected]
+        assert truth.mu.tolist() == [row[2] for row in expected]
+        assert truth.sigma.tolist() == [row[3] for row in expected]
 
 
 class TestGroundTruthCsv:
@@ -144,4 +149,6 @@ class TestGroundTruthCsv:
             header, *rows = csv.reader(fh)
         _, _, expected = generate(SMALL)
         assert header == ["subject_id", "window_start", "mu_true", "sigma_true"]
-        assert [(row[0], *map(float, row[1:])) for row in rows] == list(expected.rows)
+        assert [row[0] for row in rows] == expected.subjects.tolist()
+        for i, name in enumerate(("starts", "mu", "sigma"), 1):
+            assert [float(row[i]) for row in rows] == getattr(expected, name).tolist()
