@@ -390,7 +390,9 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None = None) -> _Parser:
+    """The CLI's parser.  Given a ``command``, only that subcommand gets its
+    arguments; every subcommand keeps its name and help text."""
     parser = _Parser(prog="annodist", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True,
@@ -408,6 +410,9 @@ def _build_parser() -> _Parser:
     }
     for name, (help_text, func, inputs) in commands.items():
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if command not in (None, name):
+            continue
         for flag, input_help in inputs:
             p.add_argument(flag, required=True, help=input_help)
         p.add_argument("--out", required=True, help="output directory")
@@ -420,7 +425,6 @@ def _build_parser() -> _Parser:
             elif kind in (int, float):
                 extra["type"] = kind
             p.add_argument(_flag(key), dest=key, default=None, **extra)
-        p.set_defaults(func=func)
 
     p = sub.add_parser("report", help="print summary tables for a finished run")
     p.add_argument("--run", required=True, help="run output directory")
@@ -430,7 +434,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # The first word that is not an option names the subcommand.
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

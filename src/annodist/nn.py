@@ -2,13 +2,17 @@
 
 All variants share the same bottleneck layout: two hidden ReLU layers at 75%
 and 50% of the input width (round half up), then a head.  A variant is a
-tuple of chains of layers, each reading the features or one earlier chain;
-the output concatenates the chains that end in a head, in order:
+sequence of chains of layers, each reading the one before it (the first
+reads the features), and the last ends in the head:
 
 * ``independent``  - a mu and a sigma chain, each on the features
 * ``shared_first`` - a one-layer shared chain, read by a mu and a sigma chain
 * ``fully_shared`` - one chain with a two-unit (mu, sigma) head
 * ``point``        - one chain with a scalar head, for per-descriptor baselines
+
+A mu and a sigma chain have the same layer shapes, so they are one chain
+with a mu and a sigma copy, run as one stacked pass over a copy axis; the
+output of a one-copy chain that they read broadcasts over that axis.
 
 A head applies one activation per output column.  Moment heads squash: mu
 passes through a logistic so it stays in (0, 1), sigma through a softplus so
@@ -19,21 +23,24 @@ here; the Beta conversion clamps downstream.  Point heads are identity
 A :class:`Network` is a stack of M members of one variant; a single network
 is the M = 1 case.  Each member has its own seed and parameters.  A layer's
 weights ``W`` and bias ``b`` are adjacent in its member's row of one ``(M,
-P)`` buffer, so the layer sees them as one ``(M, fan_in + 1, fan_out)``
+P)`` buffer, and a chain's sigma copy follows its mu copy there, so a layer
+sees its copies' parameters as one ``(M, copies, fan_in + 1, fan_out)``
 view ``[W; b]``.  Every activation that feeds a layer carries a trailing
-ones column, so a layer's forward pass is one batched ``np.matmul``, and
-one more writes ``[gW; gb]`` in its backward pass.  Every pass runs all
-members at once.  Each reduction stays inside one member's slice, so a
-member's numbers do not depend on which other members share its stack.
+ones column, so a layer's forward pass is one batched ``np.matmul`` over
+members and copies, and one more writes ``[gW; gb]`` in its backward pass.
+Every pass runs all members at once.  Each reduction stays inside one
+member's slice, so a member's numbers do not depend on which other members
+share its stack.
 
 A :class:`Workspace` holds the ``(M, P)`` gradient buffer, whose per-layer
-``[gW; gb]`` views each backward pass writes into with ``out=``, and each
-layer's pre-activation, activation and backward buffers for every number of
-input rows it sees (the full batch, a ragged last batch, the validation
-set).  An :class:`AdamState` holds the moments and two temporaries.
-:func:`train` allocates both once per live-member count, not once per step.
-A result written into a buffer has the bits a freshly allocated one would
-have, so the buffers change no numbers.
+``[gW; gb]`` views each backward pass writes into with ``out=``, and, for
+every number of input rows it sees (the full batch, a ragged last batch,
+the validation set), the input buffer that :func:`train` gathers a batch
+into, each layer's pre-activation, activation and backward buffers, and
+every view of them a step reads.  An :class:`AdamState` holds the moments
+and two temporaries.  :func:`train` allocates both once per live-member
+count, not once per step.  A result written into a buffer has the bits a
+freshly allocated one would have, so the buffers change no numbers.
 
 Training minimises the joint MSE of mu and sigma (plain MSE for point nets)
 with Adam (beta1=0.9, beta2=0.999, eps=1e-8) applied to the whole buffer.  A
@@ -92,55 +99,32 @@ class NetworkVariant:
 
 @functools.lru_cache(maxsize=None)
 def _chains(variant: NetworkVariant) -> tuple[tuple, ...]:
-    """The variant's chains ``(name, source, layers)`` in order: ``source`` is
-    None (the features) or an earlier chain.  A layer is ``(param name,
-    fan-in, fan-out, activation)``, and a head's activation is a tuple of one
-    head activation per output column.  The chains that end in a head are
-    the outputs."""
+    """The variant's chains ``(copies, layers)`` in order; each reads the one
+    before it, and the first reads the features.  A chain has one or two
+    copies with the same layer shapes and their own parameters, and
+    ``copies`` holds each copy's prefix of its parameter names.  A layer is
+    ``(param name, fan-in, fan-out, activation)``; a head's activation is a
+    tuple of one head activation per output column of each copy, copy by
+    copy, and the last chain ends in the head."""
     d = variant.input_dim
     h1, h2 = hidden_dims(d)
+    trunk = (("l1", d, h1, "relu"), ("l2", h1, h2, "relu"))
+    moments = ("head", h2, 1, ("sigmoid", "softplus"))  # a mu and a sigma copy
     if variant.kind == "point":
-        return (("trunk", None, (("l1", d, h1, "relu"), ("l2", h1, h2, "relu"),
-                                 ("head", h2, 1, ("identity",)))),)
+        return ((("",), trunk + (("head", h2, 1, ("identity",)),)),)
     if variant.kind == "fully_shared":
-        return (("trunk", None, (("l1", d, h1, "relu"), ("l2", h1, h2, "relu"),
-                                 ("head", h2, 2, ("sigmoid", "softplus")))),)
+        return ((("",), trunk + (("head", h2, 2, ("sigmoid", "softplus")),)),)
     if variant.kind == "shared_first":
-        return (
-            ("shared", None, (("shared", d, h1, "relu"),)),
-            ("mu", "shared", (("mu_l2", h1, h2, "relu"),
-                              ("mu_head", h2, 1, ("sigmoid",)))),
-            ("sigma", "shared", (("sigma_l2", h1, h2, "relu"),
-                                 ("sigma_head", h2, 1, ("softplus",)))),
-        )
-    return (
-        ("mu", None, (("mu_l1", d, h1, "relu"), ("mu_l2", h1, h2, "relu"),
-                      ("mu_head", h2, 1, ("sigmoid",)))),
-        ("sigma", None, (("sigma_l1", d, h1, "relu"), ("sigma_l2", h1, h2, "relu"),
-                         ("sigma_head", h2, 1, ("softplus",)))),
-    )
+        return ((("",), (("shared", d, h1, "relu"),)),
+                (("mu_", "sigma_"), (trunk[1], moments)))
+    return ((("mu_", "sigma_"), trunk + (moments,)),)
 
 
 @functools.lru_cache(maxsize=None)
 def _out_width(variant: NetworkVariant) -> int:
-    # One output column per head activation.
-    return sum(len(act) for *_, layers in _chains(variant)
-               for *_, act in layers if isinstance(act, tuple))
-
-
-@functools.lru_cache(maxsize=None)
-def _layout(variant: NetworkVariant) -> tuple[tuple[str, int, int, int], ...]:
-    """(layer name, offset, fan-in, fan-out) of every layer in the buffer.
-
-    A layer's ``[W; b]`` fill ``(fan_in + 1) * fan_out`` adjacent entries,
-    ``W`` row-major and the bias row last.
-    """
-    out, offset = [], 0
-    for *_, layers in _chains(variant):
-        for name, fan_in, fan_out, _ in layers:
-            out.append((name, offset, fan_in, fan_out))
-            offset += (fan_in + 1) * fan_out
-    return tuple(out)
+    # One output column per head activation; the last chain ends in the head.
+    *_, head = _chains(variant)[-1][1]
+    return len(head[-1])
 
 
 class FlatParams(dict):
@@ -148,21 +132,32 @@ class FlatParams(dict):
 
     Each layer has a ``name.w`` ``(M, fan_in, fan_out)`` and a ``name.b``
     ``(M, 1, fan_out)`` entry, and ``layers[name]`` is their ``(M, fan_in +
-    1, fan_out)`` union ``[W; b]``.  Assigning to a name copies into the
-    buffer, so every entry stays a view and whole-stack updates of ``flat``
-    reach all of them.
+    1, fan_out)`` union ``[W; b]``.  A chain's copies fill adjacent blocks of
+    a member's row, each holding its layers' ``[W; b]`` in order (``W``
+    row-major, the bias row last), so ``stacked`` views each layer, in
+    order, as one ``(M, copies, fan_in + 1, fan_out)`` array.  Assigning to
+    a name copies into the buffer, so every entry stays a view and
+    whole-stack updates of ``flat`` reach all of them.
     """
 
     def __init__(self, variant: NetworkVariant, flat: np.ndarray):
         super().__init__()
-        self.flat = flat
-        self.layers = {}
-        for name, lo, fan_in, fan_out in _layout(variant):
-            wb = flat[:, lo : lo + (fan_in + 1) * fan_out].reshape(
-                flat.shape[0], fan_in + 1, fan_out)
-            self.layers[name] = wb
-            dict.__setitem__(self, name + ".w", wb[:, :fan_in])
-            dict.__setitem__(self, name + ".b", wb[:, fan_in:])
+        self.flat, self.layers, self.stacked = flat, {}, []
+        m, lo = flat.shape[0], 0
+        for copies, layers in _chains(variant):
+            size = sum((fan_in + 1) * fan_out for _, fan_in, fan_out, _ in layers)
+            block = flat[:, lo : lo + len(copies) * size].reshape(m, len(copies), size)
+            lo, views = lo + len(copies) * size, []
+            for _, fan_in, fan_out, _ in layers:
+                views.append(block[..., : (fan_in + 1) * fan_out].reshape(
+                    m, len(copies), fan_in + 1, fan_out))
+                block = block[..., (fan_in + 1) * fan_out :]
+            self.stacked += views
+            for c, prefix in enumerate(copies):
+                for (name, fan_in, *_), wb in zip(layers, views):
+                    self.layers[prefix + name] = wb[:, c]
+                    dict.__setitem__(self, prefix + name + ".w", wb[:, c, :fan_in])
+                    dict.__setitem__(self, prefix + name + ".b", wb[:, c, fan_in:])
 
     def __setitem__(self, name: str, value) -> None:
         self[name][...] = value
@@ -207,87 +202,111 @@ def build(variant: NetworkVariant, seeds) -> Network:
     net = Network(variant, seeds, FlatParams(variant, flat))
     for m, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        for *_, layers in _chains(variant):
-            for name, fan_in, fan_out, act in layers:
-                limit = math.sqrt(6.0 / fan_in)
-                if isinstance(act, tuple):
-                    limit *= HEAD_INIT_SCALE
-                net.params[f"{name}.w"][m] = rng.uniform(-limit, limit, (fan_in, fan_out))
+        for copies, layers in _chains(variant):
+            for prefix in copies:
+                for name, fan_in, fan_out, act in layers:
+                    limit = math.sqrt(6.0 / fan_in)
+                    if isinstance(act, tuple):
+                        limit *= HEAD_INIT_SCALE
+                    net.params[f"{prefix}{name}.w"][m] = rng.uniform(
+                        -limit, limit, (fan_in, fan_out))
     return net
 
 
 def count_params(kind: str, input_dim: int) -> int:
     """Trainable parameter count for one variant (one member)."""
-    return sum((fan_in + 1) * fan_out
-               for *_, fan_in, fan_out in _layout(NetworkVariant(kind, input_dim)))
+    return sum(len(copies) * (fan_in + 1) * fan_out
+               for copies, layers in _chains(NetworkVariant(kind, input_dim))
+               for _, fan_in, fan_out, _ in layers)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below: exp never overflows.
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
     return np.where(z > 30.0, z, np.log1p(np.exp(np.minimum(z, 30.0))))
 
 
-# Head activations by name: (a(z), da/dz from z and a).  ReLU layers are
-# handled inline by _chain_forward and _chain_backward.
+# Head activations by name: (a(z, s), da/dz from z, s and a), where s is the
+# logistic of z, which a moment head computes once for all its columns.  ReLU
+# layers are handled inline by _forward_layers and _backward_layers.
 _HEADS = {
-    "identity": (lambda z: z, lambda z, a: 1.0),
-    "sigmoid": (_sigmoid, lambda z, a: a * (1.0 - a)),
-    "softplus": (_softplus, lambda z, a: _sigmoid(z)),
+    "identity": (lambda z, s: z, lambda z, s, a: 1.0),
+    "sigmoid": (lambda z, s: s, lambda z, s, a: a * (1.0 - a)),
+    "softplus": (lambda z, s: _softplus(z), lambda z, s, a: s),
 }
 
 
 class _Layer:
-    """One layer of a stack at one input shape: its ``[W; b]`` parameter and
-    gradient views, and the buffers its forward (and backward) passes write
-    into.  A ReLU layer's activation ``a`` is a view of ``a_ones``, which
-    adds the ones column that the next layer's bias row multiplies; a head
-    layer's is ``out``, its columns of the pass's output, and ``heads`` holds
-    its per-column activations."""
+    """One layer of a stack at one number of input rows, over every copy of
+    its chain: its ``(M, copies, fan_in + 1, fan_out)`` ``[W; b]`` parameter
+    and gradient views, its input ``a_in``, and the buffers its passes write.
+    A ReLU layer's activation ``a`` is a view of ``a_ones``, which adds the
+    ones column that the next layer's bias row multiplies; a head layer's is
+    ``out``, its columns of the pass's output.  A moment head keeps ``s``,
+    the logistic of ``z`` over all its columns, and ``heads`` holds each
+    output column's activation, derivative and views of ``z``, ``s``, ``a``
+    and ``dz``.  A backward pass also keeps each layer's input transposed
+    and, but in the first layer (which reads the features), a buffer for
+    its input's gradient; when two copies read one, ``fold`` holds their
+    halves of it, whose sum is that gradient."""
 
-    __slots__ = ("act", "heads", "wb", "gwb", "w_t", "z", "a", "a_ones", "mask",
-                 "dz", "din", "a_in")
+    __slots__ = ("act", "heads", "wb", "gwb", "w_t", "a_in", "a_in_t", "z", "s", "a",
+                 "a_ones", "mask", "dz", "din", "product", "fold")
 
-    def __init__(self, act, wb, gwb, n, backward, din, out=None):
-        m, rows, fan_out = wb.shape
-        fan_in = rows - 1
-        self.act, self.wb, self.gwb = act, wb, gwb
-        self.heads = None if out is None else [_HEADS[name] for name in act]
-        self.w_t = np.swapaxes(wb[:, :fan_in], -1, -2)
-        self.z = np.empty((m, n, fan_out))
-        self.a_ones = np.ones((m, n, fan_out + 1)) if out is None else None
+    def __init__(self, act, wb, gwb, a_in, n, backward, din, out=None):
+        m, copies, rows, fan_out = wb.shape
+        self.act, self.wb, self.gwb, self.a_in = act, wb, gwb, a_in
+        self.w_t = np.swapaxes(wb[..., : rows - 1, :], -1, -2)
+        self.a_in_t = np.swapaxes(a_in, -1, -2) if backward else None
+        self.z = np.empty((m, copies, n, fan_out))
+        self.a_ones = np.ones((m, copies, n, fan_out + 1)) if out is None else None
         self.a = self.a_ones[..., :fan_out] if out is None else out
         relu_backward = backward and out is None
         self.mask = np.empty(self.z.shape, dtype=bool) if relu_backward else None
         self.dz = np.empty_like(self.z) if backward else None
-        self.din = np.empty((m, n, fan_in)) if backward and din else None
-        self.a_in = None
+        self.s = None if out is None or act == ("identity",) else np.empty_like(self.z)
+
+        def column(a, k):  # output column k, copy by copy
+            return None if a is None else a[:, k // fan_out, :, k % fan_out]
+
+        self.heads = None if out is None else [
+            (*_HEADS[name], *(column(a, k) for a in (self.z, self.s, out, self.dz)))
+            for k, name in enumerate(act)]
+        self.din = np.empty((m, copies, n, rows - 1)) if backward and din else None
+        # Through a one-unit layer the input gradient is an outer product: a
+        # broadcast multiply gives the matmul's bits at a fraction of its cost.
+        self.product = np.multiply if fan_out == 1 else np.matmul
+        self.fold = (None if self.din is None or a_in.shape[1] == copies
+                     else (self.din[:, :1], self.din[:, 1:]))
 
 
 @dataclass
 class _Pass:
-    """A stack's layers and output buffers for one input shape."""
+    """A stack's layers and buffers for one number of input rows."""
 
-    chains: dict[str, list[_Layer]]
+    layers: list[_Layer]
     out: np.ndarray  # the output, which the head layers write
-    residual: np.ndarray | None  # output - targets
-    dout: np.ndarray | None  # d(loss)/d(output)
+    x: np.ndarray | None = None  # the (M, n, d + 1) inputs, last column ones
+    residual: np.ndarray | None = None  # output - targets
+    dout: np.ndarray | None = None  # d(loss)/d(output)
+    dhead: np.ndarray | None = None  # dout as the head's (M, copies, n, fan_out)
 
 
 class Workspace:
     """Every buffer a stack's passes reuse.
 
     ``grads`` is the ``(M, P)`` gradient buffer as :class:`FlatParams`; each
-    layer writes its ``[gW; gb]`` straight into its view.  Activations,
-    pre-activations and backward temporaries are kept per number of input
-    rows (the full batch, a ragged last batch, the validation set), so a
-    step allocates no stack-sized array; a shape that only runs forward gets
-    no backward buffers.  A pass at one shape overwrites the previous pass at
-    that shape; outputs that alias a buffer are valid until then.
+    layer writes its ``[gW; gb]`` straight into its view.  Inputs,
+    activations, pre-activations, backward temporaries and every view a step
+    reads are kept per number of input rows (the full batch, a ragged last
+    batch, the validation set), so a step allocates no stack-sized array and
+    builds no view; a shape that only runs forward gets no backward buffers.
+    A pass at one shape overwrites the previous pass at that shape; outputs
+    that alias a buffer are valid until then.
     """
 
     def __init__(self, net: Network):
@@ -301,69 +320,80 @@ class Workspace:
         with or without the ones column."""
         n = shape[-2]
         found = self._passes.get(n)
-        if found is None or (backward and found.dout is None):
+        if found is None or (backward and found.x is None):
             found = self._passes[n] = self._allocate(n, backward)
         return found
 
+    def load(self, x, augmented: bool = False) -> _Pass:
+        """The backward pass for inputs ``x``, as :func:`forward` takes them,
+        with ``x`` in its input buffer.  :func:`train` gathers each batch
+        straight into that buffer and hands the buffer in."""
+        if augmented:
+            found = self._passes.get(x.shape[-2])
+            if found is not None and x is found.x:
+                return found
+        x = _as_inputs(self.net, x, augmented)
+        found = self.pass_for(x.shape, backward=True)
+        found.x[...] = x
+        return found
+
     def _allocate(self, n: int, backward: bool) -> _Pass:
-        net, params, grads = self.net, self.net.params, self.grads
-        out = np.empty((net.n_members, n, _out_width(net.variant)))
-        chains, col = {}, 0
-        for chain, source, layers in _chains(net.variant):
-            chains[chain] = []
-            for i, (name, _, fan_out, act) in enumerate(layers):
-                head = isinstance(act, tuple)
-                # A chain that reads the features needs no gradient for its input.
-                chains[chain].append(_Layer(
-                    act, params.layers[name], grads.layers[name], n, backward,
-                    din=i > 0 or source is not None,
-                    out=out[..., col : col + fan_out] if head else None))
-                col += fan_out if head else 0
+        net, params = self.net, self.net.params
+        m, acts = net.n_members, [act for _, layers in _chains(net.variant)
+                                  for *_, act in layers]
+        out, dout = (np.empty((m, n, len(acts[-1]))) for _ in range(2))
+        # The head writes each copy's columns of the output, copy by copy.
+        by_copy = [a.reshape(m, n, *params.stacked[-1].shape[1::2]).swapaxes(1, 2)
+                   for a in (out, dout)]
+        # Every batch fills all of x, ones column included.
+        x = np.empty((m, n, net.input_dim + 1)) if backward else None
+        a_in, layers = None if x is None else x[:, None], []
+        for i, (act, wb, gwb) in enumerate(zip(acts, params.stacked, self.grads.stacked)):
+            layers.append(_Layer(act, wb, gwb, a_in, n, backward, din=i > 0,
+                                 out=by_copy[0] if i == len(acts) - 1 else None))
+            a_in = layers[-1].a_ones
         # A one-column output is returned without its column axis.
-        out = out[..., 0] if out.shape[-1] == 1 else out
+        if out.shape[-1] == 1:
+            out, dout = out[..., 0], dout[..., 0]
         if not backward:
-            return _Pass(chains, out, None, None)
-        return _Pass(chains, out, np.empty_like(out), np.empty_like(out))
+            return _Pass(layers, out)
+        return _Pass(layers, out, x, np.empty_like(out), dout, by_copy[1])
 
 
-def _chain_forward(layers: list[_Layer], x: np.ndarray) -> np.ndarray:
+def _forward_layers(layers: list[_Layer], x: np.ndarray) -> None:
     # ``x`` carries the ones column; so does the output of a ReLU layer.
     a = x
     for layer in layers:
-        layer.a_in = a
         z = np.matmul(a, layer.wb, out=layer.z)
         if layer.heads is None:
             np.maximum(z, 0.0, out=layer.a)
             a = layer.a_ones
         else:
-            for j, (activation, _) in enumerate(layer.heads):
-                layer.a[..., j] = activation(z[..., j])
-            a = layer.a
-    return a
+            if layer.s is not None:
+                _sigmoid(z, out=layer.s)
+            for activation, _, z_k, s_k, a_k, _ in layer.heads:
+                a_k[...] = activation(z_k, s_k)
 
 
-def _chain_backward(layers: list[_Layer], dout: np.ndarray, input_grad: bool):
+def _backward_layers(layers: list[_Layer], dout: np.ndarray) -> None:
     # Walks the layers of the last forward pass in reverse, writing each
-    # gradient into the workspace; returns dL/d(chain input), or None when
-    # ``input_grad`` is off (the chain reads the features).
-    for i in range(len(layers) - 1, -1, -1):
-        layer = layers[i]
+    # gradient into the workspace.
+    for layer in reversed(layers):
         if layer.heads is None:
             dz = np.multiply(dout, np.greater(layer.z, 0.0, out=layer.mask),
                              out=layer.dz)
         else:
             dz = layer.dz
-            for j, (_, derivative) in enumerate(layer.heads):
-                dz[..., j] = derivative(layer.z[..., j], layer.a[..., j])
+            for _, derivative, z_k, s_k, a_k, dz_k in layer.heads:
+                dz_k[...] = derivative(z_k, s_k, a_k)
             dz *= dout
         # The input's ones column turns the bias gradient into the last row.
-        np.matmul(np.swapaxes(layer.a_in, -1, -2), dz, out=layer.gwb)
-        if i or input_grad:
-            # Through a one-unit layer this is an outer product: a broadcast
-            # multiply gives the matmul's bits at a fraction of its cost.
-            product = np.multiply if dz.shape[-1] == 1 else np.matmul
-            dout = product(dz, layer.w_t, out=layer.din)
-    return dout if input_grad else None
+        np.matmul(layer.a_in_t, dz, out=layer.gwb)
+        if layer.din is None:
+            return
+        dout = layer.product(dz, layer.w_t, out=layer.din)
+        if layer.fold is not None:
+            dout = np.add(*layer.fold, out=layer.fold[0])
 
 
 def _as_inputs(net: Network, x, augmented: bool = False) -> np.ndarray:
@@ -404,14 +434,9 @@ def forward(net: Network, x, work: Workspace | None = None,
     here; :func:`train` and :func:`predict` do that.
     """
     x = _as_inputs(net, x, augmented)
-    return _forward_chains(net, (work or Workspace(net)).pass_for(x.shape), x)
-
-
-def _forward_chains(net: Network, buffers: _Pass, x) -> np.ndarray:
-    """:func:`forward` of augmented inputs ``x`` in the buffers of one pass."""
-    outputs = {None: x}
-    for chain, source, _ in _chains(net.variant):
-        outputs[chain] = _chain_forward(buffers.chains[chain], outputs[source])
+    buffers = (work or Workspace(net)).pass_for(x.shape)
+    # Per-member inputs broadcast over the copy axis.
+    _forward_layers(buffers.layers, x if x.ndim == 2 else x[:, None])
     return buffers.out
 
 
@@ -424,13 +449,10 @@ def predict(net: Network, x) -> np.ndarray:
 
 def _residual_loss(residual: np.ndarray, width: int) -> np.ndarray:
     # The sum of each output column's mean square; each mean is
-    # add.reduce(d*d)/n over a row, as np.mean sums.
+    # add.reduce(d*d)/n over a contiguous row, as np.mean sums.
     columns = residual[..., None] if width == 1 else residual
-    n = columns.shape[-2]
-    total = np.add.reduce(np.square(columns[..., 0]), axis=-1) / n
-    for j in range(1, width):
-        total += np.add.reduce(np.square(columns[..., j]), axis=-1) / n
-    return total
+    squares = np.square(columns.swapaxes(-1, -2), order="C")
+    return np.add.reduce(np.add.reduce(squares, axis=-1) / columns.shape[-2], axis=-1)
 
 
 def loss_value(net: Network, out: np.ndarray, targets) -> np.ndarray:
@@ -459,28 +481,13 @@ def gradients(
     the next call on that workspace overwrites them.
     """
     work = work or Workspace(net)
-    x = _as_inputs(net, x, augmented)
-    buffers = work.pass_for(x.shape, backward=True)
-    out = _forward_chains(net, buffers, x)
+    buffers = work.load(x, augmented)
+    _forward_layers(buffers.layers, buffers.layers[0].a_in)
+    out = buffers.out
     residual = np.subtract(out, targets, out=buffers.residual)
-    dout = np.multiply(residual, 2.0 / out.shape[1], out=buffers.dout)
-    dout = dout.reshape(out.shape[:2] + (-1,))
-    value = _residual_loss(residual, dout.shape[-1])
-    # In reverse: a chain that ends in a head takes its columns of dout, from
-    # the last, and one that others read the sum of their input gradients.
-    end, dchain = dout.shape[-1], {}
-    for chain, source, _ in reversed(_chains(net.variant)):
-        layers = buffers.chains[chain]
-        if layers[-1].heads is None:
-            d = dchain[chain]
-        else:
-            end -= len(layers[-1].heads)
-            d = dout[..., end : end + len(layers[-1].heads)]
-        din = _chain_backward(layers, d, input_grad=source is not None)
-        if source in dchain:
-            np.add(dchain[source], din, out=dchain[source])
-        elif source is not None:
-            dchain[source] = din
+    np.multiply(residual, 2.0 / out.shape[1], out=buffers.dout)
+    value = _residual_loss(residual, _out_width(net.variant))
+    _backward_layers(buffers.layers, buffers.dhead)
     return value, work.grads
 
 
@@ -582,16 +589,19 @@ class StackHistory:
         return sum(h.best_epoch for h in self.members)
 
 
-def _keep(ids: np.ndarray, stack: Network, state: AdamState, rows: np.ndarray):
+def _keep(ids: np.ndarray, stack: Network, state: AdamState, rows: np.ndarray,
+          sizes: list[int]):
     """The members ``ids[rows]`` of a live stack, as a stack of their own.
 
     Returns their ids, the stack of their parameters, a workspace sized for
-    it and their Adam moments at the same step count.  Every operation runs
-    within one member's row, so they train on with the same bits.
+    it with the backward pass of a batch of each of ``sizes`` rows, those
+    passes, and their Adam moments at the same step count.  Every operation
+    runs within one member's row, so they train on with the same bits.
     """
     seeds = tuple(seed for seed, kept in zip(stack.seeds, rows) if kept)
     kept = Network(stack.variant, seeds, FlatParams(stack.variant, stack.flat[rows]))
-    return (ids[rows], kept, Workspace(kept),
+    work = Workspace(kept)
+    return (ids[rows], kept, work, [work.pass_for((size, 0), True) for size in sizes],
             AdamState(state.m[rows], state.v[rows], state.step))
 
 
@@ -635,23 +645,29 @@ def train(
     rngs = [np.random.default_rng(seed) for seed in net.seeds]
     members = [TrainHistory() for _ in net.seeds]
     starts = range(0, n, cfg.batch_size)
-    # Per member: its shuffle and batch losses in this epoch, its best
-    # parameters and validation loss, and the epochs since that improved.
+    sizes = [min(cfg.batch_size, n - lo) for lo in starts]
+    # Per member: its shuffle and batch losses in this epoch, and its best
+    # parameters and validation loss.
     order = np.empty((n_members, n), dtype=np.int64)
     batch_losses = np.empty((n_members, len(starts)))
-    best, best_val = net.flat.copy(), np.full(n_members, math.inf)
-    bad_epochs = np.zeros(n_members, dtype=np.int64)
-    # The live stack: its members' ids, in order, and its buffers.
-    ids, stack, work, state = np.arange(n_members), net, Workspace(net), AdamState()
+    best, best_val = net.flat.copy(), [math.inf] * n_members
+    # The live stack: its members' ids, in order, and its buffers, with the
+    # pass that each batch is gathered into; at first, every member.
+    ids, stack, work, batches, state = _keep(
+        np.arange(n_members), net, AdamState(np.zeros_like(best), np.zeros_like(best)),
+        np.ones(n_members, dtype=bool), sizes)
     for epoch in range(1, cfg.max_epochs + 1):
-        for m in ids:
-            order[m] = rngs[m].permutation(n)
+        # Shuffling a copy of arange(n) draws what permutation(n) draws.
+        order[...] = np.arange(n)
+        for m in ids.tolist():
+            rngs[m].shuffle(order[m])
         for j, lo in enumerate(starts):
             idx = order[ids, lo : lo + cfg.batch_size]
             y = (train_y[ids[:, None], idx] if train_y.ndim == member_ndim
                  else train_y.take(idx, axis=0))
-            value, finite = backward_and_step(stack, train_x.take(idx, axis=0), y,
-                                              state, cfg, work, augmented=True)
+            train_x.take(idx, axis=0, out=batches[j].x, mode="clip")
+            value, finite = backward_and_step(stack, batches[j].x, y, state, cfg, work,
+                                              augmented=True)
             batch_losses[ids, j] = value
             if not finite.all():
                 for row in np.flatnonzero(~finite):
@@ -660,7 +676,8 @@ def train(
                         f"(loss={float(value[row])!r}); member stopped"
                     )
                 best[ids[~finite]] = 0.0
-                ids, stack, work, state = _keep(ids, stack, state, finite)
+                del work, batches  # freed before the smaller stack's buffers
+                ids, stack, work, batches, state = _keep(ids, stack, state, finite, sizes)
                 if not ids.size:
                     break
         if not ids.size:
@@ -668,18 +685,20 @@ def train(
         train_loss = np.add.reduce(batch_losses[ids], axis=1) / len(starts)
         val = loss(stack, val_x, val_y[ids] if val_y.ndim == member_ndim else val_y,
                    work, augmented=True)
-        for m, t, v in zip(ids, train_loss.tolist(), val.tolist()):
-            members[m].train_loss.append(t)
-            members[m].val_loss.append(v)
-        improved = val < best_val[ids] - MIN_IMPROVEMENT
-        for m in ids[improved]:
-            members[m].best_epoch = epoch
-        best[ids[improved]] = stack.flat[improved]
-        best_val[ids[improved]] = val[improved]
-        bad_epochs[ids] = np.where(improved, 0, bad_epochs[ids] + 1)
-        live = bad_epochs[ids] < cfg.patience
-        if not live.all():
-            ids, stack, work, state = _keep(ids, stack, state, live)
+        # A member stops after cfg.patience epochs past its best one.
+        live = []
+        for row, (m, t, v) in enumerate(zip(ids.tolist(), train_loss.tolist(),
+                                            val.tolist())):
+            history = members[m]
+            history.train_loss.append(t)
+            history.val_loss.append(v)
+            if v < best_val[m] - MIN_IMPROVEMENT:
+                best_val[m], history.best_epoch, best[m] = v, epoch, stack.flat[row]
+            live.append(epoch - history.best_epoch < cfg.patience)
+        if not all(live):
+            del work, batches
+            ids, stack, work, batches, state = _keep(ids, stack, state, np.array(live),
+                                                     sizes)
             if not ids.size:
                 break
     net.flat[...] = best

@@ -41,7 +41,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -51,8 +50,6 @@ import numpy as np
 from .config import DEFAULT_EPSILON, WindowConfig, _decode_utf8, read_json, write_json
 from .consensus import clamp_moments_arrays
 from .errors import DomainError, EmptyDatasetError, InsufficientDataError, SchemaError
-
-log = logging.getLogger(__name__)
 
 _TIME_TOL = 1e-9
 # Rows a CSV reader or writer holds as strings at once; bounds its memory.
@@ -173,6 +170,12 @@ def _window_means(ts: np.ndarray, values: np.ndarray, end: float, cfg: WindowCon
     return starts, counts, means
 
 
+def _warn(message: str, *args) -> None:
+    import logging  # only when there is something to report: it costs ms to load
+
+    logging.getLogger(__name__).warning(message, *args)
+
+
 def window_features(
     series: FrameSeries, cfg: WindowConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,9 +186,7 @@ def window_features(
     reported.
     """
     if series.timestamps.size == 0:
-        log.warning(
-            "window_features: empty series %s/%s", series.subject_id, series.modality
-        )
+        _warn("window_features: empty series %s/%s", series.subject_id, series.modality)
         return np.empty(0), np.empty((0, series.dim)), np.empty(0)
     keep = ~np.any(np.isnan(series.features), axis=1)
     starts, counts, means = _window_means(series.timestamps[keep], series.features[keep],
@@ -193,7 +194,7 @@ def window_features(
     full = counts > 0
     skipped = starts[~full]
     if skipped.size:
-        log.warning(
+        _warn(
             "window_features: %s/%s skipped %d empty windows",
             series.subject_id, series.modality, skipped.size,
         )
@@ -571,9 +572,12 @@ def read_annotation_csv(path) -> list[AnnotationTrace]:
 
 def write_feature_csv(path, series: list[FrameSeries]) -> None:
     for fs in series:
-        if not fs.dim:  # its rows would have no feature cell to read back
+        # Its rows would have no feature cell to read back, or there would be
+        # no row, so the reader would not see the series at all.
+        if not fs.dim or not fs.timestamps.size:
+            what = "feature column" if fs.timestamps.size else "frames"
             raise DomainError(f"write_feature_csv: series {fs.subject_id}/{fs.modality} "
-                              "has no feature column")
+                              f"has no {what}")
     max_dim = max((fs.dim for fs in series), default=0)
     write_table(path, [*_FEATURES.columns] + [f"f{i}" for i in range(max_dim)], (
         ((fs.subject_id, fs.modality), [fs.timestamps, *fs.features.T]) for fs in series

@@ -14,10 +14,9 @@ def min_relu_margin(net, x) -> float:
     work = nn.Workspace(net)
     nn.forward(net, x, work)
     margin = np.inf
-    for layers in work.pass_for(np.shape(x)).chains.values():
-        for layer in layers:
-            if layer.act == "relu":
-                margin = min(margin, float(np.min(np.abs(layer.z))))
+    for layer in work.pass_for(np.shape(x)).layers:
+        if layer.act == "relu":
+            margin = min(margin, float(np.min(np.abs(layer.z))))
     return margin
 
 

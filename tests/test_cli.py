@@ -741,6 +741,34 @@ class TestUsageAndEnvironment:
     def test_missing_subcommand_exit_1(self):
         assert run_cli() == 1
 
+    @pytest.mark.parametrize("argv", [["--help"]] + [
+        [sub, "--help"] for sub in ("synth", "build", "fit", "run", "report")])
+    def test_help_matches_the_full_parser(self, argv, capsys):
+        # main builds the arguments of the subcommand argv names alone.
+        assert run_cli(*argv) == 0
+        got = capsys.readouterr()
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(argv)
+        assert got == capsys.readouterr()
+
+    def test_misspelled_flag_message_matches_the_full_parser(self, capsys):
+        argv = ["synth", "--out", "x", "--n-subjcts", "3"]
+        assert run_cli(*argv) == 1
+        got = capsys.readouterr().err
+        assert got.endswith("error: unrecognized arguments: --n-subjcts 3\n")
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(argv)
+        assert got == capsys.readouterr().err
+
+    def test_only_the_named_subcommand_gets_arguments(self):
+        sub = next(a for a in cli._build_parser("fit")._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {name: [a.dest for a in parser._actions
+                        if not isinstance(a, argparse._HelpAction)]
+                 for name, parser in sub.choices.items()}
+        assert flags["fit"][:3] == ["annotations", "out", "config"]
+        assert flags["synth"] == flags["build"] == flags["run"] == []
+
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ANNODIST_OUT_ROOT", str(tmp_path))
         assert run_cli("synth", "--out", "rooted", *SYNTH_ARGS) == 0

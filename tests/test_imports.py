@@ -92,6 +92,7 @@ def test_build_and_fit_load_no_training_modules(inputs, tmp_path):
     assert [rc for rc, _, _ in results] == [0, 0], results
     assert "annodist.pipeline" in modules and "annodist.consensus" in modules
     assert not modules & TRAINING_MODULES
+    assert "logging" not in modules  # loaded only for a warning; none is due here
 
 
 def test_report_runs_without_numpy(inputs, capsys):

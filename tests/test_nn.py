@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nn_reference
 from annodist import nn
 from annodist.errors import DomainError, TrainingError
 from gradcheck import kink_safe_problem, relative_gradient_error
@@ -446,3 +449,67 @@ class TestTraining:
         assert healthy.best_epoch == solo.best_epoch
         assert np.all(pair.flat[1] == alone.flat[0])
 
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestReference:
+    """The stacked passes against :mod:`nn_reference`, which runs each member
+    alone, chain by chain, and builds every activation afresh."""
+
+    @pytest.mark.parametrize("kind", nn.KINDS)
+    @pytest.mark.parametrize("members", [1, 2, 7])
+    @pytest.mark.parametrize("batches", ["short", "ragged"])
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(input_dim=st.integers(2, 9), batch_size=st.integers(3, 24),
+           rows=st.integers(1, 23), n_val=st.integers(1, 12), shared=st.booleans(),
+           poisoned=st.booleans(), patience=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    def test_passes_and_training_match_the_reference(
+            self, kind, members, batches, input_dim, batch_size, rows, n_val,
+            shared, poisoned, patience, seed):
+        # Fewer rows than one batch, or full batches and a ragged last one.
+        n = 1 + rows % (batch_size - 1)
+        if batches == "ragged":
+            n += batch_size * (1 + rows % 2)
+        rng = np.random.default_rng(seed)
+        seeds = [int(s) for s in rng.integers(0, 2**31, members)]
+        variant = nn.NetworkVariant(kind, input_dim)
+        net, ref = nn.build(variant, seeds), nn.build(variant, seeds)
+        bump = rng.uniform(-0.3, 0.3, net.flat.shape)  # biases away from zero
+        net.flat[...] += bump
+        ref.flat[...] += bump
+
+        def targets(lead, rows):
+            if kind == "point":
+                return rng.normal(size=lead + (rows,))
+            return np.stack([rng.uniform(0.05, 0.95, lead + (rows,)),
+                             rng.uniform(0.01, 0.3, lead + (rows,))], axis=-1)
+
+        shared_x, member_x = rng.normal(size=(n, input_dim)), rng.normal(
+            size=(members, n, input_dim))
+        for x in (shared_x, member_x):
+            assert_same_bits(nn.forward(net, x), nn_reference.forward(net, x))
+        y = targets(() if shared else (members,), n)
+        for x in (shared_x, member_x):
+            value, grads = nn.gradients(net, x, y)
+            ref_value, ref_grads = nn_reference.gradients(net, x, y)
+            assert_same_bits(value, ref_value)
+            assert sorted(ref_grads) == sorted(grads.layers)
+            for name, grad in ref_grads.items():
+                assert_same_bits(grads.layers[name], grad)
+
+        val_x = rng.normal(size=(n_val, input_dim))
+        val_y = targets(() if shared else (members,), n_val)
+        if poisoned and not shared:  # the last member fails in epoch 1
+            y[-1, int(rng.integers(n))] = np.nan
+        cfg = nn.TrainConfig(learning_rate=3e-2, batch_size=batch_size, max_epochs=3,
+                             patience=patience)
+        history = nn.train(net, shared_x, y, val_x, val_y, cfg)
+        for got, want in zip(history.members, nn_reference.train(
+                ref, shared_x, y, val_x, val_y, cfg), strict=True):
+            assert_same_history(got, want)
+        assert_same_bits(net.flat, ref.flat)

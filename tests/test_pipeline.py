@@ -142,6 +142,18 @@ class TestWindowFeatures:
         assert starts.size == skipped.size == 0
         assert means.shape == (0, 2)
 
+    def test_warnings_keep_their_text(self, caplog):
+        holes = FrameSeries("s1", [0.0, 0.1, 0.2, 5.0, 5.1, 9.9], np.ones((6, 2)), "m")
+        with caplog.at_level("WARNING", logger="annodist.pipeline"):
+            window_features(FrameSeries("s0", np.empty(0), np.empty((0, 2)), "m"),
+                            WindowConfig())
+            window_features(holes, WindowConfig(1.0, 1.0))
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("annodist.pipeline", "WARNING", "window_features: empty series s0/m"),
+            ("annodist.pipeline", "WARNING",
+             "window_features: s1/m skipped 7 empty windows"),
+        ]
+
     def test_aggregation_permutation_invariant(self):
         # The window mean depends only on the multiset of in-window frames,
         # not on their order along the timeline.
@@ -327,6 +339,15 @@ class TestCsvRoundTrips:
         path = tmp_path / "features.csv"
         series = [make_series(), FrameSeries("s2", [0.0, 1.0], np.empty((2, 0)), "m")]
         with pytest.raises(DomainError, match="s2/m"):
+            write_feature_csv(path, series)
+        assert not path.exists()
+
+    def test_series_without_frames_rejected_before_writing(self, tmp_path):
+        # It would write no row, so the file read back would lack the series.
+        path = tmp_path / "features.csv"
+        series = [FrameSeries("s", [], np.empty((0, 2)), "m"),
+                  FrameSeries("t", [0.0], np.ones((1, 2)), "m")]
+        with pytest.raises(DomainError, match="s/m has no frames"):
             write_feature_csv(path, series)
         assert not path.exists()
 
