@@ -146,12 +146,6 @@ class ExperimentConfig:
             patience=self.patience,
         )
 
-    def model_names(self) -> list[str]:
-        names = list(self.variants) + [f"point[{b}]" for b in self.baselines]
-        if self.include_oracle:
-            names.append(ORACLE_MODEL)
-        return names
-
 
 def _decode_utf8(path, raw: bytes) -> str:
     """``raw``, the whole content of the file at ``path``, as UTF-8 text after

@@ -12,16 +12,17 @@ network, evaluated on the held-out windows:
   Beta and against the uniform Beta(1,1) reference (both KL directions are
   recorded; the configured one is reported first).
 
-The unit of work is a (network kind, fold) stack, trained in one
-:func:`nn.train` call: each moment variant stacks its ``n_seeds`` seeds, and
-``point`` stacks every baseline target x seed (they share architecture, init
-and shuffle and differ only in the target column).  Seeds are
+The grid is planned once, in this process, by :func:`_stacks`, which
+creates every cell.  The unit of work is a (network kind, fold) stack,
+trained in one :func:`nn.train` call: each moment variant stacks its
+``n_seeds`` seeds, and ``point`` stacks every baseline target x seed (they
+share architecture, init and shuffle and differ only in the target column).  Seeds are
 master_seed + {0..n_seeds-1}; a member's init and shuffle come from its seed
 alone, and each member early-stops on its own.  A member whose training
 turns non-finite, or whose test predictions are not finite, fails only its
 own cell.  ``jobs`` runs stacks in parallel worker processes, which only
 train and predict; the grid is deterministic and does not depend on
-``jobs``.
+``jobs``.  The oracle trains nothing: its cells score the true moments.
 
 The parent process scores every cell.  All moment cells, the oracle's
 included, are scored by one Beta fit (:func:`fit_beta_arrays`, non-strict)
@@ -39,6 +40,7 @@ reproducibility.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -70,25 +72,10 @@ DENSITY_POINTS = 512
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Subject-to-fold assignment with disjoint train/val/test per fold."""
+    """Subject-to-fold assignment; :func:`_fold` cuts each fold's splits."""
 
     k: int
     assignments: dict[str, int]
-
-    def fold_subjects(self, i: int) -> list[str]:
-        return sorted(s for s, f in self.assignments.items() if f == i)
-
-    def test_subjects(self, i: int) -> list[str]:
-        return self.fold_subjects(i)
-
-    def val_subjects(self, i: int) -> list[str]:
-        return self.fold_subjects((i + 1) % self.k)
-
-    def train_subjects(self, i: int) -> list[str]:
-        held = {i, (i + 1) % self.k}
-        return sorted(
-            s for s, f in self.assignments.items() if f not in held
-        )
 
 
 def make_folds(subjects: list[str], k: int = 5, seed: int = 0) -> FoldPlan:
@@ -147,8 +134,8 @@ class CellResult:
 
 @dataclass
 class ExperimentReport:
-    """Grid results.  ``folds`` are the folds the grid ran on, ``data`` its
-    dataset, and ``reference_predictions`` the ``(n_test, 2)`` moment
+    """Grid results.  ``cells`` run model by model, then by fold and seed;
+    ``folds`` are the folds the grid ran on, ``data`` its dataset, and ``reference_predictions`` the ``(n_test, 2)`` moment
     predictions of the ``variants[0]`` / fold-0 / master-seed member on fold
     0's test windows (None without variants, or when that cell failed)."""
 
@@ -160,17 +147,13 @@ class ExperimentReport:
     reference_predictions: np.ndarray | None = None
 
     def score_vectors(self, metric: str) -> dict[str, np.ndarray]:
-        """Per-model score arrays aligned by (fold, seed); NaN for failures."""
-        out: dict[str, np.ndarray] = {}
-        order = {}
+        """Per-model score arrays in cell order, so aligned by (fold, seed);
+        NaN for failures."""
+        vals: dict[str, list] = {}
         for c in self.cells:
-            order.setdefault(c.model, []).append(c)
-        for model, cells in order.items():
-            cells.sort(key=lambda c: (c.fold, c.seed))
-            vals = [c.scores.get(metric, np.nan) for c in cells]
-            if not all(np.isnan(vals)):
-                out[model] = np.array(vals, dtype=np.float64)
-        return out
+            vals.setdefault(c.model, []).append(c.scores.get(metric, np.nan))
+        return {model: np.array(v, dtype=np.float64)
+                for model, v in vals.items() if not all(np.isnan(v))}
 
     def failures(self) -> list[CellResult]:
         return [c for c in self.cells if c.failed is not None]
@@ -241,115 +224,98 @@ def _score_moment_cells(data: DatasetArrays, batch: list, epsilon: float,
 _GRID_PAYLOAD: dict = {}
 
 
-def _init_grid_worker(payload: dict) -> None:
-    _GRID_PAYLOAD.update(payload)
-
-
 def _fold(data: DatasetArrays, plan: FoldPlan, fold: int) -> Fold:
-    train = np.isin(data.subjects, plan.train_subjects(fold))
-    val = np.isin(data.subjects, plan.val_subjects(fold))
-    test = np.isin(data.subjects, plan.test_subjects(fold))
-    if not (train.any() and val.any() and test.any()):
+    """Fold ``fold``'s windows: its subjects test, the next fold's validate
+    and the rest train, so the splits are disjoint by construction."""
+    subjects, inverse = np.unique(data.subjects, return_inverse=True)
+    window_fold = np.array([plan.assignments[s] for s in subjects.tolist()])[inverse]
+    held_out = (window_fold - fold) % plan.k  # 0: test, 1: validation
+    train, val, test = (np.flatnonzero(held_out >= 2), np.flatnonzero(held_out == 1),
+                        np.flatnonzero(held_out == 0))
+    if not (train.size and val.size and test.size):
         raise InsufficientDataError(f"fold {fold}: a split has no windows")
-    # Subject-disjointness is a hard protocol invariant; assert, not assume.
-    assert not ((train & val).any() or (train & test).any() or (val & test).any())
-    train = np.where(train)[0]
     x = data.x[train]
     std = x.std(axis=0)
-    return Fold(train, np.where(val)[0], np.where(test)[0], x.mean(axis=0),
-                np.where(std > 0, std, 1.0))
+    return Fold(train, val, test, x.mean(axis=0), np.where(std > 0, std, 1.0))
 
 
-def _work_units(cfg: ExperimentConfig) -> list[tuple[str, int]]:
-    """The grid's (network kind, fold) stacks; the oracle is one more kind."""
-    kinds = list(cfg.variants) + ["point"] * bool(cfg.baselines)
+def _stacks(cfg: ExperimentConfig) -> list[tuple[str, int, list]]:
+    """The grid's ``(kind, fold, members)`` stacks in training order: kind by
+    kind, the oracle's last, and fold by fold.  A member is its cell and its
+    point target (None for a moment network); seeds run in order."""
+    seeds = [cfg.master_seed + s for s in range(cfg.n_seeds)]
+    kinds = [(kind, [(kind, None)]) for kind in cfg.variants]
+    if cfg.baselines:
+        kinds.append(("point", [(f"point[{b}]", b) for b in cfg.baselines]))
     if cfg.include_oracle:
-        kinds.append(ORACLE_MODEL)
-    return [(kind, fold) for kind in kinds for fold in range(cfg.k_folds)]
+        kinds.append((ORACLE_MODEL, [(ORACLE_MODEL, None)]))
+    return [(kind, fold, [(CellResult(model, fold, seed), target)
+                          for model, target in models for seed in seeds])
+            for kind, models in kinds for fold in range(cfg.k_folds)]
 
 
 def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _members(cfg: ExperimentConfig, kind: str) -> list[tuple[str, str | None, int]]:
-    """(model, point target, seed) of each member of a ``kind`` stack."""
-    seeds = [cfg.master_seed + s for s in range(cfg.n_seeds)]
-    if kind == "point":
-        return [(f"point[{b}]", b, seed) for b in cfg.baselines for seed in seeds]
-    return [(kind, None, seed) for seed in seeds]
+def _run_stack(data: DatasetArrays, cfg: ExperimentConfig, kind: str, split: Fold,
+               members: list[tuple[str | None, int]]) -> tuple[list, np.ndarray | None]:
+    """Train one ``kind`` stack of ``(point target, seed)`` members on a
+    fold's ``split`` and predict its test windows.
 
-
-def _run_stack(
-    data: DatasetArrays,
-    cfg: ExperimentConfig,
-    kind: str,
-    fold: int,
-    split: Fold,
-) -> tuple[list[CellResult], np.ndarray | None]:
-    """Train one (kind, fold) stack on that fold's ``split`` and predict its
-    test windows.
-
-    Returns its cells, in member order, with failed members marked, and the
-    members' test predictions: ``(M, n_test)`` for ``point``, ``(M, n_test,
-    2)`` moments otherwise, the oracle's one member being the true moments.
-    The predictions are None when the whole stack failed.
+    Returns each member's failure, or None, and the members' test
+    predictions: ``(M, n_test)`` for ``point``, ``(M, n_test, 2)`` moments
+    otherwise.  The predictions are None when the whole stack failed.
     """
-    members = _members(cfg, kind)
-    cells = [CellResult(model=model, fold=fold, seed=seed)
-             for model, _, seed in members]
     train_idx, val_idx, test_idx = split.train, split.val, split.test
-    if kind == ORACLE_MODEL:
-        return cells, np.column_stack([data.mu[test_idx], data.sigma[test_idx]])[None]
     try:
         x = (data.x - split.mean) / split.std
         if kind == "point":
-            y = np.stack([data.truth_desc[b] for _, b, _ in members])
+            y = np.stack([data.truth_desc[b] for b, _ in members])
             y_train, y_val = y[:, train_idx], y[:, val_idx]
         else:
             y = np.column_stack([data.mu, data.sigma])
             y_train, y_val = y[train_idx], y[val_idx]
         net = nn.build(nn.NetworkVariant(kind, data.x.shape[1]),
-                       [seed for _, _, seed in members])
+                       [seed for _, seed in members])
         history = nn.train(net, x[train_idx], y_train, x[val_idx], y_val,
                            cfg.train_config())
         pred = nn.predict(net, x[test_idx])
     except (AnnodistError, FloatingPointError) as exc:
-        for cell in cells:
-            cell.failed = _failure(exc)
-        return cells, None
+        return [_failure(exc)] * len(members), None
     # Scoring only ever sees finite predictions: a member without them fails here.
-    for cell, member, member_pred in zip(cells, history.members, pred):
-        if member.error is not None:
-            cell.failed = _failure(member.error)
-        elif not np.isfinite(member_pred).all():
-            cell.failed = _failure(TrainingError("non-finite test predictions"))
-    return cells, pred
+    return [_failure(member.error) if member.error is not None
+            else None if np.isfinite(member_pred).all()
+            else _failure(TrainingError("non-finite test predictions"))
+            for member, member_pred in zip(history.members, pred)], pred
 
 
-def _run_stack_task(unit: tuple[str, int]):
-    kind, fold = unit
-    return _run_stack(_GRID_PAYLOAD["data"], _GRID_PAYLOAD["cfg"], kind, fold,
-                      _GRID_PAYLOAD["folds"][fold])
+def _run_stack_task(task: tuple[str, int, list]):
+    kind, fold, members = task
+    return _run_stack(_GRID_PAYLOAD["data"], _GRID_PAYLOAD["cfg"], kind,
+                      _GRID_PAYLOAD["folds"][fold], members)
 
 
 def _score(data: DatasetArrays, cfg: ExperimentConfig, folds: list[Fold],
-           units: list[tuple[str, int]], results: list) -> None:
-    """Score every cell that trained: one concordance per point cell, and
-    every moment cell, the oracle's included, in one batched Beta fit."""
+           stacks: list, results: list) -> None:
+    """Mark each member's failure and score every cell that trained: one
+    concordance per point cell, and every moment cell, the oracle's on the
+    true moments, in one batched Beta fit.  ``results`` are the trained
+    stacks' and the oracle's stacks come last, so they pair with none."""
     batch = []
-    for (kind, fold), (cells, pred) in zip(units, results):
-        if pred is None:
-            continue
+    for (kind, fold, members), (failures, pred) in zip_longest(
+            stacks, results, fillvalue=(None, None)):
         test_idx = folds[fold].test
         if kind == ORACLE_MODEL:
-            batch.append((cells, pred[0, :, 0], pred[0, :, 1], test_idx))
+            batch.append(([cell for cell, _ in members], data.mu[test_idx],
+                          data.sigma[test_idx], test_idx))
             continue
         subjects = data.subjects[test_idx]
-        for m, (cell, (_, target, _)) in enumerate(zip(cells, _members(cfg, kind))):
-            if cell.failed is not None:
+        for m, ((cell, target), failure) in enumerate(zip(members, failures)):
+            cell.failed = failure
+            if failure is not None:
                 continue
-            if kind != "point":
+            if target is None:
                 batch.append(([cell], pred[m, :, 0], pred[m, :, 1], test_idx))
                 continue
             try:
@@ -361,10 +327,7 @@ def _score(data: DatasetArrays, cfg: ExperimentConfig, folds: list[Fold],
         _score_moment_cells(data, batch, cfg.epsilon, cfg.ccc_pooling)
 
 
-def run_grid(
-    table: WindowTable,
-    cfg: ExperimentConfig,
-) -> ExperimentReport:
+def run_grid(table: WindowTable, cfg: ExperimentConfig) -> ExperimentReport:
     """Train and evaluate every (model, fold, seed) cell of the grid.
 
     Each fold's split and normalisation are computed once, up front, so a
@@ -377,37 +340,31 @@ def run_grid(
     plan = make_folds(sorted(set(data.subjects.tolist())), cfg.k_folds,
                       cfg.master_seed)
     folds = [_fold(data, plan, i) for i in range(cfg.k_folds)]
-    units = _work_units(cfg)
-    workers = min(cfg.jobs, len(units))
+    stacks = _stacks(cfg)
+    tasks = [(kind, fold, [(target, cell.seed) for cell, target in members])
+             for kind, fold, members in stacks if kind != ORACLE_MODEL]
+    workers = min(cfg.jobs, len(tasks))
     if workers > 1:
         # Imported here so that no other command pays for loading them.
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
         payload = {"data": data, "cfg": cfg, "folds": folds}
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=get_context("fork"),
-            initializer=_init_grid_worker,
-            initargs=(payload,),
-        ) as pool:
-            results = list(pool.map(_run_stack_task, units))
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
+                                 initializer=_GRID_PAYLOAD.update, initargs=(payload,)) as pool:
+            results = list(pool.map(_run_stack_task, tasks))
     else:
-        results = [_run_stack(data, cfg, kind, fold, folds[fold])
-                   for kind, fold in units]
-    _score(data, cfg, folds, units, results)
-    by_key = {(c.model, c.fold, c.seed): c for cells, _ in results for c in cells}
-    cells = [
-        by_key[(model, fold, cfg.master_seed + s)]
-        for model in cfg.model_names()
-        for fold in range(cfg.k_folds)
-        for s in range(cfg.n_seeds)
-    ]
-    # With variants, units[0] is (variants[0], fold 0): the reference stack,
-    # whose master-seed member is its first cell.
-    reference = None
-    if cfg.variants and results[0][0][0].failed is None:
-        reference = results[0][1][0]
+        results = [_run_stack(data, cfg, kind, folds[fold], members)
+                   for kind, fold, members in tasks]
+    _score(data, cfg, folds, stacks, results)
+    # Stacks run kind by kind, fold by fold, seeds in order: ranking each
+    # model by its first cell gives the model -> fold -> seed order.
+    cells = [cell for _, _, members in stacks for cell, _ in members]
+    rank = {model: i for i, model in enumerate(dict.fromkeys(c.model for c in cells))}
+    cells.sort(key=lambda c: rank[c.model])
+    # With variants, the first stack is (variants[0], fold 0): the reference
+    # stack, whose master-seed member is the first cell.
+    reference = results[0][1][0] if cfg.variants and cells[0].failed is None else None
     return ExperimentReport(cfg, plan, cells, folds, data, reference)
 
 
@@ -531,7 +488,7 @@ def write_report(
     }
     summary = {
         "grid": {
-            "models": report.config.model_names(),
+            "models": list(dict.fromkeys(c.model for c in report.cells)),
             "k_folds": report.config.k_folds,
             "n_seeds": report.config.n_seeds,
             "master_seed": report.config.master_seed,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import types
 
 import numpy as np
 import pytest
@@ -89,17 +90,25 @@ class TestConfigChecks:
 class TestFolds:
     def test_balanced_assignment(self):
         plan = make_folds([f"s{i}" for i in range(10)], k=5, seed=0)
-        sizes = [len(plan.fold_subjects(i)) for i in range(5)]
-        assert sizes == [2, 2, 2, 2, 2]
+        assert sorted(plan.assignments) == [f"s{i}" for i in range(10)]
+        assert np.bincount(list(plan.assignments.values())).tolist() == [2, 2, 2, 2, 2]
 
     def test_subject_disjointness(self):
         plan = make_folds([f"s{i}" for i in range(11)], k=5, seed=3)
+        # Three windows per subject, in shuffled order.
+        subjects = np.random.default_rng(3).permutation(np.repeat(sorted(plan.assignments), 3))
+        data = types.SimpleNamespace(subjects=subjects, x=np.zeros((subjects.size, 1)))
         for i in range(5):
-            train = set(plan.train_subjects(i))
-            val = set(plan.val_subjects(i))
-            test = set(plan.test_subjects(i))
+            fold = experiments._fold(data, plan, i)
+            train, val, test = (set(subjects[idx].tolist())
+                                for idx in (fold.train, fold.val, fold.test))
             assert not (train & val) and not (train & test) and not (val & test)
             assert train | val | test == set(plan.assignments)
+            assert test == {s for s, f in plan.assignments.items() if f == i}
+            assert val == {s for s, f in plan.assignments.items() if f == (i + 1) % 5}
+            np.testing.assert_array_equal(
+                np.sort(np.concatenate([fold.train, fold.val, fold.test])),
+                np.arange(subjects.size))
 
     def test_deterministic(self):
         subjects = [f"s{i}" for i in range(9)]
@@ -112,7 +121,7 @@ class TestFolds:
 
 class TestRunGrid:
     def test_grid_is_complete(self, tiny_report):
-        models = TINY_GRID.model_names()
+        models = ["fully_shared", "point[median]", "oracle"]
         assert len(tiny_report.cells) == len(models) * 3 * 2
         seen = {(c.model, c.fold, c.seed) for c in tiny_report.cells}
         assert len(seen) == len(tiny_report.cells)
@@ -186,14 +195,15 @@ class TestRunGrid:
             assert "TrainingError" in c.failed
 
     def test_folds_are_the_plan_splits(self, tiny_report):
-        data, plan = tiny_report.data, tiny_report.fold_plan
-        assert len(tiny_report.folds) == TINY_GRID.k_folds
+        data, plan, k = tiny_report.data, tiny_report.fold_plan, TINY_GRID.k_folds
+        assert len(tiny_report.folds) == k
+        window_fold = np.array([plan.assignments[s] for s in data.subjects.tolist()])
         for i, fold in enumerate(tiny_report.folds):
-            for idx, subjects in ((fold.train, plan.train_subjects(i)),
-                                  (fold.val, plan.val_subjects(i)),
-                                  (fold.test, plan.test_subjects(i))):
-                np.testing.assert_array_equal(
-                    idx, np.flatnonzero(np.isin(data.subjects, subjects)))
+            val_fold = (i + 1) % k
+            for idx, held in ((fold.train, (window_fold != i) & (window_fold != val_fold)),
+                              (fold.val, window_fold == val_fold),
+                              (fold.test, window_fold == i)):
+                np.testing.assert_array_equal(idx, np.flatnonzero(held))
             np.testing.assert_array_equal(fold.mean, data.x[fold.train].mean(axis=0))
 
     def test_constant_feature_is_not_scaled(self, tiny_table):
