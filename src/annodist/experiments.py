@@ -62,7 +62,7 @@ from .consensus import (
     fit_beta_arrays,
     moment_match_arrays,
 )
-from .errors import AnnodistError, DomainError, InsufficientDataError, TrainingError
+from .errors import AnnodistError, DataError, DomainError, InsufficientDataError, TrainingError
 from .metrics import PairedSeries, ccc, kl_beta_arrays, wilcoxon_signed_rank
 from .pipeline import WindowTable, write_table
 
@@ -330,12 +330,15 @@ def _score(data: DatasetArrays, cfg: ExperimentConfig, folds: list[Fold],
 def run_grid(table: WindowTable, cfg: ExperimentConfig) -> ExperimentReport:
     """Train and evaluate every (model, fold, seed) cell of the grid.
 
-    Each fold's split and normalisation are computed once, up front, so a
-    fold with an empty split raises before anything trains.  Stacks train
-    and predict on at most ``cfg.jobs`` worker processes, never more than
-    there are stacks; this process then scores every cell.  Cell failures
-    are recorded in the report and do not stop the grid.
+    A table without features raises, and so does a fold with an empty split:
+    each fold's split and normalisation are computed once, up front, before
+    anything trains.  Stacks train and predict on at most ``cfg.jobs`` worker
+    processes, never more than there are stacks; this process then scores
+    every cell.  Cell failures are recorded in the report and do not stop
+    the grid.
     """
+    if not table.x.shape[1]:
+        raise DataError("run_grid: the dataset has no feature column")
     data = DatasetArrays.from_samples(table, cfg.epsilon)
     plan = make_folds(sorted(set(data.subjects.tolist())), cfg.k_folds,
                       cfg.master_seed)
@@ -425,7 +428,7 @@ def emit_density_data(
         raise DomainError("emit_density_data: empty window selection")
     if np.any(indices < 0) or np.any(indices >= data.x.shape[0]):
         raise DomainError("emit_density_data: window index out of range")
-    if np.asarray(mu_hat).shape != indices.shape:
+    if any(np.shape(p) != indices.shape for p in (mu_hat, sigma_hat)):
         raise DomainError("emit_density_data: predictions must align with indices")
     grid = (np.arange(DENSITY_POINTS) + 0.5) / DENSITY_POINTS
     pmu, psigma = clamp_moments_arrays(mu_hat, sigma_hat, epsilon)

@@ -93,8 +93,8 @@ class NetworkVariant:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"NetworkVariant: unknown kind {self.kind!r}")
-        if self.input_dim < 2:
-            raise DomainError("NetworkVariant: input_dim must be >= 2")
+        if self.input_dim < 1:
+            raise DomainError("NetworkVariant: input_dim must be >= 1")
 
 
 @functools.lru_cache(maxsize=None)

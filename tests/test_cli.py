@@ -254,6 +254,39 @@ class TestRun:
         rows = out.joinpath("density_data.csv").read_text().strip().splitlines()
         assert len(rows) - 1 == 4 * 512
 
+    def test_one_feature_dataset_runs(self, tmp_path):
+        # hidden_dims(1) is (1, 1), so every network of the grid trains.
+        synth_args = ["--n-subjects", 6, "--duration", 24, "--frame-rate", 10,
+                      "--n-annotators", 4, "--feature-dim", 1, "--seed", 5]
+        assert run_cli("synth", "--out", tmp_path / "s", *synth_args) == 0
+        assert run_cli("build", "--features", tmp_path / "s" / "features.csv",
+                       "--annotations", tmp_path / "s" / "annotations.csv",
+                       "--out", tmp_path / "b") == 0
+        out = tmp_path / "run"
+        assert run_cli("run", "--dataset", tmp_path / "b", "--out", out, "--k-folds", 3,
+                       "--n-seeds", 1, "--max-epochs", 2) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["grid"]["cells"] == (3 + 5) * 3
+        assert summary["grid"]["failures"] == []
+
+    def test_dataset_without_features_exit_2_before_any_stack(
+            self, built_dir, tmp_path, capsys, monkeypatch):
+        from annodist import experiments
+
+        def no_stack(*args, **kwargs):
+            raise AssertionError("a stack ran on a dataset without features")
+
+        monkeypatch.setattr(experiments, "_run_stack", no_stack)
+        with open(built_dir / "dataset.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        with open(bare / "dataset.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(row[:5] for row in rows)
+        assert run_cli("run", "--dataset", bare, "--out", tmp_path / "run",
+                       "--k-folds", 3, "--n-seeds", 1) == 2
+        assert "the dataset has no feature column" in capsys.readouterr().err
+
 
 class TestReport:
     def test_prints_summary_tables(self, built_dir, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Fold construction, grid execution, significance marking, density output."""
 
 import dataclasses
+import json
 import re
 import types
 
@@ -193,6 +194,30 @@ class TestRunGrid:
         assert failed == {"fully_shared", "point[median]"}
         for c in report.failures():
             assert "TrainingError" in c.failed
+
+    @pytest.mark.parametrize("grid", [
+        dict(variants=("independent", "fully_shared"), baselines=()),
+        dict(variants=(), baselines=("skew", "median")),
+        dict(variants=("shared_first", "fully_shared"), baselines=("q75", "median"),
+             include_oracle=True),
+        dict(n_seeds=1),
+        dict(baselines=("median",), include_oracle=True, learning_rate=1e200),
+    ], ids=["variants", "baselines", "both-and-oracle", "one-seed", "failing"])
+    def test_cells_run_model_fold_seed_in_config_order(self, tiny_table, tmp_path,
+                                                        grid):
+        cfg = ExperimentConfig(**{"k_folds": 3, "n_seeds": 2, "master_seed": 4,
+                                  "variants": ("fully_shared",), "max_epochs": 2,
+                                  **grid})
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_grid(tiny_table, cfg)
+        models = [*cfg.variants, *(f"point[{b}]" for b in cfg.baselines),
+                  *["oracle"] * cfg.include_oracle]
+        assert [(c.model, c.fold, c.seed) for c in report.cells] == [
+            (model, fold, cfg.master_seed + s)
+            for model in models for fold in range(3) for s in range(cfg.n_seeds)]
+        assert bool(report.failures()) == (cfg.learning_rate == 1e200)
+        summary = json.loads(write_report(report, tmp_path)["summary"].read_text())
+        assert summary["grid"]["models"] == models
 
     def test_folds_are_the_plan_splits(self, tiny_report):
         data, plan, k = tiny_report.data, tiny_report.fold_plan, TINY_GRID.k_folds
@@ -478,6 +503,11 @@ class TestDensityData:
         with pytest.raises(DomainError):
             emit_density_data(data, data.mu[:1], data.sigma[:1],
                               np.array([99]), tmp_path / "d.csv")
+        # A sigma_hat that does not align with the indices is not broadcast.
+        with pytest.raises(DomainError, match="must align with indices"):
+            emit_density_data(data, data.mu[:3], data.sigma[:1],
+                              np.arange(3), tmp_path / "d.csv")
+        assert not (tmp_path / "d.csv").exists()
 
 
 class TestWriteReport:
@@ -512,8 +542,6 @@ class TestWriteReport:
         assert len(rows) == 2 * 3 * 2
 
     def test_summary_tracks_normalization(self, tiny_report, tmp_path):
-        import json
-
         paths = write_report(tiny_report, tmp_path)
         summary = json.loads(paths["summary"].read_text())
         assert len(summary["fold_normalization"]) == 3

@@ -73,6 +73,14 @@ class TestGeometry:
         with pytest.raises(DomainError):
             nn.NetworkVariant("resnet", 8)
 
+    @pytest.mark.parametrize("kind", nn.KINDS)
+    def test_one_input_builds_and_none_is_rejected(self, kind):
+        # hidden_dims(1) is (1, 1): a one-feature dataset trains.
+        net = nn.build(nn.NetworkVariant(kind, 1), 0)
+        assert nn.predict(net, np.zeros((3, 1))).shape[1] == 3
+        with pytest.raises(DomainError, match="input_dim must be >= 1"):
+            nn.NetworkVariant(kind, 0)
+
 
 class TestForward:
     def test_zero_parameters_give_neutral_outputs(self):
@@ -464,7 +472,7 @@ class TestReference:
     @pytest.mark.parametrize("members", [1, 2, 7])
     @pytest.mark.parametrize("batches", ["short", "ragged"])
     @settings(max_examples=6, deadline=None, derandomize=True)
-    @given(input_dim=st.integers(2, 9), batch_size=st.integers(3, 24),
+    @given(input_dim=st.integers(1, 9), batch_size=st.integers(3, 24),
            rows=st.integers(1, 23), n_val=st.integers(1, 12), shared=st.booleans(),
            poisoned=st.booleans(), patience=st.integers(1, 3),
            seed=st.integers(0, 2**16))
