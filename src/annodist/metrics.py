@@ -58,7 +58,8 @@ def ccc(s: PairedSeries) -> float:
     mx = x.mean()
     my = y.mean()
     cov = ((x - mx) * (y - my)).mean()
-    denom = x.var() + y.var() + (mx - my) ** 2
+    d = mx - my  # d * d is correctly rounded; d ** 2 calls libm pow, which need not be
+    denom = x.var() + y.var() + d * d
     if denom == 0.0:
         return 0.0
     return float(2.0 * cov / denom)
