@@ -16,13 +16,14 @@ The grid is planned once, in this process, by :func:`_stacks`, which
 creates every cell.  The unit of work is a (network kind, fold) stack,
 trained in one :func:`nn.train` call: each moment variant stacks its
 ``n_seeds`` seeds, and ``point`` stacks every baseline target x seed (they
-share architecture, init and shuffle and differ only in the target column).  Seeds are
-master_seed + {0..n_seeds-1}; a member's init and shuffle come from its seed
-alone, and each member early-stops on its own.  A member whose training
-turns non-finite, or whose test predictions are not finite, fails only its
-own cell.  ``jobs`` runs stacks in parallel worker processes, which only
-train and predict; the grid is deterministic and does not depend on
-``jobs``.  The oracle trains nothing: its cells score the true moments.
+share architecture, init and shuffle and differ only in the target
+column).  Seeds are master_seed + {0..n_seeds-1}; a member's init and
+shuffle come from its seed alone, and each member early-stops on its own.
+A member whose training turns non-finite, or whose test predictions are not
+finite, fails only its own cell.  ``jobs`` runs stacks in parallel worker
+processes, which only train and predict; the grid is deterministic and does
+not depend on ``jobs``.  The oracle trains nothing: its cells score the true
+moments.
 
 The parent process scores every cell.  All moment cells, the oracle's
 included, are scored by one Beta fit (:func:`fit_beta_arrays`, non-strict)
@@ -62,7 +63,8 @@ from .consensus import (
     fit_beta_arrays,
     moment_match_arrays,
 )
-from .errors import AnnodistError, DataError, DomainError, InsufficientDataError, TrainingError
+from .errors import (AnnodistError, DataError, DomainError, InsufficientDataError,
+                     TrainingError)
 from .metrics import PairedSeries, ccc, kl_beta_arrays, wilcoxon_signed_rank
 from .pipeline import WindowTable, write_table
 
@@ -135,9 +137,10 @@ class CellResult:
 @dataclass
 class ExperimentReport:
     """Grid results.  ``cells`` run model by model, then by fold and seed;
-    ``folds`` are the folds the grid ran on, ``data`` its dataset, and ``reference_predictions`` the ``(n_test, 2)`` moment
-    predictions of the ``variants[0]`` / fold-0 / master-seed member on fold
-    0's test windows (None without variants, or when that cell failed)."""
+    ``folds`` are the folds the grid ran on, ``data`` its dataset, and
+    ``reference_predictions`` the ``(n_test, 2)`` moment predictions of the
+    ``variants[0]`` / fold-0 / master-seed member on fold 0's test windows
+    (None without variants, or when that cell failed)."""
 
     config: ExperimentConfig
     fold_plan: FoldPlan
@@ -301,7 +304,7 @@ def _score(data: DatasetArrays, cfg: ExperimentConfig, folds: list[Fold],
     """Mark each member's failure and score every cell that trained: one
     concordance per point cell, and every moment cell, the oracle's on the
     true moments, in one batched Beta fit.  ``results`` are the trained
-    stacks' and the oracle's stacks come last, so they pair with none."""
+    stacks'; the oracle's stacks come last and pair with none."""
     batch = []
     for (kind, fold, members), (failures, pred) in zip_longest(
             stacks, results, fillvalue=(None, None)):
@@ -354,7 +357,8 @@ def run_grid(table: WindowTable, cfg: ExperimentConfig) -> ExperimentReport:
 
         payload = {"data": data, "cfg": cfg, "folds": folds}
         with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
-                                 initializer=_GRID_PAYLOAD.update, initargs=(payload,)) as pool:
+                                 initializer=_GRID_PAYLOAD.update,
+                                 initargs=(payload,)) as pool:
             results = list(pool.map(_run_stack_task, tasks))
     else:
         results = [_run_stack(data, cfg, kind, folds[fold], members)
