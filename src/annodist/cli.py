@@ -237,13 +237,6 @@ def _write_manifest(args, params: dict) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _read_traces(path, cfg: WindowConfig) -> list:
-    from . import pipeline
-
-    return [pipeline.rescale_annotations(tr, cfg.label_range)
-            for tr in pipeline.read_annotation_csv(path)]
-
-
 def _cmd_synth(args) -> int:
     params, (cfg, window_cfg) = _resolve(args)
     from . import synthetic
@@ -261,9 +254,9 @@ def _cmd_build(args) -> int:
 
     outdir = _write_manifest(args, params)
     features = pipeline.read_feature_csv(args.features)
-    table, report = pipeline.build_dataset(
-        features, _read_traces(args.annotations, cfg), cfg, opts.modalities, opts.epsilon
-    )
+    traces = pipeline.read_annotation_csv(args.annotations)
+    table, report = pipeline.build_dataset(features, traces, cfg, opts.modalities,
+                                           opts.epsilon)
     path = pipeline.write_dataset(outdir, table, report, cfg)
     print(f"dataset: {path}")
     print(
@@ -280,8 +273,9 @@ def _cmd_fit(args) -> int:
     from . import consensus, pipeline
 
     outdir = _write_manifest(args, params)
+    traces = pipeline.read_annotation_csv(args.annotations)
     eps = opts.epsilon
-    table, _ = pipeline.window_consensus(_read_traces(args.annotations, cfg), cfg, eps)
+    table, _ = pipeline.window_consensus(traces, cfg, eps)
     if not len(table):
         raise DataError("fit: no valid windows found")
     mu, sigma = table.mu, table.sigma

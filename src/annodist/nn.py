@@ -28,6 +28,9 @@ sees its copies' parameters as one ``(M, copies, fan_in + 1, fan_out)``
 view ``[W; b]``.  Every activation that feeds a layer carries a trailing
 ones column, so a layer's forward pass is one batched ``np.matmul`` over
 members and copies, and one more writes ``[gW; gb]`` in its backward pass.
+Every pass takes plain ``(n, d)`` or ``(M, n, d)`` features and adds the
+ones column itself; the one input that already has it is a workspace's own
+batch buffer, which :func:`train` gathers each batch into.
 Every pass runs all members at once.  Each reduction stays inside one
 member's slice, so a member's numbers do not depend on which other members
 share its stack.
@@ -324,15 +327,14 @@ class Workspace:
             found = self._passes[n] = self._allocate(n, backward)
         return found
 
-    def load(self, x, augmented: bool = False) -> _Pass:
+    def load(self, x) -> _Pass:
         """The backward pass for inputs ``x``, as :func:`forward` takes them,
         with ``x`` in its input buffer.  :func:`train` gathers each batch
-        straight into that buffer and hands the buffer in."""
-        if augmented:
-            found = self._passes.get(x.shape[-2])
-            if found is not None and x is found.x:
+        straight into that buffer, ones column included, and hands it in."""
+        for found in self._passes.values():
+            if x is found.x:
                 return found
-        x = _as_inputs(self.net, x, augmented)
+        x = _as_inputs(self.net, x)
         found = self.pass_for(x.shape, backward=True)
         found.x[...] = x
         return found
@@ -396,20 +398,18 @@ def _backward_layers(layers: list[_Layer], dout: np.ndarray) -> None:
             dout = np.add(*layer.fold, out=layer.fold[0])
 
 
-def _as_inputs(net: Network, x, augmented: bool = False) -> np.ndarray:
+def _as_inputs(net: Network, x) -> np.ndarray:
     """``x`` as ``(n, d + 1)`` or ``(M, n, d + 1)`` inputs whose last column
-    is ones; ``augmented`` inputs already have it."""
+    is ones."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    if (x.ndim not in (2, 3) or x.shape[-1] != net.input_dim + augmented
+    if (x.ndim not in (2, 3) or x.shape[-1] != net.input_dim
             or (x.ndim == 3 and x.shape[0] != net.n_members)):
         raise DomainError(
             f"forward: expected (n, {net.input_dim}) or "
             f"({net.n_members}, n, {net.input_dim}) inputs, got {x.shape}"
         )
-    if augmented:
-        return x
     out = np.ones(x.shape[:-1] + (x.shape[-1] + 1,))
     out[..., :-1] = x
     return out
@@ -421,19 +421,17 @@ def _require_finite(what: str, *arrays) -> None:
             raise DomainError(f"{what}: inputs must be finite")
 
 
-def forward(net: Network, x, work: Workspace | None = None,
-            augmented: bool = False) -> np.ndarray:
+def forward(net: Network, x, work: Workspace | None = None) -> np.ndarray:
     """Batch forward pass of every member.
 
     ``x`` is ``(n, d)``, shared by all members, or ``(M, n, d)``, one batch
-    per member; ``augmented`` inputs carry a last column of ones, as
-    :func:`train` builds them.  Moment variants return an ``(M, n, 2)``
-    array of (mu_hat, sigma_hat); point variants an ``(M, n)`` array.  The
-    pass runs in ``work``'s buffers for this input shape (a fresh
-    :class:`Workspace` without one).  Inputs are not scanned for finiteness
-    here; :func:`train` and :func:`predict` do that.
+    per member.  Moment variants return an ``(M, n, 2)`` array of (mu_hat,
+    sigma_hat); point variants an ``(M, n)`` array.  The pass runs in
+    ``work``'s buffers for this input shape (a fresh :class:`Workspace`
+    without one).  Inputs are not scanned for finiteness here; :func:`train`
+    and :func:`predict` do that.
     """
-    x = _as_inputs(net, x, augmented)
+    x = _as_inputs(net, x)
     buffers = (work or Workspace(net)).pass_for(x.shape)
     # Per-member inputs broadcast over the copy axis.
     _forward_layers(buffers.layers, x if x.ndim == 2 else x[:, None])
@@ -442,9 +440,9 @@ def forward(net: Network, x, work: Workspace | None = None,
 
 def predict(net: Network, x) -> np.ndarray:
     """:func:`forward` on inputs that are first checked to be finite."""
-    x = _as_inputs(net, x)
+    x = np.asarray(x, dtype=np.float64)
     _require_finite("predict", x)
-    return forward(net, x, augmented=True)
+    return forward(net, x)
 
 
 def _residual_loss(residual: np.ndarray, width: int) -> np.ndarray:
@@ -466,13 +464,12 @@ def loss_value(net: Network, out: np.ndarray, targets) -> np.ndarray:
     return _residual_loss(residual, _out_width(net.variant))
 
 
-def loss(net: Network, x, targets, work: Workspace | None = None,
-         augmented: bool = False) -> np.ndarray:
-    return loss_value(net, forward(net, x, work, augmented), targets)
+def loss(net: Network, x, targets, work: Workspace | None = None) -> np.ndarray:
+    return loss_value(net, forward(net, x, work), targets)
 
 
 def gradients(
-    net: Network, x, targets, work: Workspace | None = None, augmented: bool = False
+    net: Network, x, targets, work: Workspace | None = None
 ) -> tuple[np.ndarray, FlatParams]:
     """Per-member losses and the analytic gradient of each member's loss
     with respect to its own parameters, laid out like ``net.params``.
@@ -481,7 +478,7 @@ def gradients(
     the next call on that workspace overwrites them.
     """
     work = work or Workspace(net)
-    buffers = work.load(x, augmented)
+    buffers = work.load(x)
     _forward_layers(buffers.layers, buffers.layers[0].a_in)
     out = buffers.out
     residual = np.subtract(out, targets, out=buffers.residual)
@@ -538,7 +535,7 @@ def adam_step(
 
 def backward_and_step(
     net: Network, x, targets, state: AdamState, cfg: TrainConfig,
-    work: Workspace | None = None, augmented: bool = False,
+    work: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One gradient step of every member, in ``work``'s buffers.
 
@@ -546,7 +543,7 @@ def backward_and_step(
     gradient norm were finite.  A member outside that mask is not updated.
     """
     work = work or Workspace(net)
-    value, grads = gradients(net, x, targets, work, augmented)
+    value, grads = gradients(net, x, targets, work)
     # The max-norm is finite exactly when every entry is, and cannot overflow.
     norm = np.maximum.reduce(np.abs(grads.flat, out=work.scratch), axis=1)
     finite = np.isfinite(value) & np.isfinite(norm)
@@ -636,9 +633,9 @@ def train(
     if np.shape(train_x)[0] == 0 or np.shape(val_x)[0] == 0:
         raise TrainingError("train: empty training or validation split")
     # Features are shared by every member; a member's own non-finite targets
-    # fail it alone, through the per-step loss check.  Both splits get their
-    # ones column here, once, and every batch is gathered from them.
-    train_x, val_x = _as_inputs(net, train_x), _as_inputs(net, val_x)
+    # fail it alone, through the per-step loss check.  The training split
+    # gets its ones column here, once, and every batch is gathered from it.
+    train_x, val_x = _as_inputs(net, train_x), np.asarray(val_x, dtype=np.float64)
     _require_finite("train", train_x, val_x)
     n, n_members = train_x.shape[0], net.n_members
     member_ndim = 2 if _out_width(net.variant) == 1 else 3  # targets per member
@@ -666,8 +663,7 @@ def train(
             y = (train_y[ids[:, None], idx] if train_y.ndim == member_ndim
                  else train_y.take(idx, axis=0))
             train_x.take(idx, axis=0, out=batches[j].x, mode="clip")
-            value, finite = backward_and_step(stack, batches[j].x, y, state, cfg, work,
-                                              augmented=True)
+            value, finite = backward_and_step(stack, batches[j].x, y, state, cfg, work)
             batch_losses[ids, j] = value
             if not finite.all():
                 for row in np.flatnonzero(~finite):
@@ -683,8 +679,7 @@ def train(
         if not ids.size:
             break
         train_loss = np.add.reduce(batch_losses[ids], axis=1) / len(starts)
-        val = loss(stack, val_x, val_y[ids] if val_y.ndim == member_ndim else val_y,
-                   work, augmented=True)
+        val = loss(stack, val_x, val_y[ids] if val_y.ndim == member_ndim else val_y, work)
         # A member stops after cfg.patience epochs past its best one.
         live = []
         for row, (m, t, v) in enumerate(zip(ids.tolist(), train_loss.tolist(),

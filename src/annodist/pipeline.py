@@ -7,10 +7,11 @@ stream at once.  :func:`_window_means` is the one place where a stream is cut
 into windows: features, each annotator's trace and the synthetic truth all
 go through it, so a window's start has the same bits in every stream.
 Features are averaged per window and concatenated across modalities;
-annotations are averaged per annotator within the window and reduced to
-clamped consensus moments across annotators.  The windows travel
-as one columnar :class:`WindowTable`, from :func:`build_dataset` through
-:func:`write_dataset`/:func:`read_dataset` to the experiment grid.
+annotations are mapped from the label range onto [0, 1], averaged per
+annotator within the window and reduced to clamped consensus moments across
+annotators.  The windows travel as one columnar :class:`WindowTable`, from
+:func:`build_dataset` through :func:`write_dataset`/:func:`read_dataset` to
+the experiment grid.
 
 CSV interfaces
 --------------
@@ -18,7 +19,8 @@ CSV interfaces
   have at least one feature cell, empty cells are ignored, and NaN features
   are allowed (NaN frames are dropped at windowing).
 * annotations:  header ``subject_id,annotator_id,timestamp,value``, exactly
-  4 columns, finite values.
+  4 columns, finite values; :func:`window_consensus` takes them as they are
+  read and rejects a value outside the label range.
 * built dataset: ``subject_id,window_start,n_annotators,mu,sigma,f0,...`` plus
   a JSON manifest (label range, modality dims, window config, subjects).
   Rows must be as wide as the header, with an integer ``n_annotators``,
@@ -201,29 +203,6 @@ def window_features(
     return starts[full], means[full], skipped
 
 
-def rescale_annotations(
-    trace: AnnotationTrace, label_range: tuple[float, float]
-) -> AnnotationTrace:
-    """Linearly map values from [lo, hi] onto [0, 1]; order preserving."""
-    lo, hi = label_range
-    if not hi > lo:
-        raise DomainError("rescale_annotations: label range must satisfy hi > lo")
-    bad = (trace.values < lo) | (trace.values > hi)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise DomainError(
-            f"rescale_annotations: value {trace.values[i]!r} outside "
-            f"[{lo}, {hi}] for annotator {trace.annotator_id!r} "
-            f"at t={trace.timestamps[i]!r}"
-        )
-    return AnnotationTrace(
-        trace.subject_id,
-        trace.annotator_id,
-        trace.timestamps,
-        (trace.values - lo) / (hi - lo),
-    )
-
-
 def window_consensus(
     traces: list[AnnotationTrace],
     cfg: WindowConfig,
@@ -235,14 +214,21 @@ def window_consensus(
     and each subject's dropped window starts.  Each annotator's in-window
     values are averaged to one scalar first, so sigma measures pure
     inter-annotator disagreement.  Annotators without a sample in a window
-    are excluded; windows with fewer than two of them are dropped.
+    are excluded; windows with fewer than two of them are dropped.  Values
+    must lie in ``cfg.label_range`` ``(lo, hi)``, which is mapped onto [0, 1]
+    as ``(v - lo) / (hi - lo)`` before windowing (the default (0, 1) keeps
+    every bit).
     """
+    lo, hi = cfg.label_range
     by_subject: dict[str, list[AnnotationTrace]] = {}
     for tr in traces:
-        if np.any(tr.values < 0.0) or np.any(tr.values > 1.0):
+        bad = (tr.values < lo) | (tr.values > hi)
+        if bad.any():
+            i = int(np.argmax(bad))
             raise DomainError(
-                f"window_consensus: annotator {tr.annotator_id!r} has values "
-                "outside [0, 1]; rescale first"
+                f"window_consensus: value {float(tr.values[i])!r} outside "
+                f"[{lo}, {hi}] for subject {tr.subject_id!r} annotator "
+                f"{tr.annotator_id!r} at t={float(tr.timestamps[i])!r}"
             )
         group = by_subject.setdefault(tr.subject_id, [])
         if any(t.annotator_id == tr.annotator_id for t in group):
@@ -266,8 +252,9 @@ def window_consensus(
             dropped[subject] = np.empty(0)
             continue
         # One column per annotator: its sample count and mean in each window.
-        grids, counts, means = zip(*(_window_means(tr.timestamps, tr.values, max(ends), cfg)
-                                     for tr in group))
+        grids, counts, means = zip(*(
+            _window_means(tr.timestamps, (tr.values - lo) / (hi - lo), max(ends), cfg)
+            for tr in group))
         present, means = np.column_stack(counts) > 0, np.column_stack(means)
         count = present.sum(axis=1)
         kept = count >= 2
@@ -296,7 +283,8 @@ def build_dataset(
 
     Feature vectors are concatenated across the selected modalities in the
     given order (sorted set of all modalities when unspecified).  Windows
-    present on only one side are dropped and counted.
+    present on only one side are dropped and counted.  Annotation values are
+    on ``cfg.label_range``, as :func:`window_consensus` takes them.
     """
     by_key: dict[tuple[str, str], FrameSeries] = {}
     for fs in features:

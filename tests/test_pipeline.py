@@ -1,4 +1,4 @@
-"""Windowing, rescaling, consensus targets, dataset joins and CSV formats."""
+"""Windowing, label ranges, consensus targets, dataset joins and CSV formats."""
 
 import codecs
 import contextlib
@@ -26,7 +26,6 @@ from annodist.pipeline import (
     read_annotation_csv,
     read_dataset,
     read_feature_csv,
-    rescale_annotations,
     window_consensus,
     window_features,
     window_starts,
@@ -187,33 +186,6 @@ class TestWindowFeatures:
             np.testing.assert_allclose(vc, a * vx + b * vy, atol=1e-12)
 
 
-class TestRescale:
-    def test_midpoint(self):
-        tr = AnnotationTrace("s", "a", np.array([0.0]), np.array([0.0]))
-        assert rescale_annotations(tr, (-1.0, 1.0)).values[0] == pytest.approx(0.5)
-
-    def test_low_boundary(self):
-        tr = AnnotationTrace("s", "a", np.array([0.0]), np.array([-1.0]))
-        assert rescale_annotations(tr, (-1.0, 1.0)).values[0] == 0.0
-
-    def test_percent_scale(self):
-        tr = AnnotationTrace("s", "a", np.array([0.0]), np.array([37.0]))
-        assert rescale_annotations(tr, (0.0, 100.0)).values[0] == pytest.approx(0.37)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(22)
-        values = rng.uniform(-4.0, 3.0, 100)
-        tr = AnnotationTrace("s", "a", np.arange(100.0), values)
-        lo, hi = -4.0, 3.0
-        scaled = rescale_annotations(tr, (lo, hi))
-        np.testing.assert_allclose(scaled.values * (hi - lo) + lo, values, atol=1e-12)
-
-    def test_out_of_range_names_context(self):
-        tr = AnnotationTrace("s", "rater7", np.array([1.5]), np.array([2.0]))
-        with pytest.raises(DomainError, match="rater7"):
-            rescale_annotations(tr, (-1.0, 1.0))
-
-
 class TestWindowConsensus:
     def test_two_constant_annotators(self):
         traces = [constant_trace(0.4, annotator="a1"),
@@ -268,6 +240,58 @@ class TestWindowConsensus:
             window_consensus([bad, ok], WindowConfig(1.0, 1.0))
 
 
+def raw_consensus(monkeypatch, traces, label_range, window_len=3.0, stride=0.4):
+    """The consensus moments of ``traces`` before the validity clamp."""
+    monkeypatch.setattr(pipeline, "clamp_moments_arrays", lambda mu, sigma, eps: (mu, sigma))
+    table, _ = window_consensus(traces, WindowConfig(window_len, stride, label_range))
+    return table.mu, table.sigma
+
+
+class TestRescale:
+    """``window_consensus`` maps values from ``cfg.label_range`` onto [0, 1]."""
+
+    def test_midpoint(self):
+        traces = [constant_trace(0.0, annotator=a) for a in ("a1", "a2")]
+        table, _ = window_consensus(traces, WindowConfig(label_range=(-1.0, 1.0)))
+        assert len(table)
+        np.testing.assert_allclose(table.mu, 0.5)
+
+    def test_low_boundary(self, monkeypatch):
+        traces = [constant_trace(-1.0, annotator=a) for a in ("a1", "a2")]
+        mu, sigma = raw_consensus(monkeypatch, traces, (-1.0, 1.0))
+        assert mu.size and np.all(mu == 0.0) and np.all(sigma == 0.0)
+
+    def test_percent_scale(self):
+        traces = [constant_trace(37.0, annotator=a) for a in ("a1", "a2")]
+        table, _ = window_consensus(traces, WindowConfig(label_range=(0.0, 100.0)))
+        assert len(table)
+        np.testing.assert_allclose(table.mu, 0.37)
+
+    def test_round_trip(self, monkeypatch):
+        # One sample per annotator in each 1 s window [k, k + 1).
+        rng = np.random.default_rng(22)
+        lo, hi = -4.0, 3.0
+        values = rng.uniform(lo, hi, (2, 100))
+        traces = [AnnotationTrace("s", a, np.arange(100.0), v)
+                  for a, v in zip(("a1", "a2"), values)]
+        mu, sigma = raw_consensus(monkeypatch, traces, (lo, hi), 1.0, 1.0)
+        assert mu.size == 99
+        np.testing.assert_allclose(mu * (hi - lo) + lo, values[:, :99].mean(axis=0),
+                                   atol=1e-12)
+        np.testing.assert_allclose(sigma * (hi - lo), values[:, :99].std(axis=0),
+                                   atol=1e-12)
+
+    def test_out_of_range_names_context(self):
+        bad = AnnotationTrace("s9", "rater7", np.array([1.5]), np.array([2.0]))
+        ok = constant_trace(0.0, subject="s9", annotator="a2")
+        with pytest.raises(DomainError) as info:
+            window_consensus([ok, bad], WindowConfig(label_range=(-1.0, 1.0)))
+        message = str(info.value)
+        assert "'rater7'" in message and "'s9'" in message
+        assert "value 2.0 " in message and "t=1.5" in message
+        assert "np." not in message
+
+
 class TestBuildDataset:
     def _annotations(self, subject="s1", duration=10.0):
         return [constant_trace(0.4, subject, "a1", duration),
@@ -311,6 +335,21 @@ class TestBuildDataset:
         cap = table.mu * (1 - table.mu)
         assert np.all((0 < table.mu) & (table.mu < 1))
         assert np.all((0 < table.sigma**2) & (table.sigma**2 < cap))
+
+    def test_percent_scale_matches_rescaled_traces(self):
+        rng = np.random.default_rng(24)
+        lo, hi = 0.0, 100.0
+        t = np.arange(50) / 5.0
+        traces = [AnnotationTrace("s1", f"a{i}", t, rng.uniform(lo, hi, t.size))
+                  for i in range(3)]
+        rescaled = [AnnotationTrace(tr.subject_id, tr.annotator_id, tr.timestamps,
+                                    (tr.values - lo) / (hi - lo)) for tr in traces]
+        table, report = build_dataset([make_series()], traces,
+                                      WindowConfig(label_range=(lo, hi)))
+        ref, ref_report = build_dataset([make_series()], rescaled, WindowConfig())
+        assert len(table) and report == ref_report
+        for name in ("subjects", "starts", "n_annotators", "mu", "sigma", "x"):
+            assert getattr(table, name).tobytes() == getattr(ref, name).tobytes(), name
 
     def test_unmatched_windows_counted(self):
         # Features stop at 6 s, annotations run 10 s.
