@@ -8,7 +8,8 @@ its default and range check belong to the config that owns it
 :class:`~annodist.config.ExperimentConfig`, or :class:`CliConfig` for the
 keys only the CLI has).  Every value is type-, finiteness- and range-checked
 before anything is written, so a rejected invocation exits 2 naming its key
-and leaves no output.  An accepted one writes a ``manifest.json`` into its
+and leaves no output.  An accepted one reads its input files, so a malformed
+one leaves no output either, and then writes a ``manifest.json`` into its
 output directory before computing anything, recording the resolved
 parameters, master seed and tool version; a run is reproducible from its
 manifest alone.  ``ANNODIST_OUT_ROOT`` prefixes relative output paths.
@@ -252,9 +253,9 @@ def _cmd_build(args) -> int:
     params, (cfg, opts) = _resolve(args)
     from . import pipeline
 
-    outdir = _write_manifest(args, params)
     features = pipeline.read_feature_csv(args.features)
     traces = pipeline.read_annotation_csv(args.annotations)
+    outdir = _write_manifest(args, params)
     table, report = pipeline.build_dataset(features, traces, cfg, opts.modalities,
                                            opts.epsilon)
     path = pipeline.write_dataset(outdir, table, report, cfg)
@@ -272,8 +273,8 @@ def _cmd_fit(args) -> int:
     params, (cfg, opts) = _resolve(args)
     from . import consensus, pipeline
 
-    outdir = _write_manifest(args, params)
     traces = pipeline.read_annotation_csv(args.annotations)
+    outdir = _write_manifest(args, params)
     eps = opts.epsilon
     table, _ = pipeline.window_consensus(traces, cfg, eps)
     if not len(table):
@@ -300,8 +301,8 @@ def _cmd_run(args) -> int:
     from . import experiments, pipeline
 
     cfg = replace(cfg, jobs=opts.jobs or os.cpu_count() or 1)
-    outdir = _write_manifest(args, params)
     table, _ = pipeline.read_dataset(args.dataset)
+    outdir = _write_manifest(args, params)
     report = experiments.run_grid(table, cfg)
     paths = experiments.write_report(report, outdir, opts.significance_level)
 

@@ -23,8 +23,9 @@ CSV interfaces
   read and rejects a value outside the label range.
 * built dataset: ``subject_id,window_start,n_annotators,mu,sigma,f0,...`` plus
   a JSON manifest (label range, modality dims, window config, subjects).
-  Rows must be as wide as the header, with an integer ``n_annotators``,
-  finite numbers and ``sigma >= 0``.
+  The header names at least one feature column.  Rows must be as wide as
+  the header, with an integer ``n_annotators``, finite numbers and
+  ``sigma >= 0``.
 
 Timestamps are finite seconds as decimals.  Files are UTF-8, a leading
 byte-order mark allowed: a CSV or JSON file that is not raises a
@@ -611,14 +612,18 @@ def read_dataset(path) -> tuple[WindowTable, dict]:
     The first bad row raises a :class:`SchemaError` naming its file and
     line: the row must be as wide as the header, ``n_annotators`` a 64-bit
     integer, ``window_start``, ``mu``, ``sigma`` and every feature finite,
-    and ``sigma`` non-negative.
+    and ``sigma`` non-negative.  Then a header without a feature column
+    raises one naming line 1.
     """
     path = Path(path)
     if path.is_dir():
         path = path / "dataset.csv"
     header, _, (subjects,), numbers, extra, _ = _read_table(path, _DATASET)
+    width = len(header) - len(_DATASET.columns)
+    if not width:
+        raise SchemaError(f"{path}:1: expected at least one feature column after 'sigma'")
     table = WindowTable(np.array(subjects, dtype=str), *numbers,
-                        extra.reshape(len(subjects), len(header) - 5))
+                        extra.reshape(len(subjects), width))
     manifest_path = path.parent / "dataset_manifest.json"
     manifest = read_json(manifest_path) if manifest_path.exists() else {}
     return table, manifest

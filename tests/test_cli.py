@@ -285,7 +285,8 @@ class TestRun:
             csv.writer(fh).writerows(row[:5] for row in rows)
         assert run_cli("run", "--dataset", bare, "--out", tmp_path / "run",
                        "--k-folds", 3, "--n-seeds", 1) == 2
-        assert "the dataset has no feature column" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{bare / 'dataset.csv'}:1: expected at least one feature column" in err
 
 
 class TestReport:
@@ -395,6 +396,40 @@ class TestMalformedInput:
         assert "Traceback" not in err
         if "n_annotators" in case:
             assert "'n_annotators'" in err
+
+
+def _featureless(lines):
+    return [",".join(line.rstrip("\n").split(",")[:5]) + "\n" for line in lines]
+
+
+def _edit_line(i, edit):
+    return lambda lines: [edit(line) if k == i else line for k, line in enumerate(lines)]
+
+
+# (subcommand, input file, edit of its lines, line the error must name)
+BAD_INPUTS = {
+    "build-malformed-features": ("build", "features.csv", _edit_line(4, _drop_last_cell), 5),
+    "fit-malformed-annotations": ("fit", "annotations.csv",
+                                  _edit_line(6, _set_cell(3, "nan")), 7),
+    "run-featureless-dataset": ("run", "dataset.csv", _featureless, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exit_2_leaves_no_out_dir(case, synth_dir, built_dir, tmp_path, capsys):
+    # The inputs are read before the manifest is written.
+    sub, name, edit, bad_line = BAD_INPUTS[case]
+    source = (built_dir if name == "dataset.csv" else synth_dir) / name
+    bad = tmp_path / name
+    bad.write_text("".join(edit(source.read_text().splitlines(keepends=True))))
+    args = {"build": ["--features", bad, "--annotations", synth_dir / "annotations.csv"],
+            "fit": ["--annotations", bad], "run": ["--dataset", bad]}[sub]
+    out = tmp_path / "out"
+    code = run_cli(sub, *args, "--out", out)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"{bad}:{bad_line}:" in err
+    assert not out.exists()
 
 
 class TestByteOrderMark:
