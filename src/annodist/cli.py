@@ -271,26 +271,13 @@ def _cmd_build(args) -> int:
 
 def _cmd_fit(args) -> int:
     params, (cfg, opts) = _resolve(args)
-    from . import consensus, pipeline
+    from . import pipeline
 
     traces = pipeline.read_annotation_csv(args.annotations)
     outdir = _write_manifest(args, params)
-    eps = opts.epsilon
-    table, _ = pipeline.window_consensus(traces, cfg, eps)
-    if not len(table):
-        raise DataError("fit: no valid windows found")
-    mu, sigma = table.mu, table.sigma
-    alpha, beta, desc = consensus.fit_beta_arrays(mu, sigma, eps)
-    degenerate = sigma**2 <= eps * mu * (1.0 - mu) * (1.0 + 1e-9)
-
-    described = ("mean", "std", "median", "q25", "q75", "skew", "kurt")
-    out_path = pipeline.write_table(outdir / "beta_fits.csv", [
-        "subject_id", "window_start", "n_annotators", "mu", "sigma", "alpha",
-        "beta", *described, "degenerate",
-    ], pipeline.key_runs(table.subjects, [
-        table.starts, table.n_annotators, mu, sigma, alpha, beta,
-        *(desc[k] for k in described), degenerate.astype(int)]))
-    print(f"beta fits: {out_path} ({len(table)} windows)")
+    table, _ = pipeline.window_consensus(traces, cfg)
+    path = pipeline.write_beta_fits(outdir, table, opts.epsilon)
+    print(f"beta fits: {path} ({len(table)} windows)")
     return 0
 
 

@@ -53,15 +53,22 @@ def clamp_moments_arrays(mu, sigma, epsilon: float = DEFAULT_EPSILON):
     ``mu`` is clipped into [epsilon, 1-epsilon] and ``sigma^2`` into
     [epsilon * mu(1-mu), (1-epsilon) * mu(1-mu)].  Total on its domain: the
     output always satisfies the validity conditions strictly.
+
+    Returns ``(mu, sigma, clamped)``: ``clamped`` adds 1 where mu moved, 2
+    where sigma rose to the floor and 4 where it fell to the cap, a sigma bit
+    only where the sigma returned differs from the input.  So clamped moments
+    clamp to the same bits (``sqrt(fl(s * s)) == s``) and record 0.
     """
     check("clamp_moments_arrays", "epsilon", epsilon, EPSILON_RANGE)
-    mu = np.clip(np.asarray(mu, dtype=np.float64), epsilon, 1.0 - epsilon)
-    cap = mu * (1.0 - mu)
+    raw_mu, sigma = np.asarray(mu, dtype=np.float64), np.asarray(sigma, dtype=np.float64)
+    mu = np.clip(raw_mu, epsilon, 1.0 - epsilon)
+    spread = mu * (1.0 - mu)
+    floor, cap = epsilon * spread, (1.0 - epsilon) * spread
     # The variance cap is below 0.25, so clipping sigma into [-1, 1] first
     # moves no result and keeps a huge sigma from overflowing its square.
-    sigma = np.clip(np.asarray(sigma, dtype=np.float64), -1.0, 1.0)
-    var = np.clip(np.square(sigma), epsilon * cap, (1.0 - epsilon) * cap)
-    return mu, np.sqrt(var)
+    var = np.square(np.clip(sigma, -1.0, 1.0))
+    out = np.sqrt(np.clip(var, floor, cap))
+    return mu, out, (mu != raw_mu) + (out != sigma) * (2 * (var < floor) + 4 * (var > cap))
 
 
 def moment_match_arrays(mu, sigma):
@@ -125,11 +132,13 @@ def beta_pdf_arrays(x, alpha, beta):
 def fit_beta_arrays(mu, sigma, epsilon: float = DEFAULT_EPSILON, strict: bool = True):
     """Clamp raw moments, moment-match them and derive their descriptors.
 
-    Returns ``(alpha, beta, descriptors)``; ``strict`` as in
-    :func:`descriptors_arrays`.
+    Returns ``(alpha, beta, descriptors)``, the descriptors with the clamp's
+    ``mu``, ``sigma`` and ``clamped``; ``strict`` as in :func:`descriptors_arrays`.
     """
-    alpha, beta = moment_match_arrays(*clamp_moments_arrays(mu, sigma, epsilon))
-    return alpha, beta, descriptors_arrays(alpha, beta, strict=strict)
+    mu, sigma, clamped = clamp_moments_arrays(mu, sigma, epsilon)
+    alpha, beta = moment_match_arrays(mu, sigma)
+    return alpha, beta, {**descriptors_arrays(alpha, beta, strict=strict),
+                         "mu": mu, "sigma": sigma, "clamped": clamped}
 
 
 def descriptors_arrays(alpha, beta, strict: bool = True) -> dict[str, np.ndarray]:

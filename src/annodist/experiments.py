@@ -200,7 +200,7 @@ def _score_moment_cells(data: DatasetArrays, batch: list, epsilon: float,
     kl_tp = kl_beta_arrays(*truth, *pred)
     kl_pt = kl_beta_arrays(*pred, *truth)
     kl_tu = kl_beta_arrays(*truth, *uniform)
-    targets = {"mu": data.mu, "sigma": data.sigma, **data.truth_desc}
+    targets = {**data.truth_desc, "mu": data.mu, "sigma": data.sigma}
     hi = 0
     for cells, mu_hat, sigma_hat, idx in batch:
         lo, hi = hi, hi + idx.size
@@ -435,7 +435,7 @@ def emit_density_data(
     if any(np.shape(p) != indices.shape for p in (mu_hat, sigma_hat)):
         raise DomainError("emit_density_data: predictions must align with indices")
     grid = (np.arange(DENSITY_POINTS) + 0.5) / DENSITY_POINTS
-    pmu, psigma = clamp_moments_arrays(mu_hat, sigma_hat, epsilon)
+    pmu, psigma, _ = clamp_moments_arrays(mu_hat, sigma_hat, epsilon)
     pred_alpha, pred_beta = moment_match_arrays(pmu, psigma)
     true_alpha, true_beta = data.truth_alpha[indices], data.truth_beta[indices]
     keys = zip(data.subjects[indices].tolist(), *(

@@ -8,10 +8,11 @@ into windows: features, each annotator's trace and the synthetic truth all
 go through it, so a window's start has the same bits in every stream.
 Features are averaged per window and concatenated across modalities;
 annotations are mapped from the label range onto [0, 1], averaged per
-annotator within the window and reduced to clamped consensus moments across
-annotators.  The windows travel as one columnar :class:`WindowTable`, from
-:func:`build_dataset` through :func:`write_dataset`/:func:`read_dataset` to
-the experiment grid.
+annotator within the window and reduced to raw consensus moments across
+annotators, which :func:`build_dataset` clamps for the rows it keeps and
+:func:`write_beta_fits` in its Beta fit.  The windows travel as one columnar
+:class:`WindowTable`, from :func:`build_dataset` through
+:func:`write_dataset`/:func:`read_dataset` to the experiment grid.
 
 CSV interfaces
 --------------
@@ -51,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_EPSILON, WindowConfig, _decode_utf8, read_json, write_json
-from .consensus import clamp_moments_arrays
+from .consensus import clamp_moments_arrays, fit_beta_arrays
 from .errors import DomainError, EmptyDatasetError, InsufficientDataError, SchemaError
 
 _TIME_TOL = 1e-9
@@ -116,8 +117,9 @@ class AnnotationTrace:
 
 @dataclass(frozen=True)
 class WindowTable:
-    """Columnar windowed dataset, one row per (subject, window): clamped
-    consensus moments and ``(n, dim)`` feature means (``dim`` 0 if none)."""
+    """Columnar windowed dataset, one row per (subject, window): consensus
+    moments (raw from :func:`window_consensus`, clamped from
+    :func:`build_dataset`) and ``(n, dim)`` feature means (``dim`` 0 if none)."""
 
     subjects: np.ndarray
     starts: np.ndarray
@@ -205,11 +207,9 @@ def window_features(
 
 
 def window_consensus(
-    traces: list[AnnotationTrace],
-    cfg: WindowConfig,
-    epsilon: float = DEFAULT_EPSILON,
+    traces: list[AnnotationTrace], cfg: WindowConfig
 ) -> tuple[WindowTable, dict[str, np.ndarray]]:
-    """Clamped consensus moments per window, for every subject in ``traces``.
+    """Raw consensus moments per window, for every subject in ``traces``.
 
     Returns a consensus-only :class:`WindowTable` ordered by subject and start,
     and each subject's dropped window starts.  Each annotator's in-window
@@ -218,7 +218,7 @@ def window_consensus(
     are excluded; windows with fewer than two of them are dropped.  Values
     must lie in ``cfg.label_range`` ``(lo, hi)``, which is mapped onto [0, 1]
     as ``(v - lo) / (hi - lo)`` before windowing (the default (0, 1) keeps
-    every bit).
+    every bit).  The moments are not clamped: a unanimous window has sigma 0.
     """
     lo, hi = cfg.label_range
     by_subject: dict[str, list[AnnotationTrace]] = {}
@@ -269,7 +269,6 @@ def window_consensus(
         columns.append((np.full(np.count_nonzero(kept), subject), grids[0][kept],
                         count[kept], mu[kept], sigma[kept]))
     subjects, starts, count, mu, sigma = map(np.concatenate, zip(*columns))
-    mu, sigma = clamp_moments_arrays(mu, sigma, epsilon)
     return WindowTable(subjects, starts, count, mu, sigma, np.empty((mu.size, 0))), dropped
 
 
@@ -285,7 +284,8 @@ def build_dataset(
     Feature vectors are concatenated across the selected modalities in the
     given order (sorted set of all modalities when unspecified).  Windows
     present on only one side are dropped and counted.  Annotation values are
-    on ``cfg.label_range``, as :func:`window_consensus` takes them.
+    on ``cfg.label_range``, as :func:`window_consensus` takes them, and the
+    consensus moments of the rows kept are clamped with ``epsilon``.
     """
     by_key: dict[tuple[str, str], FrameSeries] = {}
     for fs in features:
@@ -315,7 +315,7 @@ def build_dataset(
         m: by_key[(subjects[0], m)].dim for m in modalities
     })
     targets, dropped = window_consensus(
-        [tr for tr in annotations if tr.subject_id in subjects], cfg, epsilon
+        [tr for tr in annotations if tr.subject_id in subjects], cfg
     )
     report.windows_dropped_few_annotators = sum(d.size for d in dropped.values())
     rows, xs = [], []
@@ -343,9 +343,9 @@ def build_dataset(
         rows.append(mine[np.searchsorted(targets.starts[mine], common)])
         xs.append(np.hstack([f[np.searchsorted(g, common)] for g, f in zip(grids, means)]))
     rows = np.concatenate(rows)
+    mu, sigma, _ = clamp_moments_arrays(targets.mu[rows], targets.sigma[rows], epsilon)
     table = WindowTable(targets.subjects[rows], targets.starts[rows],
-                        targets.n_annotators[rows], targets.mu[rows],
-                        targets.sigma[rows], np.concatenate(xs))
+                        targets.n_annotators[rows], mu, sigma, np.concatenate(xs))
     report.n_samples = len(table)
     return table, report
 
@@ -604,6 +604,20 @@ def write_dataset(
     }
     write_json(outdir / "dataset_manifest.json", manifest)
     return path
+
+
+def write_beta_fits(outdir, table: WindowTable, epsilon: float = DEFAULT_EPSILON) -> Path:
+    """Write ``beta_fits.csv``: each window's key, then the Beta fit of its raw
+    moments (:func:`fit_beta_arrays`), ``mu``/``sigma`` 4th-5th, ``clamped`` last."""
+    if not len(table):
+        raise EmptyDatasetError("write_beta_fits: no valid windows found")
+    alpha, beta, fits = fit_beta_arrays(table.mu, table.sigma, epsilon)
+    fits.update(window_start=table.starts, n_annotators=table.n_annotators,
+                alpha=alpha, beta=beta)
+    names = ["window_start", "n_annotators", "mu", "sigma", "alpha", "beta", "mean",
+             "std", "median", "q25", "q75", "skew", "kurt", "clamped"]
+    return write_table(Path(outdir) / "beta_fits.csv", ["subject_id", *names],
+                       key_runs(table.subjects, [fits[k] for k in names]))
 
 
 def read_dataset(path) -> tuple[WindowTable, dict]:

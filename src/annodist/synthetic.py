@@ -127,10 +127,10 @@ def generate(
         # The panel shares a slowly rotating base level; annotator i sits at
         # a stratified offset (i + 0.5)/n with a small personal wander.  The
         # uniform random start makes every annotator's level exactly uniform
-        # at each instant (so values are exactly Beta distributed), levels
+        # at each instant (so values are exactly Beta distributed), and levels
         # are near-constant within one window (disagreement survives window
-        # averaging), and the stratified panel keeps the empirical moments
-        # of few annotators tracking (mu*, sigma*).
+        # averaging).  The consensus sigma of N annotators divides by N, so it
+        # reads low: its median over sigma* lies in (sqrt((N-1)/N) - 0.05, 1).
         prng = _rng(cfg.seed, 4, s)
         base = prng.random() + prng.uniform(0.03, 0.08) * np.sin(
             2.0 * np.pi * prng.uniform(0.02, 0.05) * t_marks

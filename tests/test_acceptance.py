@@ -66,7 +66,7 @@ def test_01_moment_matching_exactness():
     rng = np.random.default_rng(101)
     n = 10**5
     start = time.perf_counter()
-    mu, sigma = clamp_moments_arrays(
+    mu, sigma, _ = clamp_moments_arrays(
         rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n), 1e-4
     )
     alpha, beta = moment_match_arrays(mu, sigma)

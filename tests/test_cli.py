@@ -143,7 +143,7 @@ class TestFit:
             # mu=0.5, sigma=0.1 -> phi=24 -> alpha=beta=12
             assert float(row["alpha"]) == pytest.approx(12.0, rel=1e-9)
             assert float(row["beta"]) == pytest.approx(12.0, rel=1e-9)
-            assert row["degenerate"] == "0"
+            assert row["clamped"] == "0"
 
     def test_unanimous_annotators_flagged(self, tmp_path):
         path = tmp_path / "annotations.csv"
@@ -156,7 +156,23 @@ class TestFit:
         out = tmp_path / "fit"
         assert run_cli("fit", "--annotations", path, "--out", out) == 0
         rows = csv_rows(out / "beta_fits.csv")
-        assert all(row["degenerate"] == "1" for row in rows)
+        assert all(row["clamped"] == "2" for row in rows)
+
+    def test_clamped_records_the_bound_hit(self, tmp_path):
+        # One 1 s window per subject: an exact 0/1 split clamps at the
+        # variance cap (4), a unanimous pair at the floor (2).
+        path = tmp_path / "annotations.csv"
+        path.write_text("subject_id,annotator_id,timestamp,value\n" + "".join(
+            f"{subject},{a},{t},{v}\n"
+            for subject, values in (("split", (0, 1)), ("same", (0.3, 0.3)))
+            for a, v in zip("ab", values) for t in (0, 1)))
+        out = tmp_path / "fit"
+        assert run_cli("fit", "--annotations", path, "--window-len", 1, "--stride", 1,
+                       "--out", out) == 0
+        rows = csv_rows(out / "beta_fits.csv")
+        assert list(rows[0])[-1] == "clamped" and len(rows) == 2
+        assert {(row["subject_id"], row["clamped"]) for row in rows} == {
+            ("split", "4"), ("same", "2")}
 
     def test_uniform_spread_has_near_zero_skew(self, tmp_path):
         path = tmp_path / "annotations.csv"

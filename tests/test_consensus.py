@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
@@ -19,6 +21,7 @@ from annodist.consensus import (
     clamp_moments_arrays,
     consensus_moments,
     descriptors_arrays,
+    fit_beta_arrays,
     moment_match_arrays,
 )
 from annodist.errors import DomainError, InsufficientDataError
@@ -63,22 +66,22 @@ class TestConsensusMoments:
 
 class TestClampMoments:
     def test_zero_sigma_lifted(self):
-        mu, sigma = clamp_moments_arrays(0.5, 0.0, epsilon=1e-4)
+        mu, sigma, _ = clamp_moments_arrays(0.5, 0.0, epsilon=1e-4)
         assert mu == 0.5
         assert sigma == pytest.approx(math.sqrt(1e-4 * 0.25))
 
     def test_boundary_mu_pulled_in(self):
-        mu, sigma = clamp_moments_arrays(0.0, 0.1, epsilon=1e-4)
+        mu, sigma, _ = clamp_moments_arrays(0.0, 0.1, epsilon=1e-4)
         assert mu == pytest.approx(1e-4)
         cap = mu * (1 - mu)
         assert sigma**2 == pytest.approx((1 - 1e-4) * cap)
 
     def test_valid_input_untouched(self):
-        assert clamp_moments_arrays(0.3, 0.1) == (0.3, 0.1)
+        assert clamp_moments_arrays(0.3, 0.1) == (0.3, 0.1, 0)
 
     def test_huge_sigma_capped_without_overflow(self):
         mu = np.array([0.3, 0.3, 0.9])
-        cmu, csigma = clamp_moments_arrays(mu, np.array([1e300, -1e300, 1e300]), 1e-4)
+        cmu, csigma, _ = clamp_moments_arrays(mu, np.array([1e300, -1e300, 1e300]), 1e-4)
         assert np.array_equal(cmu, mu)
         assert csigma**2 == pytest.approx((1 - 1e-4) * mu * (1 - mu), rel=1e-15)
         assert np.array_equal(csigma, clamp_moments_arrays(mu, np.ones(3), 1e-4)[1])
@@ -87,10 +90,72 @@ class TestClampMoments:
         rng = np.random.default_rng(8)
         mu = np.concatenate([rng.uniform(0, 1, 5000), [0.0, 1.0, 0.0, 1.0]])
         sigma = np.concatenate([rng.uniform(0, 1, 5000), [0.0, 0.0, 0.7, 0.7]])
-        cmu, csigma = clamp_moments_arrays(mu, sigma, 1e-4)
+        cmu, csigma, _ = clamp_moments_arrays(mu, sigma, 1e-4)
         cap = cmu * (1 - cmu)
         assert np.all(cmu > 0) and np.all(cmu < 1)
         assert np.all(csigma**2 > 0) and np.all(csigma**2 < cap)
+
+
+def record_reference(mu, sigma, epsilon):
+    """The clamp record of one window from its raw moments (sigma >= 0): 1 if
+    mu lies outside [epsilon, 1-epsilon], 2 if sigma lies below the root of
+    the variance floor, 4 if above the root of the cap."""
+    m = min(max(mu, epsilon), 1.0 - epsilon)
+    spread = m * (1.0 - m)
+    return ((m != mu) + 2 * (sigma < math.sqrt(epsilon * spread))
+            + 4 * (sigma > math.sqrt((1.0 - epsilon) * spread)))
+
+
+@st.composite
+def raw_moments(draw):
+    """An epsilon and up to 40 windows' raw moments, many of them on a bound
+    of the clamp or a few ulps from one."""
+    eps = draw(st.sampled_from([1e-4, 1e-3, 0.05, 0.3]) | st.floats(1e-4, 0.3))
+    mus, sigmas = [], []
+    for _ in range(draw(st.integers(1, 40))):
+        mu = draw(st.sampled_from([0.0, 1.0, eps, 1.0 - eps, 0.5]) | st.floats(0.0, 1.0))
+        m = min(max(mu, eps), 1.0 - eps)
+        root = math.sqrt(draw(st.sampled_from([eps, 1.0 - eps])) * (m * (1.0 - m)))
+        mus.append(mu)
+        sigmas.append(draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.5)
+                           | st.integers(-3, 3).map(lambda k: root + k * math.ulp(root))))
+    return eps, np.array(mus), np.array(sigmas)
+
+
+class TestClampRecord:
+    """``clamp_moments_arrays`` records what its clip moved: 1 for mu, 2 for
+    sigma raised to the floor, 4 for sigma lowered to the cap."""
+
+    @pytest.mark.parametrize("mu, sigma, record", [
+        (0.3, 0.1, 0), (0.2, 0.0, 2), (0.5, 0.5, 4), (0.0, 0.0, 3), (1.0, 0.0, 3),
+        (0.0, 0.1, 5),
+    ], ids=["interior", "unanimous", "zero-one-split", "mu-0", "mu-1", "mu-0-spread"])
+    def test_table(self, mu, sigma, record):
+        assert clamp_moments_arrays(mu, sigma, 1e-4)[2] == record
+        assert fit_beta_arrays(mu, sigma, 1e-4)[2]["clamped"] == record
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(raw_moments())
+    def test_record_matches_reference_and_clamp_is_idempotent(self, drawn):
+        eps, mu, sigma = drawn
+        cmu, csigma, record = clamp_moments_arrays(mu, sigma, eps)
+        assert record.tolist() == [record_reference(m, s, eps)
+                                   for m, s in zip(mu.tolist(), sigma.tolist())]
+        again = clamp_moments_arrays(cmu, csigma, eps)
+        assert again[0].tobytes() == cmu.tobytes()
+        assert again[1].tobytes() == csigma.tobytes()
+        assert not again[2].any()
+
+    def test_floor_roots_whose_square_rounds_low_record_0(self):
+        # A floor-clamped sigma is the root of the floor; its square often
+        # rounds below the floor, and a plain square test would flag it again.
+        rng = np.random.default_rng(12)
+        mu, sigma, record = clamp_moments_arrays(rng.uniform(0.01, 0.99, 10**5), 0.0, 1e-4)
+        assert np.all(record == 2)
+        floor = 1e-4 * (mu * (1.0 - mu))
+        assert np.mean(np.square(sigma) < floor) > 0.1
+        again = clamp_moments_arrays(mu, sigma, 1e-4)
+        assert again[1].tobytes() == sigma.tobytes() and not again[2].any()
 
 
 class TestMomentMatch:
@@ -106,7 +171,7 @@ class TestMomentMatch:
 
     def test_round_trip_mean_std(self):
         rng = np.random.default_rng(9)
-        mu, sigma = clamp_moments_arrays(
+        mu, sigma, _ = clamp_moments_arrays(
             rng.uniform(0, 1, 20000), rng.uniform(0, 0.6, 20000)
         )
         alpha, beta = moment_match_arrays(mu, sigma)

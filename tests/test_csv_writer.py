@@ -93,7 +93,7 @@ def test_key_runs_write_a_row_keyed_table(tmp_path_factory, keys, data):
     ints = np.array(data.draw(st.lists(INTS, min_size=n, max_size=n)), np.int64)
     subjects = np.array(keys, dtype=str)
     tmp = tmp_path_factory.mktemp("w")
-    header = ["subject_id", "window_start", "n_annotators", "degenerate"]
+    header = ["subject_id", "window_start", "n_annotators", "clamped"]
     got = write_table(tmp / "got.csv", header,
                       key_runs(subjects, [floats, ints, ints % 2]))
     want = csv_reference.write(tmp / "want.csv", header, [

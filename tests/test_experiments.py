@@ -427,7 +427,7 @@ class TestDensityData:
         mu = rng.uniform(0.3, 0.7, n)
         sigma = rng.uniform(0.05, 0.15, n)
         from annodist.consensus import clamp_moments_arrays, moment_match_arrays, descriptors_arrays
-        cmu, csig = clamp_moments_arrays(mu, sigma)
+        cmu, csig, _ = clamp_moments_arrays(mu, sigma)
         alpha, beta = moment_match_arrays(cmu, csig)
         return DatasetArrays(
             x=rng.normal(size=(n, 3)), mu=mu, sigma=sigma,
@@ -486,7 +486,7 @@ class TestDensityData:
         from annodist.consensus import (beta_pdf_arrays, clamp_moments_arrays,
                                         moment_match_arrays)
         grid = (np.arange(512) + 0.5) / 512
-        alpha, beta = moment_match_arrays(*clamp_moments_arrays(mu_hat, sigma_hat))
+        alpha, beta = moment_match_arrays(*clamp_moments_arrays(mu_hat, sigma_hat)[:2])
         rows = [
             [data.subjects[i], data.starts[i], data.truth_alpha[i], data.truth_beta[i],
              a, b, x, beta_pdf_arrays(grid, data.truth_alpha[i], data.truth_beta[i])[k],

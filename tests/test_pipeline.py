@@ -199,7 +199,10 @@ class TestWindowConsensus:
 
     def test_unanimous_sigma_clamped_up(self):
         traces = [constant_trace(0.2, annotator=f"a{i}") for i in range(3)]
-        table, _ = window_consensus(traces, WindowConfig(), epsilon=1e-4)
+        table, _ = window_consensus(traces, WindowConfig())
+        assert len(table) and np.all(table.sigma == 0.0)
+        table, _ = build_dataset([make_series()], traces, WindowConfig(), epsilon=1e-4)
+        assert len(table)
         for mu, sigma in zip(table.mu, table.sigma):
             assert mu == pytest.approx(0.2)
             assert sigma**2 == pytest.approx(1e-4 * 0.2 * 0.8)
@@ -240,13 +243,6 @@ class TestWindowConsensus:
             window_consensus([bad, ok], WindowConfig(1.0, 1.0))
 
 
-def raw_consensus(monkeypatch, traces, label_range, window_len=3.0, stride=0.4):
-    """The consensus moments of ``traces`` before the validity clamp."""
-    monkeypatch.setattr(pipeline, "clamp_moments_arrays", lambda mu, sigma, eps: (mu, sigma))
-    table, _ = window_consensus(traces, WindowConfig(window_len, stride, label_range))
-    return table.mu, table.sigma
-
-
 class TestRescale:
     """``window_consensus`` maps values from ``cfg.label_range`` onto [0, 1]."""
 
@@ -256,9 +252,10 @@ class TestRescale:
         assert len(table)
         np.testing.assert_allclose(table.mu, 0.5)
 
-    def test_low_boundary(self, monkeypatch):
+    def test_low_boundary(self):
         traces = [constant_trace(-1.0, annotator=a) for a in ("a1", "a2")]
-        mu, sigma = raw_consensus(monkeypatch, traces, (-1.0, 1.0))
+        table, _ = window_consensus(traces, WindowConfig(label_range=(-1.0, 1.0)))
+        mu, sigma = table.mu, table.sigma
         assert mu.size and np.all(mu == 0.0) and np.all(sigma == 0.0)
 
     def test_percent_scale(self):
@@ -267,14 +264,15 @@ class TestRescale:
         assert len(table)
         np.testing.assert_allclose(table.mu, 0.37)
 
-    def test_round_trip(self, monkeypatch):
+    def test_round_trip(self):
         # One sample per annotator in each 1 s window [k, k + 1).
         rng = np.random.default_rng(22)
         lo, hi = -4.0, 3.0
         values = rng.uniform(lo, hi, (2, 100))
         traces = [AnnotationTrace("s", a, np.arange(100.0), v)
                   for a, v in zip(("a1", "a2"), values)]
-        mu, sigma = raw_consensus(monkeypatch, traces, (lo, hi), 1.0, 1.0)
+        table, _ = window_consensus(traces, WindowConfig(1.0, 1.0, (lo, hi)))
+        mu, sigma = table.mu, table.sigma
         assert mu.size == 99
         np.testing.assert_allclose(mu * (hi - lo) + lo, values[:, :99].mean(axis=0),
                                    atol=1e-12)
@@ -783,8 +781,9 @@ def loop_window_features(series, cfg):
     return out, skipped
 
 
-def loop_window_consensus(traces, cfg, epsilon):
-    """One subject's windows as (start, (mu, sigma), n_annotators), plus drops."""
+def loop_window_consensus(traces, cfg):
+    """One subject's windows as (start, (mu, sigma), n_annotators), plus drops;
+    the moments are raw."""
     duration = max(float(tr.timestamps[-1]) for tr in traces if tr.timestamps.size)
     out, dropped = [], []
     for start in window_starts(duration, cfg):
@@ -797,14 +796,12 @@ def loop_window_consensus(traces, cfg, epsilon):
         if len(per_annotator) < 2:
             dropped.append(float(start))
             continue
-        target = tuple(map(float, clamp_moments_arrays(
-            *consensus_moments(per_annotator), epsilon)))
-        out.append((float(start), target, len(per_annotator)))
+        out.append((float(start), consensus_moments(per_annotator), len(per_annotator)))
     return out, dropped
 
 
 def loop_build_dataset(features, annotations, cfg, epsilon):
-    """Rows (subject, start, vector, (mu, sigma), n) and report counts."""
+    """Rows (subject, start, vector, clamped (mu, sigma), n) and report counts."""
     modalities = sorted({fs.modality for fs in features})
     subjects = sorted({fs.subject_id for fs in features}
                       & {tr.subject_id for tr in annotations})
@@ -818,7 +815,7 @@ def loop_build_dataset(features, annotations, cfg, epsilon):
             counts["skipped"] += len(skipped)
             per_modality.append({int(round(s / cfg.stride)): v for s, v in wins})
         consensus, dropped = loop_window_consensus(
-            [tr for tr in annotations if tr.subject_id == subject], cfg, epsilon
+            [tr for tr in annotations if tr.subject_id == subject], cfg
         )
         counts["dropped"] += len(dropped)
         targets = {int(round(s / cfg.stride)): (s, t, n) for s, t, n in consensus}
@@ -828,6 +825,7 @@ def loop_build_dataset(features, annotations, cfg, epsilon):
         for k in common:
             start, target, n = targets[k]
             vec = np.concatenate([d[k] for d in per_modality])
+            target = tuple(map(float, clamp_moments_arrays(*target, epsilon)[:2]))
             rows.append((subject, start, vec, target, n))
     return rows, counts
 
@@ -904,11 +902,11 @@ class TestLoopReference:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_window_consensus_matches_loop(self, seed):
         _, traces = ragged_inputs(seed)
-        table, dropped = window_consensus(traces, self.CFG, 1e-4)
+        table, dropped = window_consensus(traces, self.CFG)
         at = 0
         for subject in ("s0", "s1", "s2"):
             ref, ref_dropped = loop_window_consensus(
-                [tr for tr in traces if tr.subject_id == subject], self.CFG, 1e-4
+                [tr for tr in traces if tr.subject_id == subject], self.CFG
             )
             rows = slice(at, at + len(ref))
             at += len(ref)
@@ -978,11 +976,11 @@ class TestLoopReference:
             assert starts.tolist() == [s for s, _ in wins]
             assert means.tolist() == [m.tolist() for _, m in wins]
             assert skipped.tolist() == ref_skipped
-        table, dropped = window_consensus(traces, cfg, 1e-4)
+        table, dropped = window_consensus(traces, cfg)
         ref = []
         for subject in dropped:
             windows, ref_dropped = loop_window_consensus(
-                [tr for tr in traces if tr.subject_id == subject], cfg, 1e-4)
+                [tr for tr in traces if tr.subject_id == subject], cfg)
             ref += [(subject, start, n, *target) for start, target, n in windows]
             assert dropped[subject].tolist() == ref_dropped
         assert list(zip(table.subjects.tolist(), table.starts.tolist(),

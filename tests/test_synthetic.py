@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -94,6 +95,23 @@ class TestConvergence:
             ref_mu, ref_sigma = ref[(subject, start)]
             assert abs(mu - ref_mu) < 0.02
             assert abs(sigma - ref_sigma) < 0.02
+
+
+class TestConsensusBias:
+    @pytest.mark.parametrize("n", [2, 3, 6, 12])
+    def test_sigma_reads_low_by_the_population_convention(self, n):
+        # consensus_moments divides by N, so the consensus sigma reads low
+        # against sigma*, by about sqrt((N - 1) / N).  The medians of this
+        # panel are 0.801, 0.853, 0.932 and 0.942.
+        wcfg = WindowConfig()
+        cfg = SyntheticConfig(n_subjects=6, duration=60.0, n_annotators=n, seed=3)
+        _, annots, truth = generate(cfg, wcfg)
+        table, _ = window_consensus(annots, wcfg)
+        star = dict(zip(zip(truth.subjects.tolist(), truth.starts.tolist()), truth.sigma))
+        ratio = table.sigma / np.array(
+            [star[key] for key in zip(table.subjects.tolist(), table.starts.tolist())])
+        assert ratio.size
+        assert math.sqrt((n - 1) / n) - 0.05 < np.median(ratio) < 1.0
 
 
 class TestRevelation:
