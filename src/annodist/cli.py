@@ -2,16 +2,16 @@
 
 Configuration comes from an optional JSON file plus flag overrides
 (flags > file > defaults).  Each parameter key is one row of ``_PARAMS``;
-its default and range check belong to the config that owns it
-(:class:`~annodist.config.SyntheticConfig`,
-:class:`~annodist.config.WindowConfig`,
-:class:`~annodist.config.ExperimentConfig`, or :class:`CliConfig` for the
-keys only the CLI has).  Every value is type-, finiteness- and range-checked
-before anything is written, so a rejected invocation exits 2 naming its key
-and leaves no output.  An accepted one reads its input files, so a malformed
-one leaves no output either, and then writes a ``manifest.json`` into its
-output directory before computing anything, recording the resolved
-parameters, master seed and tool version; a run is reproducible from its
+its default and range check belong to the one config ``_OWNERS`` names
+(:class:`~annodist.config.SyntheticConfig`, :class:`~annodist.config.WindowConfig`,
+:class:`~annodist.config.TrainConfig`, :class:`~annodist.config.ExperimentConfig`,
+or :class:`CliConfig` for the keys only the CLI has, ``jobs`` among them).
+Every value is type-, finiteness- and range-checked before anything is
+written, so a rejected invocation exits 2 naming its key and leaves no
+output.  An accepted one reads its input files, so a malformed one leaves no
+output either, and then writes a ``manifest.json`` into its output directory
+before computing anything, recording the resolved parameters, master seed,
+tool version and NumPy and BLAS builds; a run is reproducible from its
 manifest alone.  ``ANNODIST_OUT_ROOT`` prefixes relative output paths.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 numeric/training error.
@@ -30,7 +30,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -43,6 +43,7 @@ from .config import (
     MOMENT_KINDS,
     ExperimentConfig,
     SyntheticConfig,
+    TrainConfig,
     WindowConfig,
     read_json,
     write_json,
@@ -71,7 +72,8 @@ class CliConfig:
     def __post_init__(self):
         check_fields(
             self, epsilon=EPSILON_RANGE,
-            modalities=(lambda m: m is None or len(m) > 0, "null or a non-empty list"),
+            modalities=(lambda m: m is None or 0 < len(set(m)) == len(m),
+                        "null or a non-empty list free of repeats"),
             jobs=at_least(0), density_windows=at_least(0),
             significance_level=(lambda v: 0.0 < v < 1.0, "in (0, 1)"),
         )
@@ -135,7 +137,8 @@ _OWNERS = {
               (CliConfig, ("epsilon", "modalities"))),
     "fit": ((WindowConfig, _keys(WindowConfig)),
             (CliConfig, ("epsilon",))),
-    "run": ((ExperimentConfig, _keys(ExperimentConfig, "jobs")),
+    "run": ((ExperimentConfig, _keys(ExperimentConfig)),
+            (TrainConfig, _keys(TrainConfig)),
             (CliConfig, ("jobs", "density_windows", "significance_level"))),
 }
 
@@ -217,7 +220,11 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, list]:
 
 
 def _write_manifest(args, params: dict) -> Path:
-    """Create the output directory and record ``params`` in it; returns it."""
+    """Create the output directory and record ``params`` and the NumPy and
+    BLAS builds in it; returns it.  The command has already loaded NumPy."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     outdir = _out_dir(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -228,6 +235,8 @@ def _write_manifest(args, params: dict) -> Path:
         "parameters": params,
         "master_seed": params.get("seed", params.get("master_seed")),
         "output_dir": str(outdir),
+        "environment": {"numpy": np.__version__, "blas": {
+            k: blas.get(k) for k in ("name", "version", "openblas configuration")}},
     }
     write_json(outdir / "manifest.json", manifest)
     return outdir
@@ -282,29 +291,14 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    params, (cfg, opts) = _resolve(args)
-    import numpy as np
-
+    params, (cfg, train, opts) = _resolve(args)
     from . import experiments, pipeline
 
-    cfg = replace(cfg, jobs=opts.jobs or os.cpu_count() or 1)
     table, _ = pipeline.read_dataset(args.dataset)
     outdir = _write_manifest(args, params)
-    report = experiments.run_grid(table, cfg)
-    paths = experiments.write_report(report, outdir, opts.significance_level)
-
-    pred = report.reference_predictions
-    if opts.density_windows > 0 and pred is not None:
-        # The grid's own variants[0] / fold-0 / master-seed member.
-        test_idx = report.folds[0].test
-        pick = np.linspace(
-            0, test_idx.size - 1, min(opts.density_windows, test_idx.size)
-        ).astype(int)
-        paths["density"] = experiments.emit_density_data(
-            report.data, pred[pick, 0], pred[pick, 1], test_idx[pick],
-            outdir / "density_data.csv", epsilon=cfg.epsilon,
-        )
-
+    report = experiments.run_grid(table, cfg, train, jobs=opts.jobs or os.cpu_count() or 1)
+    paths = experiments.write_report(report, outdir, opts.significance_level,
+                                     density_windows=opts.density_windows)
     for name, path in sorted(paths.items()):
         print(f"{name}: {path}")
     failures = report.failures()

@@ -3,8 +3,10 @@
 The config dataclasses (:class:`SyntheticConfig`, :class:`WindowConfig`,
 :class:`TrainConfig`, :class:`ExperimentConfig`) hold each parameter's
 default, and their ``__post_init__`` its range check; the constants here are
-the values those checks accept.  :func:`read_json` and :func:`write_json` read
-and write every JSON file (config, manifest, run summary).
+the values those checks accept.  Each key has one owning field, and
+``experiments.run_grid`` takes a :class:`TrainConfig` and ``jobs`` as
+arguments.  :func:`read_json` and :func:`write_json` read and write every
+JSON file (config, manifest, run summary).
 
 This module needs only the standard library, so the CLI can resolve and
 check a command's parameters, and ``report`` can read a run summary, without
@@ -115,36 +117,22 @@ class ExperimentConfig:
     master_seed: int = 0
     variants: tuple[str, ...] = MOMENT_KINDS
     baselines: tuple[str, ...] = DESCRIPTOR_NAMES
-    learning_rate: float = TrainConfig.learning_rate
-    batch_size: int = TrainConfig.batch_size
-    max_epochs: int = TrainConfig.max_epochs
-    patience: int = TrainConfig.patience
     epsilon: float = DEFAULT_EPSILON
     kl_direction: str = "truth_first"
     ccc_pooling: str = "pooled"
     include_oracle: bool = False
-    jobs: int = 1
 
     def __post_init__(self):
         check_fields(
             self, k_folds=at_least(2), n_seeds=at_least(1), master_seed=at_least(0),
             variants=subset_of(MOMENT_KINDS), baselines=subset_of(DESCRIPTOR_NAMES),
             epsilon=EPSILON_RANGE, kl_direction=one_of(KL_DIRECTIONS),
-            ccc_pooling=one_of(CCC_POOLINGS), jobs=at_least(1),
+            ccc_pooling=one_of(CCC_POOLINGS),
         )
         check_fields(self, variants=DISTINCT, baselines=DISTINCT)
         if not (self.variants or self.baselines):
             raise DomainError("ExperimentConfig: variants and baselines are both "
                               "empty, so the grid has no model to train")
-        self.train_config()  # rejects a bad training field before any stack runs
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-        )
 
 
 def _decode_utf8(path, raw: bytes) -> str:

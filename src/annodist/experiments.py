@@ -20,10 +20,10 @@ share architecture, init and shuffle and differ only in the target
 column).  Seeds are master_seed + {0..n_seeds-1}; a member's init and
 shuffle come from its seed alone, and each member early-stops on its own.
 A member whose training turns non-finite, or whose test predictions are not
-finite, fails only its own cell.  ``jobs`` runs stacks in parallel worker
-processes, which only train and predict; the grid is deterministic and does
-not depend on ``jobs``.  The oracle trains nothing: its cells score the true
-moments.
+finite, fails only its own cell.  Every network trains under the
+:class:`TrainConfig` given to :func:`run_grid`, in at most ``jobs`` worker
+processes, which only train and predict; the grid does not depend on
+``jobs``.  The oracle trains nothing: its cells score the true moments.
 
 The parent process scores every cell.  All moment cells, the oracle's
 included, are scored by one Beta fit (:func:`fit_beta_arrays`, non-strict)
@@ -35,7 +35,8 @@ windows; a cell with no such subject fails.
 
 Each fold's window split and training-fold z-score statistics are computed
 once, before any stack trains (:class:`Fold`), and the report keeps them for
-reproducibility.
+reproducibility.  :func:`write_report` picks the ``density_data.csv`` windows:
+evenly spaced fold-0 test windows, predicted by the reference member.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .config import (
     KL_DIRECTIONS,
     ORACLE_MODEL,
     ExperimentConfig,
+    TrainConfig,
     write_json,
 )
 from .consensus import (
@@ -64,7 +66,7 @@ from .consensus import (
     moment_match_arrays,
 )
 from .errors import (AnnodistError, DataError, DomainError, InsufficientDataError,
-                     TrainingError)
+                     TrainingError, at_least, check)
 from .metrics import PairedSeries, ccc, kl_beta_arrays, wilcoxon_signed_rank
 from .pipeline import WindowTable, write_table
 
@@ -261,10 +263,10 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_stack(data: DatasetArrays, cfg: ExperimentConfig, kind: str, split: Fold,
+def _run_stack(data: DatasetArrays, train: TrainConfig, kind: str, split: Fold,
                members: list[tuple[str | None, int]]) -> tuple[list, np.ndarray | None]:
-    """Train one ``kind`` stack of ``(point target, seed)`` members on a
-    fold's ``split`` and predict its test windows.
+    """Train one ``kind`` stack of ``(point target, seed)`` members under
+    ``train`` on a fold's ``split`` and predict its test windows.
 
     Returns each member's failure, or None, and the members' test
     predictions: ``(M, n_test)`` for ``point``, ``(M, n_test, 2)`` moments
@@ -281,8 +283,7 @@ def _run_stack(data: DatasetArrays, cfg: ExperimentConfig, kind: str, split: Fol
             y_train, y_val = y[train_idx], y[val_idx]
         net = nn.build(nn.NetworkVariant(kind, data.x.shape[1]),
                        [seed for _, seed in members])
-        history = nn.train(net, x[train_idx], y_train, x[val_idx], y_val,
-                           cfg.train_config())
+        history = nn.train(net, x[train_idx], y_train, x[val_idx], y_val, train)
         pred = nn.predict(net, x[test_idx])
     except (AnnodistError, FloatingPointError) as exc:
         return [_failure(exc)] * len(members), None
@@ -295,7 +296,7 @@ def _run_stack(data: DatasetArrays, cfg: ExperimentConfig, kind: str, split: Fol
 
 def _run_stack_task(task: tuple[str, int, list]):
     kind, fold, members = task
-    return _run_stack(_GRID_PAYLOAD["data"], _GRID_PAYLOAD["cfg"], kind,
+    return _run_stack(_GRID_PAYLOAD["data"], _GRID_PAYLOAD["train"], kind,
                       _GRID_PAYLOAD["folds"][fold], members)
 
 
@@ -330,16 +331,18 @@ def _score(data: DatasetArrays, cfg: ExperimentConfig, folds: list[Fold],
         _score_moment_cells(data, batch, cfg.epsilon, cfg.ccc_pooling)
 
 
-def run_grid(table: WindowTable, cfg: ExperimentConfig) -> ExperimentReport:
-    """Train and evaluate every (model, fold, seed) cell of the grid.
+def run_grid(table: WindowTable, cfg: ExperimentConfig,
+             train: TrainConfig = TrainConfig(), jobs: int = 1) -> ExperimentReport:
+    """Train the grid's networks under ``train`` and evaluate every cell.
 
-    A table without features raises, and so does a fold with an empty split:
-    each fold's split and normalisation are computed once, up front, before
-    anything trains.  Stacks train and predict on at most ``cfg.jobs`` worker
-    processes, never more than there are stacks; this process then scores
-    every cell.  Cell failures are recorded in the report and do not stop
-    the grid.
+    ``jobs`` below 1, a table without features and a fold with an empty
+    split raise: each fold's split and normalisation are computed once, up
+    front, before anything trains.  Stacks train and predict on at most
+    ``jobs`` worker processes, never more than there are stacks; this
+    process then scores every cell.  Cell failures are recorded in the
+    report and do not stop the grid.
     """
+    check("run_grid", "jobs", jobs, at_least(1))
     if not table.x.shape[1]:
         raise DataError("run_grid: the dataset has no feature column")
     data = DatasetArrays.from_samples(table, cfg.epsilon)
@@ -349,19 +352,19 @@ def run_grid(table: WindowTable, cfg: ExperimentConfig) -> ExperimentReport:
     stacks = _stacks(cfg)
     tasks = [(kind, fold, [(target, cell.seed) for cell, target in members])
              for kind, fold, members in stacks if kind != ORACLE_MODEL]
-    workers = min(cfg.jobs, len(tasks))
+    workers = min(jobs, len(tasks))
     if workers > 1:
         # Imported here so that no other command pays for loading them.
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
-        payload = {"data": data, "cfg": cfg, "folds": folds}
+        payload = {"data": data, "train": train, "folds": folds}
         with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
                                  initializer=_GRID_PAYLOAD.update,
                                  initargs=(payload,)) as pool:
             results = list(pool.map(_run_stack_task, tasks))
     else:
-        results = [_run_stack(data, cfg, kind, folds[fold], members)
+        results = [_run_stack(data, train, kind, folds[fold], members)
                    for kind, fold, members in tasks]
     _score(data, cfg, folds, stacks, results)
     # Stacks run kind by kind, fold by fold, seeds in order: ranking each
@@ -456,10 +459,11 @@ _SCORE_TABLES = {
 }
 
 
-def write_report(
-    report: ExperimentReport, outdir, level: float = 0.05
-) -> dict[str, Path]:
-    """Write the per-table CSVs and the JSON summary; returns the paths."""
+def write_report(report: ExperimentReport, outdir, level: float = 0.05, *,
+                 density_windows: int) -> dict[str, Path]:
+    """Write the per-table CSVs, the JSON summary and, for a reference
+    member that trained, the densities of up to ``density_windows`` of fold
+    0's test windows; returns the paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     cells = sorted(report.cells, key=lambda c: (c.model, c.fold, c.seed))
@@ -516,4 +520,14 @@ def write_report(
         "significance": significance(report, level),
     }
     write_json(paths["summary"], summary)
+
+    pred = report.reference_predictions
+    if density_windows > 0 and pred is not None:
+        test_idx = report.folds[0].test
+        pick = np.linspace(0, test_idx.size - 1,
+                           min(density_windows, test_idx.size)).astype(int)
+        paths["density"] = emit_density_data(
+            report.data, pred[pick, 0], pred[pick, 1], test_idx[pick],
+            outdir / "density_data.csv", epsilon=report.config.epsilon,
+        )
     return paths

@@ -295,6 +295,9 @@ def build_dataset(
         by_key[key] = fs
     if modalities is None:
         modalities = sorted({fs.modality for fs in features})
+    elif len(set(modalities)) < len(modalities):
+        raise DomainError(f"build_dataset: modalities must be free of repeats, "
+                          f"got {modalities!r}")
     else:
         known = {fs.modality for fs in features}
         missing = [m for m in modalities if m not in known]

@@ -5,6 +5,7 @@ import importlib
 from pathlib import Path
 
 from annodist import experiments
+from annodist.config import TrainConfig
 from annodist.pipeline import WindowConfig, build_dataset
 from annodist.synthetic import SyntheticConfig, generate
 
@@ -34,12 +35,12 @@ def test_grid_calls_the_traced_functions(monkeypatch):
     table, _ = build_dataset(*generate(synth, WindowConfig())[:2], WindowConfig())
     cfg = experiments.ExperimentConfig(
         k_folds=3, n_seeds=2, master_seed=1, variants=("fully_shared",),
-        baselines=("median",), max_epochs=3,
+        baselines=("median",),
     )
     targets = run.trace_targets()
     spans = tracer.Tracer()
     with tracer.patched(spans, targets):
-        experiments.run_grid(table, cfg)
+        experiments.run_grid(table, cfg, TrainConfig(max_epochs=3))
     wanted = [name for name, *_ in targets if name.startswith("nn.")] + [
         "metrics.kl_beta_arrays", "metrics.ccc", "special.inv_reg_inc_beta",
         "consensus.descriptors_arrays",

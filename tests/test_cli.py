@@ -9,12 +9,16 @@ import io
 import json
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from annodist import cli
+from annodist import cli, experiments
 from annodist.cli import main
+from annodist.config import ExperimentConfig, TrainConfig
+from annodist.consensus import clamp_moments_arrays, moment_match_arrays
+from annodist.pipeline import read_dataset
 
 
 def run_cli(*args):
@@ -269,6 +273,31 @@ class TestRun:
                        *self.RUN_ARGS) == 0
         rows = out.joinpath("density_data.csv").read_text().strip().splitlines()
         assert len(rows) - 1 == 4 * 512
+
+    @pytest.mark.parametrize("windows", [0, 3, 10**6])
+    def test_density_windows_come_from_the_reference_member(self, built_dir, tmp_path,
+                                                            windows):
+        table, _ = read_dataset(built_dir)
+        cfg = ExperimentConfig(k_folds=3, n_seeds=2, master_seed=1,
+                               variants=("fully_shared",), baselines=())
+        report = experiments.run_grid(table, cfg, TrainConfig(max_epochs=2))
+        paths = experiments.write_report(report, tmp_path, density_windows=windows)
+        test_idx, pred = report.folds[0].test, report.reference_predictions
+        assert windows < test_idx.size or windows == 10**6
+        if not windows:
+            assert "density" not in paths and not (tmp_path / "density_data.csv").exists()
+            return
+        pick = np.linspace(0, test_idx.size - 1, min(windows, test_idx.size)).astype(int)
+        assert pick.size == (3 if windows == 3 else test_idx.size)
+        alpha, beta = moment_match_arrays(*clamp_moments_arrays(
+            pred[pick, 0], pred[pick, 1], cfg.epsilon)[:2])
+        rows = csv_rows(paths["density"])
+        assert len(rows) == pick.size * experiments.DENSITY_POINTS
+        per_window = [rows[i] for i in range(0, len(rows), experiments.DENSITY_POINTS)]
+        assert [(r["subject_id"], float(r["window_start"]), float(r["alpha_pred"]),
+                 float(r["beta_pred"])) for r in per_window] == list(zip(
+            report.data.subjects[test_idx[pick]].tolist(),
+            report.data.starts[test_idx[pick]].tolist(), alpha.tolist(), beta.tolist()))
 
     def test_one_feature_dataset_runs(self, tmp_path):
         # hidden_dims(1) is (1, 1), so every network of the grid trains.
@@ -667,15 +696,15 @@ FLAG_SURFACE = {
          ("independent", "shared_first", "fully_shared"), None),
         ("--baselines", "baselines", None, "*",
          ("median", "q25", "q75", "skew", "kurt"), None),
-        ("--learning-rate", "learning_rate", "float", None, None, None),
-        ("--batch-size", "batch_size", "int", None, None, None),
-        ("--max-epochs", "max_epochs", "int", None, None, None),
-        ("--patience", "patience", "int", None, None, None),
         ("--epsilon", "epsilon", "float", None, None, None),
         ("--kl-direction", "kl_direction", None, None,
          ("truth_first", "pred_first"), None),
         ("--ccc-pooling", "ccc_pooling", None, None, ("pooled", "per_subject"), None),
         ("--oracle", "include_oracle", None, 0, None, True),
+        ("--learning-rate", "learning_rate", "float", None, None, None),
+        ("--batch-size", "batch_size", "int", None, None, None),
+        ("--max-epochs", "max_epochs", "int", None, None, None),
+        ("--patience", "patience", "int", None, None, None),
         ("--jobs", "jobs", "int", None, None, None),
         ("--density-windows", "density_windows", "int", None, None, None),
         ("--significance-level", "significance_level", "float", None, None, None),
@@ -756,7 +785,8 @@ OUT_OF_RANGE = {
     "seed": [-1], "annotation_rate": [-2.0], "annotator_bias_std": [-1],
     "identity_features": [True],  # feature_dim 24 != 2 + latent_dim 4
     "window_len": [0, -3.0], "stride": [0, 100.0], "label_range": [[1, 0], [0.5, 0.5]],
-    "epsilon": [0, 0.5, -1e-4], "modalities": [[]], "k_folds": [0, 1], "n_seeds": [0],
+    "epsilon": [0, 0.5, -1e-4], "modalities": [[], ["synth", "synth"]],
+    "k_folds": [0, 1], "n_seeds": [0],
     "master_seed": [-3], "variants": [["bogus"]], "baselines": [["mean"]],
     "learning_rate": [0, -1.0], "batch_size": [0], "max_epochs": [-1], "patience": [0],
     "kl_direction": ["both"], "ccc_pooling": ["none"], "include_oracle": [],
@@ -819,6 +849,22 @@ class TestBadValues:
 
 
 class TestUsageAndEnvironment:
+    @pytest.mark.parametrize("sub", ["synth", "build", "fit", "run"])
+    def test_manifest_records_numpy_and_blas(self, sub, synth_dir, built_dir, tmp_path):
+        out = {"synth": synth_dir, "build": built_dir}.get(sub, tmp_path / "out")
+        if sub == "fit":
+            assert run_cli("fit", "--annotations", synth_dir / "annotations.csv",
+                           "--out", out) == 0
+        elif sub == "run":
+            assert run_cli("run", "--dataset", built_dir, "--out", out, "--k-folds", 3,
+                           "--n-seeds", 1, "--max-epochs", 1, "--variants", "fully_shared",
+                           "--baselines", "--density-windows", 0) == 0
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"] == {"numpy": np.__version__, "blas": {
+            "name": blas["name"], "version": blas["version"],
+            "openblas configuration": blas.get("openblas configuration")}}
+
     def test_unknown_flag_exit_1(self, synth_dir, capsys):
         assert run_cli("synth", "--out", "x", "--bogus-flag", "1") == 1
 

@@ -32,8 +32,9 @@ TINY_SYNTH = SyntheticConfig(
 )
 TINY_GRID = ExperimentConfig(
     k_folds=3, n_seeds=2, master_seed=1, variants=("fully_shared",),
-    baselines=("median",), max_epochs=15, include_oracle=True,
+    baselines=("median",), include_oracle=True,
 )
+TINY_TRAIN = TrainConfig(max_epochs=15)
 
 
 @pytest.fixture(scope="module")
@@ -45,13 +46,13 @@ def tiny_table():
 
 @pytest.fixture(scope="module")
 def tiny_report(tiny_table):
-    return run_grid(tiny_table, TINY_GRID)
+    return run_grid(tiny_table, TINY_GRID, TINY_TRAIN)
 
 
 # (config, field, bad value): each range error names its field and the value.
 BAD_CONFIG_FIELDS = [
     (ExperimentConfig, "n_seeds", 0), (ExperimentConfig, "k_folds", 1),
-    (ExperimentConfig, "jobs", 0), (ExperimentConfig, "master_seed", -1),
+    (ExperimentConfig, "master_seed", -1),
     (ExperimentConfig, "epsilon", 0.5), (ExperimentConfig, "variants", ("bogus",)),
     (ExperimentConfig, "baselines", ("mean",)),
     (ExperimentConfig, "variants", ("fully_shared", "independent", "fully_shared")),
@@ -75,9 +76,6 @@ class TestConfigChecks:
             owner(**{field: value})
         with pytest.raises(DomainError, match=re.escape(repr(value))):
             owner(**{field: value})
-
-    def test_training_defaults_are_train_configs(self):
-        assert ExperimentConfig().train_config() == TrainConfig()
 
     def test_grid_without_models_rejected(self):
         with pytest.raises(DomainError, match="variants and baselines are both empty"):
@@ -142,25 +140,29 @@ class TestRunGrid:
                 assert set(c.scores) == {"ccc_median"}
 
     def test_determinism(self, tiny_table, tiny_report):
-        again = run_grid(tiny_table, TINY_GRID)
+        again = run_grid(tiny_table, TINY_GRID, TINY_TRAIN)
         for a, b in zip(tiny_report.cells, again.cells):
             assert (a.model, a.fold, a.seed) == (b.model, b.fold, b.seed)
             assert a.scores == b.scores
 
     def test_parallel_jobs_match_sequential(self, tiny_table, tiny_report):
-        parallel_cfg = ExperimentConfig(**{
-            **TINY_GRID.__dict__, "jobs": 2,
-        })
-        parallel = run_grid(tiny_table, parallel_cfg)
-        for a, b in zip(tiny_report.cells, parallel.cells):
+        parallel = run_grid(tiny_table, TINY_GRID, TINY_TRAIN, jobs=2)
+        for a, b in zip(tiny_report.cells, parallel.cells, strict=True):
             assert (a.model, a.fold, a.seed) == (b.model, b.fold, b.seed)
             assert a.scores == b.scores
+        np.testing.assert_array_equal(parallel.reference_predictions,
+                                      tiny_report.reference_predictions)
+
+    def test_jobs_below_one_rejected(self, tiny_table):
+        with pytest.raises(DomainError, match="run_grid: jobs must be >= 1, got 0"):
+            run_grid(tiny_table, TINY_GRID, jobs=0)
 
     def test_point_cells_do_not_depend_on_other_baselines(self, tiny_table):
         # All baselines train as one stack; a cell must not see its siblings.
-        base = dict(k_folds=3, n_seeds=2, master_seed=1, variants=(), max_epochs=15)
-        alone = run_grid(tiny_table, ExperimentConfig(**base, baselines=("median",)))
-        every = run_grid(tiny_table, ExperimentConfig(**base))
+        base = dict(k_folds=3, n_seeds=2, master_seed=1, variants=())
+        alone = run_grid(tiny_table, ExperimentConfig(**base, baselines=("median",)),
+                         TINY_TRAIN)
+        every = run_grid(tiny_table, ExperimentConfig(**base), TINY_TRAIN)
         assert len(every.cells) == 5 * len(alone.cells)
 
         def median_scores(report):
@@ -173,7 +175,7 @@ class TestRunGrid:
                                                         tiny_report):
         single = run_grid(tiny_table, ExperimentConfig(**{
             **TINY_GRID.__dict__, "n_seeds": 1,
-        }))
+        }), TINY_TRAIN)
         assert {(c.model, c.fold): c.scores for c in single.cells} == {
             (c.model, c.fold): c.scores for c in tiny_report.cells
             if c.seed == TINY_GRID.master_seed
@@ -185,38 +187,39 @@ class TestRunGrid:
         # the rest of the grid keeps running.
         cfg = ExperimentConfig(
             k_folds=3, n_seeds=1, master_seed=0, variants=("fully_shared",),
-            baselines=("median",), max_epochs=3, learning_rate=1e200,
+            baselines=("median",),
         )
         with np.errstate(over="ignore", invalid="ignore"):
-            report = run_grid(tiny_table, cfg)
+            report = run_grid(tiny_table, cfg, TrainConfig(learning_rate=1e200,
+                                                           max_epochs=3))
         assert len(report.cells) == 2 * 3
         failed = {c.model for c in report.failures()}
         assert failed == {"fully_shared", "point[median]"}
         for c in report.failures():
             assert "TrainingError" in c.failed
 
-    @pytest.mark.parametrize("grid", [
-        dict(variants=("independent", "fully_shared"), baselines=()),
-        dict(variants=(), baselines=("skew", "median")),
-        dict(variants=("shared_first", "fully_shared"), baselines=("q75", "median"),
-             include_oracle=True),
-        dict(n_seeds=1),
-        dict(baselines=("median",), include_oracle=True, learning_rate=1e200),
+    @pytest.mark.parametrize("grid,learning_rate", [
+        (dict(variants=("independent", "fully_shared"), baselines=()), 1e-3),
+        (dict(variants=(), baselines=("skew", "median")), 1e-3),
+        (dict(variants=("shared_first", "fully_shared"), baselines=("q75", "median"),
+              include_oracle=True), 1e-3),
+        (dict(n_seeds=1), 1e-3),
+        (dict(baselines=("median",), include_oracle=True), 1e200),
     ], ids=["variants", "baselines", "both-and-oracle", "one-seed", "failing"])
     def test_cells_run_model_fold_seed_in_config_order(self, tiny_table, tmp_path,
-                                                        grid):
+                                                        grid, learning_rate):
         cfg = ExperimentConfig(**{"k_folds": 3, "n_seeds": 2, "master_seed": 4,
-                                  "variants": ("fully_shared",), "max_epochs": 2,
-                                  **grid})
+                                  "variants": ("fully_shared",), **grid})
         with np.errstate(over="ignore", invalid="ignore"):
-            report = run_grid(tiny_table, cfg)
+            report = run_grid(tiny_table, cfg, TrainConfig(learning_rate, max_epochs=2))
         models = [*cfg.variants, *(f"point[{b}]" for b in cfg.baselines),
                   *["oracle"] * cfg.include_oracle]
         assert [(c.model, c.fold, c.seed) for c in report.cells] == [
             (model, fold, cfg.master_seed + s)
             for model in models for fold in range(3) for s in range(cfg.n_seeds)]
-        assert bool(report.failures()) == (cfg.learning_rate == 1e200)
-        summary = json.loads(write_report(report, tmp_path)["summary"].read_text())
+        assert bool(report.failures()) == (learning_rate == 1e200)
+        summary = json.loads(write_report(report, tmp_path, density_windows=0)
+                             ["summary"].read_text())
         assert summary["grid"]["models"] == models
 
     def test_folds_are_the_plan_splits(self, tiny_report):
@@ -255,7 +258,7 @@ class TestRunGrid:
         cfg = ExperimentConfig(**{
             **TINY_GRID.__dict__, "ccc_pooling": "per_subject",
         })
-        per_subject = run_grid(tiny_table, cfg)
+        per_subject = run_grid(tiny_table, cfg, TINY_TRAIN)
         pooled_mu = tiny_report.score_vectors("ccc_mu")["fully_shared"]
         split_mu = per_subject.score_vectors("ccc_mu")["fully_shared"]
         assert split_mu.shape == pooled_mu.shape
@@ -278,9 +281,9 @@ class TestRunGrid:
         # quartiles sit at the interval ends.  The cell still gets scores.
         cfg = ExperimentConfig(
             k_folds=3, n_seeds=1, master_seed=0, variants=("fully_shared",),
-            baselines=(), max_epochs=1, learning_rate=1e-30,
+            baselines=(),
         )
-        report = run_grid(tiny_table, cfg)
+        report = run_grid(tiny_table, cfg, TrainConfig(learning_rate=1e-30, max_epochs=1))
         assert not report.failures()
         for c in report.cells:
             assert np.isfinite(c.scores["ccc_median"])
@@ -373,7 +376,7 @@ class TestBatchedScoring:
             return pred
 
         monkeypatch.setattr(nn, "predict", poisoning_predict)
-        report = run_grid(tiny_table, TINY_GRID)
+        report = run_grid(tiny_table, TINY_GRID, TINY_TRAIN)
         assert poisoned == {"fully_shared", "point"}
         assert {(c.model, c.fold, c.seed): c.failed for c in report.failures()} == {
             ("fully_shared", 0, 2): "TrainingError: non-finite test predictions",
@@ -512,14 +515,14 @@ class TestDensityData:
 
 class TestWriteReport:
     def test_files_and_determinism(self, tiny_report, tmp_path):
-        paths1 = write_report(tiny_report, tmp_path / "one")
-        paths2 = write_report(tiny_report, tmp_path / "two")
+        paths1 = write_report(tiny_report, tmp_path / "one", density_windows=0)
+        paths2 = write_report(tiny_report, tmp_path / "two", density_windows=0)
         for key in ("moments", "descriptors", "kl", "summary"):
             assert paths1[key].exists()
             assert paths1[key].read_bytes() == paths2[key].read_bytes()
 
     def test_score_tables_match_the_csv_module(self, tiny_report, tmp_path):
-        paths = write_report(tiny_report, tmp_path / "got")
+        paths = write_report(tiny_report, tmp_path / "got", density_windows=0)
         cells = sorted(tiny_report.cells, key=lambda c: (c.model, c.fold, c.seed))
         tables = {"moments": ["ccc_mu", "ccc_sigma"],
                   "kl": ["kl_truth_pred", "kl_pred_truth", "kl_truth_uniform",
@@ -536,13 +539,13 @@ class TestWriteReport:
         assert paths["descriptors"].read_bytes() == want.read_bytes()
 
     def test_moments_rows_cover_moment_models(self, tiny_report, tmp_path):
-        paths = write_report(tiny_report, tmp_path)
+        paths = write_report(tiny_report, tmp_path, density_windows=0)
         rows = paths["moments"].read_text().strip().splitlines()[1:]
         # fully_shared and oracle cells carry moment scores; 3 folds x 2 seeds.
         assert len(rows) == 2 * 3 * 2
 
     def test_summary_tracks_normalization(self, tiny_report, tmp_path):
-        paths = write_report(tiny_report, tmp_path)
+        paths = write_report(tiny_report, tmp_path, density_windows=0)
         summary = json.loads(paths["summary"].read_text())
         assert len(summary["fold_normalization"]) == 3
         assert summary["kl_direction"] == "truth_first"

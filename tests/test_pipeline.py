@@ -316,6 +316,13 @@ class TestBuildDataset:
                                  modalities=["b", "a"])
         np.testing.assert_allclose(table.x[0], [2.0, 2.0, 1.0])
 
+    def test_repeated_modality_rejected(self):
+        feats = [make_series(dim=2, modality="b"), make_series(dim=1, modality="a")]
+        with pytest.raises(DomainError, match=r"modalities must be free of repeats, "
+                                              r"got \['a', 'b', 'a'\]"):
+            build_dataset(feats, self._annotations(), WindowConfig(),
+                          modalities=["a", "b", "a"])
+
     def test_disjoint_subjects_rejected(self):
         with pytest.raises(EmptyDatasetError):
             build_dataset([make_series(subject="sA")],
