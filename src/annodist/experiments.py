@@ -379,7 +379,7 @@ def run_grid(table: WindowTable, cfg: ExperimentConfig,
 
 
 def significance(
-    report: ExperimentReport, level: float = 0.05
+    report: ExperimentReport, level: float
 ) -> dict[str, dict[str, dict]]:
     """Per-metric pairwise Wilcoxon comparison against the best model.
 
@@ -459,7 +459,7 @@ _SCORE_TABLES = {
 }
 
 
-def write_report(report: ExperimentReport, outdir, level: float = 0.05, *,
+def write_report(report: ExperimentReport, outdir, level: float, *,
                  density_windows: int) -> dict[str, Path]:
     """Write the per-table CSVs, the JSON summary and, for a reference
     member that trained, the densities of up to ``density_windows`` of fold

@@ -7,6 +7,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shutil
 
 import numpy as np
@@ -267,6 +268,30 @@ class TestRun:
                      "summary.json", "density_data.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    @pytest.mark.parametrize("affinity, workers", [({0}, 1), (None, 3)])
+    def test_jobs_0_counts_the_cores_this_process_may_use(
+            self, built_dir, tmp_path, monkeypatch, affinity, workers):
+        # Pinned to one core of four, --jobs 0 starts one worker; without an
+        # affinity call it falls back to the core count.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3 if affinity is None else 4)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity,
+                                raising=False)
+        asked, run_grid = [], experiments.run_grid
+
+        def serial_run_grid(table, cfg, train, *, jobs):
+            asked.append(jobs)
+            return run_grid(table, cfg, train, jobs=1)
+
+        monkeypatch.setattr(experiments, "run_grid", serial_run_grid)
+        assert run_cli("run", "--dataset", built_dir, "--out", tmp_path / "run",
+                       "--k-folds", 3, "--n-seeds", 1, "--max-epochs", 2,
+                       "--variants", "fully_shared", "--baselines",
+                       "--density-windows", 0, "--jobs", 0) == 0
+        assert asked == [workers]
+
     def test_density_file_window_count(self, built_dir, tmp_path):
         out = tmp_path / "run"
         assert run_cli("run", "--dataset", built_dir, "--out", out,
@@ -281,7 +306,7 @@ class TestRun:
         cfg = ExperimentConfig(k_folds=3, n_seeds=2, master_seed=1,
                                variants=("fully_shared",), baselines=())
         report = experiments.run_grid(table, cfg, TrainConfig(max_epochs=2))
-        paths = experiments.write_report(report, tmp_path, density_windows=windows)
+        paths = experiments.write_report(report, tmp_path, 0.05, density_windows=windows)
         test_idx, pred = report.folds[0].test, report.reference_predictions
         assert windows < test_idx.size or windows == 10**6
         if not windows:

@@ -218,7 +218,7 @@ class TestRunGrid:
             (model, fold, cfg.master_seed + s)
             for model in models for fold in range(3) for s in range(cfg.n_seeds)]
         assert bool(report.failures()) == (learning_rate == 1e200)
-        summary = json.loads(write_report(report, tmp_path, density_windows=0)
+        summary = json.loads(write_report(report, tmp_path, 0.05, density_windows=0)
                              ["summary"].read_text())
         assert summary["grid"]["models"] == models
 
@@ -403,7 +403,7 @@ class TestSignificance:
     def test_identical_scores_not_significant(self):
         scores = list(np.linspace(0.1, 0.9, 10))
         report = _fake_report({"a": scores, "b": scores})
-        result = significance(report)["ccc_mu"]
+        result = significance(report, 0.05)["ccc_mu"]
         best = [m for m, row in result.items() if row.get("best")]
         other = [m for m in result if m not in best][0]
         assert result[other]["p_vs_best"] == 1.0
@@ -413,13 +413,13 @@ class TestSignificance:
         rng = np.random.default_rng(30)
         high = list(rng.uniform(0.8, 0.9, 10))
         low = list(rng.uniform(0.1, 0.2, 10))
-        result = significance(_fake_report({"good": high, "bad": low}))["ccc_mu"]
+        result = significance(_fake_report({"good": high, "bad": low}), 0.05)["ccc_mu"]
         assert result["good"]["best"]
         assert result["bad"]["p_vs_best"] == pytest.approx(2.0 / 2.0**10)
         assert not result["bad"]["indistinguishable_from_best"]
 
     def test_single_seed_inconclusive(self):
-        result = significance(_fake_report({"a": [0.5], "b": [0.4]}))["ccc_mu"]
+        result = significance(_fake_report({"a": [0.5], "b": [0.4]}), 0.05)["ccc_mu"]
         assert result["b"].get("inconclusive")
 
 
@@ -515,14 +515,14 @@ class TestDensityData:
 
 class TestWriteReport:
     def test_files_and_determinism(self, tiny_report, tmp_path):
-        paths1 = write_report(tiny_report, tmp_path / "one", density_windows=0)
-        paths2 = write_report(tiny_report, tmp_path / "two", density_windows=0)
+        paths1 = write_report(tiny_report, tmp_path / "one", 0.05, density_windows=0)
+        paths2 = write_report(tiny_report, tmp_path / "two", 0.05, density_windows=0)
         for key in ("moments", "descriptors", "kl", "summary"):
             assert paths1[key].exists()
             assert paths1[key].read_bytes() == paths2[key].read_bytes()
 
     def test_score_tables_match_the_csv_module(self, tiny_report, tmp_path):
-        paths = write_report(tiny_report, tmp_path / "got", density_windows=0)
+        paths = write_report(tiny_report, tmp_path / "got", 0.05, density_windows=0)
         cells = sorted(tiny_report.cells, key=lambda c: (c.model, c.fold, c.seed))
         tables = {"moments": ["ccc_mu", "ccc_sigma"],
                   "kl": ["kl_truth_pred", "kl_pred_truth", "kl_truth_uniform",
@@ -539,13 +539,13 @@ class TestWriteReport:
         assert paths["descriptors"].read_bytes() == want.read_bytes()
 
     def test_moments_rows_cover_moment_models(self, tiny_report, tmp_path):
-        paths = write_report(tiny_report, tmp_path, density_windows=0)
+        paths = write_report(tiny_report, tmp_path, 0.05, density_windows=0)
         rows = paths["moments"].read_text().strip().splitlines()[1:]
         # fully_shared and oracle cells carry moment scores; 3 folds x 2 seeds.
         assert len(rows) == 2 * 3 * 2
 
     def test_summary_tracks_normalization(self, tiny_report, tmp_path):
-        paths = write_report(tiny_report, tmp_path, density_windows=0)
+        paths = write_report(tiny_report, tmp_path, 0.05, density_windows=0)
         summary = json.loads(paths["summary"].read_text())
         assert len(summary["fold_normalization"]) == 3
         assert summary["kl_direction"] == "truth_first"
