@@ -6,13 +6,14 @@ its default and range check belong to the one config ``_OWNERS`` names
 (:class:`~annodist.config.SyntheticConfig`, :class:`~annodist.config.WindowConfig`,
 :class:`~annodist.config.TrainConfig`, :class:`~annodist.config.ExperimentConfig`,
 or :class:`CliConfig` for the keys only the CLI has, ``jobs`` among them).
+``run`` has no ``epsilon`` key: it takes the one ``build`` recorded.
 Every value is type-, finiteness- and range-checked before anything is
 written, so a rejected invocation exits 2 naming its key and leaves no
 output.  An accepted one reads its input files, so a malformed one leaves no
 output either, and then writes a ``manifest.json`` into its output directory
-before computing anything, recording the resolved parameters, master seed,
-tool version and NumPy and BLAS builds; a run is reproducible from its
-manifest alone.  ``ANNODIST_OUT_ROOT`` prefixes relative output paths.
+before computing anything, recording the input paths, resolved parameters,
+master seed, tool version and NumPy and BLAS builds; a run is reproducible
+from its manifest alone.  ``ANNODIST_OUT_ROOT`` prefixes relative output paths.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 numeric/training error.
 
@@ -48,9 +49,7 @@ from typing import NoReturn
 from . import __version__
 from .config import (
     CCC_POOLINGS,
-    DEFAULT_EPSILON,
     DESCRIPTOR_NAMES,
-    EPSILON_RANGE,
     KL_DIRECTIONS,
     MOMENT_KINDS,
     ExperimentConfig,
@@ -75,7 +74,6 @@ OUT_ROOT_ENV = "ANNODIST_OUT_ROOT"
 class CliConfig:
     """The parameters no library config owns, with their defaults and ranges."""
 
-    epsilon: float = DEFAULT_EPSILON
     modalities: tuple[str, ...] | None = None
     jobs: int = 0  # 0 = one worker per usable core (at most one per stack)
     density_windows: int = 8
@@ -83,9 +81,8 @@ class CliConfig:
 
     def __post_init__(self):
         check_fields(
-            self, epsilon=EPSILON_RANGE,
-            modalities=(lambda m: m is None or 0 < len(set(m)) == len(m),
-                        "null or a non-empty list free of repeats"),
+            self, modalities=(lambda m: m is None or 0 < len(set(m)) == len(m),
+                              "null or a non-empty list free of repeats"),
             jobs=at_least(0), density_windows=at_least(0),
             significance_level=(lambda v: 0.0 < v < 1.0, "in (0, 1)"),
         )
@@ -144,11 +141,9 @@ def _keys(owner, *skip) -> tuple:
 # range check.
 _OWNERS = {
     "synth": ((SyntheticConfig, _keys(SyntheticConfig)),
-              (WindowConfig, _keys(WindowConfig, "label_range"))),
-    "build": ((WindowConfig, _keys(WindowConfig)),
-              (CliConfig, ("epsilon", "modalities"))),
-    "fit": ((WindowConfig, _keys(WindowConfig)),
-            (CliConfig, ("epsilon",))),
+              (WindowConfig, _keys(WindowConfig, "label_range", "epsilon"))),
+    "build": ((WindowConfig, _keys(WindowConfig)), (CliConfig, ("modalities",))),
+    "fit": ((WindowConfig, _keys(WindowConfig)),),
     "run": ((ExperimentConfig, _keys(ExperimentConfig)),
             (TrainConfig, _keys(TrainConfig)),
             (CliConfig, ("jobs", "density_windows", "significance_level"))),
@@ -232,8 +227,9 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, list]:
 
 
 def _write_manifest(args, params: dict) -> Path:
-    """Create the output directory and record ``params`` and the NumPy and
-    BLAS builds in it; returns it.  The command has already loaded NumPy."""
+    """Create the output directory and record the input paths, ``params``
+    and the NumPy and BLAS builds in it; returns it.  The command has already
+    loaded NumPy."""
     import numpy as np
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -244,6 +240,7 @@ def _write_manifest(args, params: dict) -> Path:
         "tool_version": __version__,
         "subcommand": args.subcommand,
         "config_file": args.config,
+        "inputs": {flag: getattr(args, flag[2:]) for flag in args.inputs},
         "parameters": params,
         "master_seed": params.get("seed", params.get("master_seed")),
         "output_dir": str(outdir),
@@ -277,8 +274,7 @@ def _cmd_build(args) -> int:
     features = pipeline.read_feature_csv(args.features)
     traces = pipeline.read_annotation_csv(args.annotations)
     outdir = _write_manifest(args, params)
-    table, report = pipeline.build_dataset(features, traces, cfg, opts.modalities,
-                                           opts.epsilon)
+    table, report = pipeline.build_dataset(features, traces, cfg, opts.modalities)
     path = pipeline.write_dataset(outdir, table, report, cfg)
     print(f"dataset: {path}")
     print(
@@ -291,13 +287,13 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    params, (cfg, opts) = _resolve(args)
+    params, (cfg,) = _resolve(args)
     from . import pipeline
 
     traces = pipeline.read_annotation_csv(args.annotations)
     outdir = _write_manifest(args, params)
     table, _ = pipeline.window_consensus(traces, cfg)
-    path = pipeline.write_beta_fits(outdir, table, opts.epsilon)
+    path = pipeline.write_beta_fits(outdir, table, cfg.epsilon)
     print(f"beta fits: {path} ({len(table)} windows)")
     return 0
 
@@ -314,9 +310,10 @@ def _cmd_run(args) -> int:
     params, (cfg, train, opts) = _resolve(args)
     from . import experiments, pipeline
 
-    table, _ = pipeline.read_dataset(args.dataset)
+    table, epsilon = pipeline.read_dataset(args.dataset)
     outdir = _write_manifest(args, params)
-    report = experiments.run_grid(table, cfg, train, jobs=opts.jobs or _usable_cores())
+    report = experiments.run_grid(table, cfg, train, jobs=opts.jobs or _usable_cores(),
+                                  epsilon=epsilon)
     paths = experiments.write_report(report, outdir, opts.significance_level,
                                      density_windows=opts.density_windows)
     for name, path in sorted(paths.items()):
@@ -406,7 +403,7 @@ def _build_parser(command: str | None = None) -> _Parser:
     }
     for name, (help_text, func, inputs) in commands.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, inputs=[flag for flag, _ in inputs])
         if command not in (None, name):
             continue
         for flag, input_help in inputs:

@@ -4,9 +4,9 @@ The config dataclasses (:class:`SyntheticConfig`, :class:`WindowConfig`,
 :class:`TrainConfig`, :class:`ExperimentConfig`) hold each parameter's
 default, and their ``__post_init__`` its range check; the constants here are
 the values those checks accept.  Each key has one owning field, and
-``experiments.run_grid`` takes a :class:`TrainConfig` and ``jobs`` as
-arguments.  :func:`read_json` and :func:`write_json` read and write every
-JSON file (config, manifest, run summary).
+``experiments.run_grid`` takes a :class:`TrainConfig`, ``jobs`` and the
+dataset's ``epsilon`` as arguments.  :func:`read_json` and :func:`write_json`
+read and write every JSON file (config, manifest, run summary).
 
 This module needs only the standard library, so the CLI can resolve and
 check a command's parameters, and ``report`` can read a run summary, without
@@ -83,11 +83,12 @@ class SyntheticConfig:
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Windowing parameters: 3 s windows shifted by 400 ms by default."""
+    """3 s windows shifted by 400 ms by default, and the Beta clamp margin."""
 
     window_len: float = 3.0
     stride: float = 0.4
     label_range: tuple[float, float] = (0.0, 1.0)
+    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         check_fields(
@@ -95,6 +96,7 @@ class WindowConfig:
             stride=(lambda v: 0.0 < v <= self.window_len,
                     f"in (0, window_len={self.window_len!r}]"),
             label_range=(lambda r: len(r) == 2 and r[1] > r[0], "(lo, hi) with hi > lo"),
+            epsilon=EPSILON_RANGE,
         )
 
 
@@ -117,17 +119,16 @@ class ExperimentConfig:
     master_seed: int = 0
     variants: tuple[str, ...] = MOMENT_KINDS
     baselines: tuple[str, ...] = DESCRIPTOR_NAMES
-    epsilon: float = DEFAULT_EPSILON
     kl_direction: str = "truth_first"
     ccc_pooling: str = "pooled"
     include_oracle: bool = False
 
     def __post_init__(self):
+        # Fold i tests and fold i+1 validates, so k >= 3 leaves a fold to train.
         check_fields(
-            self, k_folds=at_least(2), n_seeds=at_least(1), master_seed=at_least(0),
+            self, k_folds=at_least(3), n_seeds=at_least(1), master_seed=at_least(0),
             variants=subset_of(MOMENT_KINDS), baselines=subset_of(DESCRIPTOR_NAMES),
-            epsilon=EPSILON_RANGE, kl_direction=one_of(KL_DIRECTIONS),
-            ccc_pooling=one_of(CCC_POOLINGS),
+            kl_direction=one_of(KL_DIRECTIONS), ccc_pooling=one_of(CCC_POOLINGS),
         )
         check_fields(self, variants=DISTINCT, baselines=DISTINCT)
         if not (self.variants or self.baselines):

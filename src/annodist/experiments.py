@@ -26,11 +26,11 @@ processes, which only train and predict; the grid does not depend on
 ``jobs``.  The oracle trains nothing: its cells score the true moments.
 
 The parent process scores every cell.  All moment cells, the oracle's
-included, are scored by one Beta fit (:func:`fit_beta_arrays`, non-strict)
-and one KL pass per direction over their concatenated test windows, then
-sliced per cell for concordance and the KL means.  Quantiles and KL terms
-are computed element by element, so each cell gets the bits it would get
-alone.  Per-subject CCC averages over the test subjects with at least 2
+included, are scored by one Beta fit (:func:`fit_beta_arrays`, non-strict,
+at the ground truth's clamp margin ``epsilon``) and one KL pass per direction
+over their concatenated test windows, then sliced per cell for concordance
+and the KL means.  Quantiles and KL terms are computed element by element,
+so each cell gets the bits it would get alone.  Per-subject CCC averages over the test subjects with at least 2
 windows; a cell with no such subject fails.
 
 Each fold's window split and training-fold z-score statistics are computed
@@ -97,11 +97,12 @@ def make_folds(subjects: list[str], k: int = 5, seed: int = 0) -> FoldPlan:
 
 @dataclass(frozen=True)
 class DatasetArrays(WindowTable):
-    """A window table plus the ground-truth Beta fits of its windows."""
+    """A window table plus its ground-truth Beta fits and their clamp margin."""
 
     truth_alpha: np.ndarray
     truth_beta: np.ndarray
     truth_desc: dict[str, np.ndarray]
+    epsilon: float
 
     @staticmethod
     def from_samples(table: WindowTable,
@@ -112,7 +113,7 @@ class DatasetArrays(WindowTable):
             raise InsufficientDataError("DatasetArrays: empty window table")
         alpha, beta, desc = fit_beta_arrays(table.mu, table.sigma, epsilon)
         return DatasetArrays(**vars(table), truth_alpha=alpha, truth_beta=beta,
-                             truth_desc=desc)
+                             truth_desc=desc, epsilon=epsilon)
 
 
 @dataclass(frozen=True)
@@ -180,8 +181,7 @@ def _score_ccc(pred, target, subjects, pooling: str) -> float:
     return float(np.mean(values))
 
 
-def _score_moment_cells(data: DatasetArrays, batch: list, epsilon: float,
-                        pooling: str) -> None:
+def _score_moment_cells(data: DatasetArrays, batch: list, pooling: str) -> None:
     """Score ``(cells, mu_hat, sigma_hat, test_idx)`` entries, every cell of
     an entry alike: one Beta fit and one KL pass per direction over all their
     windows, then one slice per entry.  The predictions are finite
@@ -195,8 +195,8 @@ def _score_moment_cells(data: DatasetArrays, batch: list, epsilon: float,
     # validity cap) yield near-degenerate Betas whose quartiles collapse to
     # the interval ends; scoring them beats losing the whole grid cell, and
     # keeps both descriptor paths evaluated on identical windows.
-    *pred, pred_desc = fit_beta_arrays(np.concatenate(mu_hat),
-                                       np.concatenate(sigma_hat), epsilon, strict=False)
+    *pred, pred_desc = fit_beta_arrays(np.concatenate(mu_hat), np.concatenate(sigma_hat),
+                                       data.epsilon, strict=False)
     truth = data.truth_alpha[test_idx], data.truth_beta[test_idx]
     uniform = (np.ones_like(truth[0]),) * 2
     kl_tp = kl_beta_arrays(*truth, *pred)
@@ -237,8 +237,6 @@ def _fold(data: DatasetArrays, plan: FoldPlan, fold: int) -> Fold:
     held_out = (window_fold - fold) % plan.k  # 0: test, 1: validation
     train, val, test = (np.flatnonzero(held_out >= 2), np.flatnonzero(held_out == 1),
                         np.flatnonzero(held_out == 0))
-    if not (train.size and val.size and test.size):
-        raise InsufficientDataError(f"fold {fold}: a split has no windows")
     x = data.x[train]
     std = x.std(axis=0)
     return Fold(train, val, test, x.mean(axis=0), np.where(std > 0, std, 1.0))
@@ -328,24 +326,24 @@ def _score(data: DatasetArrays, cfg: ExperimentConfig, folds: list[Fold],
             except (AnnodistError, FloatingPointError) as exc:
                 cell.failed = _failure(exc)
     if batch:
-        _score_moment_cells(data, batch, cfg.epsilon, cfg.ccc_pooling)
+        _score_moment_cells(data, batch, cfg.ccc_pooling)
 
 
-def run_grid(table: WindowTable, cfg: ExperimentConfig,
-             train: TrainConfig = TrainConfig(), jobs: int = 1) -> ExperimentReport:
-    """Train the grid's networks under ``train`` and evaluate every cell.
+def run_grid(table: WindowTable, cfg: ExperimentConfig, train: TrainConfig = TrainConfig(),
+             jobs: int = 1, epsilon: float = DEFAULT_EPSILON) -> ExperimentReport:
+    """Train the grid's networks under ``train`` and evaluate every cell; the
+    truth and the predictions are clamped with ``epsilon``.
 
-    ``jobs`` below 1, a table without features and a fold with an empty
-    split raise: each fold's split and normalisation are computed once, up
-    front, before anything trains.  Stacks train and predict on at most
-    ``jobs`` worker processes, never more than there are stacks; this
-    process then scores every cell.  Cell failures are recorded in the
-    report and do not stop the grid.
+    ``jobs`` below 1 and a table without features raise before anything
+    trains.  Each fold's split and normalisation are computed once, up front;
+    with ``k_folds >= 3`` every split has a subject.  Stacks train and predict
+    on at most ``jobs`` worker processes, never more than there are stacks;
+    this process then scores every cell.  Failures stay in their cells.
     """
     check("run_grid", "jobs", jobs, at_least(1))
     if not table.x.shape[1]:
         raise DataError("run_grid: the dataset has no feature column")
-    data = DatasetArrays.from_samples(table, cfg.epsilon)
+    data = DatasetArrays.from_samples(table, epsilon)
     plan = make_folds(sorted(set(data.subjects.tolist())), cfg.k_folds,
                       cfg.master_seed)
     folds = [_fold(data, plan, i) for i in range(cfg.k_folds)]
@@ -417,14 +415,8 @@ def significance(
     return out
 
 
-def emit_density_data(
-    data: DatasetArrays,
-    mu_hat: np.ndarray,
-    sigma_hat: np.ndarray,
-    indices: np.ndarray,
-    path,
-    epsilon: float = DEFAULT_EPSILON,
-) -> Path:
+def emit_density_data(data: DatasetArrays, mu_hat: np.ndarray, sigma_hat: np.ndarray,
+                      indices: np.ndarray, path) -> Path:
     """Write true/predicted Beta densities for selected windows as tidy CSV.
 
     Densities are sampled at ``DENSITY_POINTS`` midpoints of (0, 1); columns
@@ -438,7 +430,7 @@ def emit_density_data(
     if any(np.shape(p) != indices.shape for p in (mu_hat, sigma_hat)):
         raise DomainError("emit_density_data: predictions must align with indices")
     grid = (np.arange(DENSITY_POINTS) + 0.5) / DENSITY_POINTS
-    pmu, psigma, _ = clamp_moments_arrays(mu_hat, sigma_hat, epsilon)
+    pmu, psigma, _ = clamp_moments_arrays(mu_hat, sigma_hat, data.epsilon)
     pred_alpha, pred_beta = moment_match_arrays(pmu, psigma)
     true_alpha, true_beta = data.truth_alpha[indices], data.truth_beta[indices]
     keys = zip(data.subjects[indices].tolist(), *(
@@ -528,6 +520,5 @@ def write_report(report: ExperimentReport, outdir, level: float, *,
                            min(density_windows, test_idx.size)).astype(int)
         paths["density"] = emit_density_data(
             report.data, pred[pick, 0], pred[pick, 1], test_idx[pick],
-            outdir / "density_data.csv", epsilon=report.config.epsilon,
-        )
+            outdir / "density_data.csv")
     return paths

@@ -12,7 +12,8 @@ annotator within the window and reduced to raw consensus moments across
 annotators, which :func:`build_dataset` clamps for the rows it keeps and
 :func:`write_beta_fits` in its Beta fit.  The windows travel as one columnar
 :class:`WindowTable`, from :func:`build_dataset` through
-:func:`write_dataset`/:func:`read_dataset` to the experiment grid.
+:func:`write_dataset`/:func:`read_dataset` to the experiment grid, and the
+clamp margin ``WindowConfig.epsilon`` with them, in the dataset's manifest.
 
 CSV interfaces
 --------------
@@ -23,7 +24,7 @@ CSV interfaces
   4 columns, finite values; :func:`window_consensus` takes them as they are
   read and rejects a value outside the label range.
 * built dataset: ``subject_id,window_start,n_annotators,mu,sigma,f0,...`` plus
-  a JSON manifest (label range, modality dims, window config, subjects).
+  a JSON manifest (label range, epsilon, modality dims, window, subjects).
   The header names at least one feature column.  Rows must be as wide as
   the header, with an integer ``n_annotators``, finite numbers and
   ``sigma >= 0``.
@@ -51,7 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_EPSILON, WindowConfig, _decode_utf8, read_json, write_json
+from .config import (DEFAULT_EPSILON, EPSILON_RANGE, WindowConfig, _decode_utf8,
+                     read_json, write_json)
 from .consensus import clamp_moments_arrays, fit_beta_arrays
 from .errors import DomainError, EmptyDatasetError, InsufficientDataError, SchemaError
 
@@ -277,7 +279,6 @@ def build_dataset(
     annotations: list[AnnotationTrace],
     cfg: WindowConfig,
     modalities: list[str] | None = None,
-    epsilon: float = DEFAULT_EPSILON,
 ) -> tuple[WindowTable, BuildReport]:
     """Join windowed features with consensus targets on (subject, window).
 
@@ -285,7 +286,7 @@ def build_dataset(
     given order (sorted set of all modalities when unspecified).  Windows
     present on only one side are dropped and counted.  Annotation values are
     on ``cfg.label_range``, as :func:`window_consensus` takes them, and the
-    consensus moments of the rows kept are clamped with ``epsilon``.
+    consensus moments of the rows kept are clamped with ``cfg.epsilon``.
     """
     by_key: dict[tuple[str, str], FrameSeries] = {}
     for fs in features:
@@ -346,7 +347,7 @@ def build_dataset(
         rows.append(mine[np.searchsorted(targets.starts[mine], common)])
         xs.append(np.hstack([f[np.searchsorted(g, common)] for g, f in zip(grids, means)]))
     rows = np.concatenate(rows)
-    mu, sigma, _ = clamp_moments_arrays(targets.mu[rows], targets.sigma[rows], epsilon)
+    mu, sigma, _ = clamp_moments_arrays(targets.mu[rows], targets.sigma[rows], cfg.epsilon)
     table = WindowTable(targets.subjects[rows], targets.starts[rows],
                         targets.n_annotators[rows], mu, sigma, np.concatenate(xs))
     report.n_samples = len(table)
@@ -595,6 +596,7 @@ def write_dataset(
                                  table.sigma, *table.x.T]))
     manifest = {
         "label_range": list(cfg.label_range),
+        "epsilon": cfg.epsilon,
         "window": {"window_len": cfg.window_len, "stride": cfg.stride},
         "modality_dims": report.modality_dims,
         "subjects": report.subjects,
@@ -609,7 +611,7 @@ def write_dataset(
     return path
 
 
-def write_beta_fits(outdir, table: WindowTable, epsilon: float = DEFAULT_EPSILON) -> Path:
+def write_beta_fits(outdir, table: WindowTable, epsilon: float) -> Path:
     """Write ``beta_fits.csv``: each window's key, then the Beta fit of its raw
     moments (:func:`fit_beta_arrays`), ``mu``/``sigma`` 4th-5th, ``clamped`` last."""
     if not len(table):
@@ -623,14 +625,16 @@ def write_beta_fits(outdir, table: WindowTable, epsilon: float = DEFAULT_EPSILON
                        key_runs(table.subjects, [fits[k] for k in names]))
 
 
-def read_dataset(path) -> tuple[WindowTable, dict]:
-    """Read a built dataset table (and its manifest when present).
+def read_dataset(path) -> tuple[WindowTable, float]:
+    """Read a built dataset table and the ``epsilon`` its manifest records
+    (``DEFAULT_EPSILON`` without a manifest or without that key).
 
     The first bad row raises a :class:`SchemaError` naming its file and
     line: the row must be as wide as the header, ``n_annotators`` a 64-bit
     integer, ``window_start``, ``mu``, ``sigma`` and every feature finite,
     and ``sigma`` non-negative.  Then a header without a feature column
-    raises one naming line 1.
+    raises one naming line 1, and an ``epsilon`` not in (0, 0.5) one naming
+    the manifest.
     """
     path = Path(path)
     if path.is_dir():
@@ -641,6 +645,9 @@ def read_dataset(path) -> tuple[WindowTable, dict]:
         raise SchemaError(f"{path}:1: expected at least one feature column after 'sigma'")
     table = WindowTable(np.array(subjects, dtype=str), *numbers,
                         extra.reshape(len(subjects), width))
-    manifest_path = path.parent / "dataset_manifest.json"
-    manifest = read_json(manifest_path) if manifest_path.exists() else {}
-    return table, manifest
+    meta = path.parent / "dataset_manifest.json"
+    epsilon = (read_json(meta) if meta.exists() else {}).get("epsilon", DEFAULT_EPSILON)
+    if type(epsilon) is not float or not EPSILON_RANGE[0](epsilon):
+        raise SchemaError(f"{meta}: key 'epsilon' must be a number "
+                          f"{EPSILON_RANGE[1]}, got {epsilon!r}")
+    return table, epsilon

@@ -281,9 +281,9 @@ class TestRun:
                                 raising=False)
         asked, run_grid = [], experiments.run_grid
 
-        def serial_run_grid(table, cfg, train, *, jobs):
+        def serial_run_grid(table, cfg, train, *, jobs, epsilon):
             asked.append(jobs)
-            return run_grid(table, cfg, train, jobs=1)
+            return run_grid(table, cfg, train, jobs=1, epsilon=epsilon)
 
         monkeypatch.setattr(experiments, "run_grid", serial_run_grid)
         assert run_cli("run", "--dataset", built_dir, "--out", tmp_path / "run",
@@ -302,10 +302,11 @@ class TestRun:
     @pytest.mark.parametrize("windows", [0, 3, 10**6])
     def test_density_windows_come_from_the_reference_member(self, built_dir, tmp_path,
                                                             windows):
-        table, _ = read_dataset(built_dir)
+        table, epsilon = read_dataset(built_dir)
         cfg = ExperimentConfig(k_folds=3, n_seeds=2, master_seed=1,
                                variants=("fully_shared",), baselines=())
-        report = experiments.run_grid(table, cfg, TrainConfig(max_epochs=2))
+        report = experiments.run_grid(table, cfg, TrainConfig(max_epochs=2),
+                                      epsilon=epsilon)
         paths = experiments.write_report(report, tmp_path, 0.05, density_windows=windows)
         test_idx, pred = report.folds[0].test, report.reference_predictions
         assert windows < test_idx.size or windows == 10**6
@@ -315,7 +316,7 @@ class TestRun:
         pick = np.linspace(0, test_idx.size - 1, min(windows, test_idx.size)).astype(int)
         assert pick.size == (3 if windows == 3 else test_idx.size)
         alpha, beta = moment_match_arrays(*clamp_moments_arrays(
-            pred[pick, 0], pred[pick, 1], cfg.epsilon)[:2])
+            pred[pick, 0], pred[pick, 1], epsilon)[:2])
         rows = csv_rows(paths["density"])
         assert len(rows) == pick.size * experiments.DENSITY_POINTS
         per_window = [rows[i] for i in range(0, len(rows), experiments.DENSITY_POINTS)]
@@ -357,6 +358,70 @@ class TestRun:
                        "--k-folds", 3, "--n-seeds", 1) == 2
         err = capsys.readouterr().err
         assert f"{bare / 'dataset.csv'}:1: expected at least one feature column" in err
+
+
+class TestEpsilonFromDataset:
+    """build records its clamp margin in dataset_manifest.json, and run takes
+    it from there: run has no epsilon key of its own."""
+
+    RUN_ARGS = ["--k-folds", 3, "--n-seeds", 1, "--master-seed", 2, "--max-epochs", 2,
+                "--variants", "fully_shared", "--baselines", "median",
+                "--density-windows", 4, "--jobs", 1]
+    FILES = ("kl.csv", "descriptors_ccc.csv", "density_data.csv", "summary.json")
+
+    @pytest.fixture(scope="class")
+    def built_02(self, tmp_path_factory, synth_dir):
+        out = tmp_path_factory.mktemp("built_02")
+        assert run_cli("build", "--features", synth_dir / "features.csv",
+                       "--annotations", synth_dir / "annotations.csv",
+                       "--epsilon", 0.2, "--out", out) == 0
+        return out
+
+    def _run(self, dataset, out):
+        assert run_cli("run", "--dataset", dataset, "--out", out, *self.RUN_ARGS) == 0
+        return {name: (out / name).read_bytes() for name in self.FILES}
+
+    def test_run_scores_with_the_recorded_epsilon(self, built_02, tmp_path):
+        manifest = json.loads((built_02 / "dataset_manifest.json").read_text())
+        assert manifest["epsilon"] == 0.2
+        got = self._run(built_02, tmp_path / "cli")
+        table, epsilon = read_dataset(built_02)
+        assert epsilon == 0.2
+        cfg = ExperimentConfig(k_folds=3, n_seeds=1, master_seed=2,
+                               variants=("fully_shared",), baselines=("median",))
+        report = experiments.run_grid(table, cfg, TrainConfig(max_epochs=2), epsilon=0.2)
+        assert report.data.epsilon == 0.2
+        experiments.write_report(report, tmp_path / "lib", 0.05, density_windows=4)
+        for name in self.FILES:
+            assert got[name] == (tmp_path / "lib" / name).read_bytes(), name
+        # The same dataset.csv without its manifest scores at the default.
+        (tmp_path / "bare").mkdir()
+        shutil.copy(built_02 / "dataset.csv", tmp_path / "bare")
+        bare = self._run(tmp_path / "bare", tmp_path / "bare_run")
+        for name in self.FILES:
+            assert got[name] != bare[name], name
+
+    def test_manifest_without_epsilon_reads_as_the_default(self, built_dir, tmp_path):
+        manifest = json.loads((built_dir / "dataset_manifest.json").read_text())
+        assert manifest.pop("epsilon") == 1e-4
+        (tmp_path / "old").mkdir()
+        shutil.copy(built_dir / "dataset.csv", tmp_path / "old")
+        (tmp_path / "old" / "dataset_manifest.json").write_text(json.dumps(manifest))
+        assert read_dataset(tmp_path / "old")[1] == 1e-4
+        assert (self._run(tmp_path / "old", tmp_path / "old_run")
+                == self._run(built_dir, tmp_path / "new_run"))
+
+    def test_run_takes_no_epsilon_flag_or_key(self, built_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("run", "--dataset", built_dir, "--epsilon", 1e-3,
+                       "--out", out) == 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 1e-3}))
+        capsys.readouterr()
+        assert run_cli("run", "--dataset", built_dir, "--config", cfg,
+                       "--out", out) == 2
+        assert "unknown config keys: ['epsilon']" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReport:
@@ -535,8 +600,8 @@ class TestBadJson:
     @pytest.mark.parametrize("role", ["config", "manifest", "summary"])
     @pytest.mark.parametrize("case", sorted(BAD_JSON))
     def test_exit_2_with_file_and_line(self, role, case, built_dir, tmp_path, capsys):
-        # A config file for synth, a dataset manifest for run (which reads
-        # and discards it) and a run's summary for report.
+        # A config file for synth, a dataset manifest for run (which takes
+        # its epsilon) and a run's summary for report.
         contents, line = BAD_JSON[case]
         out = tmp_path / "out"
         if role == "config":
@@ -559,6 +624,23 @@ class TestBadJson:
         assert "Traceback" not in err
         if role == "config":
             assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ['"0.2"', "true", "null", "NaN", "0", "0.5", "-0.1",
+                                   "[0.2]"])
+def test_bad_manifest_epsilon_exit_2_naming_the_manifest(value, built_dir, tmp_path,
+                                                         capsys):
+    bad = tmp_path / "dataset" / "dataset_manifest.json"
+    bad.parent.mkdir()
+    shutil.copy(built_dir / "dataset.csv", bad.parent)
+    bad.write_text(f'{{"epsilon": {value}}}')
+    out = tmp_path / "out"
+    code = run_cli("run", "--dataset", bad.parent, "--out", out, "--max-epochs", 1)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"{bad}: key 'epsilon' must be a number in (0, 0.5)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # (subcommand, config key, bad value): JSON types the key's default rejects.
@@ -617,7 +699,7 @@ BAD_FIELDS = [
     ("run", "--density-windows", -1, "density_windows"),
     ("run", "--n-seeds", 0, "n_seeds"),
     ("run", "--k-folds", 1, "k_folds"),
-    ("run", "--epsilon", 0.5, "epsilon"),
+    ("fit", "--epsilon", 0.5, "epsilon"),
     ("synth", "--n-annotators", 1, "n_annotators"),
     ("synth", "--stride", 0, "stride"),
     ("synth", "--duration", "nan", "duration"),
@@ -634,6 +716,7 @@ BAD_FIELDS = [
 # (subcommand, config file contents, field the error must name)
 BAD_CONFIG_FIELDS = [
     ("run", {"master_seed": -1}, "master_seed"),
+    ("run", {"k_folds": 2}, "k_folds"),
     ("run", {"jobs": -4}, "jobs"),
     ("run", {"significance_level": float("inf")}, "significance_level"),
     ("synth", {"duration": float("nan")}, "duration"),
@@ -721,7 +804,6 @@ FLAG_SURFACE = {
          ("independent", "shared_first", "fully_shared"), None),
         ("--baselines", "baselines", None, "*",
          ("median", "q25", "q75", "skew", "kurt"), None),
-        ("--epsilon", "epsilon", "float", None, None, None),
         ("--kl-direction", "kl_direction", None, None,
          ("truth_first", "pred_first"), None),
         ("--ccc-pooling", "ccc_pooling", None, None, ("pooled", "per_subject"), None),
@@ -771,7 +853,7 @@ RESOLVED_DEFAULTS = {
         "variants": ["independent", "shared_first", "fully_shared"],
         "baselines": ["median", "q25", "q75", "skew", "kurt"],
         "learning_rate": 0.001, "batch_size": 128, "max_epochs": 50, "patience": 5,
-        "epsilon": 0.0001, "kl_direction": "truth_first", "ccc_pooling": "pooled",
+        "kl_direction": "truth_first", "ccc_pooling": "pooled",
         "include_oracle": False, "jobs": 0, "density_windows": 8,
         "significance_level": 0.05,
     },
@@ -811,7 +893,7 @@ OUT_OF_RANGE = {
     "identity_features": [True],  # feature_dim 24 != 2 + latent_dim 4
     "window_len": [0, -3.0], "stride": [0, 100.0], "label_range": [[1, 0], [0.5, 0.5]],
     "epsilon": [0, 0.5, -1e-4], "modalities": [[], ["synth", "synth"]],
-    "k_folds": [0, 1], "n_seeds": [0],
+    "k_folds": [0, 1, 2], "n_seeds": [0],
     "master_seed": [-3], "variants": [["bogus"]], "baselines": [["mean"]],
     "learning_rate": [0, -1.0], "batch_size": [0], "max_epochs": [-1], "patience": [0],
     "kl_direction": ["both"], "ccc_pooling": ["none"], "include_oracle": [],
@@ -889,6 +971,27 @@ class TestUsageAndEnvironment:
         assert manifest["environment"] == {"numpy": np.__version__, "blas": {
             "name": blas["name"], "version": blas["version"],
             "openblas configuration": blas.get("openblas configuration")}}
+
+    def test_manifest_records_the_input_paths_as_given(self, synth_dir, built_dir,
+                                                       tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        synth = os.path.relpath(synth_dir)
+        given = {
+            "build": {"--features": os.path.join(synth, "features.csv"),
+                      "--annotations": os.path.join(synth, "annotations.csv")},
+            "fit": {"--annotations": os.path.join(synth, "annotations.csv")},
+            "run": {"--dataset": os.path.relpath(built_dir)},
+        }
+        extra = {"build": [], "fit": [],
+                 "run": ["--k-folds", 3, "--n-seeds", 1, "--max-epochs", 1,
+                         "--variants", "fully_shared", "--baselines",
+                         "--density-windows", 0]}
+        for sub, inputs in given.items():
+            args = [item for pair in inputs.items() for item in pair]
+            assert run_cli(sub, *args, *extra[sub], "--out", sub) == 0
+            assert json.loads((tmp_path / sub / "manifest.json").read_text())[
+                "inputs"] == inputs
+        assert json.loads((synth_dir / "manifest.json").read_text())["inputs"] == {}
 
     def test_unknown_flag_exit_1(self, synth_dir, capsys):
         assert run_cli("synth", "--out", "x", "--bogus-flag", "1") == 1

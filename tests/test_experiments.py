@@ -52,8 +52,8 @@ def tiny_report(tiny_table):
 # (config, field, bad value): each range error names its field and the value.
 BAD_CONFIG_FIELDS = [
     (ExperimentConfig, "n_seeds", 0), (ExperimentConfig, "k_folds", 1),
-    (ExperimentConfig, "master_seed", -1),
-    (ExperimentConfig, "epsilon", 0.5), (ExperimentConfig, "variants", ("bogus",)),
+    (ExperimentConfig, "k_folds", 2), (ExperimentConfig, "master_seed", -1),
+    (WindowConfig, "epsilon", 0.5), (ExperimentConfig, "variants", ("bogus",)),
     (ExperimentConfig, "baselines", ("mean",)),
     (ExperimentConfig, "variants", ("fully_shared", "independent", "fully_shared")),
     (ExperimentConfig, "baselines", ("median", "median")),
@@ -243,17 +243,6 @@ class TestRunGrid:
         assert fold.mean[0] == 3.0 and fold.std[0] == 1.0
         assert np.all(fold.std[1:] > 0)
 
-    def test_empty_split_raises_before_any_stack(self, tiny_table, monkeypatch):
-        # With 2 folds every subject is held out, so no fold has a train split.
-        def no_stack(*args, **kwargs):
-            raise AssertionError("a stack ran despite an empty split")
-
-        monkeypatch.setattr(experiments, "_run_stack", no_stack)
-        cfg = ExperimentConfig(k_folds=2, n_seeds=1, variants=("fully_shared",),
-                               baselines=())
-        with pytest.raises(InsufficientDataError, match="fold 0: a split has no"):
-            run_grid(tiny_table, cfg)
-
     def test_per_subject_ccc_pooling(self, tiny_table, tiny_report):
         cfg = ExperimentConfig(**{
             **TINY_GRID.__dict__, "ccc_pooling": "per_subject",
@@ -312,7 +301,7 @@ class TestBatchedScoring:
         cells, mu_hat, sigma_hat, test_idx = entry
         fresh = [CellResult(c.model, c.fold, c.seed) for c in cells]
         experiments._score_moment_cells(data, [(fresh, mu_hat, sigma_hat, test_idx)],
-                                        1e-4, pooling)
+                                        pooling)
         assert all(c.failed is None for c in fresh)
         return fresh[0].scores
 
@@ -325,7 +314,7 @@ class TestBatchedScoring:
         inverse = special.inv_reg_inc_beta
         monkeypatch.setattr(special, "inv_reg_inc_beta",
                             lambda *a, **k: calls.append(1) or inverse(*a, **k))
-        experiments._score_moment_cells(data, batch, 1e-4, pooling)
+        experiments._score_moment_cells(data, batch, pooling)
         assert len(calls) == 1
         for entry in batch:
             alone = self._alone(data, entry, pooling)
@@ -349,7 +338,7 @@ class TestBatchedScoring:
             mu_hat[:mu_x.size], sigma_hat[:mu_x.size] = mu_x, sigma_x
             batch.append(([CellResult("fully_shared", 0, 1)], mu_hat, sigma_hat,
                           fold.test))
-        experiments._score_moment_cells(data, batch, 1e-4, "pooled")
+        experiments._score_moment_cells(data, batch, "pooled")
         for cells, *_ in batch:
             assert cells[0].failed is None
             assert all(np.isfinite(v) for v in cells[0].scores.values())
@@ -393,9 +382,9 @@ def _fake_report(score_map, n_folds=1):
     for model, scores in score_map.items():
         for i, s in enumerate(scores):
             cells.append(CellResult(model, i % n_folds, i, {"ccc_mu": s}))
-    cfg = ExperimentConfig(k_folds=2, n_seeds=len(next(iter(score_map.values()))),
+    cfg = ExperimentConfig(k_folds=3, n_seeds=len(next(iter(score_map.values()))),
                            variants=("fully_shared",), baselines=())
-    plan = make_folds([f"s{i}" for i in range(4)], 2, 0)
+    plan = make_folds([f"s{i}" for i in range(4)], 3, 0)
     return ExperimentReport(cfg, plan, cells, [])
 
 
@@ -437,7 +426,7 @@ class TestDensityData:
             subjects=np.array([f"s{i}" for i in range(n)]),
             starts=np.arange(n) * 0.4, n_annotators=np.full(n, 2),
             truth_alpha=alpha, truth_beta=beta,
-            truth_desc=descriptors_arrays(alpha, beta),
+            truth_desc=descriptors_arrays(alpha, beta), epsilon=1e-4,
         )
 
     def test_identical_predictions_give_identical_columns(self, tmp_path):

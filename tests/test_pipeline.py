@@ -3,6 +3,7 @@
 import codecs
 import contextlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -201,11 +202,13 @@ class TestWindowConsensus:
         traces = [constant_trace(0.2, annotator=f"a{i}") for i in range(3)]
         table, _ = window_consensus(traces, WindowConfig())
         assert len(table) and np.all(table.sigma == 0.0)
-        table, _ = build_dataset([make_series()], traces, WindowConfig(), epsilon=1e-4)
-        assert len(table)
-        for mu, sigma in zip(table.mu, table.sigma):
-            assert mu == pytest.approx(0.2)
-            assert sigma**2 == pytest.approx(1e-4 * 0.2 * 0.8)
+        # build_dataset clamps with its WindowConfig's epsilon.
+        for epsilon in (1e-4, 0.2):
+            table, _ = build_dataset([make_series()], traces, WindowConfig(epsilon=epsilon))
+            assert len(table)
+            for mu, sigma in zip(table.mu, table.sigma):
+                assert mu == pytest.approx(0.2)
+                assert sigma**2 == pytest.approx(epsilon * 0.2 * 0.8)
 
     def test_window_without_second_annotator_dropped(self):
         full = constant_trace(0.4, annotator="a1", duration=10.0)
@@ -460,20 +463,23 @@ class TestCsvRoundTrips:
             read_annotation_csv(path)
 
     def test_dataset_round_trip(self, tmp_path):
+        cfg = WindowConfig(epsilon=0.05)
         table, report = build_dataset(
             [make_series(dim=4)],
             [constant_trace(0.4, annotator="a1"),
              constant_trace(0.6, annotator="a2")],
-            WindowConfig(),
+            cfg,
         )
-        first = write_dataset(tmp_path / "one", table, report, WindowConfig())
-        back, manifest = read_dataset(tmp_path / "one")
+        first = write_dataset(tmp_path / "one", table, report, cfg)
+        back, epsilon = read_dataset(tmp_path / "one")
         assert len(back) == len(table)
+        manifest = json.loads((tmp_path / "one" / "dataset_manifest.json").read_text())
         assert manifest["window"] == {"window_len": 3.0, "stride": 0.4}
         assert manifest["subjects"] == ["s1"]
+        assert manifest["epsilon"] == epsilon == 0.05
         for name in ("subjects", "starts", "n_annotators", "mu", "sigma", "x"):
             np.testing.assert_array_equal(getattr(back, name), getattr(table, name))
-        second = write_dataset(tmp_path / "two", back, report, WindowConfig())
+        second = write_dataset(tmp_path / "two", back, report, cfg)
         assert second.read_bytes() == first.read_bytes()
 
     def test_feature_csv_round_trip(self, tmp_path):
