@@ -12,8 +12,9 @@ written, so a rejected invocation exits 2 naming its key and leaves no
 output.  An accepted one reads its input files, so a malformed one leaves no
 output either, and then writes a ``manifest.json`` into its output directory
 before computing anything, recording the input paths, resolved parameters,
-master seed, tool version and NumPy and BLAS builds; a run is reproducible
-from its manifest alone.  ``ANNODIST_OUT_ROOT`` prefixes relative output paths.
+master seed, tool version, NumPy and BLAS builds and the BLAS thread
+variables; a run is reproducible from its manifest alone.
+``ANNODIST_OUT_ROOT`` prefixes relative output paths.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 numeric/training error.
 
@@ -25,14 +26,20 @@ calls them through their module attributes: ``synth`` loads ``synthetic``,
 ``experiments`` and with it ``nn`` and ``metrics``.
 
 A process started as ``python -m annodist.cli`` or as the ``annodist``
-console script runs :func:`entry`, which freezes the garbage collector once
-:func:`main` has returned and then exits with its code.  The interpreter's
-final collections then skip the objects NumPy and annodist left loaded (the
-OS frees that memory), which saves most of the process's teardown.  Nothing
-else of the exit is skipped: ``atexit`` hooks run, multiprocessing's among
-them, and the standard streams are flushed; every output file is already
-closed by its ``with`` block and the worker pool joined by its own.  A caller
-of :func:`main` keeps a working collector.
+console script runs :func:`entry`.  Before :func:`main` loads NumPy, it sets
+``OPENBLAS_NUM_THREADS=1`` unless one of ``BLAS_THREAD_VARS``
+(``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``, ``OMP_NUM_THREADS``) is
+already set, so a CLI process and every ``--jobs`` worker forked from it run
+BLAS on one thread: ``--jobs`` is the parallelism, and NumPy loads without
+starting a BLAS thread pool.  A thread count set by the caller is kept.  Once
+:func:`main` has returned, :func:`entry` freezes the garbage collector and
+exits with its code.  The interpreter's final collections then skip the
+objects NumPy and annodist left loaded (the OS frees that memory), which
+saves most of the process's teardown.  Nothing else of the exit is skipped:
+``atexit`` hooks run, multiprocessing's among them, and the standard streams
+are flushed; every output file is already closed by its ``with`` block and
+the worker pool joined by its own.  A caller of :func:`main` keeps a working
+collector and an unchanged ``os.environ``.
 """
 
 from __future__ import annotations
@@ -68,6 +75,9 @@ from .errors import (
 )
 
 OUT_ROOT_ENV = "ANNODIST_OUT_ROOT"
+# The variables OpenBLAS reads its thread count from, in the order it reads
+# them; the manifest records each.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -227,9 +237,9 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, list]:
 
 
 def _write_manifest(args, params: dict) -> Path:
-    """Create the output directory and record the input paths, ``params``
-    and the NumPy and BLAS builds in it; returns it.  The command has already
-    loaded NumPy."""
+    """Create the output directory and record the input paths, ``params``,
+    the NumPy and BLAS builds and the BLAS thread variables (a value or
+    None each) in it; returns it.  The command has already loaded NumPy."""
     import numpy as np
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -245,7 +255,8 @@ def _write_manifest(args, params: dict) -> Path:
         "master_seed": params.get("seed", params.get("master_seed")),
         "output_dir": str(outdir),
         "environment": {"numpy": np.__version__, "blas": {
-            k: blas.get(k) for k in ("name", "version", "openblas configuration")}},
+            **{k: blas.get(k) for k in ("name", "version", "openblas configuration")},
+            **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}}},
     }
     write_json(outdir / "manifest.json", manifest)
     return outdir
@@ -448,8 +459,11 @@ def main(argv=None) -> int:
 
 
 def entry() -> NoReturn:
-    """Run :func:`main` on ``sys.argv`` as the whole process and exit with its
-    code, skipping only the final collection over what is still loaded."""
+    """Run :func:`main` on ``sys.argv`` as the whole process, with BLAS on one
+    thread unless the caller set a thread count, and exit with its code,
+    skipping only the final collection over what is still loaded."""
+    if not any(var in os.environ for var in BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -970,7 +970,24 @@ class TestUsageAndEnvironment:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["environment"] == {"numpy": np.__version__, "blas": {
             "name": blas["name"], "version": blas["version"],
-            "openblas configuration": blas.get("openblas configuration")}}
+            "openblas configuration": blas.get("openblas configuration"),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "GOTO_NUM_THREADS": os.environ.get("GOTO_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS")}}
+
+    @pytest.mark.parametrize("given", [{}, {"OMP_NUM_THREADS": "2"},
+                                       {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": ""}])
+    def test_manifest_records_the_blas_thread_variables(self, given, synth_dir, tmp_path,
+                                                        monkeypatch):
+        for var in cli.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in given.items():
+            monkeypatch.setenv(var, value)
+        assert run_cli("fit", "--annotations", synth_dir / "annotations.csv",
+                       "--out", tmp_path) == 0
+        blas = json.loads((tmp_path / "manifest.json").read_text())["environment"]["blas"]
+        assert {k: blas[k] for k in cli.BLAS_THREAD_VARS} == {
+            var: given.get(var) for var in cli.BLAS_THREAD_VARS}
 
     def test_manifest_records_the_input_paths_as_given(self, synth_dir, built_dir,
                                                        tmp_path, monkeypatch):
