@@ -332,9 +332,8 @@ def _cmd_run(args) -> int:
     failures = report.failures()
     if failures:
         print(f"{len(failures)} grid cells failed:", file=sys.stderr)
-        for c in failures:
-            print(f"  {c.model} fold={c.fold} seed={c.seed}: {c.failed}",
-                  file=sys.stderr)
+        for model, fold, seed, error in failures:
+            print(f"  {model} fold={fold} seed={seed}: {error}", file=sys.stderr)
         return 3
     print(f"grid complete: {len(report.cells)} cells")
     return 0

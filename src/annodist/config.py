@@ -42,6 +42,8 @@ EPSILON_RANGE = (lambda e: 0.0 < e < 0.5, "in (0, 0.5)")
 DESCRIPTOR_NAMES = ("median", "q25", "q75", "skew", "kurt")
 
 ORACLE_MODEL = "oracle"
+# Fold i tests and fold i+1 validates, so k >= 3 leaves a fold to train.
+MIN_FOLDS = 3
 KL_DIRECTIONS = ("truth_first", "pred_first")
 CCC_POOLINGS = ("pooled", "per_subject")
 
@@ -124,9 +126,8 @@ class ExperimentConfig:
     include_oracle: bool = False
 
     def __post_init__(self):
-        # Fold i tests and fold i+1 validates, so k >= 3 leaves a fold to train.
         check_fields(
-            self, k_folds=at_least(3), n_seeds=at_least(1), master_seed=at_least(0),
+            self, k_folds=at_least(MIN_FOLDS), n_seeds=at_least(1), master_seed=at_least(0),
             variants=subset_of(MOMENT_KINDS), baselines=subset_of(DESCRIPTOR_NAMES),
             kl_direction=one_of(KL_DIRECTIONS), ccc_pooling=one_of(CCC_POOLINGS),
         )

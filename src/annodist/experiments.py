@@ -12,8 +12,11 @@ network, evaluated on the held-out windows:
   Beta and against the uniform Beta(1,1) reference (both KL directions are
   recorded; the configured one is reported first).
 
+The report holds each metric as one (model, fold, seed) array, and the
+failures as one parallel array of messages (:class:`ExperimentReport`).
+
 The grid is planned once, in this process, by :func:`_stacks`, which
-creates every cell.  The unit of work is a (network kind, fold) stack,
+indexes every cell.  The unit of work is a (network kind, fold) stack,
 trained in one :func:`nn.train` call: each moment variant stacks its
 ``n_seeds`` seeds, and ``point`` stacks every baseline target x seed (they
 share architecture, init and shuffle and differ only in the target
@@ -30,8 +33,8 @@ included, are scored by one Beta fit (:func:`fit_beta_arrays`, non-strict,
 at the ground truth's clamp margin ``epsilon``) and one KL pass per direction
 over their concatenated test windows, then sliced per cell for concordance
 and the KL means.  Quantiles and KL terms are computed element by element,
-so each cell gets the bits it would get alone.  Per-subject CCC averages over the test subjects with at least 2
-windows; a cell with no such subject fails.
+so each cell gets the bits it would get alone.  Per-subject CCC averages over
+the test subjects with at least 2 windows; a cell with no such subject fails.
 
 Each fold's window split and training-fold z-score statistics are computed
 once, before any stack trains (:class:`Fold`), and the report keeps them for
@@ -41,7 +44,7 @@ evenly spaced fold-0 test windows, predicted by the reference member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
 
@@ -54,6 +57,7 @@ from .config import (
     DEFAULT_EPSILON,
     DESCRIPTOR_NAMES,
     KL_DIRECTIONS,
+    MIN_FOLDS,
     ORACLE_MODEL,
     ExperimentConfig,
     TrainConfig,
@@ -73,6 +77,11 @@ from .pipeline import WindowTable, write_table
 # Density curves are sampled at this many midpoints of (0, 1).
 DENSITY_POINTS = 512
 
+# The per-cell metrics: the concordances, then the KL means of kl.csv.
+CCC_METRICS = ("ccc_mu", "ccc_sigma", *(f"ccc_{name}" for name in DESCRIPTOR_NAMES))
+KL_METRICS = ("kl_truth_pred", "kl_pred_truth", "kl_truth_uniform", "kl_frac_better")
+METRICS = CCC_METRICS + KL_METRICS
+
 
 @dataclass(frozen=True)
 class FoldPlan:
@@ -83,14 +92,13 @@ class FoldPlan:
 
 
 def make_folds(subjects: list[str], k: int = 5, seed: int = 0) -> FoldPlan:
-    """Seeded shuffle plus round-robin assignment of subjects to k folds."""
+    """Seeded shuffle plus round-robin assignment of subjects to k >= 3 folds."""
+    check("make_folds", "k", k, at_least(MIN_FOLDS))
     uniq = sorted(set(subjects))
     if len(uniq) < k:
         raise InsufficientDataError(
             f"make_folds: need >= {k} subjects for {k} folds, got {len(uniq)}"
         )
-    if k < 2:
-        raise DomainError("make_folds: k must be >= 2")
     order = np.random.default_rng(seed).permutation(len(uniq))
     return FoldPlan(k, {uniq[j]: i % k for i, j in enumerate(order)})
 
@@ -129,17 +137,11 @@ class Fold:
 
 
 @dataclass
-class CellResult:
-    model: str
-    fold: int
-    seed: int
-    scores: dict[str, float] = field(default_factory=dict)
-    failed: str | None = None
-
-
-@dataclass
 class ExperimentReport:
-    """Grid results.  ``cells`` run model by model, then by fold and seed;
+    """Grid results.  ``scores`` maps each metric of :data:`METRICS` to a
+    float64 array shaped (model, fold, seed), ``models`` in config order,
+    NaN where the cell failed or has no such metric; ``errors`` is the
+    parallel object array of failure messages, None where the cell trained.
     ``folds`` are the folds the grid ran on, ``data`` its dataset, and
     ``reference_predictions`` the ``(n_test, 2)`` moment predictions of the
     ``variants[0]`` / fold-0 / master-seed member on fold 0's test windows
@@ -147,22 +149,22 @@ class ExperimentReport:
 
     config: ExperimentConfig
     fold_plan: FoldPlan
-    cells: list[CellResult]
+    models: list[str]
+    scores: dict[str, np.ndarray]
+    errors: np.ndarray
     folds: list[Fold]
     data: DatasetArrays | None = None
     reference_predictions: np.ndarray | None = None
 
-    def score_vectors(self, metric: str) -> dict[str, np.ndarray]:
-        """Per-model score arrays in cell order, so aligned by (fold, seed);
-        NaN for failures."""
-        vals: dict[str, list] = {}
-        for c in self.cells:
-            vals.setdefault(c.model, []).append(c.scores.get(metric, np.nan))
-        return {model: np.array(v, dtype=np.float64)
-                for model, v in vals.items() if not all(np.isnan(v))}
+    @property
+    def cells(self) -> list[tuple[str, int, int]]:
+        """Each cell's ``(model, fold, seed)``, in the arrays' element order."""
+        return [(self.models[m], fold, self.config.master_seed + s)
+                for m, fold, s in np.ndindex(self.errors.shape)]
 
-    def failures(self) -> list[CellResult]:
-        return [c for c in self.cells if c.failed is not None]
+    def failures(self) -> list[tuple[str, int, int, str]]:
+        """``(model, fold, seed, message)`` of each failed cell, in cell order."""
+        return [(*c, e) for c, e in zip(self.cells, self.errors.flat) if e is not None]
 
 
 def _score_ccc(pred, target, subjects, pooling: str) -> float:
@@ -181,13 +183,14 @@ def _score_ccc(pred, target, subjects, pooling: str) -> float:
     return float(np.mean(values))
 
 
-def _score_moment_cells(data: DatasetArrays, batch: list, pooling: str) -> None:
-    """Score ``(cells, mu_hat, sigma_hat, test_idx)`` entries, every cell of
-    an entry alike: one Beta fit and one KL pass per direction over all their
-    windows, then one slice per entry.  The predictions are finite
-    (:func:`_run_stack` fails a member whose are not); over finite moments the
-    fit and KL are total and elementwise, so a slice holds the bits its entry
-    would get alone.
+def _score_moment_cells(data: DatasetArrays, batch: list, pooling: str,
+                        scores: dict[str, np.ndarray], errors: np.ndarray) -> None:
+    """Score ``(where, mu_hat, sigma_hat, test_idx)`` entries into the
+    ``scores`` and ``errors`` arrays at index ``where``, every cell there
+    alike: one Beta fit and one KL pass per direction over all their windows,
+    then one slice per entry.  The predictions are finite (:func:`_run_stack`
+    fails a member whose are not); over finite moments the fit and KL are
+    total and elementwise, so a slice holds the bits its entry would get alone.
     """
     _, mu_hat, sigma_hat, test_idx = zip(*batch)
     test_idx = np.concatenate(test_idx)
@@ -204,25 +207,22 @@ def _score_moment_cells(data: DatasetArrays, batch: list, pooling: str) -> None:
     kl_tu = kl_beta_arrays(*truth, *uniform)
     targets = {**data.truth_desc, "mu": data.mu, "sigma": data.sigma}
     hi = 0
-    for cells, mu_hat, sigma_hat, idx in batch:
+    for where, mu_hat, sigma_hat, idx in batch:
         lo, hi = hi, hi + idx.size
         subjects = data.subjects[idx]
         preds = {"mu": mu_hat, "sigma": sigma_hat,
                  **{name: pred_desc[name][lo:hi] for name in DESCRIPTOR_NAMES}}
         try:
-            scores = {f"ccc_{name}": _score_ccc(p, targets[name][idx], subjects, pooling)
+            values = {f"ccc_{name}": _score_ccc(p, targets[name][idx], subjects, pooling)
                       for name, p in preds.items()}
         except (AnnodistError, FloatingPointError) as exc:
-            for cell in cells:
-                cell.failed = _failure(exc)
+            errors[where] = _failure(exc)
             continue
         tp, tu = kl_tp[lo:hi], kl_tu[lo:hi]
-        scores.update(kl_truth_pred=float(tp.mean()),
-                      kl_pred_truth=float(kl_pt[lo:hi].mean()),
-                      kl_truth_uniform=float(tu.mean()),
-                      kl_frac_better=float(np.mean(tp < tu)))
-        for cell in cells:
-            cell.scores = dict(scores)
+        values.update(kl_truth_pred=tp.mean(), kl_pred_truth=kl_pt[lo:hi].mean(),
+                      kl_truth_uniform=tu.mean(), kl_frac_better=np.mean(tp < tu))
+        for metric, value in values.items():
+            scores[metric][where] = value
 
 
 # Worker-global payload for parallel grids (fork start method).
@@ -242,19 +242,20 @@ def _fold(data: DatasetArrays, plan: FoldPlan, fold: int) -> Fold:
     return Fold(train, val, test, x.mean(axis=0), np.where(std > 0, std, 1.0))
 
 
-def _stacks(cfg: ExperimentConfig) -> list[tuple[str, int, list]]:
-    """The grid's ``(kind, fold, members)`` stacks in training order: kind by
-    kind, the oracle's last, and fold by fold.  A member is its cell and its
-    point target (None for a moment network); seeds run in order."""
-    seeds = [cfg.master_seed + s for s in range(cfg.n_seeds)]
+def _stacks(cfg: ExperimentConfig) -> tuple[list[str], list[tuple[str, int, list]]]:
+    """The grid's models in config order, and its ``(kind, fold, members)``
+    stacks in training order: kind by kind, the oracle's last, and fold by
+    fold.  A member is its model's index, its seed's index and its point
+    target (None for a moment network); seeds run in order."""
     kinds = [(kind, [(kind, None)]) for kind in cfg.variants]
     if cfg.baselines:
         kinds.append(("point", [(f"point[{b}]", b) for b in cfg.baselines]))
     if cfg.include_oracle:
         kinds.append((ORACLE_MODEL, [(ORACLE_MODEL, None)]))
-    return [(kind, fold, [(CellResult(model, fold, seed), target)
-                          for model, target in models for seed in seeds])
-            for kind, models in kinds for fold in range(cfg.k_folds)]
+    models = [model for _, members in kinds for model, _ in members]
+    return models, [(kind, fold, [(models.index(model), s, target)
+                                  for model, target in members for s in range(cfg.n_seeds)])
+                    for kind, members in kinds for fold in range(cfg.k_folds)]
 
 
 def _failure(exc: Exception) -> str:
@@ -299,34 +300,38 @@ def _run_stack_task(task: tuple[str, int, list]):
 
 
 def _score(data: DatasetArrays, cfg: ExperimentConfig, folds: list[Fold],
-           stacks: list, results: list) -> None:
-    """Mark each member's failure and score every cell that trained: one
+           n_models: int, stacks: list, results: list) -> tuple[dict, np.ndarray]:
+    """The grid's score and error arrays: each member's failure, one
     concordance per point cell, and every moment cell, the oracle's on the
-    true moments, in one batched Beta fit.  ``results`` are the trained
-    stacks'; the oracle's stacks come last and pair with none."""
+    true moments, scored in one batched Beta fit.  ``results`` are the
+    trained stacks'; the oracle's stacks come last and pair with none."""
+    shape = n_models, cfg.k_folds, cfg.n_seeds
+    scores = {metric: np.full(shape, np.nan) for metric in METRICS}
+    errors = np.full(shape, None, dtype=object)
     batch = []
     for (kind, fold, members), (failures, pred) in zip_longest(
             stacks, results, fillvalue=(None, None)):
         test_idx = folds[fold].test
-        if kind == ORACLE_MODEL:
-            batch.append(([cell for cell, _ in members], data.mu[test_idx],
+        if kind == ORACLE_MODEL:  # every seed scores the same true moments
+            batch.append(((members[0][0], fold, slice(None)), data.mu[test_idx],
                           data.sigma[test_idx], test_idx))
             continue
         subjects = data.subjects[test_idx]
-        for m, ((cell, target), failure) in enumerate(zip(members, failures)):
-            cell.failed = failure
+        for i, ((m, s, target), failure) in enumerate(zip(members, failures)):
+            errors[m, fold, s] = failure
             if failure is not None:
                 continue
             if target is None:
-                batch.append(([cell], pred[m, :, 0], pred[m, :, 1], test_idx))
+                batch.append(((m, fold, s), pred[i, :, 0], pred[i, :, 1], test_idx))
                 continue
             try:
-                cell.scores = {f"ccc_{target}": _score_ccc(
-                    pred[m], data.truth_desc[target][test_idx], subjects, cfg.ccc_pooling)}
+                scores[f"ccc_{target}"][m, fold, s] = _score_ccc(
+                    pred[i], data.truth_desc[target][test_idx], subjects, cfg.ccc_pooling)
             except (AnnodistError, FloatingPointError) as exc:
-                cell.failed = _failure(exc)
+                errors[m, fold, s] = _failure(exc)
     if batch:
-        _score_moment_cells(data, batch, cfg.ccc_pooling)
+        _score_moment_cells(data, batch, cfg.ccc_pooling, scores, errors)
+    return scores, errors
 
 
 def run_grid(table: WindowTable, cfg: ExperimentConfig, train: TrainConfig = TrainConfig(),
@@ -347,8 +352,8 @@ def run_grid(table: WindowTable, cfg: ExperimentConfig, train: TrainConfig = Tra
     plan = make_folds(sorted(set(data.subjects.tolist())), cfg.k_folds,
                       cfg.master_seed)
     folds = [_fold(data, plan, i) for i in range(cfg.k_folds)]
-    stacks = _stacks(cfg)
-    tasks = [(kind, fold, [(target, cell.seed) for cell, target in members])
+    models, stacks = _stacks(cfg)
+    tasks = [(kind, fold, [(target, cfg.master_seed + s) for _, s, target in members])
              for kind, fold, members in stacks if kind != ORACLE_MODEL]
     workers = min(jobs, len(tasks))
     if workers > 1:
@@ -364,16 +369,11 @@ def run_grid(table: WindowTable, cfg: ExperimentConfig, train: TrainConfig = Tra
     else:
         results = [_run_stack(data, train, kind, folds[fold], members)
                    for kind, fold, members in tasks]
-    _score(data, cfg, folds, stacks, results)
-    # Stacks run kind by kind, fold by fold, seeds in order: ranking each
-    # model by its first cell gives the model -> fold -> seed order.
-    cells = [cell for _, _, members in stacks for cell, _ in members]
-    rank = {model: i for i, model in enumerate(dict.fromkeys(c.model for c in cells))}
-    cells.sort(key=lambda c: rank[c.model])
+    scores, errors = _score(data, cfg, folds, len(models), stacks, results)
     # With variants, the first stack is (variants[0], fold 0): the reference
-    # stack, whose master-seed member is the first cell.
-    reference = results[0][1][0] if cfg.variants and cells[0].failed is None else None
-    return ExperimentReport(cfg, plan, cells, folds, data, reference)
+    # stack, whose master-seed member is cell (0, 0, 0).
+    reference = results[0][1][0] if cfg.variants and errors[0, 0, 0] is None else None
+    return ExperimentReport(cfg, plan, models, scores, errors, folds, data, reference)
 
 
 def significance(
@@ -385,13 +385,11 @@ def significance(
     at the given level; comparisons without enough paired scores are marked
     inconclusive.
     """
-    metrics = ["ccc_mu", "ccc_sigma"] + [f"ccc_{n}" for n in DESCRIPTOR_NAMES]
     out: dict[str, dict[str, dict]] = {}
-    for metric in metrics:
-        vectors = report.score_vectors(metric)
-        vectors = {
-            m: v for m, v in vectors.items() if not np.any(np.isnan(v))
-        }
+    for metric in CCC_METRICS:
+        # Each model's cells in (fold, seed) order, so paired across models.
+        vectors = {model: v.ravel() for model, v in zip(report.models, report.scores[metric])
+                   if not np.any(np.isnan(v))}
         if not vectors:
             continue
         means = {m: float(v.mean()) for m, v in vectors.items()}
@@ -443,11 +441,10 @@ def emit_density_data(data: DatasetArrays, mu_hat: np.ndarray, sigma_hat: np.nda
     ))
 
 
-# Wide per-cell score tables: key in the returned paths -> (file, score keys).
+# Wide per-cell score tables: key in the returned paths -> (file, metrics).
 _SCORE_TABLES = {
     "moments": ("moments_ccc.csv", ["ccc_mu", "ccc_sigma"]),
-    "kl": ("kl.csv", ["kl_truth_pred", "kl_pred_truth", "kl_truth_uniform",
-                      "kl_frac_better"]),
+    "kl": ("kl.csv", list(KL_METRICS)),
 }
 
 
@@ -458,20 +455,23 @@ def write_report(report: ExperimentReport, outdir, level: float, *,
     0's test windows; returns the paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    cells = sorted(report.cells, key=lambda c: (c.model, c.fold, c.seed))
+    scores = report.scores
+    # Each cell's key and array index, by model name, then fold and seed.
+    cells = sorted(zip(report.cells, np.ndindex(report.errors.shape)))
 
     # One block per row: its key cells, then one column per score.
     paths = {
         name: write_table(outdir / file, ["model", "fold", "seed"] + keys, (
-            ((c.model, c.fold, c.seed), np.array([[c.scores[k]] for k in keys], float))
-            for c in cells if keys[0] in c.scores
+            (key, np.array([[scores[k][at]] for k in keys]))
+            for key, at in cells if not np.isnan(scores[keys[0]][at])
         ))
         for name, (file, keys) in _SCORE_TABLES.items()
     }
     paths["descriptors"] = write_table(
         outdir / "descriptors_ccc.csv", ["model", "fold", "seed", "descriptor", "ccc"],
-        (((c.model, c.fold, c.seed, name), np.array([[c.scores[f"ccc_{name}"]]], float))
-         for c in cells for name in DESCRIPTOR_NAMES if f"ccc_{name}" in c.scores),
+        (((*key, name), np.array([[scores[f"ccc_{name}"][at]]]))
+         for key, at in cells for name in DESCRIPTOR_NAMES
+         if not np.isnan(scores[f"ccc_{name}"][at])),
     )
     paths["summary"] = outdir / "summary.json"
 
@@ -479,26 +479,24 @@ def write_report(report: ExperimentReport, outdir, level: float, *,
     # always carries both directions plus the uniform reference.
     kl_key = ("kl_truth_pred" if report.config.kl_direction == "truth_first"
               else "kl_pred_truth")
-    vs_uniform = report.score_vectors("kl_truth_uniform")
-    better = report.score_vectors("kl_frac_better")
     kl_means = {
         model: {
-            "vs_truth_beta": float(np.nanmean(vec)),
-            "vs_uniform": float(np.nanmean(vs_uniform[model])),
-            "windows_better_than_uniform": float(np.nanmean(better[model])),
+            "vs_truth_beta": float(np.nanmean(scores[kl_key][m])),
+            "vs_uniform": float(np.nanmean(scores["kl_truth_uniform"][m])),
+            "windows_better_than_uniform": float(np.nanmean(scores["kl_frac_better"][m])),
         }
-        for model, vec in report.score_vectors(kl_key).items()
+        for m, model in enumerate(report.models) if not np.isnan(scores[kl_key][m]).all()
     }
     summary = {
         "grid": {
-            "models": list(dict.fromkeys(c.model for c in report.cells)),
+            "models": report.models,
             "k_folds": report.config.k_folds,
             "n_seeds": report.config.n_seeds,
             "master_seed": report.config.master_seed,
-            "cells": len(report.cells),
+            "cells": report.errors.size,
             "failures": [
-                {"model": c.model, "fold": c.fold, "seed": c.seed, "error": c.failed}
-                for c in report.failures()
+                {"model": model, "fold": fold, "seed": seed, "error": error}
+                for model, fold, seed, error in report.failures()
             ],
         },
         "kl_direction": report.config.kl_direction,

@@ -203,14 +203,14 @@ def test_04_kl_correctness(trained_grid):
     assert np.abs(same).max() <= 1e-12
 
     report, _ = trained_grid
-    fracs = report.score_vectors("kl_frac_better")["fully_shared"]
-    first_cell = [c for c in report.cells
-                  if c.model == "fully_shared" and c.fold == 0 and c.seed == 0][0]
-    assert first_cell.scores["kl_frac_better"] >= 0.95
+    # The (fold, seed) block of fully_shared; its first cell is fold 0, seed 0.
+    fracs = report.scores["kl_frac_better"][report.models.index("fully_shared")]
+    first_cell = fracs[0, 0]
+    assert first_cell >= 0.95
     assert fracs.mean() >= 0.95
     report_pass(4, "KL correctness",
                 f"quadrature worst rel {worst:.2e}; self-KL <= 1e-12; "
-                f"trained windows better than uniform: cell {first_cell.scores['kl_frac_better']:.3f}, "
+                f"trained windows better than uniform: cell {first_cell:.3f}, "
                 f"grid mean {fracs.mean():.3f}")
 
 
@@ -262,10 +262,11 @@ def test_06_parameter_count_band():
 def test_07_synthetic_end_to_end(trained_grid):
     report, elapsed = trained_grid
     assert not report.failures()
-    ccc_mu = report.score_vectors("ccc_mu")["fully_shared"]
-    ccc_sigma = report.score_vectors("ccc_sigma")["fully_shared"]
-    beta_median = report.score_vectors("ccc_median")["fully_shared"]
-    point_median = report.score_vectors("ccc_median")["point[median]"]
+    beta, point = report.models.index("fully_shared"), report.models.index("point[median]")
+    ccc_mu = report.scores["ccc_mu"][beta]
+    ccc_sigma = report.scores["ccc_sigma"][beta]
+    beta_median = report.scores["ccc_median"][beta]
+    point_median = report.scores["ccc_median"][point]
     assert ccc_mu.mean() >= 0.9
     assert ccc_sigma.mean() >= 0.6
     assert beta_median.mean() >= point_median.mean() - 0.05

@@ -292,6 +292,33 @@ class TestRun:
                        "--density-windows", 0, "--jobs", 0) == 0
         assert asked == [workers]
 
+    def test_failing_grid_exits_3_listing_each_failed_cell(self, tmp_path, capsys):
+        # An absurd learning rate fails every network: the three default
+        # variants and point[median] fail all their 24 cells, and the oracle,
+        # which trains nothing, scores its 6.
+        assert run_cli("synth", "--out", tmp_path / "s", "--n-subjects", 6,
+                       "--duration", 10) == 0
+        assert run_cli("build", "--features", tmp_path / "s" / "features.csv",
+                       "--annotations", tmp_path / "s" / "annotations.csv",
+                       "--out", tmp_path / "b") == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert run_cli("run", "--dataset", tmp_path / "b", "--out", out,
+                       "--k-folds", 3, "--n-seeds", 2, "--max-epochs", 2,
+                       "--learning-rate", 1e200, "--oracle", "--baselines", "median") == 3
+        head, *lines = capsys.readouterr().err.splitlines()
+        assert head == "24 grid cells failed:"
+        grid = json.loads((out / "summary.json").read_text())["grid"]
+        assert grid["cells"] == 30
+        # Model by model in config order, then fold and seed.
+        assert [(f["model"], f["fold"], f["seed"]) for f in grid["failures"]] == [
+            (model, fold, seed) for model in (*ExperimentConfig().variants, "point[median]")
+            for fold in range(3) for seed in range(2)]
+        assert lines == [f"  {f['model']} fold={f['fold']} seed={f['seed']}: {f['error']}"
+                         for f in grid["failures"]]
+        assert run_cli("report", "--run", out) == 0
+        assert "failures: 24" in capsys.readouterr().out.splitlines()
+
     def test_density_file_window_count(self, built_dir, tmp_path):
         out = tmp_path / "run"
         assert run_cli("run", "--dataset", built_dir, "--out", out,

@@ -12,7 +12,6 @@ from annodist import experiments, nn, special
 from annodist.config import TrainConfig
 from annodist.errors import DomainError, InsufficientDataError
 from annodist.experiments import (
-    CellResult,
     DatasetArrays,
     ExperimentConfig,
     ExperimentReport,
@@ -47,6 +46,43 @@ def tiny_table():
 @pytest.fixture(scope="module")
 def tiny_report(tiny_table):
     return run_grid(tiny_table, TINY_GRID, TINY_TRAIN)
+
+
+@pytest.fixture(scope="module")
+def poisoned_report(tiny_table):
+    """The tiny grid with a NaN in the test predictions of one moment member
+    and one point member of fold 0's stacks."""
+    predict, poisoned = nn.predict, set()
+
+    def poisoning_predict(net, x):
+        pred = predict(net, x)
+        if net.kind not in poisoned:
+            poisoned.add(net.kind)
+            pred[1 if net.kind == "fully_shared" else 0, 3] = np.nan
+        return pred
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nn, "predict", poisoning_predict)
+        report = run_grid(tiny_table, TINY_GRID, TINY_TRAIN)
+    assert poisoned == {"fully_shared", "point"}
+    return report
+
+
+def model_scores(report, metric, model):
+    """``model``'s (fold, seed) block of ``metric``."""
+    return report.scores[metric][report.models.index(model)]
+
+
+def failed_cells(report):
+    # A failure message is truthy and None is not.
+    return report.errors.astype(bool)
+
+
+def assert_same_scores(got, want):
+    """Equal (model, fold, seed) score arrays, NaN where ``want`` has NaN."""
+    assert set(got) == set(want) == set(experiments.METRICS)
+    for metric in experiments.METRICS:
+        np.testing.assert_array_equal(got[metric], want[metric])
 
 
 # (config, field, bad value): each range error names its field and the value.
@@ -117,39 +153,43 @@ class TestFolds:
         with pytest.raises(InsufficientDataError):
             make_folds(["a", "b", "c"], k=5, seed=0)
 
+    def test_two_folds_rejected(self):
+        # Fold i tests and fold i+1 validates, so with k = 2 no window trains.
+        with pytest.raises(DomainError, match="make_folds: k must be >= 3, got 2"):
+            make_folds(["a", "b", "c", "d"], k=2)
+
 
 class TestRunGrid:
     def test_grid_is_complete(self, tiny_report):
         models = ["fully_shared", "point[median]", "oracle"]
+        assert tiny_report.models == models
         assert len(tiny_report.cells) == len(models) * 3 * 2
-        seen = {(c.model, c.fold, c.seed) for c in tiny_report.cells}
-        assert len(seen) == len(tiny_report.cells)
+        assert len(set(tiny_report.cells)) == len(tiny_report.cells)
         assert not tiny_report.failures()
 
     def test_oracle_rows_are_perfect(self, tiny_report):
-        for c in tiny_report.cells:
-            if c.model == "oracle":
-                assert c.scores["ccc_mu"] == pytest.approx(1.0)
-                assert c.scores["ccc_sigma"] == pytest.approx(1.0)
-                assert c.scores["kl_truth_pred"] <= 1e-10
-                assert c.scores["kl_frac_better"] == 1.0
+        def oracle(metric):
+            return model_scores(tiny_report, metric, "oracle")
+
+        assert oracle("ccc_mu") == pytest.approx(1.0)
+        assert oracle("ccc_sigma") == pytest.approx(1.0)
+        assert np.all(oracle("kl_truth_pred") <= 1e-10)
+        assert np.all(oracle("kl_frac_better") == 1.0)
 
     def test_baseline_cells_score_their_descriptor(self, tiny_report):
-        for c in tiny_report.cells:
-            if c.model == "point[median]":
-                assert set(c.scores) == {"ccc_median"}
+        for metric in experiments.METRICS:
+            scores = model_scores(tiny_report, metric, "point[median]")
+            assert (np.isfinite(scores) if metric == "ccc_median" else np.isnan(scores)).all()
 
     def test_determinism(self, tiny_table, tiny_report):
         again = run_grid(tiny_table, TINY_GRID, TINY_TRAIN)
-        for a, b in zip(tiny_report.cells, again.cells):
-            assert (a.model, a.fold, a.seed) == (b.model, b.fold, b.seed)
-            assert a.scores == b.scores
+        assert again.cells == tiny_report.cells
+        assert_same_scores(again.scores, tiny_report.scores)
 
     def test_parallel_jobs_match_sequential(self, tiny_table, tiny_report):
         parallel = run_grid(tiny_table, TINY_GRID, TINY_TRAIN, jobs=2)
-        for a, b in zip(tiny_report.cells, parallel.cells, strict=True):
-            assert (a.model, a.fold, a.seed) == (b.model, b.fold, b.seed)
-            assert a.scores == b.scores
+        assert parallel.cells == tiny_report.cells
+        assert_same_scores(parallel.scores, tiny_report.scores)
         np.testing.assert_array_equal(parallel.reference_predictions,
                                       tiny_report.reference_predictions)
 
@@ -164,22 +204,18 @@ class TestRunGrid:
                          TINY_TRAIN)
         every = run_grid(tiny_table, ExperimentConfig(**base), TINY_TRAIN)
         assert len(every.cells) == 5 * len(alone.cells)
-
-        def median_scores(report):
-            return {(c.fold, c.seed): c.scores
-                    for c in report.cells if c.model == "point[median]"}
-
-        assert median_scores(alone) == median_scores(every)
+        m = every.models.index("point[median]")
+        assert_same_scores({k: v[m] for k, v in every.scores.items()},
+                           {k: v[0] for k, v in alone.scores.items()})
 
     def test_master_seed_cells_do_not_depend_on_n_seeds(self, tiny_table,
                                                         tiny_report):
         single = run_grid(tiny_table, ExperimentConfig(**{
             **TINY_GRID.__dict__, "n_seeds": 1,
         }), TINY_TRAIN)
-        assert {(c.model, c.fold): c.scores for c in single.cells} == {
-            (c.model, c.fold): c.scores for c in tiny_report.cells
-            if c.seed == TINY_GRID.master_seed
-        }
+        # The master seed is seed index 0.
+        assert_same_scores(single.scores,
+                           {k: v[:, :, :1] for k, v in tiny_report.scores.items()})
 
     def test_cell_failures_recorded_and_grid_continues(self, tiny_table):
         # An absurd learning rate overflows the parameters and trips the
@@ -193,10 +229,10 @@ class TestRunGrid:
             report = run_grid(tiny_table, cfg, TrainConfig(learning_rate=1e200,
                                                            max_epochs=3))
         assert len(report.cells) == 2 * 3
-        failed = {c.model for c in report.failures()}
+        failed = {model for model, *_ in report.failures()}
         assert failed == {"fully_shared", "point[median]"}
-        for c in report.failures():
-            assert "TrainingError" in c.failed
+        for *_, error in report.failures():
+            assert "TrainingError" in error
 
     @pytest.mark.parametrize("grid,learning_rate", [
         (dict(variants=("independent", "fully_shared"), baselines=()), 1e-3),
@@ -214,7 +250,7 @@ class TestRunGrid:
             report = run_grid(tiny_table, cfg, TrainConfig(learning_rate, max_epochs=2))
         models = [*cfg.variants, *(f"point[{b}]" for b in cfg.baselines),
                   *["oracle"] * cfg.include_oracle]
-        assert [(c.model, c.fold, c.seed) for c in report.cells] == [
+        assert report.cells == [
             (model, fold, cfg.master_seed + s)
             for model in models for fold in range(3) for s in range(cfg.n_seeds)]
         assert bool(report.failures()) == (learning_rate == 1e200)
@@ -248,12 +284,12 @@ class TestRunGrid:
             **TINY_GRID.__dict__, "ccc_pooling": "per_subject",
         })
         per_subject = run_grid(tiny_table, cfg, TINY_TRAIN)
-        pooled_mu = tiny_report.score_vectors("ccc_mu")["fully_shared"]
-        split_mu = per_subject.score_vectors("ccc_mu")["fully_shared"]
+        pooled_mu = model_scores(tiny_report, "ccc_mu", "fully_shared")
+        split_mu = model_scores(per_subject, "ccc_mu", "fully_shared")
         assert split_mu.shape == pooled_mu.shape
         assert not np.allclose(split_mu, pooled_mu)
         # The oracle predicts the targets exactly, so both poolings give 1.
-        assert np.allclose(per_subject.score_vectors("ccc_mu")["oracle"], 1.0)
+        assert np.allclose(model_scores(per_subject, "ccc_mu", "oracle"), 1.0)
 
     def test_per_subject_ccc_needs_a_subject_with_two_windows(self):
         pred, target = np.array([0.1, 0.2]), np.array([0.3, 0.1])
@@ -274,36 +310,37 @@ class TestRunGrid:
         )
         report = run_grid(tiny_table, cfg, TrainConfig(learning_rate=1e-30, max_epochs=1))
         assert not report.failures()
-        for c in report.cells:
-            assert np.isfinite(c.scores["ccc_median"])
-            assert np.isfinite(c.scores["kl_truth_pred"])
+        assert np.isfinite(report.scores["ccc_median"]).all()
+        assert np.isfinite(report.scores["kl_truth_pred"]).all()
 
 
 class TestBatchedScoring:
+    # Score arrays of two models (fully_shared, oracle) x 3 folds x 2 seeds.
+    SHAPE = (2, 3, 2)
+
+    def _arrays(self):
+        return ({metric: np.full(self.SHAPE, np.nan) for metric in experiments.METRICS},
+                np.full(self.SHAPE, None, dtype=object))
+
     def _batch(self, report, rng):
         # Two cells with random predictions, some sigma_hat above the
         # validity cap, on different folds, and a two-seed oracle entry.
         data, folds = report.data, report.folds
         batch = []
-        for fold in folds[:2]:
+        for i, fold in enumerate(folds[:2]):
             n = fold.test.size
-            batch.append(([CellResult("fully_shared", 0, 1)],
-                          rng.uniform(0.05, 0.95, n), rng.uniform(0.01, 0.6, n),
+            batch.append(((0, i, 0), rng.uniform(0.05, 0.95, n), rng.uniform(0.01, 0.6, n),
                           fold.test))
         test = folds[2].test
-        batch.append(([CellResult("oracle", 2, s) for s in (1, 2)],
-                      data.mu[test], data.sigma[test], test))
+        batch.append(((1, 2, slice(None)), data.mu[test], data.sigma[test], test))
         return batch
 
-    @staticmethod
-    def _alone(data, entry, pooling):
-        # The same entry scored as a one-entry batch, on fresh cells.
-        cells, mu_hat, sigma_hat, test_idx = entry
-        fresh = [CellResult(c.model, c.fold, c.seed) for c in cells]
-        experiments._score_moment_cells(data, [(fresh, mu_hat, sigma_hat, test_idx)],
-                                        pooling)
-        assert all(c.failed is None for c in fresh)
-        return fresh[0].scores
+    def _alone(self, data, entry, pooling):
+        # The same entry scored as a one-entry batch, into fresh arrays.
+        scores, errors = self._arrays()
+        experiments._score_moment_cells(data, [entry], pooling, scores, errors)
+        assert not errors.astype(bool).any()
+        return {metric: v[entry[0]] for metric, v in scores.items()}
 
     @pytest.mark.parametrize("pooling", experiments.CCC_POOLINGS)
     def test_batched_cells_match_cells_scored_alone(self, tiny_report, pooling,
@@ -314,13 +351,17 @@ class TestBatchedScoring:
         inverse = special.inv_reg_inc_beta
         monkeypatch.setattr(special, "inv_reg_inc_beta",
                             lambda *a, **k: calls.append(1) or inverse(*a, **k))
-        experiments._score_moment_cells(data, batch, pooling)
+        scores, errors = self._arrays()
+        experiments._score_moment_cells(data, batch, pooling, scores, errors)
         assert len(calls) == 1
+        assert not errors.astype(bool).any()
+        for metric in experiments.METRICS:
+            # Two single cells and the two oracle seeds; the rest stay NaN.
+            assert np.count_nonzero(np.isfinite(scores[metric])) == 4
         for entry in batch:
-            alone = self._alone(data, entry, pooling)
-            for cell in entry[0]:
-                assert cell.failed is None
-                assert cell.scores == alone
+            for metric, value in self._alone(data, entry, pooling).items():
+                assert np.isfinite(value).all()
+                np.testing.assert_array_equal(scores[metric][entry[0]], value)
 
     def test_any_finite_predictions_score(self, tiny_report):
         # Moments far outside the validity region, the extremes included,
@@ -331,17 +372,17 @@ class TestBatchedScoring:
         mu_x, sigma_x = (v.ravel() for v in np.meshgrid(
             [0.0, 1.0, -3.0, 7.5], [0.0, 5e-324, 1e300, -1e300]))
         batch = []
-        for fold in folds:
+        for i, fold in enumerate(folds):
             n = fold.test.size
             mu_hat = rng.uniform(-2.0, 3.0, n)
             sigma_hat = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320, 300, n)
             mu_hat[:mu_x.size], sigma_hat[:mu_x.size] = mu_x, sigma_x
-            batch.append(([CellResult("fully_shared", 0, 1)], mu_hat, sigma_hat,
-                          fold.test))
-        experiments._score_moment_cells(data, batch, "pooled")
-        for cells, *_ in batch:
-            assert cells[0].failed is None
-            assert all(np.isfinite(v) for v in cells[0].scores.values())
+            batch.append(((0, i, 0), mu_hat, sigma_hat, fold.test))
+        scores, errors = self._arrays()
+        experiments._score_moment_cells(data, batch, "pooled", scores, errors)
+        assert not errors.astype(bool).any()
+        for metric in experiments.METRICS:
+            assert np.isfinite(scores[metric][0, :, 0]).all()
 
     def test_extreme_moments_fit_to_bounded_shapes(self):
         mu, sigma = (v.ravel() for v in np.meshgrid(
@@ -353,39 +394,63 @@ class TestBatchedScoring:
         assert np.all(np.isfinite(experiments.kl_beta_arrays(alpha, beta, 1.0, 1.0)))
 
     def test_a_member_with_non_finite_predictions_fails_alone(
-            self, tiny_table, tiny_report, monkeypatch):
-        # Poison one moment member and one point member of fold 0's stacks.
-        predict, poisoned = nn.predict, set()
-
-        def poisoning_predict(net, x):
-            pred = predict(net, x)
-            if net.kind not in poisoned:
-                poisoned.add(net.kind)
-                pred[1 if net.kind == "fully_shared" else 0, 3] = np.nan
-            return pred
-
-        monkeypatch.setattr(nn, "predict", poisoning_predict)
-        report = run_grid(tiny_table, TINY_GRID, TINY_TRAIN)
-        assert poisoned == {"fully_shared", "point"}
-        assert {(c.model, c.fold, c.seed): c.failed for c in report.failures()} == {
-            ("fully_shared", 0, 2): "TrainingError: non-finite test predictions",
-            ("point[median]", 0, 1): "TrainingError: non-finite test predictions",
-        }
-        for a, b in zip(tiny_report.cells, report.cells):
-            assert (a.model, a.fold, a.seed) == (b.model, b.fold, b.seed)
-            if b.failed is None:
-                assert a.scores == b.scores
+            self, tiny_report, poisoned_report):
+        assert poisoned_report.failures() == [
+            ("fully_shared", 0, 2, "TrainingError: non-finite test predictions"),
+            ("point[median]", 0, 1, "TrainingError: non-finite test predictions"),
+        ]
+        assert poisoned_report.cells == tiny_report.cells
+        trained = ~failed_cells(poisoned_report)
+        for metric, scores in poisoned_report.scores.items():
+            np.testing.assert_array_equal(scores[trained],
+                                          tiny_report.scores[metric][trained])
 
 
-def _fake_report(score_map, n_folds=1):
-    cells = []
-    for model, scores in score_map.items():
-        for i, s in enumerate(scores):
-            cells.append(CellResult(model, i % n_folds, i, {"ccc_mu": s}))
-    cfg = ExperimentConfig(k_folds=3, n_seeds=len(next(iter(score_map.values()))),
+class TestScoreArrays:
+    @pytest.mark.parametrize("name", ["tiny_report", "poisoned_report"])
+    def test_one_array_per_metric_shaped_model_fold_seed(self, name, request):
+        report = request.getfixturevalue(name)
+        shape = (len(report.models), TINY_GRID.k_folds, TINY_GRID.n_seeds)
+        assert set(report.scores) == set(experiments.METRICS)
+        assert report.errors.shape == shape
+        for scores in report.scores.values():
+            assert scores.shape == shape and scores.dtype == np.float64
+        failed = failed_cells(report)
+        for m, fold, s in np.ndindex(shape):
+            model, error = report.models[m], report.errors[m, fold, s]
+            finite = {metric for metric, scores in report.scores.items()
+                      if np.isfinite(scores[m, fold, s])}
+            if failed[m, fold, s]:
+                assert finite == set() and error.startswith("TrainingError: ")
+            elif model.startswith("point["):
+                assert error is None and finite == {f"ccc_{model[6:-1]}"}
+            else:
+                assert error is None and finite == set(experiments.METRICS)
+        assert failed.any() == (name == "poisoned_report")
+
+    def test_significance_leaves_out_a_model_with_a_failed_cell(
+            self, tiny_report, poisoned_report):
+        models = {metric: set(rows) for metric, rows
+                  in significance(tiny_report, 0.05).items()}
+        assert models["ccc_median"] == {"fully_shared", "point[median]", "oracle"}
+        assert models["ccc_mu"] == {"fully_shared", "oracle"}
+        models = {metric: set(rows) for metric, rows
+                  in significance(poisoned_report, 0.05).items()}
+        assert models["ccc_median"] == {"oracle"}
+        assert models["ccc_mu"] == {"oracle"}
+
+
+def _fake_report(score_map):
+    # One fold; each model's scores are its seeds.
+    models = list(score_map)
+    shape = (len(models), 1, len(score_map[models[0]]))
+    scores = {metric: np.full(shape, np.nan) for metric in experiments.METRICS}
+    scores["ccc_mu"][:, 0] = list(score_map.values())
+    cfg = ExperimentConfig(k_folds=3, n_seeds=shape[2],
                            variants=("fully_shared",), baselines=())
     plan = make_folds([f"s{i}" for i in range(4)], 3, 0)
-    return ExperimentReport(cfg, plan, cells, [])
+    return ExperimentReport(cfg, plan, models, scores, np.full(shape, None, dtype=object),
+                            [])
 
 
 class TestSignificance:
@@ -512,19 +577,28 @@ class TestWriteReport:
 
     def test_score_tables_match_the_csv_module(self, tiny_report, tmp_path):
         paths = write_report(tiny_report, tmp_path / "got", 0.05, density_windows=0)
-        cells = sorted(tiny_report.cells, key=lambda c: (c.model, c.fold, c.seed))
+        # Rows by model name, then fold and seed; a cell without the metric
+        # (NaN) has no row.
+        models = tiny_report.models
+        cells = [(model, fold, TINY_GRID.master_seed + s, (models.index(model), fold, s))
+                 for model in sorted(models) for fold in range(TINY_GRID.k_folds)
+                 for s in range(TINY_GRID.n_seeds)]
+
+        def score(metric, at):
+            return tiny_report.scores[metric][at]
+
         tables = {"moments": ["ccc_mu", "ccc_sigma"],
                   "kl": ["kl_truth_pred", "kl_pred_truth", "kl_truth_uniform",
                          "kl_frac_better"]}
         for name, keys in tables.items():
             want = csv_reference.write(tmp_path / "want.csv", ["model", "fold", "seed", *keys], [
-                [c.model, c.fold, c.seed, *(c.scores[k] for k in keys)]
-                for c in cells if keys[0] in c.scores])
+                [model, fold, seed, *(score(k, at) for k in keys)]
+                for model, fold, seed, at in cells if not np.isnan(score(keys[0], at))])
             assert paths[name].read_bytes() == want.read_bytes()
         want = csv_reference.write(
             tmp_path / "want.csv", ["model", "fold", "seed", "descriptor", "ccc"],
-            [[c.model, c.fold, c.seed, d, c.scores[f"ccc_{d}"]] for c in cells
-             for d in experiments.DESCRIPTOR_NAMES if f"ccc_{d}" in c.scores])
+            [[model, fold, seed, d, score(f"ccc_{d}", at)] for model, fold, seed, at in cells
+             for d in experiments.DESCRIPTOR_NAMES if not np.isnan(score(f"ccc_{d}", at))])
         assert paths["descriptors"].read_bytes() == want.read_bytes()
 
     def test_moments_rows_cover_moment_models(self, tiny_report, tmp_path):
