@@ -340,19 +340,20 @@ def _cmd_run(args) -> int:
 
 
 def _report_lines(rundir: Path, summary: dict):
-    """The lines ``report`` prints for the run in ``rundir``."""
-    level = summary.get("significance_level", CliConfig.significance_level)
+    """The lines ``report`` prints for the run in ``rundir``; a key that
+    :func:`~annodist.experiments.write_report` always writes must be there."""
+    level = summary["significance_level"]
     yield f"run: {rundir}"
-    grid = summary.get("grid", {})
+    grid = summary["grid"]
     yield (
-        f"grid: {grid.get('cells', '?')} cells, "
-        f"{grid.get('k_folds', '?')} folds x {grid.get('n_seeds', '?')} seeds, "
-        f"master seed {grid.get('master_seed', '?')}"
+        f"grid: {grid['cells']} cells, "
+        f"{grid['k_folds']} folds x {grid['n_seeds']} seeds, "
+        f"master seed {grid['master_seed']}"
     )
-    if grid.get("failures"):
+    if grid["failures"]:
         yield f"failures: {len(grid['failures'])}"
-    yield f"KL direction: {summary.get('kl_direction')}"
-    kl_means = summary.get("kl_means", {})
+    yield f"KL direction: {summary['kl_direction']}"
+    kl_means = summary["kl_means"]
     if kl_means:
         yield "mean per-window KL (vs truth Beta | vs uniform | windows better)"
         for model, row in sorted(kl_means.items()):
@@ -360,11 +361,11 @@ def _report_lines(rundir: Path, summary: dict):
                    f"{row['vs_uniform']:8.3f} "
                    f"{row['windows_better_than_uniform']:8.1%}")
     yield f"significance level: {level} (paired Wilcoxon, * best, = on par)"
-    for metric, entries in sorted(summary.get("significance", {}).items()):
+    for metric, entries in sorted(summary["significance"].items()):
         yield f"\n{metric}"
         for model in sorted(entries, key=lambda m: -entries[m]["mean"]):
             row = entries[model]
-            if row.get("best"):
+            if row["best"]:
                 mark = "*"
             elif row.get("indistinguishable_from_best"):
                 mark = "="

@@ -15,18 +15,18 @@ network, evaluated on the held-out windows:
 The report holds each metric as one (model, fold, seed) array, and the
 failures as one parallel array of messages (:class:`ExperimentReport`).
 
-The grid is planned once, in this process, by :func:`_stacks`, which
-indexes every cell.  The unit of work is a (network kind, fold) stack,
-trained in one :func:`nn.train` call: each moment variant stacks its
-``n_seeds`` seeds, and ``point`` stacks every baseline target x seed (they
-share architecture, init and shuffle and differ only in the target
-column).  Seeds are master_seed + {0..n_seeds-1}; a member's init and
-shuffle come from its seed alone, and each member early-stops on its own.
-A member whose training turns non-finite, or whose test predictions are not
-finite, fails only its own cell.  Every network trains under the
-:class:`TrainConfig` given to :func:`run_grid`, in at most ``jobs`` worker
-processes, which only train and predict; the grid does not depend on
-``jobs``.  The oracle trains nothing: its cells score the true moments.
+One plan, made once in this process by :func:`_stacks`, lists the models
+(config order, the oracle last) and the stacks that train; the oracle is a
+model without a stack, whose cells score the true moments.  A stack is one
+network kind on one fold, trained in one :func:`nn.train` call: a moment
+variant stacks its ``n_seeds`` seeds, ``point`` every baseline target x seed
+(same architecture, init and shuffle; only the target column differs).  A
+member is (model index, seed index, point target) from the plan to the
+worker.  Seeds are master_seed + {0..n_seeds-1}; a member's init and shuffle
+come from its seed alone, and each member early-stops on its own.  A member
+whose training turns non-finite, or whose test predictions are not finite,
+fails only its own cell.  Stacks train in at most ``jobs`` worker processes,
+which only train and predict; the grid does not depend on ``jobs``.
 
 The parent process scores every cell.  All moment cells, the oracle's
 included, are scored by one Beta fit (:func:`fit_beta_arrays`, non-strict,
@@ -45,7 +45,6 @@ evenly spaced fold-0 test windows, predicted by the reference member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -243,45 +242,46 @@ def _fold(data: DatasetArrays, plan: FoldPlan, fold: int) -> Fold:
 
 
 def _stacks(cfg: ExperimentConfig) -> tuple[list[str], list[tuple[str, int, list]]]:
-    """The grid's models in config order, and its ``(kind, fold, members)``
-    stacks in training order: kind by kind, the oracle's last, and fold by
+    """The grid's models in config order, the oracle (which has no stack)
+    last, and its ``(kind, fold, members)`` stacks, kind by kind and fold by
     fold.  A member is its model's index, its seed's index and its point
     target (None for a moment network); seeds run in order."""
     kinds = [(kind, [(kind, None)]) for kind in cfg.variants]
     if cfg.baselines:
         kinds.append(("point", [(f"point[{b}]", b) for b in cfg.baselines]))
-    if cfg.include_oracle:
-        kinds.append((ORACLE_MODEL, [(ORACLE_MODEL, None)]))
     models = [model for _, members in kinds for model, _ in members]
-    return models, [(kind, fold, [(models.index(model), s, target)
-                                  for model, target in members for s in range(cfg.n_seeds)])
-                    for kind, members in kinds for fold in range(cfg.k_folds)]
+    return models + [ORACLE_MODEL] * cfg.include_oracle, [
+        (kind, fold, [(models.index(model), s, target)
+                      for model, target in members for s in range(cfg.n_seeds)])
+        for kind, members in kinds for fold in range(cfg.k_folds)]
 
 
 def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_stack(data: DatasetArrays, train: TrainConfig, kind: str, split: Fold,
-               members: list[tuple[str | None, int]]) -> tuple[list, np.ndarray | None]:
-    """Train one ``kind`` stack of ``(point target, seed)`` members under
-    ``train`` on a fold's ``split`` and predict its test windows.
+def _run_stack(data: DatasetArrays, train: TrainConfig, folds: list[Fold],
+               master_seed: int, stack: tuple[str, int, list]) -> tuple[list, np.ndarray | None]:
+    """Train one planned ``(kind, fold, members)`` stack under ``train`` on
+    its fold's split and predict the fold's test windows.
 
     Returns each member's failure, or None, and the members' test
     predictions: ``(M, n_test)`` for ``point``, ``(M, n_test, 2)`` moments
     otherwise.  The predictions are None when the whole stack failed.
     """
+    kind, fold, members = stack
+    split = folds[fold]
     train_idx, val_idx, test_idx = split.train, split.val, split.test
     try:
         x = (data.x - split.mean) / split.std
         if kind == "point":
-            y = np.stack([data.truth_desc[b] for b, _ in members])
+            y = np.stack([data.truth_desc[target] for *_, target in members])
             y_train, y_val = y[:, train_idx], y[:, val_idx]
         else:
             y = np.column_stack([data.mu, data.sigma])
             y_train, y_val = y[train_idx], y[val_idx]
         net = nn.build(nn.NetworkVariant(kind, data.x.shape[1]),
-                       [seed for _, seed in members])
+                       [master_seed + s for _, s, _ in members])
         history = nn.train(net, x[train_idx], y_train, x[val_idx], y_val, train)
         pred = nn.predict(net, x[test_idx])
     except (AnnodistError, FloatingPointError) as exc:
@@ -293,29 +293,22 @@ def _run_stack(data: DatasetArrays, train: TrainConfig, kind: str, split: Fold,
             for member, member_pred in zip(history.members, pred)], pred
 
 
-def _run_stack_task(task: tuple[str, int, list]):
-    kind, fold, members = task
-    return _run_stack(_GRID_PAYLOAD["data"], _GRID_PAYLOAD["train"], kind,
-                      _GRID_PAYLOAD["folds"][fold], members)
+def _run_stack_task(stack: tuple[str, int, list]):
+    return _run_stack(**_GRID_PAYLOAD, stack=stack)
 
 
 def _score(data: DatasetArrays, cfg: ExperimentConfig, folds: list[Fold],
            n_models: int, stacks: list, results: list) -> tuple[dict, np.ndarray]:
     """The grid's score and error arrays: each member's failure, one
     concordance per point cell, and every moment cell, the oracle's on the
-    true moments, scored in one batched Beta fit.  ``results`` are the
-    trained stacks'; the oracle's stacks come last and pair with none."""
+    true moments, scored in one batched Beta fit.  ``results`` pair with
+    ``stacks``; the oracle, the last model, joins the batch fold by fold."""
     shape = n_models, cfg.k_folds, cfg.n_seeds
     scores = {metric: np.full(shape, np.nan) for metric in METRICS}
     errors = np.full(shape, None, dtype=object)
     batch = []
-    for (kind, fold, members), (failures, pred) in zip_longest(
-            stacks, results, fillvalue=(None, None)):
+    for (_, fold, members), (failures, pred) in zip(stacks, results):
         test_idx = folds[fold].test
-        if kind == ORACLE_MODEL:  # every seed scores the same true moments
-            batch.append(((members[0][0], fold, slice(None)), data.mu[test_idx],
-                          data.sigma[test_idx], test_idx))
-            continue
         subjects = data.subjects[test_idx]
         for i, ((m, s, target), failure) in enumerate(zip(members, failures)):
             errors[m, fold, s] = failure
@@ -329,6 +322,9 @@ def _score(data: DatasetArrays, cfg: ExperimentConfig, folds: list[Fold],
                     pred[i], data.truth_desc[target][test_idx], subjects, cfg.ccc_pooling)
             except (AnnodistError, FloatingPointError) as exc:
                 errors[m, fold, s] = _failure(exc)
+    if cfg.include_oracle:  # every seed scores the same true moments
+        batch += [((n_models - 1, fold, slice(None)), data.mu[split.test],
+                   data.sigma[split.test], split.test) for fold, split in enumerate(folds)]
     if batch:
         _score_moment_cells(data, batch, cfg.ccc_pooling, scores, errors)
     return scores, errors
@@ -353,22 +349,19 @@ def run_grid(table: WindowTable, cfg: ExperimentConfig, train: TrainConfig = Tra
                       cfg.master_seed)
     folds = [_fold(data, plan, i) for i in range(cfg.k_folds)]
     models, stacks = _stacks(cfg)
-    tasks = [(kind, fold, [(target, cfg.master_seed + s) for _, s, target in members])
-             for kind, fold, members in stacks if kind != ORACLE_MODEL]
-    workers = min(jobs, len(tasks))
+    payload = {"data": data, "train": train, "folds": folds, "master_seed": cfg.master_seed}
+    workers = min(jobs, len(stacks))
     if workers > 1:
         # Imported here so that no other command pays for loading them.
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
-        payload = {"data": data, "train": train, "folds": folds}
         with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
                                  initializer=_GRID_PAYLOAD.update,
                                  initargs=(payload,)) as pool:
-            results = list(pool.map(_run_stack_task, tasks))
+            results = list(pool.map(_run_stack_task, stacks))
     else:
-        results = [_run_stack(data, train, kind, folds[fold], members)
-                   for kind, fold, members in tasks]
+        results = [_run_stack(**payload, stack=stack) for stack in stacks]
     scores, errors = _score(data, cfg, folds, len(models), stacks, results)
     # With variants, the first stack is (variants[0], fold 0): the reference
     # stack, whose master-seed member is cell (0, 0, 0).
@@ -383,25 +376,29 @@ def significance(
 
     Marks the best model and every model not significantly different from it
     at the given level; comparisons without enough paired scores are marked
-    inconclusive.
+    inconclusive.  A model with some failed cells is marked inconclusive with
+    its ``failed_cells`` count and its trained cells' mean and std, untested.
     """
     out: dict[str, dict[str, dict]] = {}
     for metric in CCC_METRICS:
-        # Each model's cells in (fold, seed) order, so paired across models.
-        vectors = {model: v.ravel() for model, v in zip(report.models, report.scores[metric])
-                   if not np.any(np.isnan(v))}
+        # Each model's trained cells in (fold, seed) order, paired where all trained.
+        vectors = {model: v[~np.isnan(v)] for model, v in zip(report.models, report.scores[metric])
+                   if not np.isnan(v).all()}
         if not vectors:
             continue
-        means = {m: float(v.mean()) for m, v in vectors.items()}
-        best = max(means, key=means.get)
+        failed = {m: report.errors[0].size - v.size for m, v in vectors.items()}
+        best = max((m for m in vectors if not failed[m]), key=lambda m: vectors[m].mean(),
+                   default=None)
         entry: dict[str, dict] = {}
         for model, vec in vectors.items():
             row = {
-                "mean": means[model],
+                "mean": float(vec.mean()),
                 "std": float(vec.std()),
                 "best": model == best,
             }
-            if model != best:
+            if failed[model]:
+                row.update(inconclusive=True, failed_cells=failed[model])
+            elif model != best:
                 try:
                     _, p = wilcoxon_signed_rank(vectors[best], vec)
                     row["p_vs_best"] = p

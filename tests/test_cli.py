@@ -467,6 +467,8 @@ class TestReport:
         assert run_cli("report", "--run", tmp_path / "nope") == 2
 
     @pytest.mark.parametrize("summary", [
+        '{}',
+        '{"significance_level": 0.05, "grid": {}}',
         '{"grid": []}',
         '{"kl_means": {"m": {}}}',
         '{"significance": {"ccc_mu": {"m": {"mean": "x"}}}}',

@@ -314,6 +314,31 @@ class TestRunGrid:
         assert np.isfinite(report.scores["kl_truth_pred"]).all()
 
 
+class TestPlan:
+    def test_stacks_plan_each_trained_cell_once_and_no_oracle_stack(self):
+        models, stacks = experiments._stacks(TINY_GRID)
+        assert models == ["fully_shared", "point[median]", "oracle"]
+        assert [(kind, fold) for kind, fold, _ in stacks] == [
+            (kind, fold) for kind in ("fully_shared", "point") for fold in range(3)]
+        for kind, fold, members in stacks:
+            m, target = (0, None) if kind == "fully_shared" else (1, "median")
+            assert members == [(m, s, target) for s in range(TINY_GRID.n_seeds)]
+
+    def test_run_grid_trains_the_planned_stacks(self, tiny_table, monkeypatch):
+        run_stack, calls = experiments._run_stack, []
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return run_stack(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_run_stack", recording)
+        report = run_grid(tiny_table, TINY_GRID, TrainConfig(max_epochs=1), jobs=1)
+        assert [call["stack"] for call in calls] == experiments._stacks(TINY_GRID)[1]
+        for call in calls:
+            assert call["master_seed"] == TINY_GRID.master_seed
+            assert call["folds"] is report.folds
+
+
 class TestBatchedScoring:
     # Score arrays of two models (fully_shared, oracle) x 3 folds x 2 seeds.
     SHAPE = (2, 3, 2)
@@ -428,16 +453,22 @@ class TestScoreArrays:
                 assert error is None and finite == set(experiments.METRICS)
         assert failed.any() == (name == "poisoned_report")
 
-    def test_significance_leaves_out_a_model_with_a_failed_cell(
+    def test_significance_marks_a_partly_failed_model_inconclusive(
             self, tiny_report, poisoned_report):
         models = {metric: set(rows) for metric, rows
                   in significance(tiny_report, 0.05).items()}
         assert models["ccc_median"] == {"fully_shared", "point[median]", "oracle"}
         assert models["ccc_mu"] == {"fully_shared", "oracle"}
-        models = {metric: set(rows) for metric, rows
-                  in significance(poisoned_report, 0.05).items()}
-        assert models["ccc_median"] == {"oracle"}
-        assert models["ccc_mu"] == {"oracle"}
+        result = significance(poisoned_report, 0.05)
+        assert {metric: set(rows) for metric, rows in result.items()} == models
+        # fully_shared and point[median] each failed 1 of their 6 cells.
+        for metric, model in [("ccc_mu", "fully_shared"), ("ccc_median", "fully_shared"),
+                              ("ccc_median", "point[median]")]:
+            scores = model_scores(poisoned_report, metric, model)
+            assert result[metric][model] == {
+                "mean": float(np.nanmean(scores)), "std": float(np.nanstd(scores)),
+                "best": False, "inconclusive": True, "failed_cells": 1}
+            assert result[metric]["oracle"]["best"]
 
 
 def _fake_report(score_map):
@@ -475,6 +506,19 @@ class TestSignificance:
     def test_single_seed_inconclusive(self):
         result = significance(_fake_report({"a": [0.5], "b": [0.4]}), 0.05)["ccc_mu"]
         assert result["b"].get("inconclusive")
+
+    def test_a_partly_failed_model_is_never_best(self):
+        result = significance(_fake_report({
+            "partly": [0.9, np.nan, 0.8], "whole": [0.5, 0.4, 0.3],
+            "failed": [np.nan] * 3}), 0.05)["ccc_mu"]
+        assert set(result) == {"partly", "whole"}
+        assert result["whole"]["best"] and not result["partly"]["best"]
+        assert result["partly"] == {"mean": pytest.approx(0.85), "std": pytest.approx(0.05),
+                                    "best": False, "inconclusive": True, "failed_cells": 1}
+        only_partly = significance(_fake_report({"a": [0.9, np.nan], "b": [np.nan, 0.1]}),
+                                   0.05)["ccc_mu"]
+        assert not any(row["best"] for row in only_partly.values())
+        assert all(row["inconclusive"] for row in only_partly.values())
 
 
 class TestDensityData:
