@@ -29,17 +29,19 @@ A process started as ``python -m annodist.cli`` or as the ``annodist``
 console script runs :func:`entry`.  Before :func:`main` loads NumPy, it sets
 ``OPENBLAS_NUM_THREADS=1`` unless one of ``BLAS_THREAD_VARS``
 (``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``, ``OMP_NUM_THREADS``) is
-already set, so a CLI process and every ``--jobs`` worker forked from it run
-BLAS on one thread: ``--jobs`` is the parallelism, and NumPy loads without
+already set, so a CLI process and every child ``run --jobs`` forks from it
+run BLAS on one thread: ``--jobs`` is the parallelism, and NumPy loads without
 starting a BLAS thread pool.  A thread count set by the caller is kept.  Once
 :func:`main` has returned, :func:`entry` freezes the garbage collector and
 exits with its code.  The interpreter's final collections then skip the
 objects NumPy and annodist left loaded (the OS frees that memory), which
 saves most of the process's teardown.  Nothing else of the exit is skipped:
-``atexit`` hooks run, multiprocessing's among them, and the standard streams
-are flushed; every output file is already closed by its ``with`` block and
-the worker pool joined by its own.  A caller of :func:`main` keeps a working
-collector and an unchanged ``os.environ``.
+``atexit`` hooks run and the standard streams are flushed; every output file
+is already closed by its ``with`` block.  ``run --jobs n`` trains in this
+process and ``n - 1`` forked children, heaviest stacks first and never more
+processes than stacks, with results that do not depend on ``n``; every child
+is reaped before :func:`main` returns.  A caller of :func:`main` keeps a
+working collector and an unchanged ``os.environ``.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ class CliConfig:
     """The parameters no library config owns, with their defaults and ranges."""
 
     modalities: tuple[str, ...] | None = None
-    jobs: int = 0  # 0 = one worker per usable core (at most one per stack)
+    jobs: int = 0  # 0 = one process per usable core (at most one per stack)
     density_windows: int = 8
     significance_level: float = 0.05
 
@@ -136,7 +138,8 @@ _PARAMS = {
                     "choices": CCC_POOLINGS},
     "include_oracle": {"help": "add an oracle model fed the true targets",
                        "flag": "--oracle"},
-    "jobs": {"help": "worker processes; 0 means one per core this process may use"},
+    "jobs": {"help": "training processes, this one included; 0 means one per core "
+                     "this process may use"},
     "density_windows": {"help": "test windows written to density_data.csv"},
     "significance_level": {"help": "level of the paired Wilcoxon tests"},
 }
@@ -311,7 +314,7 @@ def _cmd_fit(args) -> int:
 
 def _usable_cores() -> int:
     """The cores this process may run on (its CPU affinity where the OS has
-    one), which ``--jobs 0`` starts one worker for."""
+    one): the number of processes ``--jobs 0`` trains in."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -352,15 +355,22 @@ def _report_lines(rundir: Path, summary: dict):
     )
     if grid["failures"]:
         yield f"failures: {len(grid['failures'])}"
+    per_model = grid["k_folds"] * grid["n_seeds"]
+
+    def failed(count: int) -> str:
+        return f"  ({count} of {per_model} cells failed)" if count else ""
+
     yield f"KL direction: {summary['kl_direction']}"
     kl_means = summary["kl_means"]
     if kl_means:
-        yield "mean per-window KL (vs truth Beta | vs uniform | windows better)"
+        yield "mean per-window KL over trained cells (vs truth Beta | vs uniform | windows better)"
         for model, row in sorted(kl_means.items()):
+            count = sum(f["model"] == model for f in grid["failures"])
             yield (f"    {model:<24} {row['vs_truth_beta']:8.3f} "
                    f"{row['vs_uniform']:8.3f} "
-                   f"{row['windows_better_than_uniform']:8.1%}")
-    yield f"significance level: {level} (paired Wilcoxon, * best, = on par)"
+                   f"{row['windows_better_than_uniform']:8.1%}{failed(count)}")
+    yield (f"significance level: {level} (paired Wilcoxon, * best, = on par, "
+           "? untested: too few pairs or failed cells)")
     for metric, entries in sorted(summary["significance"].items()):
         yield f"\n{metric}"
         for model in sorted(entries, key=lambda m: -entries[m]["mean"]):
@@ -373,7 +383,8 @@ def _report_lines(rundir: Path, summary: dict):
                 mark = "?"
             else:
                 mark = " "
-            yield f"  {mark} {model:<24} {row['mean']:+.4f} +/- {row['std']:.4f}"
+            yield (f"  {mark} {model:<24} {row['mean']:+.4f} +/- {row['std']:.4f}"
+                   f"{failed(row.get('failed_cells', 0))}")
 
 
 def _cmd_report(args) -> int:

@@ -21,12 +21,14 @@ model without a stack, whose cells score the true moments.  A stack is one
 network kind on one fold, trained in one :func:`nn.train` call: a moment
 variant stacks its ``n_seeds`` seeds, ``point`` every baseline target x seed
 (same architecture, init and shuffle; only the target column differs).  A
-member is (model index, seed index, point target) from the plan to the
-worker.  Seeds are master_seed + {0..n_seeds-1}; a member's init and shuffle
-come from its seed alone, and each member early-stops on its own.  A member
-whose training turns non-finite, or whose test predictions are not finite,
-fails only its own cell.  Stacks train in at most ``jobs`` worker processes,
-which only train and predict; the grid does not depend on ``jobs``.
+member is (model index, seed index, point target) from the plan to
+:func:`_run_stack`.  Seeds are master_seed + {0..n_seeds-1}; a member's init
+and shuffle come from its seed alone, and each member early-stops on its own.
+A member whose training turns non-finite, or whose test predictions are not
+finite, fails only its own cell.  ``jobs = n`` trains the stacks in this process and
+``n - 1`` forked children, heaviest stacks (most members) first, never more
+processes than stacks; a child only trains and predicts, and the grid does
+not depend on ``n``.
 
 The parent process scores every cell.  All moment cells, the oracle's
 included, are scored by one Beta fit (:func:`fit_beta_arrays`, non-strict,
@@ -44,6 +46,10 @@ evenly spaced fold-0 test windows, predicted by the reference member.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import pickle
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -224,10 +230,6 @@ def _score_moment_cells(data: DatasetArrays, batch: list, pooling: str,
             scores[metric][where] = value
 
 
-# Worker-global payload for parallel grids (fork start method).
-_GRID_PAYLOAD: dict = {}
-
-
 def _fold(data: DatasetArrays, plan: FoldPlan, fold: int) -> Fold:
     """Fold ``fold``'s windows: its subjects test, the next fold's validate
     and the rest train, so the splits are disjoint by construction."""
@@ -293,8 +295,91 @@ def _run_stack(data: DatasetArrays, train: TrainConfig, folds: list[Fold],
             for member, member_pred in zip(history.members, pred)], pred
 
 
-def _run_stack_task(stack: tuple[str, int, list]):
-    return _run_stack(**_GRID_PAYLOAD, stack=stack)
+# The work queue is a pipe of fixed-width stack indices, all written before
+# any process reads, so each read of one record is atomic; they must fit the
+# pipe's 64 KiB buffer.
+_RECORD = 4
+_QUEUE_RECORDS = 65536 // _RECORD
+
+
+def _claims(queue: int):
+    """The stack indices this process pulls from the queue until it is empty."""
+    while record := os.read(queue, _RECORD):
+        yield int.from_bytes(record, "little")
+
+
+def _train_stacks(run, stacks: list, workers: int) -> list:
+    """``run(stack)`` for every stack, returned in plan order.
+
+    This process and ``workers - 1`` children forked from it pull stack
+    indices from one queue, the stacks with the most members first, then in
+    plan order.  A child pickles its ``(index, result)`` pairs, or the
+    exception it met, back through its own pipe and leaves with
+    :func:`os._exit`.  A child's exception is raised here, and so is a
+    :class:`RuntimeError` naming the exit status or signal of a child that
+    left without sending its results.  No child outlives this call.  With
+    one worker, this process trains the stacks in plan order and forks nothing.
+    """
+    if workers <= 1:
+        return [run(stack) for stack in stacks]
+    # Imported here, so that a run that forks nothing does not load them.
+    import signal
+    import traceback
+
+    order = sorted(range(len(stacks)), key=lambda i: -len(stacks[i][2]))
+    queue, end = os.pipe()
+    with open(end, "wb") as fh:
+        fh.write(b"".join(i.to_bytes(_RECORD, "little") for i in order))
+    results, children = [None] * len(stacks), {}  # pid -> read end of its pipe
+    try:
+        for stream in (sys.stdout, sys.stderr):  # so no child repeats their buffers
+            stream.flush()
+        for _ in range(workers - 1):
+            out, end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    try:
+                        sent = [(i, run(stacks[i])) for i in _claims(queue)], None
+                    except Exception as exc:
+                        sent = [], (exc, traceback.format_exc())
+                    # Pickled whole first, so a failure sends nothing, not a part.
+                    with open(end, "wb") as fh:
+                        fh.write(pickle.dumps(sent, pickle.HIGHEST_PROTOCOL))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(end)
+            children[pid] = out
+        for i in _claims(queue):
+            results[i] = run(stacks[i])
+        for pid, out in list(children.items()):
+            with open(out, "rb", closefd=False) as fh:
+                sent = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(children.pop(pid))
+            if not sent:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(
+                    f"run_grid: worker process {pid} " + (
+                        f"exited with status {code}" if code >= 0
+                        else f"was killed by {signal.Signals(-code).name}")
+                    + " before sending its results")
+            done, failure = pickle.loads(sent)
+            if failure is not None:
+                exc, trace = failure
+                raise exc from RuntimeError(f"in worker process {pid}:\n{trace}")
+            for i, result in done:
+                results[i] = result
+    finally:
+        os.close(queue)
+        for pid, out in children.items():
+            os.close(out)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
 
 
 def _score(data: DatasetArrays, cfg: ExperimentConfig, folds: list[Fold],
@@ -335,33 +420,29 @@ def run_grid(table: WindowTable, cfg: ExperimentConfig, train: TrainConfig = Tra
     """Train the grid's networks under ``train`` and evaluate every cell; the
     truth and the predictions are clamped with ``epsilon``.
 
-    ``jobs`` below 1 and a table without features raise before anything
-    trains.  Each fold's split and normalisation are computed once, up front;
-    with ``k_folds >= 3`` every split has a subject.  Stacks train and predict
-    on at most ``jobs`` worker processes, never more than there are stacks;
-    this process then scores every cell.  Failures stay in their cells.
+    ``jobs`` below 1, a parallel plan longer than the work queue holds and a
+    table without features raise before anything trains.  Each fold's split
+    and normalisation are computed once, up front; with ``k_folds >= 3`` every
+    split has a subject.  Stacks train and predict in this process and
+    ``jobs - 1`` forked children, never more processes than stacks
+    (:func:`_train_stacks`); this process then scores every cell.  Failures
+    stay in their cells.
     """
     check("run_grid", "jobs", jobs, at_least(1))
+    models, stacks = _stacks(cfg)
+    workers = min(jobs, len(stacks))
+    if workers > 1 and len(stacks) > _QUEUE_RECORDS:
+        raise DomainError(f"run_grid: at most {_QUEUE_RECORDS} stacks train in "
+                          f"parallel, got {len(stacks)}; use jobs=1")
     if not table.x.shape[1]:
         raise DataError("run_grid: the dataset has no feature column")
     data = DatasetArrays.from_samples(table, epsilon)
     plan = make_folds(sorted(set(data.subjects.tolist())), cfg.k_folds,
                       cfg.master_seed)
     folds = [_fold(data, plan, i) for i in range(cfg.k_folds)]
-    models, stacks = _stacks(cfg)
     payload = {"data": data, "train": train, "folds": folds, "master_seed": cfg.master_seed}
-    workers = min(jobs, len(stacks))
-    if workers > 1:
-        # Imported here so that no other command pays for loading them.
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
-                                 initializer=_GRID_PAYLOAD.update,
-                                 initargs=(payload,)) as pool:
-            results = list(pool.map(_run_stack_task, stacks))
-    else:
-        results = [_run_stack(**payload, stack=stack) for stack in stacks]
+    results = _train_stacks(lambda stack: _run_stack(**payload, stack=stack), stacks,
+                            workers)
     scores, errors = _score(data, cfg, folds, len(models), stacks, results)
     # With variants, the first stack is (variants[0], fold 0): the reference
     # stack, whose master-seed member is cell (0, 0, 0).

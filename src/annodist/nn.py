@@ -315,7 +315,7 @@ class Workspace:
     def __init__(self, net: Network):
         self.net = net
         self.grads = FlatParams(net.variant, np.zeros_like(net.flat))
-        self.scratch = np.empty_like(net.flat)
+        self.finite = np.empty(net.flat.shape, dtype=bool)
         self._passes: dict[int, _Pass] = {}
 
     def pass_for(self, shape: tuple[int, ...], backward: bool = False) -> _Pass:
@@ -431,8 +431,12 @@ def forward(net: Network, x, work: Workspace | None = None) -> np.ndarray:
     without one).  Inputs are not scanned for finiteness here; :func:`train`
     and :func:`predict` do that.
     """
-    x = _as_inputs(net, x)
-    buffers = (work or Workspace(net)).pass_for(x.shape)
+    return _forward_inputs(work or Workspace(net), _as_inputs(net, x))
+
+
+def _forward_inputs(work: Workspace, x: np.ndarray) -> np.ndarray:
+    """:func:`forward` on inputs that already carry their ones column."""
+    buffers = work.pass_for(x.shape)
     # Per-member inputs broadcast over the copy axis.
     _forward_layers(buffers.layers, x if x.ndim == 2 else x[:, None])
     return buffers.out
@@ -544,9 +548,7 @@ def backward_and_step(
     """
     work = work or Workspace(net)
     value, grads = gradients(net, x, targets, work)
-    # The max-norm is finite exactly when every entry is, and cannot overflow.
-    norm = np.maximum.reduce(np.abs(grads.flat, out=work.scratch), axis=1)
-    finite = np.isfinite(value) & np.isfinite(norm)
+    finite = np.isfinite(value) & np.isfinite(grads.flat, out=work.finite).all(axis=1)
     if not finite.all():
         grads.flat[~finite] = 0.0
     adam_step(net.flat, grads.flat, state, cfg.learning_rate, finite)
@@ -633,9 +635,10 @@ def train(
     if np.shape(train_x)[0] == 0 or np.shape(val_x)[0] == 0:
         raise TrainingError("train: empty training or validation split")
     # Features are shared by every member; a member's own non-finite targets
-    # fail it alone, through the per-step loss check.  The training split
-    # gets its ones column here, once, and every batch is gathered from it.
-    train_x, val_x = _as_inputs(net, train_x), np.asarray(val_x, dtype=np.float64)
+    # fail it alone, through the per-step loss check.  Both splits get their
+    # ones column here, once: every batch is gathered from the training split,
+    # and every epoch's validation pass runs on the validation split as it is.
+    train_x, val_x = _as_inputs(net, train_x), _as_inputs(net, val_x)
     _require_finite("train", train_x, val_x)
     n, n_members = train_x.shape[0], net.n_members
     member_ndim = 2 if _out_width(net.variant) == 1 else 3  # targets per member
@@ -645,7 +648,7 @@ def train(
     sizes = [min(cfg.batch_size, n - lo) for lo in starts]
     # Per member: its shuffle and batch losses in this epoch, and its best
     # parameters and validation loss.
-    order = np.empty((n_members, n), dtype=np.int64)
+    order, ordered = np.empty((n_members, n), dtype=np.int64), np.arange(n)
     batch_losses = np.empty((n_members, len(starts)))
     best, best_val = net.flat.copy(), [math.inf] * n_members
     # The live stack: its members' ids, in order, and its buffers, with the
@@ -655,7 +658,7 @@ def train(
         np.ones(n_members, dtype=bool), sizes)
     for epoch in range(1, cfg.max_epochs + 1):
         # Shuffling a copy of arange(n) draws what permutation(n) draws.
-        order[...] = np.arange(n)
+        order[...] = ordered
         for m in ids.tolist():
             rngs[m].shuffle(order[m])
         for j, lo in enumerate(starts):
@@ -679,7 +682,8 @@ def train(
         if not ids.size:
             break
         train_loss = np.add.reduce(batch_losses[ids], axis=1) / len(starts)
-        val = loss(stack, val_x, val_y[ids] if val_y.ndim == member_ndim else val_y, work)
+        val = loss_value(stack, _forward_inputs(work, val_x),
+                         val_y[ids] if val_y.ndim == member_ndim else val_y)
         # A member stops after cfg.patience epochs past its best one.
         live = []
         for row, (m, t, v) in enumerate(zip(ids.tolist(), train_loss.tolist(),

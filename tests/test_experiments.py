@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
 import re
+import select
+import signal
+import time
 import types
 
 import numpy as np
@@ -76,6 +80,11 @@ def model_scores(report, metric, model):
 def failed_cells(report):
     # A failure message is truthy and None is not.
     return report.errors.astype(bool)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def assert_same_scores(got, want):
@@ -186,16 +195,39 @@ class TestRunGrid:
         assert again.cells == tiny_report.cells
         assert_same_scores(again.scores, tiny_report.scores)
 
-    def test_parallel_jobs_match_sequential(self, tiny_table, tiny_report):
-        parallel = run_grid(tiny_table, TINY_GRID, TINY_TRAIN, jobs=2)
-        assert parallel.cells == tiny_report.cells
-        assert_same_scores(parallel.scores, tiny_report.scores)
-        np.testing.assert_array_equal(parallel.reference_predictions,
-                                      tiny_report.reference_predictions)
+    def test_parallel_jobs_match_sequential(self, tiny_table, tiny_report, monkeypatch):
+        forks, fork = [], os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        # The tiny grid has 6 stacks: 7 jobs start 6 processes.
+        for jobs, children in ((2, 1), (3, 2), (7, 5)):
+            forks.clear()
+            parallel = run_grid(tiny_table, TINY_GRID, TINY_TRAIN, jobs=jobs)
+            assert len(forks) == children
+            assert parallel.cells == tiny_report.cells
+            assert_same_scores(parallel.scores, tiny_report.scores)
+            np.testing.assert_array_equal(parallel.reference_predictions,
+                                          tiny_report.reference_predictions)
+            assert_no_child_left()
 
     def test_jobs_below_one_rejected(self, tiny_table):
         with pytest.raises(DomainError, match="run_grid: jobs must be >= 1, got 0"):
             run_grid(tiny_table, TINY_GRID, jobs=0)
+
+    def test_a_parallel_plan_longer_than_the_queue_rejected(self, tiny_table):
+        # 4 kinds x 4097 folds: 16388 stacks, over the 16384 the queue holds.
+        cfg = ExperimentConfig(k_folds=4097, n_seeds=1, baselines=("median",))
+        with pytest.raises(DomainError, match="run_grid: at most 16384 stacks train "
+                           "in parallel, got 16388; use jobs=1"):
+            run_grid(tiny_table, cfg, jobs=2)
+        with pytest.raises(InsufficientDataError, match="need >= 4097 subjects"):
+            run_grid(tiny_table, cfg, jobs=1)
 
     def test_point_cells_do_not_depend_on_other_baselines(self, tiny_table):
         # All baselines train as one stack; a cell must not see its siblings.
@@ -339,6 +371,104 @@ class TestPlan:
             assert call["folds"] is report.folds
 
 
+@pytest.fixture
+def took_a_stack():
+    """``(took, wait)``: a child calls ``took()`` as it takes a stack, and
+    the parent's ``wait()`` returns once one has, so that both train; a
+    run that hangs fails after 60 s."""
+    readable, writable = os.pipe()
+
+    def timeout(*_):
+        raise TimeoutError("run_grid did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        yield (lambda: os.write(writable, b"x"),
+               lambda: select.select([readable], [], [], 30))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        os.close(readable)
+        os.close(writable)
+    assert_no_child_left()
+
+
+class TestScheduler:
+    """``run_grid`` at ``jobs=2``: this process and one forked child."""
+
+    @pytest.mark.parametrize("where", ["parent", "child"])
+    def test_an_unexpected_exception_is_raised_with_its_message(
+            self, tiny_table, monkeypatch, took_a_stack, where):
+        took, wait = took_a_stack
+        parent, run_stack = os.getpid(), experiments._run_stack
+
+        def failing(*args, stack, **kwargs):
+            in_parent = os.getpid() == parent
+            if in_parent:
+                wait()
+            else:
+                took()
+            if in_parent == (where == "parent"):
+                raise RuntimeError(f"{stack[0]} fold {stack[1]} broke")
+            if not in_parent:
+                time.sleep(30)  # the child is killed once this process fails
+            return run_stack(*args, stack=stack, **kwargs)
+
+        monkeypatch.setattr(experiments, "_run_stack", failing)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"^\w+ fold \d broke$") as raised:
+            run_grid(tiny_table, TINY_GRID, TrainConfig(max_epochs=1), jobs=2)
+        assert time.monotonic() - start < 20
+        cause = str(raised.value.__cause__)
+        assert (where == "child") == cause.startswith("in worker process")
+        if where == "child":
+            assert "RuntimeError:" in cause and "broke" in cause
+
+    @pytest.mark.parametrize("leave, message", [
+        (lambda: os._exit(7), "exited with status 7"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by SIGKILL"),
+    ], ids=["exit", "signal"])
+    def test_a_child_that_leaves_without_results_is_named(
+            self, tiny_table, monkeypatch, took_a_stack, leave, message):
+        took, wait = took_a_stack
+        parent, run_stack = os.getpid(), experiments._run_stack
+
+        def leaving(*args, **kwargs):
+            if os.getpid() != parent:
+                took()
+                leave()
+            wait()
+            return run_stack(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_run_stack", leaving)
+        pattern = rf"run_grid: worker process \d+ {message} before sending its results"
+        with pytest.raises(RuntimeError, match=pattern):
+            run_grid(tiny_table, TINY_GRID, TrainConfig(max_epochs=1), jobs=2)
+
+    def test_each_process_takes_the_heaviest_stack_left(self):
+        # Stacks of 1 to 4 members, not in order of size.
+        stacks = [("kind", i, [None] * (1 + i * 5 % 4)) for i in range(12)]
+
+        def run(stack):
+            time.sleep(0.002)
+            return os.getpid(), time.monotonic_ns(), len(stack[2])
+
+        serial = experiments._train_stacks(run, stacks, 1)
+        assert {pid for pid, *_ in serial} == {os.getpid()}
+        assert [at for _, at, _ in serial] == sorted(at for _, at, _ in serial)
+        for workers in (2, 3, 12):
+            results = experiments._train_stacks(run, stacks, workers)
+            assert [size for *_, size in results] == [len(s[2]) for s in stacks]
+            taken = {}
+            for pid, _, size in sorted(results, key=lambda r: r[1]):
+                taken.setdefault(pid, []).append(size)
+            assert len(taken) <= workers
+            for sizes in taken.values():
+                assert sizes == sorted(sizes, reverse=True)
+            assert_no_child_left()
+
+
 class TestBatchedScoring:
     # Score arrays of two models (fully_shared, oracle) x 3 folds x 2 seeds.
     SHAPE = (2, 3, 2)
@@ -469,6 +599,33 @@ class TestScoreArrays:
                 "mean": float(np.nanmean(scores)), "std": float(np.nanstd(scores)),
                 "best": False, "inconclusive": True, "failed_cells": 1}
             assert result[metric]["oracle"]["best"]
+
+    def test_report_counts_a_partly_failed_models_cells(self, tiny_report,
+                                                        poisoned_report, tmp_path, capsys):
+        from annodist import cli
+
+        printed = {}
+        for name, report in (("tiny", tiny_report), ("poisoned", poisoned_report)):
+            write_report(report, tmp_path / name, 0.05, density_windows=0)
+            capsys.readouterr()
+            assert cli.main(["report", "--run", str(tmp_path / name)]) == 0
+            printed[name] = capsys.readouterr().out.splitlines()
+        lines = printed["poisoned"]
+        assert lines[lines.index("failures: 2") + 5].endswith(
+            "(paired Wilcoxon, * best, = on par, ? untested: too few pairs or failed cells)")
+        # The KL row of fully_shared: the mean covers its 5 trained cells.
+        kl = next(line for line in lines if line.startswith("    fully_shared"))
+        assert kl.endswith("  (1 of 6 cells failed)")
+        assert not next(line for line in lines if line.startswith("    oracle")).endswith(")")
+        mu = lines[lines.index("ccc_mu") + 2]
+        row = poisoned_report.scores["ccc_mu"][0]
+        assert mu == (f"  ? fully_shared             {np.nanmean(row):+.4f} +/- "
+                      f"{np.nanstd(row):.4f}  (1 of 6 cells failed)")
+        median = lines[lines.index("ccc_median") + 1:lines.index("ccc_median") + 4]
+        assert [line.endswith("  (1 of 6 cells failed)") for line in median] == [
+            False, True, True]
+        # A grid without failures prints no count.
+        assert not any("failed)" in line for line in printed["tiny"])
 
 
 def _fake_report(score_map):
