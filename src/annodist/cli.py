@@ -9,11 +9,13 @@ or :class:`CliConfig` for the keys only the CLI has, ``jobs`` among them).
 ``run`` has no ``epsilon`` key: it takes the one ``build`` recorded.
 Every value is type-, finiteness- and range-checked before anything is
 written, so a rejected invocation exits 2 naming its key and leaves no
-output.  An accepted one reads its input files, so a malformed one leaves no
-output either, and then writes a ``manifest.json`` into its output directory
-before computing anything, recording the input paths, resolved parameters,
-master seed, tool version, NumPy and BLAS builds and the BLAS thread
-variables; a run is reproducible from its manifest alone.
+output.  An accepted ``build``, ``fit`` or ``run`` reads its input files and
+does its work before it writes, so a malformed file or a data error found
+while computing leaves no output (nor changes an earlier run's) either.  Then
+it writes a ``manifest.json`` into its output directory (``synth`` writes it
+first), recording the input paths, resolved parameters, master seed, tool
+version, NumPy and BLAS builds and the BLAS thread variables, and then its
+outputs; a run is reproducible from its manifest alone.
 ``ANNODIST_OUT_ROOT`` prefixes relative output paths.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 numeric/training error.
@@ -70,6 +72,7 @@ from .config import (
 )
 from .errors import (
     DataError,
+    EmptyDatasetError,
     NumericError,
     TrainingError,
     at_least,
@@ -287,8 +290,8 @@ def _cmd_build(args) -> int:
 
     features = pipeline.read_feature_csv(args.features)
     traces = pipeline.read_annotation_csv(args.annotations)
-    outdir = _write_manifest(args, params)
     table, report = pipeline.build_dataset(features, traces, cfg, opts.modalities)
+    outdir = _write_manifest(args, params)
     path = pipeline.write_dataset(outdir, table, report, cfg)
     print(f"dataset: {path}")
     print(
@@ -305,8 +308,10 @@ def _cmd_fit(args) -> int:
     from . import pipeline
 
     traces = pipeline.read_annotation_csv(args.annotations)
-    outdir = _write_manifest(args, params)
     table, _ = pipeline.window_consensus(traces, cfg)
+    if not len(table):
+        raise EmptyDatasetError("fit: no valid windows found")
+    outdir = _write_manifest(args, params)
     path = pipeline.write_beta_fits(outdir, table, cfg.epsilon)
     print(f"beta fits: {path} ({len(table)} windows)")
     return 0
@@ -325,9 +330,9 @@ def _cmd_run(args) -> int:
     from . import experiments, pipeline
 
     table, epsilon = pipeline.read_dataset(args.dataset)
-    outdir = _write_manifest(args, params)
     report = experiments.run_grid(table, cfg, train, jobs=opts.jobs or _usable_cores(),
                                   epsilon=epsilon)
+    outdir = _write_manifest(args, params)
     paths = experiments.write_report(report, outdir, opts.significance_level,
                                      density_windows=opts.density_windows)
     for name, path in sorted(paths.items()):

@@ -36,7 +36,9 @@ KINDS = ("independent", "shared_first", "fully_shared", "point")
 MOMENT_KINDS = ("independent", "shared_first", "fully_shared")
 
 DEFAULT_EPSILON = 1e-4
-EPSILON_RANGE = (lambda e: 0.0 < e < 0.5, "in (0, 0.5)")
+# Near 2e-16 and below, 1 - epsilon rounds to 1 or the rounding of sigma^2 at
+# the cap outweighs epsilon, and clamped moments leave the validity region.
+EPSILON_RANGE = (lambda e: 1e-12 <= e < 0.5, "in [1e-12, 0.5)")
 
 #: Report order for the derived higher-order descriptors.
 DESCRIPTOR_NAMES = ("median", "q25", "q75", "skew", "kurt")

@@ -129,24 +129,23 @@ def beta_pdf_arrays(x, alpha, beta):
     return out
 
 
-def fit_beta_arrays(mu, sigma, epsilon: float = DEFAULT_EPSILON, strict: bool = True):
+def fit_beta_arrays(mu, sigma, epsilon: float = DEFAULT_EPSILON):
     """Clamp raw moments, moment-match them and derive their descriptors.
 
     Returns ``(alpha, beta, descriptors)``, the descriptors with the clamp's
-    ``mu``, ``sigma`` and ``clamped``; ``strict`` as in :func:`descriptors_arrays`.
+    ``mu``, ``sigma`` and ``clamped``.
     """
     mu, sigma, clamped = clamp_moments_arrays(mu, sigma, epsilon)
     alpha, beta = moment_match_arrays(mu, sigma)
-    return alpha, beta, {**descriptors_arrays(alpha, beta, strict=strict),
+    return alpha, beta, {**descriptors_arrays(alpha, beta),
                          "mu": mu, "sigma": sigma, "clamped": clamped}
 
 
-def descriptors_arrays(alpha, beta, strict: bool = True) -> dict[str, np.ndarray]:
+def descriptors_arrays(alpha, beta) -> dict[str, np.ndarray]:
     """Per-element descriptors for arrays of shapes, keyed like ``DESCRIPTOR_NAMES``.
 
-    Also carries ``mean``/``std`` for convenience.  ``strict=False`` keeps
-    quantiles total on near-degenerate shapes (see
-    :func:`annodist.special.inv_reg_inc_beta`).
+    Also carries ``mean``/``std`` for convenience.  The quantiles are checked
+    as :func:`annodist.special.inv_reg_inc_beta` checks them.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
@@ -154,7 +153,7 @@ def descriptors_arrays(alpha, beta, strict: bool = True) -> dict[str, np.ndarray
     # One inversion call for all three quantiles of every element.
     ndim = np.broadcast(alpha, beta).ndim
     probs = np.array([0.25, 0.5, 0.75]).reshape((3,) + (1,) * ndim)
-    q25, median, q75 = special.inv_reg_inc_beta(probs, alpha, beta, strict=strict)
+    q25, median, q75 = special.inv_reg_inc_beta(probs, alpha, beta)
 
     return {
         "mean": mean,

@@ -30,14 +30,7 @@ class EmptyDatasetError(DataError):
 
 
 class NumericError(AnnodistError, ArithmeticError):
-    """An iterative routine failed to converge.
-
-    ``bracket`` holds the last (lo, hi) search interval when applicable.
-    """
-
-    def __init__(self, message: str, bracket: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.bracket = bracket
+    """An iterative routine failed to converge."""
 
 
 class TrainingError(AnnodistError):

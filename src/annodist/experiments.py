@@ -31,12 +31,13 @@ processes than stacks; a child only trains and predicts, and the grid does
 not depend on ``n``.
 
 The parent process scores every cell.  All moment cells, the oracle's
-included, are scored by one Beta fit (:func:`fit_beta_arrays`, non-strict,
-at the ground truth's clamp margin ``epsilon``) and one KL pass per direction
-over their concatenated test windows, then sliced per cell for concordance
-and the KL means.  Quantiles and KL terms are computed element by element,
-so each cell gets the bits it would get alone.  Per-subject CCC averages over
-the test subjects with at least 2 windows; a cell with no such subject fails.
+included, are scored by one Beta fit (:func:`fit_beta_arrays`, as ``fit``
+and the truth are, at the ground truth's clamp margin ``epsilon``) and one
+KL pass per direction over their concatenated test windows, then sliced
+per cell for concordance and the KL means.  Quantiles and KL terms are
+computed element by element, so each cell gets the bits it would get alone.
+Per-subject CCC averages over the test subjects with at least 2 windows; a
+cell with no such subject fails.
 
 Each fold's window split and training-fold z-score statistics are computed
 once, before any stack trains (:class:`Fold`), and the report keeps them for
@@ -199,12 +200,8 @@ def _score_moment_cells(data: DatasetArrays, batch: list, pooling: str,
     """
     _, mu_hat, sigma_hat, test_idx = zip(*batch)
     test_idx = np.concatenate(test_idx)
-    # Non-strict quantiles: badly clamped predictions (sigma_hat above the
-    # validity cap) yield near-degenerate Betas whose quartiles collapse to
-    # the interval ends; scoring them beats losing the whole grid cell, and
-    # keeps both descriptor paths evaluated on identical windows.
     *pred, pred_desc = fit_beta_arrays(np.concatenate(mu_hat), np.concatenate(sigma_hat),
-                                       data.epsilon, strict=False)
+                                       data.epsilon)
     truth = data.truth_alpha[test_idx], data.truth_beta[test_idx]
     uniform = (np.ones_like(truth[0]),) * 2
     kl_tp = kl_beta_arrays(*truth, *pred)

@@ -284,7 +284,8 @@ def build_dataset(
 
     Feature vectors are concatenated across the selected modalities in the
     given order (sorted set of all modalities when unspecified).  Windows
-    present on only one side are dropped and counted.  Annotation values are
+    present on only one side are dropped and counted; a join that keeps no
+    window raises :class:`EmptyDatasetError`.  Annotation values are
     on ``cfg.label_range``, as :func:`window_consensus` takes them, and the
     consensus moments of the rows kept are clamped with ``cfg.epsilon``.
     """
@@ -347,6 +348,8 @@ def build_dataset(
         rows.append(mine[np.searchsorted(targets.starts[mine], common)])
         xs.append(np.hstack([f[np.searchsorted(g, common)] for g, f in zip(grids, means)]))
     rows = np.concatenate(rows)
+    if not rows.size:
+        raise EmptyDatasetError("build_dataset: no window has both features and annotations")
     mu, sigma, _ = clamp_moments_arrays(targets.mu[rows], targets.sigma[rows], cfg.epsilon)
     table = WindowTable(targets.subjects[rows], targets.starts[rows],
                         targets.n_annotators[rows], mu, sigma, np.concatenate(xs))
@@ -589,9 +592,8 @@ def write_dataset(
     """Write the window table plus its provenance manifest."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    dim = table.x.shape[1] if len(table) else 0
     path = write_table(outdir / "dataset.csv", [*_DATASET.columns] + [
-        f"f{i}" for i in range(dim)
+        f"f{i}" for i in range(table.x.shape[1])
     ], key_runs(table.subjects, [table.starts, table.n_annotators, table.mu,
                                  table.sigma, *table.x.T]))
     manifest = {
@@ -614,8 +616,6 @@ def write_dataset(
 def write_beta_fits(outdir, table: WindowTable, epsilon: float) -> Path:
     """Write ``beta_fits.csv``: each window's key, then the Beta fit of its raw
     moments (:func:`fit_beta_arrays`), ``mu``/``sigma`` 4th-5th, ``clamped`` last."""
-    if not len(table):
-        raise EmptyDatasetError("write_beta_fits: no valid windows found")
     alpha, beta, fits = fit_beta_arrays(table.mu, table.sigma, epsilon)
     fits.update(window_start=table.starts, n_annotators=table.n_annotators,
                 alpha=alpha, beta=beta)
@@ -633,8 +633,8 @@ def read_dataset(path) -> tuple[WindowTable, float]:
     line: the row must be as wide as the header, ``n_annotators`` a 64-bit
     integer, ``window_start``, ``mu``, ``sigma`` and every feature finite,
     and ``sigma`` non-negative.  Then a header without a feature column
-    raises one naming line 1, and an ``epsilon`` not in (0, 0.5) one naming
-    the manifest.
+    raises one naming line 1, and an ``epsilon`` outside ``EPSILON_RANGE`` one
+    naming the manifest.
     """
     path = Path(path)
     if path.is_dir():

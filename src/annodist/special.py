@@ -34,8 +34,8 @@ _CF_EPS = 1e-14
 _FPMIN = 1e-300
 
 _INV_MAX_ITER = 200
-_INV_TOL = 1e-12  # target |I(x) - p|; contract requires <= 1e-9
-_STRICT_TOL = 1e-9
+_INV_TOL = 1e-12  # target |I(x) - p|
+_CONTRACT_TOL = 1e-9  # |I(x) - p| promised wherever a double can meet it
 
 _TINY = 5e-324  # smallest positive double
 _ULP_BELOW_ONE = 2.0**-53  # spacing of the doubles just below 1
@@ -212,11 +212,12 @@ def _quantiles(p, a, b):
                                   best_err, step, step_before)
             )
         # Newton on the Beta density; at x = 0 or 1 the density is 0, inf or
-        # nan, so the step fails the bracket test and bisection takes over.
+        # nan, and a density that underflows sends the step towards inf, so
+        # the step fails the bracket test and bisection takes over.
         with np.errstate(all="ignore"):
             pdf = np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - lbeta)
             newton = x - f / pdf
-        ok = (newton > lo) & (newton < hi) & (2.0 * np.abs(newton - x) <= step_before)
+            ok = (newton > lo) & (newton < hi) & (2.0 * np.abs(newton - x) <= step_before)
         x_new = np.where(ok, newton, _bisect(lo, hi))
         step_before, step = step, np.abs(x_new - x)
         x = x_new
@@ -283,7 +284,7 @@ def reg_inc_beta(x, alpha, beta):
     return out.reshape(xa.shape)
 
 
-def inv_reg_inc_beta(p, alpha, beta, strict: bool = True):
+def inv_reg_inc_beta(p, alpha, beta):
     """Inverse of ``reg_inc_beta`` in ``x``: the Beta quantile function.
 
     Returns an x with ``|reg_inc_beta(x, alpha, beta) - p|`` within 1e-9
@@ -293,9 +294,9 @@ def inv_reg_inc_beta(p, alpha, beta, strict: bool = True):
     For extreme shapes the CDF can jump by more than the tolerance between
     adjacent doubles; the returned x is then pinned to adjacent doubles of
     the root even though the residual exceeds 1e-9 (a quantile that
-    underflows is returned as 0, one that rounds to 1 as 1).  ``strict=True``
-    raises :class:`NumericError` (carrying the last bracket) only when the
-    refinement genuinely failed to pin the root down to adjacent doubles.
+    underflows is returned as 0, one that rounds to 1 as 1).  A root that
+    the refinement failed to pin down to adjacent doubles raises
+    :class:`NumericError` naming its residual and last bracket.
     """
     pa, p_scalar = _as_float_array(p, "p", "inv_reg_inc_beta")
     aa, a_scalar = _as_float_array(alpha, "alpha", "inv_reg_inc_beta")
@@ -305,15 +306,12 @@ def inv_reg_inc_beta(p, alpha, beta, strict: bool = True):
     _check_shapes(aa, ba, "inv_reg_inc_beta")
     pa, aa, ba = np.broadcast_arrays(pa, aa, ba)
     out, errs, lo, hi = _quantiles(pa.ravel(), aa.ravel(), ba.ravel())
-    if strict:
-        failed = np.nonzero((errs > _STRICT_TOL) & (np.nextafter(lo, np.inf) < hi))[0]
-        if failed.size:
-            i = failed[0]
-            raise NumericError(
-                "inv_reg_inc_beta: no convergence after "
-                f"{_INV_MAX_ITER} iterations (|I(x)-p|={errs[i]:.3e})",
-                bracket=(float(lo[i]), float(hi[i])),
-            )
+    failed = np.nonzero((errs > _CONTRACT_TOL) & (np.nextafter(lo, np.inf) < hi))[0]
+    if failed.size:
+        i = failed[0]
+        raise NumericError(
+            f"inv_reg_inc_beta: no convergence after {_INV_MAX_ITER} iterations "
+            f"(|I(x)-p|={errs[i]:.3e}, bracket [{float(lo[i])!r}, {float(hi[i])!r}])")
     if p_scalar and a_scalar and b_scalar:
         return float(out[0])
     return out.reshape(pa.shape)

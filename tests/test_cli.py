@@ -570,30 +570,72 @@ def _edit_line(i, edit):
     return lambda lines: [edit(line) if k == i else line for k, line in enumerate(lines)]
 
 
-# (subcommand, input file, edit of its lines, line the error must name)
+def _first_subjects(n):
+    def edit(lines):
+        keep = sorted({line.split(",", 1)[0] for line in lines[1:]})[:n]
+        return lines[:1] + [line for line in lines[1:] if line.split(",", 1)[0] in keep]
+    return edit
+
+
+def _first_second(lines):
+    # Frames up to 1 s: too short for one 3 s window, so none joins.
+    return lines[:1] + [line for line in lines[1:] if float(line.split(",")[2]) <= 1.0]
+
+
+def _apart(lines):
+    # Two annotators whose marks lie 9 s apart: no 3 s window holds both.
+    return [lines[0], "s,a,0,0.5\n", "s,a,1,0.5\n", "s,b,10,0.5\n", "s,b,11,0.5\n"]
+
+
+# (subcommand, input file, edit of its lines, extra flags, what the error
+# names, "{bad}" standing for the edited file).  The first three fail while
+# their input is read, the last its parameter check, the others while the
+# command computes.
 BAD_INPUTS = {
-    "build-malformed-features": ("build", "features.csv", _edit_line(4, _drop_last_cell), 5),
+    "build-malformed-features": ("build", "features.csv", _edit_line(4, _drop_last_cell),
+                                 [], "{bad}:5:"),
     "fit-malformed-annotations": ("fit", "annotations.csv",
-                                  _edit_line(6, _set_cell(3, "nan")), 7),
-    "run-featureless-dataset": ("run", "dataset.csv", _featureless, 1),
+                                  _edit_line(6, _set_cell(3, "nan")), [], "{bad}:7:"),
+    "run-featureless-dataset": ("run", "dataset.csv", _featureless, [], "{bad}:1:"),
+    "fit-outside-label-range": ("fit", "annotations.csv", list, ["--label-range", 0, 0.5],
+                                "outside [0.0, 0.5]"),
+    "fit-no-shared-window": ("fit", "annotations.csv", _apart, [],
+                             "fit: no valid windows found"),
+    "run-more-folds-than-subjects": ("run", "dataset.csv", _first_subjects(3),
+                                     ["--k-folds", 5], "need >= 5 subjects for 5 folds, got 3"),
+    "build-no-joined-window": ("build", "features.csv", _first_second, [],
+                               "build_dataset: no window has both features and annotations"),
+    "fit-epsilon-below-the-floor": ("fit", "annotations.csv", list, ["--epsilon", 1e-20],
+                                    "epsilon must be in [1e-12, 0.5), got 1e-20"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exit_2_leaves_no_out_dir(case, synth_dir, built_dir, tmp_path, capsys):
-    # The inputs are read before the manifest is written.
-    sub, name, edit, bad_line = BAD_INPUTS[case]
+    # The inputs are read and the work is done before the manifest is written.
+    sub, name, edit, flags, names = BAD_INPUTS[case]
     source = (built_dir if name == "dataset.csv" else synth_dir) / name
     bad = tmp_path / name
     bad.write_text("".join(edit(source.read_text().splitlines(keepends=True))))
     args = {"build": ["--features", bad, "--annotations", synth_dir / "annotations.csv"],
             "fit": ["--annotations", bad], "run": ["--dataset", bad]}[sub]
     out = tmp_path / "out"
-    code = run_cli(sub, *args, "--out", out)
+    code = run_cli(sub, *args, *flags, "--out", out)
     err = capsys.readouterr().err
     assert code == 2, err
-    assert f"{bad}:{bad_line}:" in err
+    assert names.format(bad=bad) in err
+    assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_failed_rerun_leaves_a_finished_run_as_it_was(built_dir, tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("run", "--dataset", built_dir, "--out", out, "--k-folds", 3,
+                   "--n-seeds", 1, "--max-epochs", 2, "--variants", "fully_shared",
+                   "--baselines", "--density-windows", 2) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert run_cli("run", "--dataset", built_dir, "--out", out, "--k-folds", 30) == 2
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 class TestByteOrderMark:
@@ -656,7 +698,7 @@ class TestBadJson:
 
 
 @pytest.mark.parametrize("value", ['"0.2"', "true", "null", "NaN", "0", "0.5", "-0.1",
-                                   "[0.2]"])
+                                   "1e-13", "[0.2]"])
 def test_bad_manifest_epsilon_exit_2_naming_the_manifest(value, built_dir, tmp_path,
                                                          capsys):
     bad = tmp_path / "dataset" / "dataset_manifest.json"
@@ -667,7 +709,7 @@ def test_bad_manifest_epsilon_exit_2_naming_the_manifest(value, built_dir, tmp_p
     code = run_cli("run", "--dataset", bad.parent, "--out", out, "--max-epochs", 1)
     err = capsys.readouterr().err
     assert code == 2, err
-    assert f"{bad}: key 'epsilon' must be a number in (0, 0.5)" in err
+    assert f"{bad}: key 'epsilon' must be a number in [1e-12, 0.5)" in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -95,6 +95,22 @@ class TestClampMoments:
         assert np.all(cmu > 0) and np.all(cmu < 1)
         assert np.all(csigma**2 > 0) and np.all(csigma**2 < cap)
 
+    # The default, the floor of EPSILON_RANGE and a margin near its top.
+    @pytest.mark.parametrize("epsilon", [1e-4, 1e-12, 0.4999])
+    def test_fit_is_total_over_the_clamp_region(self, epsilon):
+        # mu geometric from epsilon towards 1/2 and mirrored; sigma^2 the same
+        # fractions of mu(1 - mu), so floor and cap are both included.  Then
+        # the raw extremes, which the clamp moves onto the region's edges.
+        half = np.geomspace(epsilon, 0.5, 32)
+        frac = np.concatenate([half, 1.0 - half])
+        mu, var = (v.ravel() for v in np.meshgrid(frac, frac))
+        raw_mu, raw_sigma = (v.ravel() for v in np.meshgrid(
+            [0.0, 1.0, 0.5, -3.0], [0.0, 5e-324, 1e150, 1e300, -1e300, 0.3]))
+        _, _, desc = fit_beta_arrays(np.concatenate([mu, raw_mu]),
+                                     np.concatenate([np.sqrt(var * mu * (1.0 - mu)),
+                                                     raw_sigma]), epsilon)
+        assert all(np.isfinite(v).all() for v in desc.values())
+
 
 def record_reference(mu, sigma, epsilon):
     """The clamp record of one window from its raw moments (sigma >= 0): 1 if

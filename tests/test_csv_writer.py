@@ -176,14 +176,13 @@ def test_dataset_csv(tmp_path_factory, keys, dim, data):
                         column(FINITE, size=n * dim).reshape(n, dim))
     tmp = tmp_path_factory.mktemp("w")
     got = write_dataset(tmp / "built", table, BuildReport(), WindowConfig())
-    width = dim if n else 0
     want = csv_reference.write(tmp / "want.csv", [
         "subject_id", "window_start", "n_annotators", "mu", "sigma",
-        *(f"f{i}" for i in range(width))], [
+        *(f"f{i}" for i in range(dim))], [
         [s, start, k, mu, sigma, *x] for s, start, k, mu, sigma, x in zip(
             keys, table.starts, table.n_annotators, table.mu, table.sigma, table.x)])
     assert got.read_bytes() == want.read_bytes()
-    if not width:  # a table without features is rejected at its header
+    if not dim:  # a table without features is rejected at its header
         with pytest.raises(SchemaError, match=r"dataset\.csv:1: expected at least one "
                                               r"feature column after 'sigma'"):
             read_dataset(got)

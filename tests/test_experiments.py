@@ -98,7 +98,8 @@ def assert_same_scores(got, want):
 BAD_CONFIG_FIELDS = [
     (ExperimentConfig, "n_seeds", 0), (ExperimentConfig, "k_folds", 1),
     (ExperimentConfig, "k_folds", 2), (ExperimentConfig, "master_seed", -1),
-    (WindowConfig, "epsilon", 0.5), (ExperimentConfig, "variants", ("bogus",)),
+    (WindowConfig, "epsilon", 0.5), (WindowConfig, "epsilon", 1e-13),
+    (ExperimentConfig, "variants", ("bogus",)),
     (ExperimentConfig, "baselines", ("mean",)),
     (ExperimentConfig, "variants", ("fully_shared", "independent", "fully_shared")),
     (ExperimentConfig, "baselines", ("median", "median")),
@@ -542,7 +543,7 @@ class TestBatchedScoring:
     def test_extreme_moments_fit_to_bounded_shapes(self):
         mu, sigma = (v.ravel() for v in np.meshgrid(
             [0.0, 1.0, 0.5, -3.0], [0.0, 5e-324, 1e150, 1e300, -1e300, 0.3]))
-        alpha, beta, desc = experiments.fit_beta_arrays(mu, sigma, 1e-4, strict=False)
+        alpha, beta, desc = experiments.fit_beta_arrays(mu, sigma, 1e-4)
         for shape in (alpha, beta):
             assert np.all((shape >= 1e-8) & (shape <= 1e4))
         assert all(np.all(np.isfinite(v)) for v in desc.values())

@@ -331,6 +331,13 @@ class TestBuildDataset:
             build_dataset([make_series(subject="sA")],
                           self._annotations(subject="sB"), WindowConfig())
 
+    def test_no_joined_window_rejected(self):
+        # 1 s of features holds no 3 s window, 9 s of annotations do.
+        with pytest.raises(EmptyDatasetError, match="no window has both features "
+                                                    "and annotations"):
+            build_dataset([make_series(duration=1.0)], self._annotations(duration=9.0),
+                          WindowConfig())
+
     def test_targets_always_strictly_valid(self):
         rng = np.random.default_rng(23)
         traces = []
@@ -999,8 +1006,12 @@ class TestLoopReference:
         assert list(zip(table.subjects.tolist(), table.starts.tolist(),
                         table.n_annotators.tolist(), table.mu.tolist(),
                         table.sigma.tolist())) == ref
-        table, report = build_dataset(features, traces, cfg)
         rows, counts = loop_build_dataset(features, traces, cfg, 1e-4)
+        if not rows:
+            with pytest.raises(EmptyDatasetError, match="no window has both"):
+                build_dataset(features, traces, cfg)
+            return
+        table, report = build_dataset(features, traces, cfg)
         assert list(zip(table.subjects.tolist(), table.starts.tolist(),
                         table.n_annotators.tolist(), table.mu.tolist(),
                         table.sigma.tolist(), table.x.tolist())) == [

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from scipy import special as scipy_special
 from scipy.integrate import quad
 
-from annodist.errors import DomainError
+from annodist import special
+from annodist.errors import DomainError, NumericError
 from annodist.special import digamma, inv_reg_inc_beta, log_gamma, reg_inc_beta
 
 EULER_GAMMA = 0.5772156649015329
@@ -161,6 +162,14 @@ class TestInvRegIncBeta:
         with pytest.raises(DomainError):
             inv_reg_inc_beta(0.5, -2.0, 2.0)
 
+    def test_a_root_it_cannot_pin_raises(self, monkeypatch):
+        # One iteration leaves the root unpinned: the check names the
+        # residual and the last bracket.
+        monkeypatch.setattr(special, "_INV_MAX_ITER", 1)
+        with pytest.raises(NumericError, match=r"no convergence after 1 iterations "
+                                               r"\(\|I\(x\)-p\|=\S+, bracket \[0\.\d+, 0\.\d+\]\)"):
+            inv_reg_inc_beta([0.5, 0.3], 2.0, 3.0)
+
 
 def scalar_digamma(x):
     """Per-element loop form of the digamma kernel, kept as the reference."""
@@ -224,9 +233,10 @@ class TestArrayKernelsMatchLoops:
         np.testing.assert_allclose(reg_inc_beta(x, a, b), ref, rtol=0, atol=1e-14)
 
 
-# Every shape the epsilon = 1e-4 clamp can produce: alpha, beta in about
-# [5e-5, 1e4], drawn log-uniformly.
-shapes = st.floats(math.log(5e-5), math.log(1e4)).map(math.exp)
+# Every shape the epsilon = 1e-4 clamp can produce, drawn log-uniformly:
+# alpha, beta in about [1e-8, 1e4].  The low end is epsilon^2 / (1 - epsilon),
+# the smaller shape at mu = epsilon with sigma at the variance cap.
+shapes = st.floats(math.log(1e-8), math.log(1e4)).map(math.exp)
 probabilities = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
@@ -242,9 +252,9 @@ class TestProperties:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(probabilities, shapes, shapes)
     def test_quantile_is_total_and_optimal(self, p, a, b):
-        # strict=True must not raise; the result either meets the residual
-        # contract or no neighbouring double brackets the root more tightly.
-        x = inv_reg_inc_beta(p, a, b, strict=True)
+        # It must not raise; the result either meets the residual contract
+        # or no neighbouring double brackets the root more tightly.
+        x = inv_reg_inc_beta(p, a, b)
         assert 0.0 <= x <= 1.0
         if abs(reg_inc_beta(x, a, b) - p) > 1e-9:
             assert reg_inc_beta(np.nextafter(x, 0.0), a, b) <= p
