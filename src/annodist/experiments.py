@@ -30,14 +30,16 @@ finite, fails only its own cell.  ``jobs = n`` trains the stacks in this process
 processes than stacks; a child only trains and predicts, and the grid does
 not depend on ``n``.
 
-The parent process scores every cell.  All moment cells, the oracle's
-included, are scored by one Beta fit (:func:`fit_beta_arrays`, as ``fit``
-and the truth are, at the ground truth's clamp margin ``epsilon``) and one
-KL pass per direction over their concatenated test windows, then sliced
-per cell for concordance and the KL means.  Quantiles and KL terms are
+The parent process scores every cell in one pass (:func:`_score`).  The
+moment cells, the oracle's included, share one Beta fit
+(:func:`fit_beta_arrays`, as ``fit`` and the truth are, at the ground truth's
+clamp margin ``epsilon``) and one KL pass per direction over their
+concatenated test windows, sliced per cell.  Quantiles and KL terms are
 computed element by element, so each cell gets the bits it would get alone.
-Per-subject CCC averages over the test subjects with at least 2 windows; a
-cell with no such subject fails.
+Then one loop scores every cell, point and moment alike, through one
+concordance call and one failure path.  Per-subject CCC averages over the
+test subjects with at least 2 windows; a cell with no such subject fails,
+with no KL means.
 
 Each fold's window split and training-fold z-score statistics are computed
 once, before any stack trains (:class:`Fold`), and the report keeps them for
@@ -187,44 +189,6 @@ def _score_ccc(pred, target, subjects, pooling: str) -> float:
         raise InsufficientDataError(
             "per-subject CCC: no test subject has at least 2 windows")
     return float(np.mean(values))
-
-
-def _score_moment_cells(data: DatasetArrays, batch: list, pooling: str,
-                        scores: dict[str, np.ndarray], errors: np.ndarray) -> None:
-    """Score ``(where, mu_hat, sigma_hat, test_idx)`` entries into the
-    ``scores`` and ``errors`` arrays at index ``where``, every cell there
-    alike: one Beta fit and one KL pass per direction over all their windows,
-    then one slice per entry.  The predictions are finite (:func:`_run_stack`
-    fails a member whose are not); over finite moments the fit and KL are
-    total and elementwise, so a slice holds the bits its entry would get alone.
-    """
-    _, mu_hat, sigma_hat, test_idx = zip(*batch)
-    test_idx = np.concatenate(test_idx)
-    *pred, pred_desc = fit_beta_arrays(np.concatenate(mu_hat), np.concatenate(sigma_hat),
-                                       data.epsilon)
-    truth = data.truth_alpha[test_idx], data.truth_beta[test_idx]
-    uniform = (np.ones_like(truth[0]),) * 2
-    kl_tp = kl_beta_arrays(*truth, *pred)
-    kl_pt = kl_beta_arrays(*pred, *truth)
-    kl_tu = kl_beta_arrays(*truth, *uniform)
-    targets = {**data.truth_desc, "mu": data.mu, "sigma": data.sigma}
-    hi = 0
-    for where, mu_hat, sigma_hat, idx in batch:
-        lo, hi = hi, hi + idx.size
-        subjects = data.subjects[idx]
-        preds = {"mu": mu_hat, "sigma": sigma_hat,
-                 **{name: pred_desc[name][lo:hi] for name in DESCRIPTOR_NAMES}}
-        try:
-            values = {f"ccc_{name}": _score_ccc(p, targets[name][idx], subjects, pooling)
-                      for name, p in preds.items()}
-        except (AnnodistError, FloatingPointError) as exc:
-            errors[where] = _failure(exc)
-            continue
-        tp, tu = kl_tp[lo:hi], kl_tu[lo:hi]
-        values.update(kl_truth_pred=tp.mean(), kl_pred_truth=kl_pt[lo:hi].mean(),
-                      kl_truth_uniform=tu.mean(), kl_frac_better=np.mean(tp < tu))
-        for metric, value in values.items():
-            scores[metric][where] = value
 
 
 def _fold(data: DatasetArrays, plan: FoldPlan, fold: int) -> Fold:
@@ -381,34 +345,59 @@ def _train_stacks(run, stacks: list, workers: int) -> list:
 
 def _score(data: DatasetArrays, cfg: ExperimentConfig, folds: list[Fold],
            n_models: int, stacks: list, results: list) -> tuple[dict, np.ndarray]:
-    """The grid's score and error arrays: each member's failure, one
-    concordance per point cell, and every moment cell, the oracle's on the
-    true moments, scored in one batched Beta fit.  ``results`` pair with
-    ``stacks``; the oracle, the last model, joins the batch fold by fold."""
+    """The grid's score and error arrays, from ``results`` paired with
+    ``stacks``: each member's failure, then every trained cell scored in one
+    loop.  A cell is its array index, its test windows, its predictions by
+    target and its per-window KL terms (None for a point cell); the oracle,
+    the last model, has one cell per fold, on the true moments, that fills
+    every seed.  The moment cells' KL terms and descriptors are slices of one
+    Beta fit and one KL pass per direction over all their windows; the
+    predictions are finite (:func:`_run_stack` fails a member whose are not),
+    and over finite moments the fit and KL are total and elementwise."""
     shape = n_models, cfg.k_folds, cfg.n_seeds
     scores = {metric: np.full(shape, np.nan) for metric in METRICS}
     errors = np.full(shape, None, dtype=object)
-    batch = []
+    cells, moments = [], []  # moments: (where, test windows, mu_hat, sigma_hat)
     for (_, fold, members), (failures, pred) in zip(stacks, results):
         test_idx = folds[fold].test
-        subjects = data.subjects[test_idx]
         for i, ((m, s, target), failure) in enumerate(zip(members, failures)):
             errors[m, fold, s] = failure
-            if failure is not None:
-                continue
-            if target is None:
-                batch.append(((m, fold, s), pred[i, :, 0], pred[i, :, 1], test_idx))
-                continue
-            try:
-                scores[f"ccc_{target}"][m, fold, s] = _score_ccc(
-                    pred[i], data.truth_desc[target][test_idx], subjects, cfg.ccc_pooling)
-            except (AnnodistError, FloatingPointError) as exc:
-                errors[m, fold, s] = _failure(exc)
-    if cfg.include_oracle:  # every seed scores the same true moments
-        batch += [((n_models - 1, fold, slice(None)), data.mu[split.test],
-                   data.sigma[split.test], split.test) for fold, split in enumerate(folds)]
-    if batch:
-        _score_moment_cells(data, batch, cfg.ccc_pooling, scores, errors)
+            if failure is None and target is None:
+                moments.append(((m, fold, s), test_idx, pred[i, :, 0], pred[i, :, 1]))
+            elif failure is None:
+                cells.append(((m, fold, s), test_idx, {target: pred[i]}, None))
+    if cfg.include_oracle:
+        moments += [((n_models - 1, fold, slice(None)), split.test, data.mu[split.test],
+                     data.sigma[split.test]) for fold, split in enumerate(folds)]
+    if moments:
+        _, *columns = zip(*moments)
+        test_idx, mu_hat, sigma_hat = map(np.concatenate, columns)
+        *pred, pred_desc = fit_beta_arrays(mu_hat, sigma_hat, data.epsilon)
+        truth = data.truth_alpha[test_idx], data.truth_beta[test_idx]
+        uniform = (np.ones_like(truth[0]),) * 2
+        kl_pass = (kl_beta_arrays(*truth, *pred), kl_beta_arrays(*pred, *truth),
+                   kl_beta_arrays(*truth, *uniform))
+        hi = 0
+        for where, idx, mu, sigma in moments:
+            lo, hi = hi, hi + idx.size
+            cells.append((where, idx, {"mu": mu, "sigma": sigma, **{
+                name: pred_desc[name][lo:hi] for name in DESCRIPTOR_NAMES}},
+                [terms[lo:hi] for terms in kl_pass]))
+    targets = {**data.truth_desc, "mu": data.mu, "sigma": data.sigma}
+    for where, idx, preds, kl in cells:
+        try:
+            values = {f"ccc_{name}": _score_ccc(p, targets[name][idx], data.subjects[idx],
+                                                cfg.ccc_pooling)
+                      for name, p in preds.items()}
+        except (AnnodistError, FloatingPointError) as exc:
+            errors[where] = _failure(exc)
+            continue
+        if kl is not None:
+            tp, pt, tu = kl
+            values.update(kl_truth_pred=tp.mean(), kl_pred_truth=pt.mean(),
+                          kl_truth_uniform=tu.mean(), kl_frac_better=np.mean(tp < tu))
+        for metric, value in values.items():
+            scores[metric][where] = value
     return scores, errors
 
 
@@ -527,7 +516,8 @@ def write_report(report: ExperimentReport, outdir, level: float, *,
                  density_windows: int) -> dict[str, Path]:
     """Write the per-table CSVs, the JSON summary and, for a reference
     member that trained, the densities of up to ``density_windows`` of fold
-    0's test windows; returns the paths."""
+    0's test windows, removing a ``density_data.csv`` left in ``outdir``
+    when it writes none; returns the paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     scores = report.scores
@@ -586,12 +576,13 @@ def write_report(report: ExperimentReport, outdir, level: float, *,
     }
     write_json(paths["summary"], summary)
 
-    pred = report.reference_predictions
+    pred, density = report.reference_predictions, outdir / "density_data.csv"
     if density_windows > 0 and pred is not None:
         test_idx = report.folds[0].test
         pick = np.linspace(0, test_idx.size - 1,
                            min(density_windows, test_idx.size)).astype(int)
         paths["density"] = emit_density_data(
-            report.data, pred[pick, 0], pred[pick, 1], test_idx[pick],
-            outdir / "density_data.csv")
+            report.data, pred[pick, 0], pred[pick, 1], test_idx[pick], density)
+    else:
+        density.unlink(missing_ok=True)
     return paths

@@ -638,6 +638,20 @@ def test_failed_rerun_leaves_a_finished_run_as_it_was(built_dir, tmp_path):
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("rerun, code", [(("--density-windows", 0), 0),
+                                          (("--learning-rate", 1e200), 3)],
+                         ids=["no-density-windows", "reference-member-failed"])
+def test_a_rerun_writing_no_densities_removes_the_old_file(built_dir, tmp_path,
+                                                          rerun, code):
+    out = tmp_path / "run"
+    args = ["run", "--dataset", built_dir, "--out", out, "--k-folds", 3, "--n-seeds", 1,
+            "--max-epochs", 2, "--variants", "fully_shared", "--baselines"]
+    assert run_cli(*args, "--density-windows", 2) == 0
+    assert (out / "density_data.csv").exists()
+    assert run_cli(*args, *rerun) == code
+    assert not (out / "density_data.csv").exists()
+
+
 class TestByteOrderMark:
     def test_fit_reads_annotations_after_a_bom(self, synth_dir, tmp_path):
         bom = tmp_path / "annotations.csv"

@@ -333,6 +333,30 @@ class TestRunGrid:
         pooled = experiments._score_ccc(pred, target, subjects, "pooled")
         assert pooled == pytest.approx(-2 / 3)
 
+    def test_a_scoring_failure_fails_every_kind_of_cell_on_its_fold(self, tiny_table):
+        # Fold 1's test subjects keep one window each, so per-subject CCC has
+        # no subject to average there: every fold-1 cell fails while scoring,
+        # point, moment and the oracle at every seed, with no score and no KL.
+        cfg = ExperimentConfig(**{**TINY_GRID.__dict__, "ccc_pooling": "per_subject"})
+        plan = make_folds(sorted(set(tiny_table.subjects.tolist())), cfg.k_folds,
+                          cfg.master_seed)
+        first = np.zeros(len(tiny_table), dtype=bool)
+        first[np.unique(tiny_table.subjects, return_index=True)[1]] = True
+        keep = first | [plan.assignments[s] != 1 for s in tiny_table.subjects.tolist()]
+        table = type(tiny_table)(**{k: v[keep] for k, v in vars(tiny_table).items()})
+        report = run_grid(table, cfg, TINY_TRAIN)
+        assert report.models == ["fully_shared", "point[median]", "oracle"]
+        assert report.fold_plan == plan
+        assert report.errors[:, 1].tolist() == [[
+            "InsufficientDataError: per-subject CCC: "
+            "no test subject has at least 2 windows"] * 2] * 3
+        assert not failed_cells(report)[:, [0, 2]].any()
+        for metric, scores in report.scores.items():
+            assert np.isnan(scores[:, 1]).all()
+        for model, metric in (("fully_shared", "kl_truth_pred"), ("oracle", "ccc_mu"),
+                              ("point[median]", "ccc_median")):
+            assert np.isfinite(model_scores(report, metric, model)[[0, 2]]).all()
+
     def test_degenerate_predictions_scored_not_failed(self, tiny_table):
         # A frozen network keeps sigma_hat near softplus(0) ~ 0.69, above the
         # validity cap; the clamp collapses it to a near-two-point Beta whose
@@ -471,71 +495,70 @@ class TestScheduler:
 
 
 class TestBatchedScoring:
-    # Score arrays of two models (fully_shared, oracle) x 3 folds x 2 seeds.
-    SHAPE = (2, 3, 2)
+    # A made-up plan on the tiny grid's folds, one single-member moment stack
+    # per given cell: two models (fully_shared, oracle) x 3 folds x 2 seeds.
 
-    def _arrays(self):
-        return ({metric: np.full(self.SHAPE, np.nan) for metric in experiments.METRICS},
-                np.full(self.SHAPE, None, dtype=object))
+    def _score(self, report, cells, pooling="pooled", oracle=False):
+        """``_score`` on ``(model, fold, seed, mu_hat, sigma_hat)`` cells."""
+        cfg = ExperimentConfig(k_folds=3, n_seeds=2, variants=("fully_shared",),
+                               baselines=(), include_oracle=oracle, ccc_pooling=pooling)
+        stacks = [("fully_shared", fold, [(m, s, None)]) for m, fold, s, *_ in cells]
+        results = [([None], np.stack([mu, sigma], axis=-1)[None]) for *_, mu, sigma in cells]
+        return experiments._score(report.data, cfg, report.folds, 2, stacks, results)
 
-    def _batch(self, report, rng):
+    def _cells(self, report, rng):
         # Two cells with random predictions, some sigma_hat above the
-        # validity cap, on different folds, and a two-seed oracle entry.
-        data, folds = report.data, report.folds
-        batch = []
-        for i, fold in enumerate(folds[:2]):
-            n = fold.test.size
-            batch.append(((0, i, 0), rng.uniform(0.05, 0.95, n), rng.uniform(0.01, 0.6, n),
-                          fold.test))
-        test = folds[2].test
-        batch.append(((1, 2, slice(None)), data.mu[test], data.sigma[test], test))
-        return batch
+        # validity cap, on different folds.
+        return [(0, i, 0, rng.uniform(0.05, 0.95, fold.test.size),
+                 rng.uniform(0.01, 0.6, fold.test.size))
+                for i, fold in enumerate(report.folds[:2])]
 
-    def _alone(self, data, entry, pooling):
-        # The same entry scored as a one-entry batch, into fresh arrays.
-        scores, errors = self._arrays()
-        experiments._score_moment_cells(data, [entry], pooling, scores, errors)
+    def _alone(self, report, cell, pooling):
+        # One cell scored as the only one of its plan.
+        scores, errors = self._score(report, [cell], pooling)
         assert not errors.astype(bool).any()
-        return {metric: v[entry[0]] for metric, v in scores.items()}
+        return {metric: v[cell[:3]] for metric, v in scores.items()}
 
     @pytest.mark.parametrize("pooling", experiments.CCC_POOLINGS)
     def test_batched_cells_match_cells_scored_alone(self, tiny_report, pooling,
                                                     monkeypatch):
         data = tiny_report.data
-        batch = self._batch(tiny_report, np.random.default_rng(32))
+        cells = self._cells(tiny_report, np.random.default_rng(32))
         calls = []
         inverse = special.inv_reg_inc_beta
         monkeypatch.setattr(special, "inv_reg_inc_beta",
                             lambda *a, **k: calls.append(1) or inverse(*a, **k))
-        scores, errors = self._arrays()
-        experiments._score_moment_cells(data, batch, pooling, scores, errors)
+        scores, errors = self._score(tiny_report, cells, pooling, oracle=True)
         assert len(calls) == 1
         assert not errors.astype(bool).any()
         for metric in experiments.METRICS:
-            # Two single cells and the two oracle seeds; the rest stay NaN.
-            assert np.count_nonzero(np.isfinite(scores[metric])) == 4
-        for entry in batch:
-            for metric, value in self._alone(data, entry, pooling).items():
-                assert np.isfinite(value).all()
-                np.testing.assert_array_equal(scores[metric][entry[0]], value)
+            # Two single cells and the oracle's 3 folds x 2 seeds; the rest stay NaN.
+            assert np.count_nonzero(np.isfinite(scores[metric])) == 8
+        # An oracle cell scores as a moment cell that predicts the true moments.
+        oracle = [(1, i, 0, data.mu[fold.test], data.sigma[fold.test])
+                  for i, fold in enumerate(tiny_report.folds)]
+        for cell in cells + oracle:
+            m, fold, s = cell[:3]
+            seeds = slice(None) if m else s  # the oracle fills every seed
+            for metric, value in self._alone(tiny_report, cell, pooling).items():
+                assert np.isfinite(value)
+                np.testing.assert_array_equal(scores[metric][m, fold, seeds], value)
 
     def test_any_finite_predictions_score(self, tiny_report):
         # Moments far outside the validity region, the extremes included,
         # fit and score without a warning (warnings are errors here).  The
         # raw sigma_hat also enters ccc_sigma.
-        data, folds = tiny_report.data, tiny_report.folds
         rng = np.random.default_rng(34)
         mu_x, sigma_x = (v.ravel() for v in np.meshgrid(
             [0.0, 1.0, -3.0, 7.5], [0.0, 5e-324, 1e300, -1e300]))
-        batch = []
-        for i, fold in enumerate(folds):
+        cells = []
+        for i, fold in enumerate(tiny_report.folds):
             n = fold.test.size
             mu_hat = rng.uniform(-2.0, 3.0, n)
             sigma_hat = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320, 300, n)
             mu_hat[:mu_x.size], sigma_hat[:mu_x.size] = mu_x, sigma_x
-            batch.append(((0, i, 0), mu_hat, sigma_hat, fold.test))
-        scores, errors = self._arrays()
-        experiments._score_moment_cells(data, batch, "pooled", scores, errors)
+            cells.append((0, i, 0, mu_hat, sigma_hat))
+        scores, errors = self._score(tiny_report, cells)
         assert not errors.astype(bool).any()
         for metric in experiments.METRICS:
             assert np.isfinite(scores[metric][0, :, 0]).all()
