@@ -33,7 +33,10 @@ console script runs :func:`entry`.  Before :func:`main` loads NumPy, it sets
 (``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``, ``OMP_NUM_THREADS``) is
 already set, so a CLI process and every child ``run --jobs`` forks from it
 run BLAS on one thread: ``--jobs`` is the parallelism, and NumPy loads without
-starting a BLAS thread pool.  A thread count set by the caller is kept.  Once
+starting a BLAS thread pool.  A thread count set by the caller is kept.  It
+also restores the default ``SIGPIPE`` action: a process whose stdout closes
+early (``annodist synth ... | head -0``) writes its files and is then killed
+by the signal, as other writers to a pipe are, with nothing on stderr.  Once
 :func:`main` has returned, :func:`entry` freezes the garbage collector and
 exits with its code.  The interpreter's final collections then skip the
 objects NumPy and annodist left loaded (the OS frees that memory), which
@@ -52,6 +55,7 @@ import argparse
 import gc
 import json
 import os
+import signal
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -61,7 +65,6 @@ from . import __version__
 from .config import (
     CCC_POOLINGS,
     DESCRIPTOR_NAMES,
-    KL_DIRECTIONS,
     MOMENT_KINDS,
     ExperimentConfig,
     SyntheticConfig,
@@ -135,8 +138,6 @@ _PARAMS = {
     "batch_size": {"help": "training batch size"},
     "max_epochs": {"help": "epoch limit per network"},
     "patience": {"help": "epochs without validation gain before a member stops"},
-    "kl_direction": {"help": "KL direction reported first",
-                     "choices": KL_DIRECTIONS},
     "ccc_pooling": {"help": "CCC over all test windows or averaged per subject",
                     "choices": CCC_POOLINGS},
     "include_oracle": {"help": "add an oracle model fed the true targets",
@@ -365,22 +366,23 @@ def _report_lines(rundir: Path, summary: dict):
     def failed(count: int) -> str:
         return f"  ({count} of {per_model} cells failed)" if count else ""
 
-    yield f"KL direction: {summary['kl_direction']}"
     kl_means = summary["kl_means"]
     if kl_means:
-        yield "mean per-window KL over trained cells (vs truth Beta | vs uniform | windows better)"
+        yield "mean per-window KL over trained cells (truth||pred | truth||uniform | windows better)"
         for model, row in sorted(kl_means.items()):
             count = sum(f["model"] == model for f in grid["failures"])
             yield (f"    {model:<24} {row['vs_truth_beta']:8.3f} "
                    f"{row['vs_uniform']:8.3f} "
                    f"{row['windows_better_than_uniform']:8.1%}{failed(count)}")
     yield (f"significance level: {level} (paired Wilcoxon, * best, = on par, "
-           "? untested: too few pairs or failed cells)")
+           "? untested: too few pairs or failed cells, r reference (oracle), untested)")
     for metric, entries in sorted(summary["significance"].items()):
         yield f"\n{metric}"
         for model in sorted(entries, key=lambda m: -entries[m]["mean"]):
             row = entries[model]
-            if row["best"]:
+            if row.get("reference"):
+                mark = "r"
+            elif row["best"]:
                 mark = "*"
             elif row.get("indistinguishable_from_best"):
                 mark = "="
@@ -476,10 +478,13 @@ def main(argv=None) -> int:
 
 def entry() -> NoReturn:
     """Run :func:`main` on ``sys.argv`` as the whole process, with BLAS on one
-    thread unless the caller set a thread count, and exit with its code,
-    skipping only the final collection over what is still loaded."""
+    thread unless the caller set a thread count and the default ``SIGPIPE``
+    action, and exit with its code, skipping only the final collection over
+    what is still loaded."""
     if not any(var in os.environ for var in BLAS_THREAD_VARS):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     code = main()
     gc.freeze()
     sys.exit(code)

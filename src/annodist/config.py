@@ -46,7 +46,6 @@ DESCRIPTOR_NAMES = ("median", "q25", "q75", "skew", "kurt")
 ORACLE_MODEL = "oracle"
 # Fold i tests and fold i+1 validates, so k >= 3 leaves a fold to train.
 MIN_FOLDS = 3
-KL_DIRECTIONS = ("truth_first", "pred_first")
 CCC_POOLINGS = ("pooled", "per_subject")
 
 
@@ -123,7 +122,6 @@ class ExperimentConfig:
     master_seed: int = 0
     variants: tuple[str, ...] = MOMENT_KINDS
     baselines: tuple[str, ...] = DESCRIPTOR_NAMES
-    kl_direction: str = "truth_first"
     ccc_pooling: str = "pooled"
     include_oracle: bool = False
 
@@ -131,7 +129,7 @@ class ExperimentConfig:
         check_fields(
             self, k_folds=at_least(MIN_FOLDS), n_seeds=at_least(1), master_seed=at_least(0),
             variants=subset_of(MOMENT_KINDS), baselines=subset_of(DESCRIPTOR_NAMES),
-            kl_direction=one_of(KL_DIRECTIONS), ccc_pooling=one_of(CCC_POOLINGS),
+            ccc_pooling=one_of(CCC_POOLINGS),
         )
         check_fields(self, variants=DISTINCT, baselines=DISTINCT)
         if not (self.variants or self.baselines):

@@ -9,8 +9,8 @@ network, evaluated on the held-out windows:
   ground-truth Beta fits, next to per-descriptor point-regressor baselines
   trained on identical windows;
 * per-window KL divergence of the ground-truth Beta against the predicted
-  Beta and against the uniform Beta(1,1) reference (both KL directions are
-  recorded; the configured one is reported first).
+  Beta and against the uniform Beta(1,1) reference (the summary reports
+  KL(truth||pred), with the mean of KL(pred||truth) beside it).
 
 The report holds each metric as one (model, fold, seed) array, and the
 failures as one parallel array of messages (:class:`ExperimentReport`).
@@ -59,12 +59,11 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-# KL_DIRECTIONS and CCC_POOLINGS are imported for callers that take them from here.
+# CCC_POOLINGS is imported for callers that take it from here.
 from .config import (
     CCC_POOLINGS,
     DEFAULT_EPSILON,
     DESCRIPTOR_NAMES,
-    KL_DIRECTIONS,
     MIN_FOLDS,
     ORACLE_MODEL,
     ExperimentConfig,
@@ -445,6 +444,7 @@ def significance(
     at the given level; comparisons without enough paired scores are marked
     inconclusive.  A model with some failed cells is marked inconclusive with
     its ``failed_cells`` count and its trained cells' mean and std, untested.
+    The oracle's row is a ``reference``: never best, never tested.
     """
     out: dict[str, dict[str, dict]] = {}
     for metric in CCC_METRICS:
@@ -454,8 +454,8 @@ def significance(
         if not vectors:
             continue
         failed = {m: report.errors[0].size - v.size for m, v in vectors.items()}
-        best = max((m for m in vectors if not failed[m]), key=lambda m: vectors[m].mean(),
-                   default=None)
+        best = max((m for m in vectors if not failed[m] and m != ORACLE_MODEL),
+                   key=lambda m: vectors[m].mean(), default=None)
         entry: dict[str, dict] = {}
         for model, vec in vectors.items():
             row = {
@@ -464,7 +464,11 @@ def significance(
                 "best": model == best,
             }
             if failed[model]:
-                row.update(inconclusive=True, failed_cells=failed[model])
+                row["failed_cells"] = failed[model]
+            if model == ORACLE_MODEL:
+                row["reference"] = True
+            elif failed[model]:
+                row["inconclusive"] = True
             elif model != best:
                 try:
                     _, p = wilcoxon_signed_rank(vectors[best], vec)
@@ -540,17 +544,12 @@ def write_report(report: ExperimentReport, outdir, level: float, *,
     )
     paths["summary"] = outdir / "summary.json"
 
-    # The reported KL column follows the configured direction; the raw CSV
-    # always carries both directions plus the uniform reference.
-    kl_key = ("kl_truth_pred" if report.config.kl_direction == "truth_first"
-              else "kl_pred_truth")
+    # Each model's mean of each kl.csv column over its trained cells.
     kl_means = {
-        model: {
-            "vs_truth_beta": float(np.nanmean(scores[kl_key][m])),
-            "vs_uniform": float(np.nanmean(scores["kl_truth_uniform"][m])),
-            "windows_better_than_uniform": float(np.nanmean(scores["kl_frac_better"][m])),
-        }
-        for m, model in enumerate(report.models) if not np.isnan(scores[kl_key][m]).all()
+        model: {key: float(np.nanmean(scores[metric][m])) for key, metric in zip(
+            ("vs_truth_beta", "vs_truth_beta_pred_first", "vs_uniform",
+             "windows_better_than_uniform"), KL_METRICS)}
+        for m, model in enumerate(report.models) if not np.isnan(scores[KL_METRICS[0]][m]).all()
     }
     summary = {
         "grid": {
@@ -564,7 +563,6 @@ def write_report(report: ExperimentReport, outdir, level: float, *,
                 for model, fold, seed, error in report.failures()
             ],
         },
-        "kl_direction": report.config.kl_direction,
         "kl_means": kl_means,
         "ccc_pooling": report.config.ccc_pooling,
         "fold_assignments": report.fold_plan.assignments,

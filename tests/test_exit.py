@@ -1,19 +1,23 @@
-"""A CLI process runs BLAS on one thread and ends without the interpreter's
-final garbage collection.
+"""A CLI process runs BLAS on one thread, ends on a closed stdout as other
+writers to a pipe do, and ends without the interpreter's final garbage
+collection.
 
 ``python -m annodist.cli`` and the ``annodist`` console script both run
 ``cli.entry``, which sets ``OPENBLAS_NUM_THREADS=1`` before ``main`` loads
-NumPy unless the caller set a BLAS thread count, and freezes the collector
-once ``main`` has returned.  Each check runs a fresh interpreter: the thread
-setting and the freeze are in place when ``atexit`` hooks run, a caller's
-thread count is kept, an in-process ``main`` leaves the collector and
-``os.environ`` alone, and a command run as a process prints, writes and
-returns exactly what the same command run in-process does.
+NumPy unless the caller set a BLAS thread count, restores the default
+``SIGPIPE`` action, and freezes the collector once ``main`` has returned.
+Each check runs a fresh interpreter: the thread setting and the freeze are in
+place when ``atexit`` hooks run, a caller's thread count is kept, an
+in-process ``main`` leaves the collector and ``os.environ`` alone, a command
+run as a process prints, writes and returns exactly what the same command run
+in-process does, and one whose stdout is closed writes every file and is
+killed by ``SIGPIPE`` with nothing on stderr.
 """
 
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -190,3 +194,40 @@ def test_process_output_equals_in_process_output(panel, tmp_path, capsys, monkey
         assert _files(tmp_path) == written, argv[0]
     assert codes == [0, 0, 0, 2]
     assert not (tmp_path / "bad").exists()
+
+
+def test_a_closed_stdout_ends_the_process_by_sigpipe(panel, tmp_path):
+    """``annodist synth ... | head -0``: the command writes every file, then
+    ends as head's other writers do, killed by SIGPIPE with nothing on stderr,
+    whether stdout is buffered or not."""
+    _, built = panel
+    synth = ["synth", "--n-subjects", "2", "--duration", "4", "--out"]
+    run = tmp_path / "run"
+    assert cli.main(["run", "--dataset", str(built), "--out", str(run), "--k-folds", "3",
+                     "--n-seeds", "1", "--max-epochs", "2", "--variants", "fully_shared",
+                     "--baselines", "--density-windows", "0", "--jobs", "1"]) == 0
+    assert cli.main([*synth, str(tmp_path / "want")]) == 0
+
+    def written(root):  # every file but the manifest, which must be there
+        files = _files(root)
+        files.pop(Path("manifest.json"))
+        return files
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for unbuffered in (False, True):
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        got = tmp_path / f"got_{unbuffered}"
+        for argv in ([*synth, got], ["report", "--run", run]):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = subprocess.run([sys.executable, "-m", "annodist.cli",
+                                       *map(str, argv)], stdout=write,
+                                      stderr=subprocess.PIPE, text=True, env=env)
+            finally:
+                os.close(write)
+            assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, ""), argv[0]
+        assert written(got) == written(tmp_path / "want")

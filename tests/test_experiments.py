@@ -1,5 +1,6 @@
 """Fold construction, grid execution, significance marking, density output."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -16,6 +17,7 @@ from annodist import experiments, nn, special
 from annodist.config import TrainConfig
 from annodist.errors import DomainError, InsufficientDataError
 from annodist.experiments import (
+    ORACLE_MODEL,
     DatasetArrays,
     ExperimentConfig,
     ExperimentReport,
@@ -103,7 +105,7 @@ BAD_CONFIG_FIELDS = [
     (ExperimentConfig, "baselines", ("mean",)),
     (ExperimentConfig, "variants", ("fully_shared", "independent", "fully_shared")),
     (ExperimentConfig, "baselines", ("median", "median")),
-    (ExperimentConfig, "kl_direction", "both"), (ExperimentConfig, "ccc_pooling", "none"),
+    (ExperimentConfig, "ccc_pooling", "none"),
     (SyntheticConfig, "n_subjects", 0), (SyntheticConfig, "n_annotators", 1),
     (SyntheticConfig, "duration", 0.0), (SyntheticConfig, "frame_rate", -1.0),
     (SyntheticConfig, "annotation_rate", float("nan")),
@@ -622,7 +624,8 @@ class TestScoreArrays:
             assert result[metric][model] == {
                 "mean": float(np.nanmean(scores)), "std": float(np.nanstd(scores)),
                 "best": False, "inconclusive": True, "failed_cells": 1}
-            assert result[metric]["oracle"]["best"]
+            assert result[metric]["oracle"] == {
+                "mean": 1.0, "std": 0.0, "best": False, "reference": True}
 
     def test_report_counts_a_partly_failed_models_cells(self, tiny_report,
                                                         poisoned_report, tmp_path, capsys):
@@ -635,8 +638,9 @@ class TestScoreArrays:
             assert cli.main(["report", "--run", str(tmp_path / name)]) == 0
             printed[name] = capsys.readouterr().out.splitlines()
         lines = printed["poisoned"]
-        assert lines[lines.index("failures: 2") + 5].endswith(
-            "(paired Wilcoxon, * best, = on par, ? untested: too few pairs or failed cells)")
+        assert lines[lines.index("failures: 2") + 4].endswith(
+            "(paired Wilcoxon, * best, = on par, ? untested: too few pairs or failed cells, "
+            "r reference (oracle), untested)")
         # The KL row of fully_shared: the mean covers its 5 trained cells.
         kl = next(line for line in lines if line.startswith("    fully_shared"))
         assert kl.endswith("  (1 of 6 cells failed)")
@@ -700,6 +704,29 @@ class TestSignificance:
                                    0.05)["ccc_mu"]
         assert not any(row["best"] for row in only_partly.values())
         assert all(row["inconclusive"] for row in only_partly.values())
+
+    @pytest.mark.parametrize("oracle", [[1.0] * 10, [1.0] * 9 + [np.nan]],
+                             ids=["whole", "partly-failed"])
+    def test_the_oracle_is_an_untested_reference(self, oracle):
+        rng = np.random.default_rng(32)
+        trained = {"good": list(rng.uniform(0.6, 0.9, 10)),
+                   "close": list(rng.uniform(0.55, 0.85, 10)),
+                   "bad": list(rng.uniform(0.1, 0.2, 10))}
+        without = significance(_fake_report(trained), 0.05)["ccc_mu"]
+        with_oracle = significance(_fake_report({**trained, ORACLE_MODEL: oracle}),
+                                   0.05)["ccc_mu"]
+        # Every trained model's row is what it is without the oracle.
+        reference = with_oracle.pop(ORACLE_MODEL)
+        assert with_oracle == without
+        assert without["good"]["best"]
+        failed = {"failed_cells": 1} if np.isnan(oracle).any() else {}
+        assert reference == {"mean": 1.0, "std": 0.0, "best": False, "reference": True,
+                             **failed}
+
+    def test_an_oracle_alone_has_no_best(self):
+        result = significance(_fake_report({ORACLE_MODEL: [1.0, 0.5]}), 0.05)["ccc_mu"]
+        assert result == {ORACLE_MODEL: {"mean": 0.75, "std": 0.25, "best": False,
+                                         "reference": True}}
 
 
 class TestDensityData:
@@ -832,11 +859,60 @@ class TestWriteReport:
         # fully_shared and oracle cells carry moment scores; 3 folds x 2 seeds.
         assert len(rows) == 2 * 3 * 2
 
+    @pytest.mark.parametrize("name", ["tiny_report", "poisoned_report"])
+    def test_kl_means_are_the_means_of_the_kl_table(self, name, request, tmp_path):
+        report = request.getfixturevalue(name)
+        paths = write_report(report, tmp_path, 0.05, density_windows=0)
+        rows = {}
+        with open(paths["kl"], newline="") as fh:
+            for row in csv.DictReader(fh):
+                rows.setdefault(row["model"], []).append(row)
+        keys = {"vs_truth_beta": "kl_truth_pred", "vs_truth_beta_pred_first": "kl_pred_truth",
+                "vs_uniform": "kl_truth_uniform",
+                "windows_better_than_uniform": "kl_frac_better"}
+        want = {model: {key: float(np.mean([float(row[column]) for row in model_rows]))
+                        for key, column in keys.items()}
+                for model, model_rows in rows.items()}
+        assert json.loads(paths["summary"].read_text())["kl_means"] == want
+
+    def test_report_prints_a_summary_without_the_pred_first_means(
+            self, tiny_report, tmp_path, capsys):
+        # A summary as written before the means of KL(pred||truth) were kept,
+        # when it named the direction of its KL column.
+        from annodist import cli
+
+        printed = []
+        for name in ("new", "old"):
+            path = write_report(tiny_report, tmp_path / name, 0.05,
+                                density_windows=0)["summary"]
+            if name == "old":
+                summary = json.loads(path.read_text())
+                for row in summary["kl_means"].values():
+                    del row["vs_truth_beta_pred_first"]
+                path.write_text(json.dumps({**summary, "kl_direction": "truth_first"}))
+            capsys.readouterr()
+            assert cli.main(["report", "--run", str(tmp_path / name)]) == 0
+            printed.append(capsys.readouterr().out.splitlines()[1:])
+        assert printed[0] == printed[1]
+        assert "    oracle" in "\n".join(printed[0])
+
+    def test_report_marks_the_oracle_as_reference(self, tiny_report, tmp_path, capsys):
+        from annodist import cli
+
+        write_report(tiny_report, tmp_path, 0.05, density_windows=0)
+        capsys.readouterr()
+        assert cli.main(["report", "--run", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == ("mean per-window KL over trained cells "
+                            "(truth||pred | truth||uniform | windows better)")
+        for metric in ("ccc_mu", "ccc_sigma", "ccc_median"):
+            assert lines[lines.index(metric) + 1] == f"  r {'oracle':<24} +1.0000 +/- 0.0000"
+        assert not any(line.startswith("  * oracle") for line in lines)
+
     def test_summary_tracks_normalization(self, tiny_report, tmp_path):
         paths = write_report(tiny_report, tmp_path, 0.05, density_windows=0)
         summary = json.loads(paths["summary"].read_text())
         assert len(summary["fold_normalization"]) == 3
-        assert summary["kl_direction"] == "truth_first"
         assert summary["grid"]["cells"] == len(tiny_report.cells)
         assert summary["ccc_pooling"] == "pooled"
         kl = summary["kl_means"]
