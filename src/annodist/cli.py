@@ -118,8 +118,6 @@ _PARAMS = {
     "noise_std": {"help": "standard deviation of the feature noise"},
     "seed": {"help": "generator seed"},
     "annotation_rate": {"help": "annotation marks per second"},
-    "annotator_bias_std": {"help": "standard deviation of each annotator's bias"},
-    "identity_features": {"help": "features are the latents themselves"},
     "window_len": {"help": "window length in seconds"},
     "stride": {"help": "window shift in seconds"},
     "label_range": {"help": "annotation scale, mapped onto [0, 1]", "nargs": 2,

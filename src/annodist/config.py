@@ -62,25 +62,18 @@ class SyntheticConfig:
     noise_std: float = 0.02
     seed: int = 0
     annotation_rate: float = 5.0
-    annotator_bias_std: float = 0.0
-    identity_features: bool = False
 
     def __post_init__(self):
         check_fields(
             self, n_subjects=at_least(1), n_annotators=at_least(2),
             duration=POSITIVE, frame_rate=POSITIVE, annotation_rate=POSITIVE,
             feature_dim=at_least(1), latent_dim=at_least(0),
-            noise_std=at_least(0), annotator_bias_std=at_least(0), seed=at_least(0),
+            noise_std=at_least(0), seed=at_least(0),
         )
         if not self.duration * min(self.frame_rate, self.annotation_rate) > 0.5:
             raise DomainError(
                 f"SyntheticConfig: duration {self.duration!r} is too short for "
                 "one frame and one annotation mark"
-            )
-        if self.identity_features and self.feature_dim != 2 + self.latent_dim:
-            raise DomainError(
-                "SyntheticConfig: identity_features requires "
-                "feature_dim == 2 + latent_dim"
             )
 
 

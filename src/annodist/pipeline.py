@@ -297,6 +297,8 @@ def build_dataset(
         by_key[key] = fs
     if modalities is None:
         modalities = sorted({fs.modality for fs in features})
+    elif not modalities:
+        raise DomainError("build_dataset: modalities must name at least one modality")
     elif len(set(modalities)) < len(modalities):
         raise DomainError(f"build_dataset: modalities must be free of repeats, "
                           f"got {modalities!r}")

@@ -99,14 +99,10 @@ def generate(
     t_frames = np.arange(n_frames) / cfg.frame_rate
     t_marks = np.arange(n_marks) / cfg.annotation_rate
 
-    map_rng = _rng(cfg.seed, 1)
     n_latent = 2 + cfg.latent_dim
-    if cfg.identity_features:
-        feature_map = np.eye(cfg.feature_dim)
-    else:
-        feature_map = map_rng.normal(
-            0.0, 1.0 / np.sqrt(n_latent), (cfg.feature_dim, n_latent)
-        )
+    feature_map = _rng(cfg.seed, 1).normal(
+        0.0, 1.0 / np.sqrt(n_latent), (cfg.feature_dim, n_latent)
+    )
 
     features: list[FrameSeries] = []
     annotations: list[AnnotationTrace] = []
@@ -137,7 +133,7 @@ def generate(
             + prng.uniform(0.0, 2.0 * np.pi)
         )
         # Each annotator draws from its own stream: the amplitude, frequency
-        # and phase of its wander, then its bias.
+        # and phase of its wander.
         arngs = [_rng(cfg.seed, 3, s, i) for i in range(cfg.n_annotators)]
         wander = np.array([[arng.uniform(0.015, 0.045), arng.uniform(0.02, 0.06),
                             arng.uniform(0.0, 2.0 * np.pi)] for arng in arngs])
@@ -150,14 +146,8 @@ def generate(
         )
         # One quantile call for the whole panel: the kernel is elementwise.
         panel = special.inv_reg_inc_beta(levels, alpha_a, beta_a)
-        for i, (arng, values) in enumerate(zip(arngs, panel)):
-            if cfg.annotator_bias_std > 0:
-                values = np.clip(
-                    values + arng.normal(0.0, cfg.annotator_bias_std), 0.0, 1.0
-                )
-            annotations.append(
-                AnnotationTrace(subject, f"a{i:02d}", t_marks, values)
-            )
+        annotations += [AnnotationTrace(subject, f"a{i:02d}", t_marks, values)
+                        for i, values in enumerate(panel)]
 
         # One call per latent, so that each is averaged in 1-D slices.
         starts, _, mu_w = _window_means(t_marks, mu_a, t_marks[-1], window_cfg)

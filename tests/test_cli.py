@@ -623,6 +623,23 @@ def test_run_takes_no_kl_direction_flag_or_key(built_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, flag", [
+    ("identity_features", ["--identity-features"]),
+    ("annotator_bias_std", ["--annotator-bias-std", 0.1]),
+], ids=["identity_features", "annotator_bias_std"])
+def test_synth_takes_no_removed_generator_flag_or_key(key, flag, tmp_path, capsys):
+    # Every annotator value is a Beta(mu*, sigma*) quantile, as ground_truth.csv
+    # says, and the feature map is always the seeded random one.
+    out = tmp_path / "out"
+    assert run_cli("synth", *flag, "--out", out) == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 0.1}))
+    capsys.readouterr()
+    assert run_cli("synth", "--config", cfg, "--out", out) == 2
+    assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exit_2_leaves_no_out_dir(case, synth_dir, built_dir, tmp_path, capsys):
     # The inputs are read and the work is done before the manifest is written.
@@ -747,7 +764,7 @@ BAD_CONFIG_TYPES = [
     ("fit", "window_len", "3"),
     ("run", "n_seeds", 2.5),
     ("run", "variants", "fully_shared"),
-    ("synth", "identity_features", 1),
+    ("run", "include_oracle", 1),
     ("run", "k_folds", True),
     ("build", "modalities", ["synth", 1]),
 ]
@@ -924,8 +941,6 @@ FLAG_SURFACE = {
         ("--noise-std", "noise_std", "float", None, None, None),
         ("--seed", "seed", "int", None, None, None),
         ("--annotation-rate", "annotation_rate", "float", None, None, None),
-        ("--annotator-bias-std", "annotator_bias_std", "float", None, None, None),
-        ("--identity-features", "identity_features", None, 0, None, True),
         ("--window-len", "window_len", "float", None, None, None),
         ("--stride", "stride", "float", None, None, None),
     ],
@@ -937,8 +952,7 @@ RESOLVED_DEFAULTS = {
     "synth": {
         "n_subjects": 20, "duration": 150.0, "frame_rate": 25.0, "n_annotators": 6,
         "feature_dim": 24, "latent_dim": 4, "noise_std": 0.02, "seed": 0,
-        "annotation_rate": 5.0, "annotator_bias_std": 0.0,
-        "identity_features": False, "window_len": 3.0, "stride": 0.4,
+        "annotation_rate": 5.0, "window_len": 3.0, "stride": 0.4,
     },
     "build": {"window_len": 3.0, "stride": 0.4, "label_range": [0.0, 1.0],
               "epsilon": 0.0001, "modalities": None},
@@ -984,8 +998,7 @@ class TestParameterTable:
 OUT_OF_RANGE = {
     "n_subjects": [0], "duration": [0, -1.5, 0.01], "frame_rate": [0.0],
     "n_annotators": [1], "feature_dim": [0], "latent_dim": [-1], "noise_std": [-0.1],
-    "seed": [-1], "annotation_rate": [-2.0], "annotator_bias_std": [-1],
-    "identity_features": [True],  # feature_dim 24 != 2 + latent_dim 4
+    "seed": [-1], "annotation_rate": [-2.0],
     "window_len": [0, -3.0], "stride": [0, 100.0], "label_range": [[1, 0], [0.5, 0.5]],
     "epsilon": [0, 0.5, -1e-4], "modalities": [[], ["synth", "synth"]],
     "k_folds": [0, 1, 2], "n_seeds": [0],

@@ -110,8 +110,7 @@ BAD_CONFIG_FIELDS = [
     (SyntheticConfig, "duration", 0.0), (SyntheticConfig, "frame_rate", -1.0),
     (SyntheticConfig, "annotation_rate", float("nan")),
     (SyntheticConfig, "feature_dim", 0), (SyntheticConfig, "latent_dim", -1),
-    (SyntheticConfig, "noise_std", -0.1), (SyntheticConfig, "annotator_bias_std", -1.0),
-    (SyntheticConfig, "seed", -1),
+    (SyntheticConfig, "noise_std", -0.1), (SyntheticConfig, "seed", -1),
     (WindowConfig, "window_len", 0.0), (WindowConfig, "stride", 0.0),
     (WindowConfig, "stride", 5.0), (WindowConfig, "label_range", (1.0, 0.0)),
 ]

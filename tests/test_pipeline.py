@@ -326,6 +326,11 @@ class TestBuildDataset:
             build_dataset(feats, self._annotations(), WindowConfig(),
                           modalities=["a", "b", "a"])
 
+    def test_empty_modality_list_rejected(self):
+        with pytest.raises(DomainError, match=r"modalities must name at least one"):
+            build_dataset([make_series(modality="a")], self._annotations(),
+                          WindowConfig(), modalities=[])
+
     def test_disjoint_subjects_rejected(self):
         with pytest.raises(EmptyDatasetError):
             build_dataset([make_series(subject="sA")],
