@@ -63,7 +63,6 @@ from typing import NoReturn
 
 from . import __version__
 from .config import (
-    CCC_POOLINGS,
     DESCRIPTOR_NAMES,
     MOMENT_KINDS,
     ExperimentConfig,
@@ -136,8 +135,6 @@ _PARAMS = {
     "batch_size": {"help": "training batch size"},
     "max_epochs": {"help": "epoch limit per network"},
     "patience": {"help": "epochs without validation gain before a member stops"},
-    "ccc_pooling": {"help": "CCC over all test windows or averaged per subject",
-                    "choices": CCC_POOLINGS},
     "include_oracle": {"help": "add an oracle model fed the true targets",
                        "flag": "--oracle"},
     "jobs": {"help": "training processes, this one included; 0 means one per core "

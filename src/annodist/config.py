@@ -28,7 +28,6 @@ from .errors import (
     SchemaError,
     at_least,
     check_fields,
-    one_of,
     subset_of,
 )
 
@@ -46,7 +45,6 @@ DESCRIPTOR_NAMES = ("median", "q25", "q75", "skew", "kurt")
 ORACLE_MODEL = "oracle"
 # Fold i tests and fold i+1 validates, so k >= 3 leaves a fold to train.
 MIN_FOLDS = 3
-CCC_POOLINGS = ("pooled", "per_subject")
 
 
 @dataclass(frozen=True)
@@ -115,14 +113,12 @@ class ExperimentConfig:
     master_seed: int = 0
     variants: tuple[str, ...] = MOMENT_KINDS
     baselines: tuple[str, ...] = DESCRIPTOR_NAMES
-    ccc_pooling: str = "pooled"
     include_oracle: bool = False
 
     def __post_init__(self):
         check_fields(
             self, k_folds=at_least(MIN_FOLDS), n_seeds=at_least(1), master_seed=at_least(0),
             variants=subset_of(MOMENT_KINDS), baselines=subset_of(DESCRIPTOR_NAMES),
-            ccc_pooling=one_of(CCC_POOLINGS),
         )
         check_fields(self, variants=DISTINCT, baselines=DISTINCT)
         if not (self.variants or self.baselines):

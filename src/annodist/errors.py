@@ -47,10 +47,6 @@ def at_least(lo):
     return (lambda v: v >= lo), f">= {lo}"
 
 
-def one_of(options: tuple):
-    return (lambda v: v in options), f"one of {options}"
-
-
 def subset_of(options: tuple):
     return (lambda v: set(v) <= set(options)), f"drawn from {options}"
 

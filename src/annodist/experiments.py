@@ -36,10 +36,9 @@ moment cells, the oracle's included, share one Beta fit
 clamp margin ``epsilon``) and one KL pass per direction over their
 concatenated test windows, sliced per cell.  Quantiles and KL terms are
 computed element by element, so each cell gets the bits it would get alone.
-Then one loop scores every cell, point and moment alike, through one
-concordance call and one failure path.  Per-subject CCC averages over the
-test subjects with at least 2 windows; a cell with no such subject fails,
-with no KL means.
+Then one loop scores every cell, point and moment alike, each CCC over the
+cell's pooled test windows, in one failure path: a cell with fewer than 2
+test windows fails, with no KL means.
 
 Each fold's window split and training-fold z-score statistics are computed
 once, before any stack trains (:class:`Fold`), and the report keeps them for
@@ -59,9 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-# CCC_POOLINGS is imported for callers that take it from here.
 from .config import (
-    CCC_POOLINGS,
     DEFAULT_EPSILON,
     DESCRIPTOR_NAMES,
     MIN_FOLDS,
@@ -172,22 +169,6 @@ class ExperimentReport:
     def failures(self) -> list[tuple[str, int, int, str]]:
         """``(model, fold, seed, message)`` of each failed cell, in cell order."""
         return [(*c, e) for c, e in zip(self.cells, self.errors.flat) if e is not None]
-
-
-def _score_ccc(pred, target, subjects, pooling: str) -> float:
-    """Concordance either over pooled windows or averaged over the test
-    subjects that have at least 2 windows."""
-    if pooling == "pooled":
-        return ccc(PairedSeries(pred, target))
-    values = [
-        ccc(PairedSeries(pred[subjects == s], target[subjects == s]))
-        for s in np.unique(subjects)
-        if np.count_nonzero(subjects == s) >= 2
-    ]
-    if not values:
-        raise InsufficientDataError(
-            "per-subject CCC: no test subject has at least 2 windows")
-    return float(np.mean(values))
 
 
 def _fold(data: DatasetArrays, plan: FoldPlan, fold: int) -> Fold:
@@ -385,8 +366,7 @@ def _score(data: DatasetArrays, cfg: ExperimentConfig, folds: list[Fold],
     targets = {**data.truth_desc, "mu": data.mu, "sigma": data.sigma}
     for where, idx, preds, kl in cells:
         try:
-            values = {f"ccc_{name}": _score_ccc(p, targets[name][idx], data.subjects[idx],
-                                                cfg.ccc_pooling)
+            values = {f"ccc_{name}": ccc(PairedSeries(p, targets[name][idx]))
                       for name, p in preds.items()}
         except (AnnodistError, FloatingPointError) as exc:
             errors[where] = _failure(exc)
@@ -564,7 +544,6 @@ def write_report(report: ExperimentReport, outdir, level: float, *,
             ],
         },
         "kl_means": kl_means,
-        "ccc_pooling": report.config.ccc_pooling,
         "fold_assignments": report.fold_plan.assignments,
         "fold_normalization": [
             {"mean": f.mean.tolist(), "std": f.std.tolist()} for f in report.folds

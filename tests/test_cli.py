@@ -610,16 +610,20 @@ BAD_INPUTS = {
 }
 
 
-def test_run_takes_no_kl_direction_flag_or_key(built_dir, tmp_path, capsys):
-    # The summary reports KL(truth||pred) and the mean of KL(pred||truth) beside it.
+@pytest.mark.parametrize("key, flag", [
+    ("kl_direction", ["--kl-direction", "pred_first"]),
+    ("ccc_pooling", ["--ccc-pooling", "pooled"]),
+], ids=["kl_direction", "ccc_pooling"])
+def test_run_takes_no_removed_flag_or_key(key, flag, built_dir, tmp_path, capsys):
+    # The summary reports KL(truth||pred) and the mean of KL(pred||truth) beside
+    # it, and every CCC is taken over a cell's pooled test windows.
     out = tmp_path / "out"
-    assert run_cli("run", "--dataset", built_dir, "--kl-direction", "pred_first",
-                   "--out", out) == 1
+    assert run_cli("run", "--dataset", built_dir, *flag, "--out", out) == 1
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kl_direction": "truth_first"}))
+    cfg.write_text(json.dumps({key: flag[1]}))
     capsys.readouterr()
     assert run_cli("run", "--dataset", built_dir, "--config", cfg, "--out", out) == 2
-    assert "unknown config keys: ['kl_direction']" in capsys.readouterr().err
+    assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -919,7 +923,6 @@ FLAG_SURFACE = {
          ("independent", "shared_first", "fully_shared"), None),
         ("--baselines", "baselines", None, "*",
          ("median", "q25", "q75", "skew", "kurt"), None),
-        ("--ccc-pooling", "ccc_pooling", None, None, ("pooled", "per_subject"), None),
         ("--oracle", "include_oracle", None, 0, None, True),
         ("--learning-rate", "learning_rate", "float", None, None, None),
         ("--batch-size", "batch_size", "int", None, None, None),
@@ -963,8 +966,7 @@ RESOLVED_DEFAULTS = {
         "variants": ["independent", "shared_first", "fully_shared"],
         "baselines": ["median", "q25", "q75", "skew", "kurt"],
         "learning_rate": 0.001, "batch_size": 128, "max_epochs": 50, "patience": 5,
-        "ccc_pooling": "pooled", "include_oracle": False, "jobs": 0, "density_windows": 8,
-        "significance_level": 0.05,
+        "include_oracle": False, "jobs": 0, "density_windows": 8, "significance_level": 0.05,
     },
 }
 REQUIRED_INPUTS = {"synth": [], "build": ["--features", "f", "--annotations", "a"],
@@ -1004,15 +1006,15 @@ OUT_OF_RANGE = {
     "k_folds": [0, 1, 2], "n_seeds": [0],
     "master_seed": [-3], "variants": [["bogus"]], "baselines": [["mean"]],
     "learning_rate": [0, -1.0], "batch_size": [0], "max_epochs": [-1], "patience": [0],
-    "ccc_pooling": ["none"], "include_oracle": [],
+    "include_oracle": [],
     "jobs": [-1, -4], "density_windows": [-1], "significance_level": [0, 1, 5, -1],
 }
-CONFIG_ONLY = {"modalities", "variants", "baselines", "ccc_pooling"}
+CONFIG_ONLY = {"modalities", "variants", "baselines"}
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 # JSON values of the wrong type, by the type of the key's default.
 WRONG_TYPES = {
     int: ["3", 2.5, True, None], float: ["3.0", True, None, [1.0]],
-    bool: [1, "yes", None], str: [3, None, ["pooled"]],
+    bool: [1, "yes", None],
     "list": ["x", [1, "2"], [True]], type(None): ["synth", [1]],
 }
 

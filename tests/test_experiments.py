@@ -15,6 +15,7 @@ import pytest
 
 from annodist import experiments, nn, special
 from annodist.config import TrainConfig
+from annodist.consensus import fit_beta_arrays
 from annodist.errors import DomainError, InsufficientDataError
 from annodist.experiments import (
     ORACLE_MODEL,
@@ -27,6 +28,7 @@ from annodist.experiments import (
     significance,
     write_report,
 )
+from annodist.metrics import PairedSeries, ccc
 from annodist.pipeline import WindowConfig, build_dataset
 from annodist.synthetic import SyntheticConfig, generate
 import csv_reference
@@ -105,7 +107,6 @@ BAD_CONFIG_FIELDS = [
     (ExperimentConfig, "baselines", ("mean",)),
     (ExperimentConfig, "variants", ("fully_shared", "independent", "fully_shared")),
     (ExperimentConfig, "baselines", ("median", "median")),
-    (ExperimentConfig, "ccc_pooling", "none"),
     (SyntheticConfig, "n_subjects", 0), (SyntheticConfig, "n_annotators", 1),
     (SyntheticConfig, "duration", 0.0), (SyntheticConfig, "frame_rate", -1.0),
     (SyntheticConfig, "annotation_rate", float("nan")),
@@ -313,50 +314,29 @@ class TestRunGrid:
         assert fold.mean[0] == 3.0 and fold.std[0] == 1.0
         assert np.all(fold.std[1:] > 0)
 
-    def test_per_subject_ccc_pooling(self, tiny_table, tiny_report):
-        cfg = ExperimentConfig(**{
-            **TINY_GRID.__dict__, "ccc_pooling": "per_subject",
-        })
-        per_subject = run_grid(tiny_table, cfg, TINY_TRAIN)
-        pooled_mu = model_scores(tiny_report, "ccc_mu", "fully_shared")
-        split_mu = model_scores(per_subject, "ccc_mu", "fully_shared")
-        assert split_mu.shape == pooled_mu.shape
-        assert not np.allclose(split_mu, pooled_mu)
-        # The oracle predicts the targets exactly, so both poolings give 1.
-        assert np.allclose(model_scores(per_subject, "ccc_mu", "oracle"), 1.0)
-
-    def test_per_subject_ccc_needs_a_subject_with_two_windows(self):
-        pred, target = np.array([0.1, 0.2]), np.array([0.3, 0.1])
-        subjects = np.array(["a", "b"])
-        with pytest.raises(InsufficientDataError,
-                           match="no test subject has at least 2 windows"):
-            experiments._score_ccc(pred, target, subjects, "per_subject")
-        pooled = experiments._score_ccc(pred, target, subjects, "pooled")
-        assert pooled == pytest.approx(-2 / 3)
-
     def test_a_scoring_failure_fails_every_kind_of_cell_on_its_fold(self, tiny_table):
-        # Fold 1's test subjects keep one window each, so per-subject CCC has
-        # no subject to average there: every fold-1 cell fails while scoring,
+        # Without the last subject, fold 2 tests one subject, kept to its first
+        # window: a CCC needs 2 pairs, so every fold-2 cell fails while scoring,
         # point, moment and the oracle at every seed, with no score and no KL.
-        cfg = ExperimentConfig(**{**TINY_GRID.__dict__, "ccc_pooling": "per_subject"})
-        plan = make_folds(sorted(set(tiny_table.subjects.tolist())), cfg.k_folds,
-                          cfg.master_seed)
+        subjects = sorted(set(tiny_table.subjects.tolist()))[:-1]
+        plan = make_folds(subjects, TINY_GRID.k_folds, TINY_GRID.master_seed)
+        assert [s for s in subjects if plan.assignments[s] == 2] == ["s001"]
         first = np.zeros(len(tiny_table), dtype=bool)
         first[np.unique(tiny_table.subjects, return_index=True)[1]] = True
-        keep = first | [plan.assignments[s] != 1 for s in tiny_table.subjects.tolist()]
+        keep = (np.isin(tiny_table.subjects, subjects)
+                & (first | (tiny_table.subjects != "s001")))
         table = type(tiny_table)(**{k: v[keep] for k, v in vars(tiny_table).items()})
-        report = run_grid(table, cfg, TINY_TRAIN)
+        report = run_grid(table, TINY_GRID, TINY_TRAIN)
         assert report.models == ["fully_shared", "point[median]", "oracle"]
         assert report.fold_plan == plan
-        assert report.errors[:, 1].tolist() == [[
-            "InsufficientDataError: per-subject CCC: "
-            "no test subject has at least 2 windows"] * 2] * 3
-        assert not failed_cells(report)[:, [0, 2]].any()
+        assert report.errors[:, 2].tolist() == [[
+            "InsufficientDataError: PairedSeries: need at least 2 pairs"] * 2] * 3
+        assert not failed_cells(report)[:, [0, 1]].any()
         for metric, scores in report.scores.items():
-            assert np.isnan(scores[:, 1]).all()
+            assert np.isnan(scores[:, 2]).all()
         for model, metric in (("fully_shared", "kl_truth_pred"), ("oracle", "ccc_mu"),
                               ("point[median]", "ccc_median")):
-            assert np.isfinite(model_scores(report, metric, model)[[0, 2]]).all()
+            assert np.isfinite(model_scores(report, metric, model)[[0, 1]]).all()
 
     def test_degenerate_predictions_scored_not_failed(self, tiny_table):
         # A frozen network keeps sigma_hat near softplus(0) ~ 0.69, above the
@@ -499,10 +479,10 @@ class TestBatchedScoring:
     # A made-up plan on the tiny grid's folds, one single-member moment stack
     # per given cell: two models (fully_shared, oracle) x 3 folds x 2 seeds.
 
-    def _score(self, report, cells, pooling="pooled", oracle=False):
+    def _score(self, report, cells, oracle=False):
         """``_score`` on ``(model, fold, seed, mu_hat, sigma_hat)`` cells."""
         cfg = ExperimentConfig(k_folds=3, n_seeds=2, variants=("fully_shared",),
-                               baselines=(), include_oracle=oracle, ccc_pooling=pooling)
+                               baselines=(), include_oracle=oracle)
         stacks = [("fully_shared", fold, [(m, s, None)]) for m, fold, s, *_ in cells]
         results = [([None], np.stack([mu, sigma], axis=-1)[None]) for *_, mu, sigma in cells]
         return experiments._score(report.data, cfg, report.folds, 2, stacks, results)
@@ -514,22 +494,20 @@ class TestBatchedScoring:
                  rng.uniform(0.01, 0.6, fold.test.size))
                 for i, fold in enumerate(report.folds[:2])]
 
-    def _alone(self, report, cell, pooling):
+    def _alone(self, report, cell):
         # One cell scored as the only one of its plan.
-        scores, errors = self._score(report, [cell], pooling)
+        scores, errors = self._score(report, [cell])
         assert not errors.astype(bool).any()
         return {metric: v[cell[:3]] for metric, v in scores.items()}
 
-    @pytest.mark.parametrize("pooling", experiments.CCC_POOLINGS)
-    def test_batched_cells_match_cells_scored_alone(self, tiny_report, pooling,
-                                                    monkeypatch):
+    def test_batched_cells_match_cells_scored_alone(self, tiny_report, monkeypatch):
         data = tiny_report.data
         cells = self._cells(tiny_report, np.random.default_rng(32))
         calls = []
         inverse = special.inv_reg_inc_beta
         monkeypatch.setattr(special, "inv_reg_inc_beta",
                             lambda *a, **k: calls.append(1) or inverse(*a, **k))
-        scores, errors = self._score(tiny_report, cells, pooling, oracle=True)
+        scores, errors = self._score(tiny_report, cells, oracle=True)
         assert len(calls) == 1
         assert not errors.astype(bool).any()
         for metric in experiments.METRICS:
@@ -541,9 +519,26 @@ class TestBatchedScoring:
         for cell in cells + oracle:
             m, fold, s = cell[:3]
             seeds = slice(None) if m else s  # the oracle fills every seed
-            for metric, value in self._alone(tiny_report, cell, pooling).items():
+            for metric, value in self._alone(tiny_report, cell).items():
                 assert np.isfinite(value)
                 np.testing.assert_array_equal(scores[metric][m, fold, seeds], value)
+
+    def test_each_ccc_is_taken_over_the_pooled_test_windows(self, tiny_report):
+        # Each test fold holds several subjects; a cell's CCC is one
+        # concordance over all its test windows, with no per-subject averaging.
+        data = tiny_report.data
+        cells = self._cells(tiny_report, np.random.default_rng(35))
+        scores, errors = self._score(tiny_report, cells)
+        assert not errors.astype(bool).any()
+        targets = {**data.truth_desc, "mu": data.mu, "sigma": data.sigma}
+        for m, fold, s, mu_hat, sigma_hat in cells:
+            test = tiny_report.folds[fold].test
+            assert np.unique(data.subjects[test]).size >= 2
+            *_, desc = fit_beta_arrays(mu_hat, sigma_hat, data.epsilon)
+            for name, pred in (("mu", mu_hat), ("sigma", sigma_hat),
+                               ("median", desc["median"])):
+                assert scores[f"ccc_{name}"][m, fold, s] == ccc(
+                    PairedSeries(pred, targets[name][test]))
 
     def test_any_finite_predictions_score(self, tiny_report):
         # Moments far outside the validity region, the extremes included,
@@ -913,7 +908,8 @@ class TestWriteReport:
         summary = json.loads(paths["summary"].read_text())
         assert len(summary["fold_normalization"]) == 3
         assert summary["grid"]["cells"] == len(tiny_report.cells)
-        assert summary["ccc_pooling"] == "pooled"
+        assert set(summary) == {"grid", "kl_means", "fold_assignments", "fold_normalization",
+                                "significance_level", "significance"}
         kl = summary["kl_means"]
         assert set(kl) == {"fully_shared", "oracle"}
         assert kl["oracle"]["vs_truth_beta"] <= 1e-10

@@ -131,8 +131,7 @@ def test_package_exports_resolve_lazily():
 @pytest.mark.parametrize("module, name", [
     (consensus, "DEFAULT_EPSILON"), (consensus, "DESCRIPTOR_NAMES"),
     (consensus, "EPSILON_RANGE"),
-    (experiments, "ExperimentConfig"), (experiments, "CCC_POOLINGS"),
-    (experiments, "ORACLE_MODEL"),
+    (experiments, "ExperimentConfig"), (experiments, "ORACLE_MODEL"),
     (nn, "TrainConfig"), (nn, "KINDS"), (nn, "MOMENT_KINDS"),
     (pipeline, "WindowConfig"), (pipeline, "read_json"), (pipeline, "write_json"),
     (synthetic, "SyntheticConfig"),
